@@ -20,8 +20,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .grid import d1, d2
-from .lagrangian import make_rochet_chone, make_zero
-from .minimizer import BarrierOpts, ConeProblem, eval_J, minimize_direct
+from .minimizer import ConeProblem, eval_J, minimize_direct
 from .solver import NewtonOpts, _f_eps, continuation_sweep
 from .weakform import default_family, distributional_residual, rescaled_w
 
@@ -243,8 +242,7 @@ def compare(config_path, out_override) -> None:
     g = setup.grid
 
     problem = ConeProblem(grid=g, lagrangian=setup.lagrangian, phi=setup.phi)
-    opts = BarrierOpts(kkt_tol=cfg.tolerances.kkt_tol)
-    oracle = minimize_direct(problem, opts)
+    oracle = minimize_direct(problem)
     if oracle.kkt_residual > cfg.tolerances.kkt_tol:
         log.error("oracle failed: KKT residual %.3e > %.3e",
                   oracle.kkt_residual, cfg.tolerances.kkt_tol)

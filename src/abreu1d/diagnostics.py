@@ -14,12 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .grid import d1, d2, integrate
-from .solver import ProblemSetup, SolveResult, eval_J_eps
+from .solver import NotConverged, ProblemSetup, SolveResult, eval_J_eps
 from .minimizer import ConeProblem, eval_J
-
-
-class NotConverged(RuntimeError):
-    """Diagnostics require a converged solve."""
 
 
 class InsufficientData(ValueError):

@@ -102,13 +102,6 @@ def integrate(values: np.ndarray, grid: Grid, lo: int, hi: int) -> float:
     return float(np.trapezoid(v[lo : hi + 1], dx=grid.h))
 
 
-# Stencil coefficient helpers used by the Newton Jacobian assembly.
-
-def d1_boundary_coeffs(grid: Grid, left: bool) -> np.ndarray:
-    c = np.array([-3.0, 4.0, -1.0]) / (2.0 * grid.h)
-    return c if left else -c[::-1]
-
-
 def d2_boundary_coeffs(grid: Grid, left: bool) -> np.ndarray:
     c = np.array([2.0, -5.0, 4.0, -1.0]) / (grid.h * grid.h)
     return c if left else c[::-1]

@@ -33,9 +33,6 @@ class LagrangianSpec:
     f1_pxp: ScalarField = field(default=lambda x, p: np.zeros_like(np.asarray(x, dtype=float)))
     f1_ppp: ScalarField = field(default=lambda x, p: np.zeros_like(np.asarray(x, dtype=float)))
     dstar: float = 0.0
-    eta: Optional[Callable[[float], float]] = None
-    eta1: Optional[Callable[[float], float]] = None
-    eta2: Optional[Callable[[float], float]] = None
 
 
 @dataclass
@@ -101,9 +98,6 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
         f1_pxp=lambda x, p: eta0_prime(x) * np.ones_like(np.asarray(p, dtype=float)),
         f1_ppp=lambda x, p: np.zeros_like(np.asarray(p, dtype=float)),
         dstar=dstar,
-        eta=lambda t: sup_eta0 * (1.0 + t),
-        eta1=lambda t: sup_eta0 * (2.0 + 2.0 * t),
-        eta2=lambda t: 0.0,
     )
 
 
@@ -113,7 +107,6 @@ def make_zero() -> LagrangianSpec:
     return LagrangianSpec(
         f0=z, f0_z=z, f0_zz=z, f1=z, f1_p=z, f1_pp=z, f1_px=z,
         f1_pxp=z, f1_ppp=z, dstar=0.0,
-        eta=lambda t: 0.0, eta1=lambda t: 0.0, eta2=lambda t: 0.0,
     )
 
 

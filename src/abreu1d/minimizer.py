@@ -6,19 +6,22 @@ including the nodes straddling the window endpoints, which is what couples
 the free values to the pinned obstacle slopes.
 
 A log-barrier interior-point method is used.  The barrier objective is
-minimized with an inner Newton iteration; the smooth part is assembled from
-a per-cell midpoint quadrature, which (unlike the nodal trapezoid rule) is
-exactly stationary at the discrete minimizer and free of the odd/even
-decoupling of nodal central differences.  Reported functional values use
-`eval_J` (trapezoid), matching the grid module's quadrature.
+minimized with an inner Newton iteration whose Hessian is pentadiagonal in
+the free values, so it is assembled and solved in banded form.  The smooth
+part is assembled from a per-cell midpoint quadrature, which (unlike the
+nodal trapezoid rule) is exactly stationary at the discrete minimizer and
+free of the odd/even decoupling of nodal central differences.  Reported
+functional values use `eval_J` (trapezoid), matching the grid module's
+quadrature.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from .grid import Grid, d1, integrate
+from .grid import Grid, d1, d2, integrate
 from .lagrangian import LagrangianSpec
 
 
@@ -50,7 +53,6 @@ class BarrierOpts:
     mu_ratio: float = 0.25
     mu_stop: float = 1e-9
     inner_max_iters: int = 80
-    kkt_tol: float = 1e-8
 
 
 def eval_J(v: np.ndarray, problem: ConeProblem) -> float:
@@ -73,8 +75,12 @@ def eval_J_cell(v: np.ndarray, problem: ConeProblem) -> float:
 
 def second_differences(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Interior second differences s_1 .. s_{n-1}."""
-    h2 = grid.h * grid.h
-    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+    return d2(v, grid)[1:-1]
+
+
+def _constraint_s(v, grid: Grid) -> np.ndarray:
+    """Second differences s_ia .. s_ib, the constraints that touch free values."""
+    return second_differences(v, grid)[grid.ia - 1 : grid.ib]
 
 
 def check_admissibility(v: np.ndarray, problem: ConeProblem, tol: float = 1e-10):
@@ -90,13 +96,17 @@ def check_admissibility(v: np.ndarray, problem: ConeProblem, tol: float = 1e-10)
 
 
 def _cell_objective(problem: ConeProblem):
-    """Smooth part of the barrier objective: value, gradient, Hessian on free nodes."""
+    """Smooth part of the barrier objective on the free nodes.
+
+    Returns (value, grad_hess).  grad_hess gives the gradient and the Hessian
+    in `solve_banded` (2, 2) form, ab[2 + k - l, l] = H[k, l]; the Hessian is
+    tridiagonal, so bands 0 and 4 stay zero.
+    """
     g, lag = problem.grid, problem.lagrangian
     h = g.h
     cells = np.arange(g.ia, g.ib)  # cell i spans [x_i, x_{i+1}]
     xm = g.nodes[cells] + 0.5 * h
-    free_lo, free_hi = g.ia + 1, g.ib
-    m = free_hi - free_lo
+    m = g.ib - g.ia - 1
 
     def value(v):
         vm = 0.5 * (v[cells] + v[cells + 1])
@@ -110,25 +120,16 @@ def _cell_objective(problem: ConeProblem):
         fzz = lag.f0_zz(xm, vm)
         fp = lag.f1_p(xm, pm)
         fpp = lag.f1_pp(xm, pm)
-        grad = np.zeros(m)
-        H = np.zeros((m, m))
-        # cell i couples nodes i and i+1
-        for ci, i in enumerate(cells):
-            gl = h * (0.5 * fz[ci] - fp[ci] / h)
-            gr = h * (0.5 * fz[ci] + fp[ci] / h)
-            hd = h * (0.25 * fzz[ci] + fpp[ci] / (h * h))
-            ho = h * (0.25 * fzz[ci] - fpp[ci] / (h * h))
-            kl, kr = i - free_lo, i + 1 - free_lo
-            if 0 <= kl < m:
-                grad[kl] += gl
-                H[kl, kl] += hd
-            if 0 <= kr < m:
-                grad[kr] += gr
-                H[kr, kr] += hd
-            if 0 <= kl < m and 0 <= kr < m:
-                H[kl, kr] += ho
-                H[kr, kl] += ho
-        return grad, H
+        # cell c couples free nodes c-1 and c: free node k sums cell k, then cell k+1
+        gl = h * (0.5 * fz - fp / h)
+        gr = h * (0.5 * fz + fp / h)
+        hd = h * (0.25 * fzz + fpp / (h * h))
+        ho = h * (0.25 * fzz - fpp / (h * h))
+        H = np.zeros((5, m))
+        H[1, 1:] = ho[1:m]
+        H[2] = hd[:m] + hd[1:]
+        H[3, :-1] = ho[1:m]
+        return gr[:m] + gl[1:], H
 
     return value, grad_hess
 
@@ -137,31 +138,25 @@ def _barrier_terms(v, problem: ConeProblem, mu: float):
     """Gradient and Hessian of -mu * sum log s_i over free nodes.
 
     Only constraints i = ia .. ib involve free values; the rest are constant.
+    Constraint i touches free nodes i-2, i-1, i (counted from ia + 1), so the
+    Hessian is pentadiagonal and returned in `solve_banded` (2, 2) form.
+    Each entry sums its constraints in increasing i.
     """
     g = problem.grid
     h2 = g.h * g.h
-    free_lo = g.ia + 1
     m = g.ib - g.ia - 1
-    idx = np.arange(g.ia, g.ib + 1)  # constraint node indices touching free vars
-    s = (v[idx + 1] - 2.0 * v[idx] + v[idx - 1]) / h2
-    grad = np.zeros(m)
-    H = np.zeros((m, m))
-    stencil = np.array([1.0, -2.0, 1.0]) / h2
-    for si, i in enumerate(idx):
-        cols = np.array([i - 1, i, i + 1]) - free_lo
-        keep = (cols >= 0) & (cols < m)
-        c = cols[keep]
-        w = stencil[keep]
-        grad[c] += -mu / s[si] * w
-        H[np.ix_(c, c)] += mu / (s[si] * s[si]) * np.outer(w, w)
-    return s, grad, H
-
-
-def _min_active_s(v, problem: ConeProblem) -> float:
-    g = problem.grid
-    idx = np.arange(g.ia, g.ib + 1)
-    h2 = g.h * g.h
-    return float(np.min((v[idx + 1] - 2.0 * v[idx] + v[idx - 1]) / h2))
+    s = _constraint_s(v, g)
+    w0, w1, w2 = np.array([1.0, -2.0, 1.0]) / h2
+    q = -mu / s
+    r = mu / (s * s)
+    grad = q[:m] * w2 + q[1:-1] * w1 + q[2:] * w0
+    H = np.zeros((5, m))
+    H[0, 2:] = r[2:m] * (w0 * w2)
+    H[1, 1:] = r[1:m] * (w1 * w2) + r[2 : m + 1] * (w0 * w1)
+    H[2] = r[:m] * (w2 * w2) + r[1:-1] * (w1 * w1) + r[2:] * (w0 * w0)
+    H[3, :-1] = H[1, 1:]
+    H[4, :-2] = H[0, 2:]
+    return grad, H
 
 
 def minimize_direct(problem: ConeProblem, opts: Optional[BarrierOpts] = None) -> MinimizeResult:
@@ -169,7 +164,7 @@ def minimize_direct(problem: ConeProblem, opts: Optional[BarrierOpts] = None) ->
     opts = opts or BarrierOpts()
     g = problem.grid
     v = np.array(problem.phi, dtype=float)
-    if _min_active_s(v, problem) <= 0.0:
+    if np.min(_constraint_s(v, g)) <= 0.0:
         raise ValueError("infeasible start: obstacle is not uniformly convex on the grid")
 
     smooth_value, smooth_grad_hess = _cell_objective(problem)
@@ -190,24 +185,24 @@ def minimize_direct(problem: ConeProblem, opts: Optional[BarrierOpts] = None) ->
         inner_tol = max(1e-11, 1e-4 * mu)
         for _ in range(opts.inner_max_iters):
             gJ, HJ = smooth_grad_hess(v)
-            _, gB, HB = _barrier_terms(v, problem, mu)
+            gB, HB = _barrier_terms(v, problem, mu)
             grad_total = gJ + gB
             if float(np.max(np.abs(grad_total))) <= inner_tol:
                 break
             H = HJ + HB
             try:
-                step = np.linalg.solve(H, -grad_total)
+                step = solve_banded((2, 2), H, -grad_total)
             except np.linalg.LinAlgError:
                 raise RuntimeError("inner Newton failure: singular barrier Hessian")
             # backtrack: stay strictly feasible and decrease the barrier objective
-            obj0 = smooth_value(v) - mu * _log_sum(v, problem)
+            obj0 = smooth_value(v) - mu * _log_sum(v, g)
             t = 1.0
             accepted = False
             for _ in range(60):
                 v_try = v.copy()
                 v_try[free] = v[free] + t * step
-                if _min_active_s(v_try, problem) > 0.0:
-                    obj_try = smooth_value(v_try) - mu * _log_sum(v_try, problem)
+                if np.min(_constraint_s(v_try, g)) > 0.0:
+                    obj_try = smooth_value(v_try) - mu * _log_sum(v_try, g)
                     if obj_try < obj0 + 1e-14 * abs(obj0):
                         v = v_try
                         accepted = True
@@ -231,9 +226,5 @@ def minimize_direct(problem: ConeProblem, opts: Optional[BarrierOpts] = None) ->
     )
 
 
-def _log_sum(v, problem: ConeProblem) -> float:
-    g = problem.grid
-    idx = np.arange(g.ia, g.ib + 1)
-    h2 = g.h * g.h
-    s = (v[idx + 1] - 2.0 * v[idx] + v[idx - 1]) / h2
-    return float(np.sum(np.log(s)))
+def _log_sum(v, grid: Grid) -> float:
+    return float(np.sum(np.log(_constraint_s(v, grid))))

@@ -11,7 +11,7 @@ i = 1, n-1.  Interior rows discretize
 with the window-edge nodes taking the penalty branch.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,10 @@ from .lagrangian import LagrangianSpec
 
 class NonconvexIterate(RuntimeError):
     """Some discrete second difference of the iterate is nonpositive."""
+
+
+class NotConverged(RuntimeError):
+    """A post-processing step was given a stage that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -134,52 +138,55 @@ def residual(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
 
 
 def jacobian(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
-    """Analytic Jacobian of `residual`; pentadiagonal, returned dense."""
+    """Analytic Jacobian of `residual` in `solve_banded` (2, 2) form.
+
+    The Jacobian A is pentadiagonal; the (5, n+1) band holds
+    ab[2 + i - j, j] = A[i, j].  Each entry sums its terms in a fixed order:
+    the eps * d2(w) chain, then -f0_zz, the chain through u', and f1_pp * d2
+    inside the window, or -1/eps outside it.
+    """
     g, lag, eps = setup.grid, setup.lagrangian, setup.eps
     n, h = g.n, g.h
-    x = g.nodes
     s = _curvatures(u, setup)
     p = d1(u, g)
     inv_s2 = 1.0 / (s * s)
 
-    A = np.zeros((n + 1, n + 1))
-    A[0, 0] = 1.0
-    A[n, n] = 1.0
-    A[1, 0:4] = -inv_s2[0] * d2_boundary_coeffs(g, left=True)
-    A[n - 1, n - 3 : n + 1] = -inv_s2[n] * d2_boundary_coeffs(g, left=False)
+    ab = np.zeros((5, n + 1))
+    ab[2, 0] = 1.0
+    ab[2, n] = 1.0
+    # rows 1 and n-1: w = 1/s at the endpoints through the four-point stencils
+    k = np.arange(4)
+    ab[3 - k, k] = -inv_s2[0] * d2_boundary_coeffs(g, left=True)
+    ab[4 - k, n - 3 + k] = -inv_s2[n] * d2_boundary_coeffs(g, left=False)
 
-    cd2 = np.array([1.0, -2.0, 1.0]) / (h * h)
-    inside = g.interior_window_mask()
-    for i in range(2, n - 1):
-        # eps * d2(w) chain: w_j = 1/s_j for j = i-1, i, i+1 (all central rows)
-        for j, cj in ((i - 1, cd2[0]), (i, cd2[1]), (i + 1, cd2[2])):
-            A[i, j - 1 : j + 2] += eps * cj * (-inv_s2[j]) * cd2
-        if inside[i]:
-            xi = x[i : i + 1]
-            pi = p[i : i + 1]
-            ui = u[i : i + 1]
-            si = s[i : i + 1]
-            A[i, i] -= float(lag.f0_zz(xi, ui)[0])
-            # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i
-            chain_p = float(lag.f1_pxp(xi, pi)[0] + lag.f1_ppp(xi, pi)[0] * si[0])
-            A[i, i - 1] += chain_p / (2.0 * h)
-            A[i, i + 1] -= chain_p / (2.0 * h)
-            A[i, i - 1 : i + 2] += float(lag.f1_pp(xi, pi)[0]) * cd2
-        else:
-            A[i, i] -= 1.0 / eps
-    return A
+    # eps * d2(w) chain of rows i = 2 .. n-2: w_j = 1/s_j for j = i-1, i, i+1
+    c0, c1, c2 = np.array([1.0, -2.0, 1.0]) / (h * h)
+    wl = eps * c0 * -inv_s2[1 : n - 2]
+    wc = eps * c1 * -inv_s2[2 : n - 1]
+    wr = eps * c2 * -inv_s2[3:n]
+    ab[4, : n - 3] = wl * c0
+    ab[3, 1 : n - 2] = wl * c1 + wc * c0
+    ab[2, 2 : n - 1] = wl * c2 + wc * c1 + wr * c0
+    ab[1, 3:n] = wc * c2 + wr * c1
+    ab[0, 4:] = wr * c2
 
+    # window rows i = ia+1 .. ib-1; columns i-1 and i+1 sit on bands 3 and 1
+    win, lo, up = slice(g.ia + 1, g.ib), slice(g.ia, g.ib - 1), slice(g.ia + 2, g.ib + 1)
+    x, uw, pw, sw = g.nodes[win], u[win], p[win], s[win]
+    ab[2, win] -= lag.f0_zz(x, uw)
+    # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i
+    chain = (lag.f1_pxp(x, pw) + lag.f1_ppp(x, pw) * sw) / (2.0 * h)
+    ab[3, lo] += chain
+    ab[1, up] -= chain
+    f1pp = lag.f1_pp(x, pw)
+    ab[3, lo] += f1pp * c0
+    ab[2, win] += f1pp * c1
+    ab[1, up] += f1pp * c2
 
-def _solve_pentadiagonal(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    ab = np.zeros((5, n))
-    for offset in range(-2, 3):
-        diag = np.diagonal(A, offset)
-        if offset >= 0:
-            ab[2 - offset, offset:] = diag
-        else:
-            ab[2 - offset, : n + offset] = diag
-    return solve_banded((2, 2), ab, rhs)
+    # penalty rows i = 2 .. ia and ib .. n-2
+    ab[2, 2 : g.ia + 1] -= 1.0 / eps
+    ab[2, g.ib : n - 1] -= 1.0 / eps
+    return ab
 
 
 def newton_solve(
@@ -206,8 +213,7 @@ def newton_solve(
     iters = 0
     converged = norm <= tol
     while not converged and iters < opts.max_iters:
-        A = jacobian(u, setup)
-        step = _solve_pentadiagonal(A, -R)
+        step = solve_banded((2, 2), jacobian(u, setup), -R)
         t = 1.0
         accepted = False
         for _ in range(opts.max_halvings):

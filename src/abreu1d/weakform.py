@@ -14,15 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, d1, integrate
-from .solver import ProblemSetup, SolveResult
+from .solver import NotConverged, ProblemSetup, SolveResult
 
 
 class SupportViolation(ValueError):
     """A test-function support reaches the window boundary."""
-
-
-class NotConverged(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,15 @@ def min_improvement_over_random_feasible_directions(
     return worst
 
 
+def band_to_dense(ab):
+    """Expand a `solve_banded` (2, 2) band, ab[2 + i - j, j] = A[i, j], to A."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(-2, 3):  # diagonal offset j - i
+        A += np.diag(ab[2 - d, max(d, 0) : n + min(d, 0)], d)
+    return A
+
+
 def fd_jacobian(u, setup, step=1e-6):
     """Central finite-difference Jacobian of the solver residual."""
     from abreu1d.solver import residual

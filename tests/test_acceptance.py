@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     CAL_PHI,
     STEEP_PHI,
+    band_to_dense,
     fd_jacobian,
     min_improvement_over_random_feasible_directions,
     monopolist_setup,
@@ -100,7 +101,7 @@ def test_criterion_01_jacobian_consistency():
         bump = sum(c[k] * np.sin((k + 1) * np.pi * (x + 1) / 2) for k in range(3))
         u = setup.phi + 0.01 * bump
         assert np.min(d2(u, setup.grid)) > 0.0
-        A = jacobian(u, setup)
+        A = band_to_dense(jacobian(u, setup))
         F = fd_jacobian(u, setup, step=1e-7)
         worst = max(worst, np.max(np.abs(A - F)) / np.max(np.abs(F)))
     _gate(1, worst <= 1e-6, f"max relative Jacobian error {worst:.3e} <= 1e-6")
@@ -219,7 +220,8 @@ def test_criterion_09_oracle_self_consistency():
     free = p16.free
     m = free.stop - free.start
     v0 = phi16.copy()
-    g0, H = grad_hess(v0)
+    g0, H_band = grad_hess(v0)
+    H = band_to_dense(H_band)
     alpha = 1.0 / float(np.max(np.linalg.eigvalsh(H)))
     ia, ib = g16.ia, g16.ib
     h2 = g16.h**2

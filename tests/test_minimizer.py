@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from helpers import (
     SHALLOW_PHI,
     STEEP_PHI,
+    band_to_dense,
     min_improvement_over_random_feasible_directions,
     monopolist_setup,
     unconstrained_window_solution,
@@ -12,6 +14,8 @@ from abreu1d.grid import build_grid
 from abreu1d.lagrangian import make_rochet_chone, make_zero
 from abreu1d.minimizer import (
     ConeProblem,
+    _barrier_terms,
+    _cell_objective,
     check_admissibility,
     eval_J,
     eval_J_cell,
@@ -133,3 +137,121 @@ def test_infeasible_start_rejected():
     prob = ConeProblem(grid=g, lagrangian=lag, phi=-(g.nodes**2) + 1)
     with pytest.raises(ValueError):
         minimize_direct(prob)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_steep_obstacle_edge_slack_closed_form(n):
+    # Why criterion 10 fails: on the steep obstacle the minimizer is the
+    # unconstrained v = x^2 + phi(a) - a^2, so the window-edge slack is
+    # (v(a + h) - 2 phi(a) + phi(a - h)) / h^2 = -4a/h + 4 (and 4b/h + 4 at b),
+    # which is n + 4 for the window [-1/2, 1/2]: the edge constraints cannot bind.
+    prob = _problem(monopolist_setup(n=n, phi=STEEP_PHI, rho=1.0 / 6.0))
+    res = minimize_direct(prob)
+    g = prob.grid
+    s = second_differences(res.v, g)
+    assert s[g.ia - 1] == pytest.approx(-4.0 * g.a / g.h + 4.0, rel=1e-6)
+    assert s[g.ib - 1] == pytest.approx(4.0 * g.b / g.h + 4.0, rel=1e-6)
+
+
+def _strictly_feasible_points(prob, count, seed):
+    """phi plus random free-node perturbations that keep s >= min s(phi) / 2."""
+    g = prob.grid
+    rng = np.random.default_rng(seed)
+    s_min = float(np.min(second_differences(prob.phi, g)))
+    for _ in range(count):
+        delta = np.zeros(g.n + 1)
+        delta[prob.free] = rng.uniform(-1.0, 1.0, prob.free.stop - prob.free.start)
+        yield prob.phi + 0.5 * s_min / np.max(np.abs(second_differences(delta, g))) * delta
+
+
+def _fd_hessian(grad, v, free, step):
+    """Central differences of grad (a function of all nodes) in the free nodes."""
+    cols = []
+    for k in range(free.start, free.stop):
+        vp, vm = v.copy(), v.copy()
+        vp[k] += step
+        vm[k] -= step
+        cols.append((grad(vp) - grad(vm)) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def _oracle_problems():
+    for phi, rho in ((STEEP_PHI, 1.0 / 6.0), (SHALLOW_PHI, 1.5)):
+        yield _problem(monopolist_setup(n=64, phi=phi, rho=rho, weight=(1.0, 0.5)))
+
+
+def _oracle_loop_assembly(v, prob, mu):
+    """Dense cell-by-cell and constraint-by-constraint assembly of the smooth
+    and barrier gradients and Hessians, the reference for the bands."""
+    g, lag, h = prob.grid, prob.lagrangian, prob.grid.h
+    lo, m = g.ia + 1, g.ib - g.ia - 1
+    gJ, HJ, gB, HB = np.zeros(m), np.zeros((m, m)), np.zeros(m), np.zeros((m, m))
+    for i in range(g.ia, g.ib):  # cell [x_i, x_{i+1}] couples nodes i and i+1
+        xm = g.nodes[i : i + 1] + 0.5 * h
+        vm = 0.5 * (v[i : i + 1] + v[i + 1 : i + 2])
+        pm = (v[i + 1 : i + 2] - v[i : i + 1]) / h
+        fz, fzz = lag.f0_z(xm, vm)[0], lag.f0_zz(xm, vm)[0]
+        fp, fpp = lag.f1_p(xm, pm)[0], lag.f1_pp(xm, pm)[0]
+        hd = h * (0.25 * fzz + fpp / (h * h))
+        kl, kr = i - lo, i + 1 - lo
+        if kl >= 0:
+            gJ[kl] += h * (0.5 * fz - fp / h)
+            HJ[kl, kl] += hd
+        if kr < m:
+            gJ[kr] += h * (0.5 * fz + fp / h)
+            HJ[kr, kr] += hd
+        if kl >= 0 and kr < m:
+            HJ[kl, kr] = HJ[kr, kl] = h * (0.25 * fzz - fpp / (h * h))
+    stencil = np.array([1.0, -2.0, 1.0]) / (h * h)
+    for i in range(g.ia, g.ib + 1):  # constraint s_i touches nodes i-1, i, i+1
+        s = (v[i + 1] - 2.0 * v[i] + v[i - 1]) / (h * h)
+        for a in range(3):
+            ka = i - 1 + a - lo
+            if 0 <= ka < m:
+                gB[ka] += -mu / s * stencil[a]
+                for b in range(3):
+                    kb = i - 1 + b - lo
+                    if 0 <= kb < m:
+                        HB[ka, kb] += mu / (s * s) * (stencil[a] * stencil[b])
+    return gJ, HJ, gB, HB
+
+
+def test_oracle_bands_equal_loop_assembly_bitwise():
+    # every gradient and band entry sums the same terms in the same order as the loops
+    mu = 1e-3
+    for prob in _oracle_problems():
+        _, grad_hess = _cell_objective(prob)
+        for v in _strictly_feasible_points(prob, 2, seed=3):
+            gJ, HJ, gB, HB = _oracle_loop_assembly(v, prob, mu)
+            band_gJ, band_HJ = grad_hess(v)
+            band_gB, band_HB = _barrier_terms(v, prob, mu)
+            np.testing.assert_array_equal(band_gJ, gJ)
+            np.testing.assert_array_equal(band_to_dense(band_HJ), HJ)
+            np.testing.assert_array_equal(band_gB, gB)
+            np.testing.assert_array_equal(band_to_dense(band_HB), HB)
+
+
+def test_oracle_band_hessians_match_central_differences():
+    mu = 1e-3
+    for prob in _oracle_problems():
+        _, grad_hess = _cell_objective(prob)
+        for v in _strictly_feasible_points(prob, 3, seed=5):
+            H = band_to_dense(grad_hess(v)[1])
+            F = _fd_hessian(lambda w: grad_hess(w)[0], v, prob.free, 1e-6)
+            assert np.max(np.abs(H - F)) <= 1e-6 * np.max(np.abs(H))
+            H = band_to_dense(_barrier_terms(v, prob, mu)[1])
+            F = _fd_hessian(lambda w: _barrier_terms(w, prob, mu)[0], v, prob.free, 1e-8)
+            assert np.max(np.abs(H - F)) <= 1e-6 * np.max(np.abs(H))
+
+
+def test_oracle_banded_step_matches_dense_solve():
+    mu = 1e-3
+    for prob in _oracle_problems():
+        _, grad_hess = _cell_objective(prob)
+        for v in _strictly_feasible_points(prob, 3, seed=9):
+            gJ, HJ = grad_hess(v)
+            gB, HB = _barrier_terms(v, prob, mu)
+            H, grad = HJ + HB, gJ + gB
+            step = solve_banded((2, 2), H, -grad)
+            dense = np.linalg.solve(band_to_dense(H), -grad)
+            assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))

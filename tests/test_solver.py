@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from helpers import CAL_PHI, fd_jacobian, monopolist_setup
+from helpers import CAL_PHI, STEEP_PHI, band_to_dense, fd_jacobian, monopolist_setup
 
-from abreu1d.grid import build_grid, d2
+from abreu1d.grid import build_grid, d1, d2, d2_boundary_coeffs
 from abreu1d.lagrangian import make_rochet_chone
 from abreu1d.minimizer import ConeProblem, eval_J
 from abreu1d.solver import (
@@ -55,7 +55,7 @@ def test_make_setup_validation():
 
 def test_jacobian_finite_and_dirichlet_rows():
     setup = monopolist_setup()
-    A = jacobian(setup.phi, setup)
+    A = band_to_dense(jacobian(setup.phi, setup))
     assert np.all(np.isfinite(A))
     n = setup.grid.n
     e0 = np.zeros(n + 1)
@@ -67,19 +67,65 @@ def test_jacobian_finite_and_dirichlet_rows():
 
 
 def test_jacobian_is_pentadiagonal():
+    # ab[2 + i - j, j] = A[i, j]: the band slots that fall outside the matrix stay zero
     setup = monopolist_setup()
+    n = setup.grid.n
     x = setup.grid.nodes
-    A = jacobian(setup.phi + 0.01 * np.cos(np.pi * x / 2) * (1 - x * x), setup)
-    for offset in range(3, setup.grid.n + 1):
-        assert np.all(np.diagonal(A, offset) == 0.0)
-        assert np.all(np.diagonal(A, -offset) == 0.0)
+    ab = jacobian(setup.phi + 0.01 * np.cos(np.pi * x / 2) * (1 - x * x), setup)
+    assert ab.shape == (5, n + 1)
+    for corner in (ab[0, :2], ab[1, :1], ab[3, n:], ab[4, n - 1 :]):
+        assert np.all(corner == 0.0)
+    big = monopolist_setup(n=8192)
+    ab = jacobian(big.phi, big)
+    assert ab.shape == (5, 8193)
+    assert np.all(np.isfinite(ab))
+
+
+def _jacobian_loop(u, setup):
+    """Row-by-row dense assembly of the Jacobian, the reference for the band."""
+    g, lag, eps = setup.grid, setup.lagrangian, setup.eps
+    n, h = g.n, g.h
+    s, p = d2(u, g), d1(u, g)
+    inv_s2 = 1.0 / (s * s)
+    A = np.zeros((n + 1, n + 1))
+    A[0, 0] = A[n, n] = 1.0
+    A[1, 0:4] = -inv_s2[0] * d2_boundary_coeffs(g, left=True)
+    A[n - 1, n - 3 :] = -inv_s2[n] * d2_boundary_coeffs(g, left=False)
+    cd2 = np.array([1.0, -2.0, 1.0]) / (h * h)
+    inside = g.interior_window_mask()
+    for i in range(2, n - 1):
+        for j, cj in ((i - 1, cd2[0]), (i, cd2[1]), (i + 1, cd2[2])):
+            A[i, j - 1 : j + 2] += eps * cj * (-inv_s2[j]) * cd2
+        if inside[i]:
+            xi, ui, pi, si = (a[i : i + 1] for a in (g.nodes, u, p, s))
+            A[i, i] -= lag.f0_zz(xi, ui)[0]
+            chain_p = lag.f1_pxp(xi, pi)[0] + lag.f1_ppp(xi, pi)[0] * si[0]
+            A[i, i - 1] += chain_p / (2.0 * h)
+            A[i, i + 1] -= chain_p / (2.0 * h)
+            A[i, i - 1 : i + 2] += lag.f1_pp(xi, pi)[0] * cd2
+        else:
+            A[i, i] -= 1.0 / eps
+    return A
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_jacobian_band_equals_loop_assembly_bitwise(n):
+    # every band entry sums the same terms in the same order as the loop
+    rng = np.random.default_rng(11)
+    for phi, rho, weight in ((CAL_PHI, 0.5, (1.0, 0.5)), (STEEP_PHI, 1.0 / 6.0, (1.0,))):
+        for eps in (0.1, 1e-3):
+            setup = monopolist_setup(n=n, eps=eps, phi=phi, rho=rho, weight=weight)
+            x = setup.grid.nodes
+            c = rng.uniform(-1, 1, 3)
+            u = setup.phi + 1e-3 * sum(c[k] * np.sin((k + 1) * np.pi * (x + 1) / 2) for k in range(3))
+            np.testing.assert_array_equal(band_to_dense(jacobian(u, setup)), _jacobian_loop(u, setup))
 
 
 def test_jacobian_matches_finite_differences_at_smooth_perturbation():
     setup = monopolist_setup()
     x = setup.grid.nodes
     u = setup.phi + 0.01 * np.cos(np.pi * x / 2) * (1 - x * x)
-    A = jacobian(u, setup)
+    A = band_to_dense(jacobian(u, setup))
     F = fd_jacobian(u, setup)
     rel = np.max(np.abs(A - F)) / np.max(np.abs(F))
     assert rel <= 1e-6
@@ -94,7 +140,7 @@ def test_jacobian_matches_finite_differences_at_random_convex_states():
         bump = sum(c[k] * np.sin((k + 1) * np.pi * (x + 1) / 2) for k in range(3))
         u = setup.phi + 0.01 * bump
         assert np.min(d2(u, setup.grid)) > 0.0
-        A = jacobian(u, setup)
+        A = band_to_dense(jacobian(u, setup))
         F = fd_jacobian(u, setup, step=1e-7)
         assert np.max(np.abs(A - F)) / np.max(np.abs(F)) <= 1e-6
 

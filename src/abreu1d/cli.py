@@ -21,7 +21,7 @@ from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .grid import d1, d2
 from .minimizer import ConeProblem, eval_J, minimize_direct
-from .solver import NewtonOpts, _f_eps, continuation_sweep
+from .solver import _f_eps, continuation_sweep, newton_solve
 from .weakform import default_family, distributional_residual, rescaled_w
 
 log = logging.getLogger("abreu1d")
@@ -80,20 +80,19 @@ def _write_manifest(outdir: Path, cfg: RunConfig, stages, timings, files) -> Non
     write_json(outdir / "manifest.json", manifest)
 
 
-def _newton_opts(cfg: RunConfig) -> NewtonOpts:
-    return NewtonOpts(
-        newton_tol_scale=cfg.tolerances.newton_tol_scale,
-        convexity_floor_scale=cfg.tolerances.convexity_floor_scale,
-    )
-
-
-def _solution_rows(setup, result):
+def _write_stage(path: Path, setup, result) -> dict:
+    """Write one stage's solution CSV; return its manifest entry."""
     g = setup.grid
     u = result.u
-    up = d1(u, g)
     upp = d2(u, g)
-    f = _f_eps(u, upp, setup)
-    return zip(g.nodes, u, up, upp, result.w, f)
+    write_csv(path, ("x", "u", "u_prime", "u_pp", "w", "f_eps"),
+              zip(g.nodes, u, d1(u, g), upp, result.w, _f_eps(u, upp, setup)))
+    return {
+        "eps": setup.eps,
+        "converged": result.converged,
+        "newton_iters": result.newton_iters,
+        "final_residual": result.residual_norms[-1],
+    }
 
 
 def _run_sweep(cfg: RunConfig, outdir: Path):
@@ -101,23 +100,12 @@ def _run_sweep(cfg: RunConfig, outdir: Path):
     setup = cfg.build_setup()
     schedule = cfg.schedule()
     t0 = time.perf_counter()
-    stages = continuation_sweep(setup, schedule, _newton_opts(cfg))
+    stages = continuation_sweep(setup, schedule, cfg.tolerances)
     elapsed = time.perf_counter() - t0
 
-    files = []
-    stage_meta = []
-    for k, (stage_setup, result) in enumerate(stages):
-        name = f"solution_stage{k:02d}.csv"
-        write_csv(outdir / name,
-                  ("x", "u", "u_prime", "u_pp", "w", "f_eps"),
-                  _solution_rows(stage_setup, result))
-        files.append(name)
-        stage_meta.append({
-            "eps": stage_setup.eps,
-            "converged": result.converged,
-            "newton_iters": result.newton_iters,
-            "final_residual": result.residual_norms[-1],
-        })
+    files = [f"solution_stage{k:02d}.csv" for k in range(len(stages))]
+    stage_meta = [_write_stage(outdir / name, stage_setup, result)
+                  for name, (stage_setup, result) in zip(files, stages)]
 
     reports = [compute_report(r, s) for s, r in stages if r.converged]
     write_csv(outdir / "sweep.csv", EstimateReport.CSV_FIELDS,
@@ -193,19 +181,11 @@ def solve(config_path, out_override) -> None:
         log.error("%s", exc)
         sys.exit(EXIT_CONFIG)
 
-    from .solver import newton_solve
-
     t0 = time.perf_counter()
-    result = newton_solve(setup, setup.phi, _newton_opts(cfg))
+    result = newton_solve(setup, setup.phi, cfg.tolerances)
     elapsed = time.perf_counter() - t0
-    write_csv(outdir / "solution.csv",
-              ("x", "u", "u_prime", "u_pp", "w", "f_eps"),
-              _solution_rows(setup, result))
-    _write_manifest(outdir, cfg,
-                    [{"eps": setup.eps, "converged": result.converged,
-                      "newton_iters": result.newton_iters,
-                      "final_residual": result.residual_norms[-1]}],
-                    {"solve": elapsed}, ["solution.csv"])
+    stage = _write_stage(outdir / "solution.csv", setup, result)
+    _write_manifest(outdir, cfg, [stage], {"solve": elapsed}, ["solution.csv"])
     if not result.converged:
         log.error("Newton did not converge (final residual %.3e)", result.residual_norms[-1])
         sys.exit(EXIT_SOLVER)
@@ -255,12 +235,13 @@ def compare(config_path, out_override) -> None:
 
     width = g.b - g.a
     inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
+    J_abreu = eval_J(result.u, problem)
     summary = {
         "eps_smallest": setup.eps,
         "sup_diff_inner_window": float(np.max(diff[inner])),
-        "J_abreu": eval_J(result.u, problem),
+        "J_abreu": J_abreu,
         "J_direct": oracle.J_value,
-        "J_abs_diff": abs(eval_J(result.u, problem) - oracle.J_value),
+        "J_abs_diff": abs(J_abreu - oracle.J_value),
         "oracle_kkt_residual": oracle.kkt_residual,
     }
     write_json(outdir / "compare_summary.json", summary)

@@ -1,25 +1,17 @@
 """Run configuration: a JSON document validated into typed pieces."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
 from .grid import Grid, build_grid
 from .lagrangian import CUSTOM_REGISTRY, LagrangianSpec, make_rochet_chone, make_zero
-from .solver import ProblemSetup, make_setup
+from .solver import ProblemSetup, Tolerances, check_schedule, default_eps_schedule, make_setup
 
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
-
-
-@dataclass
-class Tolerances:
-    newton_tol_scale: float = 1e-10
-    convexity_floor_scale: float = 1e-3
-    kkt_tol: float = 1e-8
-    el_residual_tol: float = 1e-3
 
 
 @dataclass
@@ -44,17 +36,19 @@ class RunConfig:
             "rho_minus": self.rho_minus,
             "rho_plus": self.rho_plus,
             "eps_schedule": self.eps_schedule,
-            "tolerances": {
-                "newton_tol_scale": self.tolerances.newton_tol_scale,
-                "convexity_floor_scale": self.tolerances.convexity_floor_scale,
-                "kkt_tol": self.tolerances.kkt_tol,
-                "el_residual_tol": self.tolerances.el_residual_tol,
-            },
+            "tolerances": asdict(self.tolerances),
             "outputs": self.outputs,
         }
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
+        tols = doc.get("tolerances", {})
+        if not isinstance(tols, dict):
+            raise ConfigError("tolerances must be a mapping")
+        names = {f.name for f in fields(Tolerances)}
+        unknown = sorted(set(tols) - names)
+        if unknown:
+            raise ConfigError(f"unknown tolerances: {', '.join(unknown)}")
         try:
             grid = doc["grid"]
             lag = doc["lagrangian"]
@@ -68,18 +62,11 @@ class RunConfig:
                 rho_minus=float(doc["rho_minus"]),
                 rho_plus=float(doc["rho_plus"]),
                 eps_schedule=doc["eps_schedule"],
+                tolerances=Tolerances(**{name: float(v) for name, v in tols.items()}),
                 outputs=str(doc.get("outputs", "out")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
-        tols = doc.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError("tolerances must be a mapping")
-        defaults = Tolerances()
-        for name in ("newton_tol_scale", "convexity_floor_scale", "kkt_tol", "el_residual_tol"):
-            if name in tols:
-                setattr(defaults, name, float(tols[name]))
-        cfg.tolerances = defaults
         cfg.validate()
         return cfg
 
@@ -90,23 +77,21 @@ class RunConfig:
             raise ConfigError("window must satisfy -1 < a < b < 1")
         if self.preset not in ("rochet_chone", "zero") and not self.preset.startswith("custom:"):
             raise ConfigError(f"unknown lagrangian preset: {self.preset!r}")
-        for eps in self.schedule():
-            if not (0.0 < eps < 1.0):
-                raise ConfigError(f"eps schedule values must lie in (0, 1), got {eps}")
-        sched = self.schedule()
-        if any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])):
-            raise ConfigError("eps schedule must be strictly decreasing")
+        schedule = self.schedule()
+        try:
+            check_schedule(schedule)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def schedule(self) -> list[float]:
         s = self.eps_schedule
-        if isinstance(s, list):
-            return [float(e) for e in s]
-        if isinstance(s, dict):
-            try:
-                start, ratio, stages = float(s["start"]), float(s["ratio"]), int(s["stages"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad eps_schedule: {exc}") from exc
-            return [start * ratio**k for k in range(stages)]
+        try:
+            if isinstance(s, list):
+                return [float(e) for e in s]
+            if isinstance(s, dict):
+                return default_eps_schedule(float(s["start"]), float(s["ratio"]), int(s["stages"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad eps_schedule: {exc}") from exc
         raise ConfigError("eps_schedule must be a list or {start, ratio, stages}")
 
     def build_grid(self) -> Grid:

@@ -16,7 +16,6 @@ quadrature.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -41,18 +40,14 @@ class MinimizeResult:
     v: np.ndarray
     J_value: float
     kkt_residual: float
-    barrier_mu_final: float
     iters: int
     stage_J: list[float] = field(default_factory=list)
     min_constraint: float = 0.0
 
 
-@dataclass
-class BarrierOpts:
-    mu_start: float = 1e-1
-    mu_ratio: float = 0.25
-    mu_stop: float = 1e-9
-    inner_max_iters: int = 80
+# barrier parameters mu = 0.1 * 4^-k down to the first one <= 1e-9
+BARRIER_PATH = [0.1 * 0.25**k for k in range(15)]
+INNER_MAX_ITERS = 80
 
 
 def eval_J(v: np.ndarray, problem: ConeProblem) -> float:
@@ -159,9 +154,8 @@ def _barrier_terms(v, problem: ConeProblem, mu: float):
     return grad, H
 
 
-def minimize_direct(problem: ConeProblem, opts: Optional[BarrierOpts] = None) -> MinimizeResult:
+def minimize_direct(problem: ConeProblem) -> MinimizeResult:
     """Interior-point minimization over the discrete convex cone."""
-    opts = opts or BarrierOpts()
     g = problem.grid
     v = np.array(problem.phi, dtype=float)
     if np.min(_constraint_s(v, g)) <= 0.0:
@@ -172,18 +166,10 @@ def minimize_direct(problem: ConeProblem, opts: Optional[BarrierOpts] = None) ->
     total_iters = 0
     stage_J = []
 
-    mu = opts.mu_start
-    mus = []
-    while True:
-        mus.append(mu)
-        if mu <= opts.mu_stop:
-            break
-        mu *= opts.mu_ratio
-
     grad_total = None
-    for mu in mus:
+    for mu in BARRIER_PATH:
         inner_tol = max(1e-11, 1e-4 * mu)
-        for _ in range(opts.inner_max_iters):
+        for _ in range(INNER_MAX_ITERS):
             gJ, HJ = smooth_grad_hess(v)
             gB, HB = _barrier_terms(v, problem, mu)
             grad_total = gJ + gB
@@ -219,7 +205,6 @@ def minimize_direct(problem: ConeProblem, opts: Optional[BarrierOpts] = None) ->
         v=v,
         J_value=eval_J(v, problem),
         kkt_residual=kkt,
-        barrier_mu_final=mus[-1],
         iters=total_iters,
         stage_J=stage_J,
         min_constraint=float(np.min(s_all)),

@@ -29,12 +29,31 @@ class NotConverged(RuntimeError):
     """A post-processing step was given a stage that did not converge."""
 
 
+@dataclass
+class Tolerances:
+    """The package's tolerances; the only settable numerical options.
+
+    Newton stops at max|R| <= newton_tol_scale * (1 + 1/eps) and backtracks
+    steps whose min u'' would fall to convexity_floor_scale * eps * c0.  The
+    oracle must reach KKT <= kkt_tol, and the weak-form check passes at
+    max residual <= el_residual_tol.
+    """
+
+    newton_tol_scale: float = 1e-10
+    convexity_floor_scale: float = 1e-3
+    kkt_tol: float = 1e-8
+    el_residual_tol: float = 1e-3
+
+
+MAX_ITERS = 200
+MAX_HALVINGS = 40
+
+
 @dataclass(frozen=True)
 class ProblemSetup:
     grid: Grid
     lagrangian: LagrangianSpec
     phi: np.ndarray
-    phi_p: np.ndarray
     phi_pp: np.ndarray
     rho_minus: float
     rho_plus: float
@@ -66,13 +85,12 @@ def make_setup(
     P = np.polynomial.polynomial
     x = grid.nodes
     phi = P.polyval(x, c)
-    phi_p = P.polyval(x, P.polyder(c)) if len(c) > 1 else np.zeros_like(x)
     phi_pp = P.polyval(x, P.polyder(c, 2)) if len(c) > 2 else np.zeros_like(x)
     c0 = float(np.min(phi_pp))
     if c0 <= 0.0:
         raise ValueError(f"obstacle is not uniformly convex on the grid: min phi'' = {c0}")
     return ProblemSetup(
-        grid=grid, lagrangian=lagrangian, phi=phi, phi_p=phi_p, phi_pp=phi_pp,
+        grid=grid, lagrangian=lagrangian, phi=phi, phi_pp=phi_pp,
         rho_minus=rho_minus, rho_plus=rho_plus, eps=eps, c0=c0,
     )
 
@@ -85,20 +103,6 @@ class SolveResult:
     residual_norms: list[float]
     converged: bool
     min_upp: float
-
-
-@dataclass
-class NewtonOpts:
-    newton_tol_scale: float = 1e-10
-    convexity_floor_scale: float = 1e-3
-    max_iters: int = 200
-    max_halvings: int = 40
-
-    def tol(self, eps: float) -> float:
-        return self.newton_tol_scale * (1.0 + 1.0 / eps)
-
-    def floor(self, eps: float, c0: float) -> float:
-        return self.convexity_floor_scale * eps * c0
 
 
 def _curvatures(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
@@ -192,16 +196,16 @@ def jacobian(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
 def newton_solve(
     setup: ProblemSetup,
     u0: np.ndarray,
-    opts: Optional[NewtonOpts] = None,
+    tols: Optional[Tolerances] = None,
 ) -> SolveResult:
     """Damped Newton with backtracking on the residual max-norm.
 
     Steps that would make min u'' drop to the convexity floor are halved.
     """
-    opts = opts or NewtonOpts()
+    tols = tols or Tolerances()
     g = setup.grid
-    tol = opts.tol(setup.eps)
-    floor = opts.floor(setup.eps, setup.c0)
+    tol = tols.newton_tol_scale * (1.0 + 1.0 / setup.eps)
+    floor = tols.convexity_floor_scale * setup.eps * setup.c0
 
     u = np.array(u0, dtype=float)
     u[0] = 0.0
@@ -212,11 +216,11 @@ def newton_solve(
 
     iters = 0
     converged = norm <= tol
-    while not converged and iters < opts.max_iters:
+    while not converged and iters < MAX_ITERS:
         step = solve_banded((2, 2), jacobian(u, setup), -R)
         t = 1.0
         accepted = False
-        for _ in range(opts.max_halvings):
+        for _ in range(MAX_HALVINGS):
             u_try = u + t * step
             # keep the Dirichlet rows exact against linear-solver roundoff
             u_try[0] = 0.0
@@ -240,10 +244,11 @@ def newton_solve(
         norms.append(norm)
         converged = norm <= tol
 
-    min_upp = float(np.min(d2(u, g)))
+    s = d2(u, g)
+    min_upp = float(np.min(s))
     return SolveResult(
         u=u,
-        w=1.0 / d2(u, g),
+        w=1.0 / s,
         newton_iters=iters,
         residual_norms=norms,
         converged=bool(converged and min_upp > 0.0),
@@ -254,28 +259,33 @@ def newton_solve(
 def continuation_sweep(
     setup_base: ProblemSetup,
     eps_schedule: Sequence[float],
-    opts: Optional[NewtonOpts] = None,
+    tols: Optional[Tolerances] = None,
 ) -> list[tuple[ProblemSetup, SolveResult]]:
     """Solve along a decreasing eps schedule, warm-starting each stage.
 
     Stops at the first non-converged stage; completed stages are returned.
     """
     eps_schedule = list(eps_schedule)
-    if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
-    if any(not (0.0 < e < 1.0) for e in eps_schedule):
-        raise ValueError("eps schedule values must lie in (0, 1)")
-
+    check_schedule(eps_schedule)
     results = []
     u_prev = setup_base.phi
     for eps in eps_schedule:
         setup = replace(setup_base, eps=eps)
-        res = newton_solve(setup, u_prev, opts)
+        res = newton_solve(setup, u_prev, tols)
         results.append((setup, res))
         if not res.converged:
             break
         u_prev = res.u
     return results
+
+
+def check_schedule(eps_schedule: Sequence[float]) -> None:
+    """Raise ValueError unless the values lie in (0, 1) and strictly decrease."""
+    for eps in eps_schedule:
+        if not (0.0 < eps < 1.0):
+            raise ValueError(f"eps schedule values must lie in (0, 1), got {eps}")
+    if any(e2 >= e1 for e1, e2 in zip(eps_schedule, eps_schedule[1:])):
+        raise ValueError("eps schedule must be strictly decreasing")
 
 
 def default_eps_schedule(start: float = 1e-1, ratio: float = 0.5, stages: int = 11) -> list[float]:

@@ -59,6 +59,10 @@ def test_build_setup_from_config():
         {"eps_schedule": [0.1, 0.2]},
         {"eps_schedule": [0.1, 0.05, 1.5]},
         {"eps_schedule": "oops"},
+        {"eps_schedule": ["0.1", "x"]},
+        {"eps_schedule": [0.1, None]},
+        {"tolerances": {"kkt_tol": "tight"}},
+        {"tolerances": {"newton_tol": 1e-30}},
     ],
 )
 def test_invalid_configs_rejected(patch):

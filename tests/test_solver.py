@@ -7,6 +7,7 @@ from abreu1d.lagrangian import make_rochet_chone
 from abreu1d.minimizer import ConeProblem, eval_J
 from abreu1d.solver import (
     NonconvexIterate,
+    Tolerances,
     continuation_sweep,
     default_eps_schedule,
     eval_J_eps,
@@ -179,6 +180,19 @@ def test_newton_boundary_condition_rows_satisfied():
     s = d2(res.u, setup.grid)
     tol = 1e-10 * (1.0 + 1.0 / setup.eps)
     assert abs(1.0 / s[0] - setup.rho_minus) + abs(1.0 / s[-1] - setup.rho_plus) <= tol
+
+
+def test_newton_convexity_floor_comes_from_tolerances():
+    # The steep obstacle's solution at eps = 0.1 has min u'' = 2.09 and
+    # c0 = 6, so a floor of 5 * eps * c0 = 3 excludes it: every step that
+    # would reach it is halved and Newton stops short.
+    setup = monopolist_setup(eps=0.1, phi=STEEP_PHI, rho=1.0 / 6.0)
+    default = newton_solve(setup, setup.phi)
+    assert default.converged and default.newton_iters > 1
+    assert default.min_upp < 3.0
+    floored = newton_solve(setup, setup.phi, Tolerances(convexity_floor_scale=5.0))
+    assert not floored.converged
+    assert floored.min_upp > 5.0 * setup.eps * setup.c0
 
 
 def test_continuation_sweep_all_stages_converge():

@@ -1,8 +1,9 @@
 """Command-line front end: solve / sweep / compare / verify.
 
 Exit codes: 0 success, 1 configuration error, 2 solver nonconvergence,
-3 oracle failure.  Tabular outputs are CSV (comma separator, 17 significant
-digits, LF line endings, UTF-8); manifests and summaries are JSON.
+3 oracle failure.  Tabular outputs are CSV, all written by `write_csv` with
+one formatting rule: comma separator, floats as `%.17g`, other values as
+`str()`, LF line endings, UTF-8.  Manifests and summaries are JSON.
 """
 
 import hashlib
@@ -44,17 +45,29 @@ def _setup_logging() -> None:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+# Rows per `%` call.  At n = 8192, 1024 rows was no faster than 512 and
+# raised the process's peak RSS by about 0.6 MB.
+_CSV_BLOCK_ROWS = 512
 
 
-def write_csv(path: Path, header, rows) -> None:
+def write_csv(path: Path, header, columns) -> None:
+    """Write equal-length `columns` under `header`; no columns writes the header alone.
+
+    A column that numpy reads as a float array is written with `%.17g`, any
+    other column with `str()`.  Each block of rows is formatted by one `%`.
+    """
+    cols = [np.asarray(c) for c in columns]
+    width = len(cols)
+    n = len(cols[0]) if cols else 0
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n)
+            values = [None] * ((hi - lo) * width)
+            for j, c in enumerate(cols):
+                values[j::width] = c[lo:hi].tolist()
+            fh.write((row * (hi - lo)) % tuple(values))
 
 
 def write_json(path: Path, doc) -> None:
@@ -86,7 +99,7 @@ def _write_stage(path: Path, setup, result) -> dict:
     u = result.u
     upp = d2(u, g)
     write_csv(path, ("x", "u", "u_prime", "u_pp", "w", "f_eps"),
-              zip(g.nodes, u, d1(u, g), upp, result.w, _f_eps(u, upp, setup)))
+              (g.nodes, u, d1(u, g), upp, result.w, _f_eps(u, upp, setup)))
     return {
         "eps": setup.eps,
         "converged": result.converged,
@@ -109,7 +122,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path):
 
     reports = [compute_report(r, s) for s, r in stages if r.converged]
     write_csv(outdir / "sweep.csv", EstimateReport.CSV_FIELDS,
-              (r.csv_row() for r in reports))
+              list(zip(*(r.csv_row() for r in reports))))
     files.append("sweep.csv")
 
     rate_rows = []
@@ -121,7 +134,8 @@ def _run_sweep(cfg: RunConfig, outdir: Path):
         rate_rows.append((name, fit.slope, fit.r2, len(fit.pairs),
                           "yes" if fit.identically_small else "no"))
     write_csv(outdir / "rates.csv",
-              ("quantity", "slope", "r2", "stages", "identically_small"), rate_rows)
+              ("quantity", "slope", "r2", "stages", "identically_small"),
+              list(zip(*rate_rows)))
     files.append("rates.csv")
 
     try:
@@ -231,7 +245,7 @@ def compare(config_path, out_override) -> None:
     diff = np.abs(result.u - oracle.v)
     write_csv(outdir / "compare.csv",
               ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
-              zip(g.nodes, result.u, oracle.v, diff))
+              (g.nodes, result.u, oracle.v, diff))
 
     width = g.b - g.a
     inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
@@ -267,7 +281,7 @@ def verify(config_path, out_override) -> None:
     max_res, per_bump = distributional_residual(w_resc, result.u, setup, family)
     write_csv(outdir / "el_residuals.csv",
               ("center", "radius", "residual"),
-              zip(family.centers, family.radii, per_bump))
+              (family.centers, family.radii, per_bump))
     tol = cfg.tolerances.el_residual_tol
     write_json(outdir / "verify_summary.json", {
         "eps": setup.eps,

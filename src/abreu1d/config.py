@@ -14,6 +14,15 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
+def _check_keys(doc, allowed, where: str) -> None:
+    """Reject a `doc` that is not a mapping or holds a key outside `allowed`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 @dataclass
 class RunConfig:
     grid_n: int
@@ -42,13 +51,18 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
+        sections = {
+            "grid": ("n", "a", "b"),
+            "lagrangian": ("preset", "eta0"),
+            "tolerances": [f.name for f in fields(Tolerances)],
+        }
+        _check_keys(doc, ("phi", "rho_minus", "rho_plus", "eps_schedule", "outputs", *sections),
+                    "config")
+        for key, allowed in sections.items():
+            _check_keys(doc.get(key, {}), allowed, key)
+        if isinstance(doc.get("eps_schedule"), dict):
+            _check_keys(doc["eps_schedule"], ("start", "ratio", "stages"), "eps_schedule")
         tols = doc.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError("tolerances must be a mapping")
-        names = {f.name for f in fields(Tolerances)}
-        unknown = sorted(set(tols) - names)
-        if unknown:
-            raise ConfigError(f"unknown tolerances: {', '.join(unknown)}")
         try:
             grid = doc["grid"]
             lag = doc["lagrangian"]

@@ -1,13 +1,71 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 from helpers import SHALLOW_PHI, run_cli, write_config
+
+from abreu1d import cli
 
 
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def _per_value_csv(path, header, rows):
+    """The former writer: one format call per value, one join per row."""
+    def fmt(value):
+        if isinstance(value, float):
+            return f"{value:.17g}"
+        return str(value)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, 1.0]
+RATES_HEADER = ("quantity", "slope", "r2", "stages", "identically_small")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1, 8193],
+)
+def test_write_csv_bytes_match_per_value_format(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    columns = [
+        np.resize(np.array(SPECIAL_FLOATS), rows),
+        rng.standard_normal(rows) * np.exp(rng.uniform(-700.0, 700.0, rows)),
+        [float(v) for v in rng.uniform(-1.0, 1.0, rows)],
+        [SPECIAL_FLOATS[k % len(SPECIAL_FLOATS)] for k in range(rows)],
+        list(range(rows)),
+        [("penalty_l2", "min_upp_ab")[k % 2] for k in range(rows)],
+    ]
+    header = ("a", "b", "c", "d", "stages", "quantity")
+    cli.write_csv(tmp_path / "new.csv", header, columns)
+    _per_value_csv(tmp_path / "old.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_rates_shape_and_header_only_match_per_value_format(tmp_path):
+    rate_rows = [
+        ("penalty_l2", np.float64(0.99999999999999978), 1.0, 11, "no"),
+        ("min_upp_ab", -0.0, np.float64(np.nan), 2, "yes"),
+    ]
+    cases = {
+        "rates": list(zip(*rate_rows)),
+        "no_columns": [],
+        "empty_columns": [[] for _ in RATES_HEADER],
+    }
+    for name, columns in cases.items():
+        cli.write_csv(tmp_path / f"{name}.csv", RATES_HEADER, columns)
+        _per_value_csv(tmp_path / f"{name}_ref.csv", RATES_HEADER,
+                       rate_rows if name == "rates" else [])
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_ref.csv").read_bytes()), name
 
 
 def test_solve_exact_solution(tmp_path):
@@ -46,6 +104,13 @@ def test_increasing_schedule_is_config_error(tmp_path):
     cfg = write_config(tmp_path / "cfg.json",
                        eps_schedule={"start": 0.5, "ratio": 2, "stages": 3})
     assert run_cli("sweep", "--config", cfg).returncode == 1
+
+
+def test_unknown_config_key_is_config_error(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", grid={"nn": 8})
+    proc = run_cli("sweep", "--config", cfg)
+    assert proc.returncode == 1
+    assert "nn" in proc.stderr
 
 
 def test_missing_config_field_is_config_error(tmp_path):

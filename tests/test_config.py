@@ -49,6 +49,15 @@ def test_build_setup_from_config():
     assert setup.c0 == pytest.approx(2.0)
 
 
+# Misspelled keys outside `tolerances`, with the key the error must name.
+UNKNOWN_KEYS = [
+    ({"tolerance": {"kkt_tol": 1e-30}}, "tolerance"),
+    ({"grid": {"nn": 8}}, "nn"),
+    ({"lagrangian": {"eta": [2.0]}}, "eta"),
+    ({"eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 4, "stage": 3}}, "stage"),
+]
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -63,10 +72,19 @@ def test_build_setup_from_config():
         {"eps_schedule": [0.1, None]},
         {"tolerances": {"kkt_tol": "tight"}},
         {"tolerances": {"newton_tol": 1e-30}},
+        *(patch for patch, _ in UNKNOWN_KEYS),
     ],
 )
 def test_invalid_configs_rejected(patch):
     with pytest.raises(ConfigError):
+        RunConfig.from_dict(_base_doc(**patch))
+
+
+@pytest.mark.parametrize(
+    "patch, key", [*UNKNOWN_KEYS, ({"tolerances": {"newton_tol": 1e-30}}, "newton_tol")]
+)
+def test_unknown_key_is_named(patch, key):
+    with pytest.raises(ConfigError, match=rf"^unknown \w+ keys: {key}$"):
         RunConfig.from_dict(_base_doc(**patch))
 
 

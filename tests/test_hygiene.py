@@ -39,3 +39,42 @@ def test_detector_flags_unused_and_keeps_used_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_top_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level `def _name` in `sources` (file name -> text) that no file reads.
+
+    A read is a loaded name or an attribute of that name in any of the files.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{name}:{node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
+def test_detector_flags_unreferenced_private_functions():
+    sources = {
+        "a.py": "def _dead(): pass\ndef _called(): pass\ndef _by_attr(): pass\n"
+                "def _imported(): pass\ndef __getattr__(name): pass\ndef public(): _called()\n",
+        "b.py": "import a\nfrom a import _imported\nx = a._by_attr\n_imported()\n"
+                "def _fmt(v): return str(v)\n",
+    }
+    assert unreferenced_private_functions(sources) == ["a.py:_dead (line 1)", "b.py:_fmt (line 5)"]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []

@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .grid import d1, d2
 from .minimizer import ConeProblem, eval_J, minimize_direct
-from .solver import _f_eps, continuation_sweep, newton_solve
+from .solver import continuation_sweep, f_eps, newton_solve
 from .weakform import default_family, distributional_residual, rescaled_w
 
 log = logging.getLogger("abreu1d")
@@ -99,7 +99,7 @@ def _write_stage(path: Path, setup, result) -> dict:
     u = result.u
     upp = d2(u, g)
     write_csv(path, ("x", "u", "u_prime", "u_pp", "w", "f_eps"),
-              (g.nodes, u, d1(u, g), upp, result.w, _f_eps(u, upp, setup)))
+              (g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
     return {
         "eps": setup.eps,
         "converged": result.converged,
@@ -108,9 +108,8 @@ def _write_stage(path: Path, setup, result) -> dict:
     }
 
 
-def _run_sweep(cfg: RunConfig, outdir: Path):
-    """Shared sweep pipeline; returns (exit_code, setups, results, reports)."""
-    setup = cfg.build_setup()
+def _run_sweep(cfg: RunConfig, setup, outdir: Path):
+    """Shared sweep pipeline from the first stage's setup; returns (exit_code, stages, reports)."""
     schedule = cfg.schedule()
     t0 = time.perf_counter()
     stages = continuation_sweep(setup, schedule, cfg.tolerances)
@@ -153,7 +152,9 @@ def _run_sweep(cfg: RunConfig, outdir: Path):
 
 
 def _prepare(config_path: str, out_override):
+    """Load the config, build the first stage's setup and make the output directory."""
     cfg = load_config(config_path)
+    setup = cfg.build_setup()
     if out_override:
         cfg.outputs = out_override
     outdir = Path(cfg.outputs)
@@ -164,7 +165,7 @@ def _prepare(config_path: str, out_override):
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory not writable: {exc}") from exc
-    return cfg, outdir
+    return cfg, setup, outdir
 
 
 @click.group()
@@ -186,11 +187,9 @@ def _config_options(fn):
 def solve(config_path, out_override) -> None:
     """Solve the penalized problem at a single eps."""
     try:
-        cfg, outdir = _prepare(config_path, out_override)
-        schedule = cfg.schedule()
-        if len(schedule) != 1:
+        cfg, setup, outdir = _prepare(config_path, out_override)
+        if len(cfg.schedule()) != 1:
             raise ConfigError("solve requires a single-eps schedule; use sweep instead")
-        setup = cfg.build_setup(schedule[0])
     except ConfigError as exc:
         log.error("%s", exc)
         sys.exit(EXIT_CONFIG)
@@ -211,11 +210,11 @@ def solve(config_path, out_override) -> None:
 def sweep(config_path, out_override) -> None:
     """Continuation sweep over the eps schedule with diagnostics."""
     try:
-        cfg, outdir = _prepare(config_path, out_override)
+        cfg, setup, outdir = _prepare(config_path, out_override)
     except ConfigError as exc:
         log.error("%s", exc)
         sys.exit(EXIT_CONFIG)
-    code, _, _ = _run_sweep(cfg, outdir)
+    code, _, _ = _run_sweep(cfg, setup, outdir)
     sys.exit(code)
 
 
@@ -224,12 +223,12 @@ def sweep(config_path, out_override) -> None:
 def compare(config_path, out_override) -> None:
     """Run the sweep and the direct minimizer, report their agreement."""
     try:
-        cfg, outdir = _prepare(config_path, out_override)
+        cfg, setup, outdir = _prepare(config_path, out_override)
     except ConfigError as exc:
         log.error("%s", exc)
         sys.exit(EXIT_CONFIG)
 
-    code, stages, _ = _run_sweep(cfg, outdir)
+    code, stages, _ = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
         sys.exit(code)
     setup, result = stages[-1]
@@ -267,12 +266,12 @@ def compare(config_path, out_override) -> None:
 def verify(config_path, out_override) -> None:
     """Weak-form residual of the limiting Euler-Lagrange identity."""
     try:
-        cfg, outdir = _prepare(config_path, out_override)
+        cfg, setup, outdir = _prepare(config_path, out_override)
     except ConfigError as exc:
         log.error("%s", exc)
         sys.exit(EXIT_CONFIG)
 
-    code, stages, _ = _run_sweep(cfg, outdir)
+    code, stages, _ = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
         sys.exit(code)
     setup, result = stages[-1]

@@ -3,10 +3,10 @@
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .grid import Grid, build_grid
-from .lagrangian import CUSTOM_REGISTRY, LagrangianSpec, make_rochet_chone, make_zero
+from .lagrangian import CUSTOM_REGISTRY, LagrangianSpec, check_partials, make_rochet_chone
 from .solver import ProblemSetup, Tolerances, check_schedule, default_eps_schedule, make_setup
 
 
@@ -115,24 +115,29 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def build_lagrangian(self, grid: Grid) -> LagrangianSpec:
-        if self.preset == "rochet_chone":
+        """The preset's Lagrangian; a `custom:` one must pass `check_partials`."""
+        if self.preset.startswith("custom:"):
+            key = self.preset.removeprefix("custom:")
+            if key not in CUSTOM_REGISTRY:
+                raise ConfigError(f"unregistered custom lagrangian: {key!r}")
+            spec = CUSTOM_REGISTRY[key]()
             try:
-                return make_rochet_chone(self.eta0, sample_nodes=grid.nodes)
+                check_partials(spec)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if self.preset == "zero":
-            return make_zero()
-        key = self.preset.removeprefix("custom:")
-        if key not in CUSTOM_REGISTRY:
-            raise ConfigError(f"unregistered custom lagrangian: {key!r}")
-        return CUSTOM_REGISTRY[key]()
+                raise ConfigError(f"custom lagrangian {key!r}: {exc}") from exc
+            return spec
+        eta0 = self.eta0 if self.preset == "rochet_chone" else [0.0]
+        try:
+            return make_rochet_chone(eta0, sample_nodes=grid.nodes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
-    def build_setup(self, eps: Optional[float] = None) -> ProblemSetup:
+    def build_setup(self) -> ProblemSetup:
+        """The problem at the schedule's first eps."""
         grid = self.build_grid()
         lag = self.build_lagrangian(grid)
-        eps = eps if eps is not None else self.schedule()[0]
         try:
-            return make_setup(grid, lag, self.phi, self.rho_minus, self.rho_plus, eps)
+            return make_setup(grid, lag, self.phi, self.rho_minus, self.rho_plus, self.schedule()[0])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

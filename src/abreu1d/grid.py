@@ -33,12 +33,6 @@ class Grid:
         """Nodes x_i with a <= x_i <= b."""
         return slice(self.ia, self.ib + 1)
 
-    def interior_window_mask(self) -> np.ndarray:
-        """Boolean mask of nodes strictly inside (a, b)."""
-        mask = np.zeros(self.n + 1, dtype=bool)
-        mask[self.ia + 1 : self.ib] = True
-        return mask
-
 
 def build_grid(n: int, a: float, b: float) -> Grid:
     """Build a uniform grid with the window endpoints snapped to nodes.

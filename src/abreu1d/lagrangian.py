@@ -1,11 +1,13 @@
 """Split Lagrangians F(x, z, p) = F0(x, z) + F1(x, p) and their derivatives.
 
-All derivatives are supplied analytically per preset: the Newton Jacobian
-of the penalized solver needs exact second (and mixed third) derivatives,
+A Lagrangian is nine callbacks, all required and none defaulted: the Newton
+Jacobian of the penalized solver needs exact second and mixed third partials,
 and numerically differentiated callbacks would spoil quadratic convergence.
+`check_partials` cross-checks the partials against finite differences of the
+callbacks they derive from, and checks that F is convex in z and in p.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -15,12 +17,10 @@ ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class LagrangianSpec:
-    """Callbacks for F0(x, z), F1(x, p) and the partials the scheme uses.
+    """Callbacks for F0(x, z), F1(x, p) and the seven partials the scheme uses.
 
-    f1_pxp and f1_ppp are the p-derivatives of f1_px and f1_pp; they enter
-    only the Newton Jacobian.  They default to zero, which is exact whenever
-    f1_px and f1_pp do not depend on p (true for the monopolist preset with
-    constant weight, and for the zero Lagrangian).
+    Every field is required.  f1_pxp and f1_ppp are the p-derivatives of
+    f1_px and f1_pp; they and f0_zz enter only the Newton Jacobian.
     """
 
     f0: ScalarField
@@ -30,29 +30,8 @@ class LagrangianSpec:
     f1_p: ScalarField
     f1_pp: ScalarField
     f1_px: ScalarField
-    f1_pxp: ScalarField = field(default=lambda x, p: np.zeros_like(np.asarray(x, dtype=float)))
-    f1_ppp: ScalarField = field(default=lambda x, p: np.zeros_like(np.asarray(x, dtype=float)))
-    dstar: float = 0.0
-
-
-@dataclass
-class ValidationReport:
-    """Worst-case violations found by sampling the structural conditions."""
-
-    worst_f0_zz: float = 0.0
-    worst_f1_pp: float = 0.0
-    worst_growth: float = 0.0
-    worst_derivative_mismatch: float = 0.0
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.worst_f0_zz <= 0.0
-            and self.worst_f1_pp <= 0.0
-            and self.worst_growth <= 0.0
-            and self.worst_derivative_mismatch <= 1e-5
-        )
+    f1_pxp: ScalarField
+    f1_ppp: ScalarField
 
 
 def _polyval(coeffs, x):
@@ -65,7 +44,7 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
 
     eta0 is a polynomial (ascending coefficients) that must be nonnegative;
     nonnegativity is checked on sample_nodes when given, else on a fine
-    lattice over [-1, 1].
+    lattice over [-1, 1].  eta0 = 0 gives the zero Lagrangian.
     """
     c = np.asarray(eta0_coeffs, dtype=float)
     cder = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
@@ -81,12 +60,6 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
     def eta0_prime(x):
         return _polyval(cder, x)
 
-    fine = np.linspace(-1.0, 1.0, 2001)
-    sup_eta0 = float(np.max(np.abs(_polyval(c, fine))))
-    sup_eta0p = float(np.max(np.abs(_polyval(cder, fine))))
-    # |f1_px| = |(p - x) eta0' - eta0| <= (sup|eta0'| (1 + |x|) + sup|eta0|) (1 + |p|)
-    dstar = 2.0 * sup_eta0p + sup_eta0
-
     return LagrangianSpec(
         f0=lambda x, z: z * eta0(x),
         f0_z=lambda x, z: eta0(x) * np.ones_like(np.asarray(z, dtype=float)),
@@ -97,77 +70,59 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
         f1_px=lambda x, p: (p - x) * eta0_prime(x) - eta0(x),
         f1_pxp=lambda x, p: eta0_prime(x) * np.ones_like(np.asarray(p, dtype=float)),
         f1_ppp=lambda x, p: np.zeros_like(np.asarray(p, dtype=float)),
-        dstar=dstar,
-    )
-
-
-def make_zero() -> LagrangianSpec:
-    """F identically zero (pure penalty problem)."""
-    z = lambda x, y: np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
-    return LagrangianSpec(
-        f0=z, f0_z=z, f0_zz=z, f1=z, f1_p=z, f1_pp=z, f1_px=z,
-        f1_pxp=z, f1_ppp=z, dstar=0.0,
     )
 
 
 # Custom Lagrangians are registered here by id and selected from run configs.
 CUSTOM_REGISTRY: dict[str, Callable[[], LagrangianSpec]] = {}
 
+# `check_partials` samples x in [-1, 1] and z, p in [-2, 2] on a square
+# lattice, differences with a central step and bounds the error relative to
+# max(|partial|, 1).
+CHECK_POINTS = 41
+FD_STEP = 1e-5
+FD_REL_TOL = 1e-5
 
-def validate_conditions(
-    spec: LagrangianSpec,
-    x_range=(-1.0, 1.0),
-    z_range=(-2.0, 2.0),
-    p_range=(-2.0, 2.0),
-    samples: int = 100,
-    fd_step: float = 1e-5,
-) -> ValidationReport:
-    """Sample the convexity and growth conditions and cross-check derivatives.
 
-    Violations are recorded with witness points; the report never raises.
+def check_partials(spec: LagrangianSpec) -> None:
+    """Raise ValueError unless the seven partials of `spec` are consistent.
+
+    Each partial is compared with a central difference of the callback it
+    derives from, in z or p (or, for f1_px, in x); f0_zz and f1_pp must be
+    nonnegative.  The message names the partial and its worst lattice point.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples per axis")
-    xs = np.linspace(*x_range, samples)
-    zs = np.linspace(*z_range, samples)
-    ps = np.linspace(*p_range, samples)
-    X, Z = np.meshgrid(xs, zs, indexing="ij")
-    _, P = np.meshgrid(xs, ps, indexing="ij")
+    X, Y = np.meshgrid(np.linspace(-1.0, 1.0, CHECK_POINTS),
+                       np.linspace(-2.0, 2.0, CHECK_POINTS), indexing="ij")
+    d = FD_STEP
 
-    report = ValidationReport()
+    def in_y(f):
+        return (f(X, Y + d) - f(X, Y - d)) / (2.0 * d)
 
-    v = spec.f0_zz(X, Z)
-    worst = float(np.min(v))
-    if worst < 0.0:
-        i = np.unravel_index(np.argmin(v), v.shape)
-        report.worst_f0_zz = -worst
-        report.witnesses["f0_zz"] = (float(X[i]), float(Z[i]), worst)
+    def in_x(f):
+        return (f(X + d, Y) - f(X - d, Y)) / (2.0 * d)
 
-    v = spec.f1_pp(X, P)
-    worst = float(np.min(v))
-    if worst < 0.0:
-        i = np.unravel_index(np.argmin(v), v.shape)
-        report.worst_f1_pp = -worst
-        report.witnesses["f1_pp"] = (float(X[i]), float(P[i]), worst)
+    def worst(name, values, pick):
+        # values broadcast to the lattice, so a callback may return a scalar
+        v = np.broadcast_to(values, X.shape)
+        i = np.unravel_index(pick(v), v.shape)
+        return v[i], f"x = {X[i]:.6g}, {'z' if name.startswith('f0') else 'p'} = {Y[i]:.6g}"
 
-    excess = np.abs(spec.f1_px(X, P)) - spec.dstar * (1.0 + np.abs(P))
-    worst = float(np.max(excess))
-    if worst > 0.0:
-        i = np.unravel_index(np.argmax(excess), excess.shape)
-        report.worst_growth = worst
-        report.witnesses["growth"] = (float(X[i]), float(P[i]), worst)
-
-    # Finite-difference consistency of the supplied derivatives.
-    d = fd_step
-    checks = [
-        ((spec.f0(X, Z + d) - spec.f0(X, Z - d)) / (2 * d), spec.f0_z(X, Z)),
-        ((spec.f1(X, P + d) - spec.f1(X, P - d)) / (2 * d), spec.f1_p(X, P)),
-        ((spec.f1_p(X, P + d) - spec.f1_p(X, P - d)) / (2 * d), spec.f1_pp(X, P)),
-        ((spec.f1_p(X + d, P) - spec.f1_p(X - d, P)) / (2 * d), spec.f1_px(X, P)),
-    ]
-    for fd, analytic in checks:
-        scale = np.maximum(np.abs(analytic), 1.0)
-        mism = float(np.max(np.abs(fd - analytic) / scale))
-        report.worst_derivative_mismatch = max(report.worst_derivative_mismatch, mism)
-
-    return report
+    derived = (
+        ("f0_z", in_y(spec.f0)),
+        ("f0_zz", in_y(spec.f0_z)),
+        ("f1_p", in_y(spec.f1)),
+        ("f1_pp", in_y(spec.f1_p)),
+        ("f1_px", in_x(spec.f1_p)),
+        ("f1_pxp", in_y(spec.f1_px)),
+        ("f1_ppp", in_y(spec.f1_pp)),
+    )
+    for name, fd in derived:
+        exact = getattr(spec, name)(X, Y)
+        err, where = worst(name, np.abs(fd - exact) / np.maximum(np.abs(exact), 1.0), np.argmax)
+        if not err <= FD_REL_TOL:
+            raise ValueError(f"{name} disagrees with finite differences: relative error "
+                             f"{err:.3g} > {FD_REL_TOL:g} at {where}")
+    for name in ("f0_zz", "f1_pp"):
+        value, where = worst(name, getattr(spec, name)(X, Y), np.argmin)
+        if not value >= 0.0:
+            raise ValueError(f"{name} = {value:.6g} < 0 at {where}")

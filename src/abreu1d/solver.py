@@ -113,14 +113,19 @@ def _curvatures(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     return s
 
 
-def _f_eps(u: np.ndarray, s: np.ndarray, setup: ProblemSetup) -> np.ndarray:
+def f_eps(u: np.ndarray, s: np.ndarray, setup: ProblemSetup) -> np.ndarray:
+    """Right-hand side f of the interior rows eps * w'' = f, at every node.
+
+    `s` holds the nodal u''.  f is f0_z(x, u) - f1_px(x, u') - f1_pp(x, u') u''
+    strictly inside the window (the rows `jacobian` treats as window rows) and
+    the penalty (u - phi)/eps elsewhere.
+    """
     g, lag = setup.grid, setup.lagrangian
-    x = g.nodes
     p = d1(u, g)
     f = (u - setup.phi) / setup.eps
-    inside = g.interior_window_mask()
-    xi, ui, pi, si = x[inside], u[inside], p[inside], s[inside]
-    f[inside] = lag.f0_z(xi, ui) - lag.f1_px(xi, pi) - lag.f1_pp(xi, pi) * si
+    win = slice(g.ia + 1, g.ib)
+    x, uw, pw, sw = g.nodes[win], u[win], p[win], s[win]
+    f[win] = lag.f0_z(x, uw) - lag.f1_px(x, pw) - lag.f1_pp(x, pw) * sw
     return f
 
 
@@ -130,7 +135,7 @@ def residual(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     n, h = g.n, g.h
     s = _curvatures(u, setup)
     w = 1.0 / s
-    f = _f_eps(u, s, setup)
+    f = f_eps(u, s, setup)
     R = np.empty(n + 1)
     R[0] = u[0]
     R[n] = u[n]
@@ -178,10 +183,11 @@ def jacobian(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     win, lo, up = slice(g.ia + 1, g.ib), slice(g.ia, g.ib - 1), slice(g.ia + 2, g.ib + 1)
     x, uw, pw, sw = g.nodes[win], u[win], p[win], s[win]
     ab[2, win] -= lag.f0_zz(x, uw)
-    # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i
+    # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i; R_i holds them with
+    # a minus sign and p_i = (u_{i+1} - u_{i-1}) / 2h, so column i-1 gets -chain
     chain = (lag.f1_pxp(x, pw) + lag.f1_ppp(x, pw) * sw) / (2.0 * h)
-    ab[3, lo] += chain
-    ab[1, up] -= chain
+    ab[3, lo] -= chain
+    ab[1, up] += chain
     f1pp = lag.f1_pp(x, pw)
     ab[3, lo] += f1pp * c0
     ab[2, win] += f1pp * c1

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from abreu1d.grid import build_grid
-from abreu1d.lagrangian import make_rochet_chone, make_zero
+from abreu1d.lagrangian import LagrangianSpec, make_rochet_chone
 from abreu1d.minimizer import check_admissibility, eval_J_cell, second_differences
 from abreu1d.solver import make_setup
 
@@ -27,7 +27,25 @@ def monopolist_setup(n=64, eps=1e-2, rho=0.5, phi=CAL_PHI, weight=(1.0,)):
 def zero_setup(n=64, eps=1e-2, rho=0.5):
     """Pure-penalty problem (zero Lagrangian) with the same window."""
     grid = build_grid(n, -0.5, 0.5)
-    return make_setup(grid, make_zero(), CAL_PHI, rho, rho, eps)
+    return make_setup(grid, make_rochet_chone([0.0]), CAL_PHI, rho, rho, eps)
+
+
+def quartic_spec():
+    """F = z + p^2/2 - p x + p^4/12: f1_pp = 1 + p^2 and f1_ppp = 2p vary with p."""
+    def const(value):
+        return lambda x, y: np.full(np.broadcast(x, y).shape, value)
+
+    return LagrangianSpec(
+        f0=lambda x, z: z,
+        f0_z=const(1.0),
+        f0_zz=const(0.0),
+        f1=lambda x, p: 0.5 * p * p - p * x + p**4 / 12.0,
+        f1_p=lambda x, p: p - x + p**3 / 3.0,
+        f1_pp=lambda x, p: 1.0 + p * p,
+        f1_px=const(-1.0),
+        f1_pxp=const(0.0),
+        f1_ppp=lambda x, p: 2.0 * p,
+    )
 
 
 def unconstrained_window_solution(problem):

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
-from helpers import SHALLOW_PHI, run_cli, write_config
+from helpers import SHALLOW_PHI, quartic_spec, run_cli, write_config
 
 from abreu1d import cli
+from abreu1d.lagrangian import CUSTOM_REGISTRY
 
 
 def _rows(path):
@@ -111,6 +114,39 @@ def test_unknown_config_key_is_config_error(tmp_path):
     proc = run_cli("sweep", "--config", cfg)
     assert proc.returncode == 1
     assert "nn" in proc.stderr
+
+
+def _invoke(*args):
+    """Run the command line in this process; returns its exit code."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=[str(a) for a in args], standalone_mode=False)
+    return exc.value.code
+
+
+def test_custom_lagrangian_sweep_converges(tmp_path, monkeypatch):
+    monkeypatch.setitem(CUSTOM_REGISTRY, "quartic", quartic_spec)
+    cfg = write_config(tmp_path / "cfg.json", lagrangian={"preset": "custom:quartic"})
+    assert _invoke("sweep", "--config", cfg) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert len(stages) == 5
+    assert all(stage["converged"] for stage in stages)
+
+
+def test_custom_lagrangian_with_wrong_partial_is_config_error(tmp_path, monkeypatch, caplog):
+    monkeypatch.setitem(CUSTOM_REGISTRY, "quartic", lambda: dataclasses.replace(
+        quartic_spec(), f1_ppp=lambda x, p: 0.0 * p))
+    cfg = write_config(tmp_path / "cfg.json", lagrangian={"preset": "custom:quartic"})
+    with caplog.at_level(logging.ERROR, logger="abreu1d"):
+        assert _invoke("sweep", "--config", cfg) == 1
+    assert "custom lagrangian 'quartic': f1_ppp disagrees" in caplog.text
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_unregistered_custom_lagrangian_is_config_error(tmp_path, caplog):
+    cfg = write_config(tmp_path / "cfg.json", lagrangian={"preset": "custom:no-such-id"})
+    with caplog.at_level(logging.ERROR, logger="abreu1d"):
+        assert _invoke("sweep", "--config", cfg) == 1
+    assert "unregistered custom lagrangian: 'no-such-id'" in caplog.text
 
 
 def test_missing_config_field_is_config_error(tmp_path):

@@ -78,3 +78,40 @@ def test_detector_flags_unreferenced_private_functions():
 def test_no_unreferenced_private_functions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_functions(sources) == []
+
+
+
+def private_package_imports(source: str) -> list[str]:
+    """`_name`s that `source` imports from its own package (`from .x import _name`).
+
+    Relative imports and imports from `abreu1d` count; dunder names do not.
+    """
+    return [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "abreu1d")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_detector_flags_private_package_imports():
+    source = (
+        "from . import __version__, _private\n"
+        "from .solver import _f_eps, continuation_sweep\n"
+        "from abreu1d.grid import _check_length\n"
+        "from os import _exit\n"
+        "def f():\n    from ..pkg.mod import _late\n"
+    )
+    assert private_package_imports(source) == [
+        "from . import _private (line 1)",
+        "from .solver import _f_eps (line 2)",
+        "from abreu1d.grid import _check_length (line 3)",
+        "from ..pkg.mod import _late (line 6)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_package_imports(path):
+    assert private_package_imports(path.read_text(encoding="utf-8")) == []

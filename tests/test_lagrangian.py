@@ -1,16 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers import quartic_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abreu1d.lagrangian import (
-    LagrangianSpec,
-    make_rochet_chone,
-    make_zero,
-    validate_conditions,
-)
+from abreu1d.lagrangian import LagrangianSpec, check_partials, make_rochet_chone
+
+DERIVED_PARTIALS = ("f0_z", "f0_zz", "f1_p", "f1_pp", "f1_px", "f1_pxp", "f1_ppp")
 
 
 def _zero_field(x, y):
     return np.zeros_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
+
+
+def test_spec_is_nine_required_callbacks():
+    fields = dataclasses.fields(LagrangianSpec)
+    assert [f.name for f in fields] == [
+        "f0", "f0_z", "f0_zz", "f1", "f1_p", "f1_pp", "f1_px", "f1_pxp", "f1_ppp"]
+    assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+               for f in fields)
 
 
 def test_constant_weight_partials():
@@ -23,6 +33,7 @@ def test_constant_weight_partials():
     np.testing.assert_allclose(spec.f0_zz(x, z), 0.0)
     np.testing.assert_allclose(spec.f1_pp(x, p), 1.0)
     np.testing.assert_allclose(spec.f1_pxp(x, p), 0.0)
+    np.testing.assert_allclose(spec.f1_ppp(x, p), 0.0)
     np.testing.assert_allclose(spec.f0(x, z), z)
     np.testing.assert_allclose(spec.f1(x, p), 0.5 * p * p - p * x)
 
@@ -30,9 +41,8 @@ def test_constant_weight_partials():
 def test_zero_weight_gives_zero_fields():
     spec = make_rochet_chone([0.0])
     x = np.linspace(-1, 1, 11)
-    for fn in (spec.f0, spec.f0_z, spec.f1, spec.f1_p, spec.f1_pp, spec.f1_px):
-        np.testing.assert_allclose(fn(x, x), 0.0)
-    assert spec.dstar == 0.0
+    for f in dataclasses.fields(spec):
+        np.testing.assert_allclose(getattr(spec, f.name)(x, x), 0.0)
 
 
 def test_negative_weight_rejected():
@@ -40,51 +50,55 @@ def test_negative_weight_rejected():
         make_rochet_chone([0.0, 1.0])  # eta0(x) = x < 0 for x < 0
 
 
-def test_validate_constant_weight_clean():
-    spec = make_rochet_chone([1.0])
-    report = validate_conditions(spec, x_range=(-2, 2), z_range=(-2, 2), p_range=(-2, 2))
-    assert report.ok
-    assert report.witnesses == {}
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_rochet_chone([1.0]), lambda: make_rochet_chone([1.0, 0.5]),
+     lambda: make_rochet_chone([1.0, 0.0, 0.5]), lambda: make_rochet_chone([0.0]), quartic_spec],
+    ids=["const", "linear", "quadratic", "zero", "quartic"],
+)
+def test_check_partials_accepts_consistent_specs(make):
+    check_partials(make())
 
 
-def test_validate_polynomial_weight_clean():
-    spec = make_rochet_chone([1.0, 0.0, 0.5])  # eta0 = 1 + x^2/2 > 0
-    report = validate_conditions(spec)
-    assert report.ok
-    assert report.witnesses == {}
-
-
-def test_validate_flags_concavity_in_p():
+def test_check_partials_rejects_concavity_in_p():
     spec = LagrangianSpec(
         f0=_zero_field, f0_z=_zero_field, f0_zz=_zero_field,
         f1=lambda x, p: -p * p,
         f1_p=lambda x, p: -2.0 * p,
         f1_pp=lambda x, p: -2.0 * np.ones_like(np.asarray(p, dtype=float)),
-        f1_px=_zero_field,
-        dstar=0.0,
+        f1_px=_zero_field, f1_pxp=_zero_field, f1_ppp=_zero_field,
     )
-    report = validate_conditions(spec)
-    assert not report.ok
-    assert report.worst_f1_pp == pytest.approx(2.0)
-    assert "f1_pp" in report.witnesses
+    with pytest.raises(ValueError, match=r"^f1_pp = -2 < 0 at x = "):
+        check_partials(spec)
 
 
-def test_validate_flags_growth_violation():
-    spec = LagrangianSpec(
-        f0=_zero_field, f0_z=_zero_field, f0_zz=_zero_field,
-        f1=_zero_field, f1_p=_zero_field, f1_pp=_zero_field,
-        f1_px=lambda x, p: 10.0 * p * p,
-        dstar=1.0,
-    )
-    report = validate_conditions(spec)
-    assert report.worst_growth > 0.0
-    x_w, p_w, _ = report.witnesses["growth"]
-    assert abs(p_w) == pytest.approx(2.0)
+@pytest.mark.parametrize("name", DERIVED_PARTIALS)
+def test_check_partials_names_a_corrupted_partial(name):
+    # a constant offset changes no finite difference of this partial, so
+    # only its own comparison can fail
+    spec = quartic_spec()
+    good = getattr(spec, name)
+    bad = dataclasses.replace(spec, **{name: lambda x, y: good(x, y) + 0.01})
+    with pytest.raises(ValueError, match=rf"^{name} disagrees with finite differences"):
+        check_partials(bad)
 
 
-def test_validate_requires_enough_samples():
-    with pytest.raises(ValueError):
-        validate_conditions(make_zero(), samples=50)
+def test_check_partials_rejects_nan():
+    spec = dataclasses.replace(quartic_spec(), f1_ppp=lambda x, p: np.full_like(p, np.nan))
+    with pytest.raises(ValueError, match="^f1_ppp disagrees"):
+        check_partials(spec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=3),
+    st.floats(1e-3, 2.0),
+)
+def test_check_partials_accepts_positive_cubic_weights(tail, margin):
+    # eta0 = c0 + c1 x + c2 x^2 + c3 x^3 with c0 chosen so min eta0 = margin
+    x = np.linspace(-1.0, 1.0, 2001)
+    rest = np.polynomial.polynomial.polyval(x, [0.0, *tail])
+    check_partials(make_rochet_chone([margin - float(np.min(rest)), *tail]))
 
 
 def test_derivative_consistency_small_step():

@@ -11,7 +11,7 @@ from helpers import (
 )
 
 from abreu1d.grid import build_grid
-from abreu1d.lagrangian import make_rochet_chone, make_zero
+from abreu1d.lagrangian import make_rochet_chone
 from abreu1d.minimizer import (
     ConeProblem,
     _barrier_terms,
@@ -37,7 +37,7 @@ def test_eval_J_closed_form():
 
 def test_eval_J_zero_lagrangian():
     g = build_grid(64, -0.5, 0.5)
-    prob = ConeProblem(grid=g, lagrangian=make_zero(), phi=g.nodes**2 - 1)
+    prob = ConeProblem(grid=g, lagrangian=make_rochet_chone([0.0]), phi=g.nodes**2 - 1)
     rng = np.random.default_rng(3)
     assert eval_J(rng.uniform(-1, 1, g.n + 1), prob) == 0.0
 
@@ -66,7 +66,7 @@ def test_minimizer_recovers_interior_optimum():
 
 def test_minimizer_zero_lagrangian():
     g = build_grid(64, -0.5, 0.5)
-    prob = ConeProblem(grid=g, lagrangian=make_zero(), phi=g.nodes**2 - 1)
+    prob = ConeProblem(grid=g, lagrangian=make_rochet_chone([0.0]), phi=g.nodes**2 - 1)
     res = minimize_direct(prob)
     assert res.J_value == 0.0
     assert res.kkt_residual <= 1e-8

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import CAL_PHI, STEEP_PHI, band_to_dense, fd_jacobian, monopolist_setup
+from helpers import CAL_PHI, STEEP_PHI, band_to_dense, fd_jacobian, monopolist_setup, quartic_spec
 
 from abreu1d.grid import build_grid, d1, d2, d2_boundary_coeffs
 from abreu1d.lagrangian import make_rochet_chone
@@ -93,16 +93,15 @@ def _jacobian_loop(u, setup):
     A[1, 0:4] = -inv_s2[0] * d2_boundary_coeffs(g, left=True)
     A[n - 1, n - 3 :] = -inv_s2[n] * d2_boundary_coeffs(g, left=False)
     cd2 = np.array([1.0, -2.0, 1.0]) / (h * h)
-    inside = g.interior_window_mask()
     for i in range(2, n - 1):
         for j, cj in ((i - 1, cd2[0]), (i, cd2[1]), (i + 1, cd2[2])):
             A[i, j - 1 : j + 2] += eps * cj * (-inv_s2[j]) * cd2
-        if inside[i]:
+        if g.ia < i < g.ib:
             xi, ui, pi, si = (a[i : i + 1] for a in (g.nodes, u, p, s))
             A[i, i] -= lag.f0_zz(xi, ui)[0]
             chain_p = lag.f1_pxp(xi, pi)[0] + lag.f1_ppp(xi, pi)[0] * si[0]
-            A[i, i - 1] += chain_p / (2.0 * h)
-            A[i, i + 1] -= chain_p / (2.0 * h)
+            A[i, i - 1] -= chain_p / (2.0 * h)
+            A[i, i + 1] += chain_p / (2.0 * h)
             A[i, i - 1 : i + 2] += lag.f1_pp(xi, pi)[0] * cd2
         else:
             A[i, i] -= 1.0 / eps
@@ -123,13 +122,20 @@ def test_jacobian_band_equals_loop_assembly_bitwise(n):
 
 
 def test_jacobian_matches_finite_differences_at_smooth_perturbation():
-    setup = monopolist_setup()
-    x = setup.grid.nodes
-    u = setup.phi + 0.01 * np.cos(np.pi * x / 2) * (1 - x * x)
-    A = band_to_dense(jacobian(u, setup))
-    F = fd_jacobian(u, setup)
-    rel = np.max(np.abs(A - F)) / np.max(np.abs(F))
-    assert rel <= 1e-6
+    # f1_pxp = eta0' = 0.5 for the variable weight and f1_ppp = 2p for the
+    # quartic Lagrangian, so their rows carry a nonzero chain term through u'
+    setups = {
+        "constant weight": monopolist_setup(),
+        "variable weight": monopolist_setup(weight=(1.0, 0.5)),
+        "quartic": make_setup(build_grid(64, -0.5, 0.5), quartic_spec(), CAL_PHI, 0.5, 0.5, 1e-2),
+    }
+    for name, setup in setups.items():
+        x = setup.grid.nodes
+        u = setup.phi + 0.01 * np.cos(np.pi * x / 2) * (1 - x * x)
+        A = band_to_dense(jacobian(u, setup))
+        F = fd_jacobian(u, setup)
+        rel = np.max(np.abs(A - F)) / np.max(np.abs(F))
+        assert rel <= 1e-6, (name, rel)
 
 
 def test_jacobian_matches_finite_differences_at_random_convex_states():

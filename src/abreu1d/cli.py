@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration error, 2 solver nonconvergence,
 3 oracle failure.  Tabular outputs are CSV, all written by `write_csv` with
 one formatting rule: comma separator, floats as `%.17g`, other values as
-`str()`, LF line endings, UTF-8.  Manifests and summaries are JSON.
+`str()`, LF line endings, UTF-8.  Manifests and summaries are JSON; the
+manifest is written last and hashes every other file the command wrote.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -23,7 +25,8 @@ from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, f
 from .grid import d1, d2
 from .minimizer import ConeProblem, eval_J, minimize_direct
 from .solver import continuation_sweep, f_eps, newton_solve
-from .weakform import default_family, distributional_residual, rescaled_w
+from .weakform import (SupportViolation, check_support, default_family,
+                       distributional_residual, rescaled_w)
 
 log = logging.getLogger("abreu1d")
 
@@ -78,19 +81,18 @@ def write_json(path: Path, doc) -> None:
     os.replace(tmp, path)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _finish(outdir: Path, cfg: RunConfig, run: dict, code: int) -> None:
+    """Write manifest.json after the command's last artifact, then exit with `code`.
 
-
-def _write_manifest(outdir: Path, cfg: RunConfig, stages, timings, files) -> None:
-    manifest = {
+    `run` holds "stages", "wall_clock_seconds" and "files", the artifact names to hash.
+    """
+    write_json(outdir / "manifest.json", {
         "tool_version": __version__,
         "config": cfg.to_dict(),
-        "stages": stages,
-        "wall_clock_seconds": timings,
-        "files": {name: _sha256(outdir / name) for name in files},
-    }
-    write_json(outdir / "manifest.json", manifest)
+        **run,
+        "files": {n: hashlib.sha256((outdir / n).read_bytes()).hexdigest() for n in run["files"]},
+    })
+    sys.exit(code)
 
 
 def _write_stage(path: Path, setup, result) -> dict:
@@ -109,7 +111,10 @@ def _write_stage(path: Path, setup, result) -> dict:
 
 
 def _run_sweep(cfg: RunConfig, setup, outdir: Path):
-    """Shared sweep pipeline from the first stage's setup; returns (exit_code, stages, reports)."""
+    """Shared sweep pipeline from the first stage's setup.
+
+    Returns (exit_code, stages, run), with `run` as `_finish` takes it.
+    """
     schedule = cfg.schedule()
     t0 = time.perf_counter()
     stages = continuation_sweep(setup, schedule, cfg.tolerances)
@@ -120,8 +125,9 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
                   for name, (stage_setup, result) in zip(files, stages)]
 
     reports = [compute_report(r, s) for s, r in stages if r.converged]
-    write_csv(outdir / "sweep.csv", EstimateReport.CSV_FIELDS,
-              list(zip(*(r.csv_row() for r in reports))))
+    header = [f.name for f in fields(EstimateReport)]
+    write_csv(outdir / "sweep.csv", header,
+              [[getattr(r, name) for r in reports] for name in header])
     files.append("sweep.csv")
 
     rate_rows = []
@@ -130,7 +136,7 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
             fit = fit_rate(reports, name)
         except ValueError:
             continue
-        rate_rows.append((name, fit.slope, fit.r2, len(fit.pairs),
+        rate_rows.append((name, fit.slope, fit.r2, fit.stages,
                           "yes" if fit.identically_small else "no"))
     write_csv(outdir / "rates.csv",
               ("quantity", "slope", "r2", "stages", "identically_small"),
@@ -138,8 +144,7 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
     files.append("rates.csv")
 
     try:
-        bounds = check_theorem_bounds(reports)
-        write_json(outdir / "bounds.json", bounds.as_dict())
+        write_json(outdir / "bounds.json", check_theorem_bounds(reports))
         files.append("bounds.json")
     except ValueError as exc:
         log.warning("bound checks skipped: %s", exc)
@@ -147,24 +152,46 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
     all_converged = len(stages) == len(schedule) and all(r.converged for _, r in stages)
     if not all_converged:
         log.error("sweep stopped at stage %d of %d", len(stages), len(schedule))
-    _write_manifest(outdir, cfg, stage_meta, {"sweep": elapsed}, files)
-    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, reports
+    run = {"stages": stage_meta, "wall_clock_seconds": {"sweep": elapsed}, "files": files}
+    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, run
 
 
-def _prepare(config_path: str, out_override):
-    """Load the config, build the first stage's setup and make the output directory."""
-    cfg = load_config(config_path)
-    setup = cfg.build_setup()
-    if out_override:
-        cfg.outputs = out_override
-    outdir = Path(cfg.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    probe = outdir / ".write_probe"
+def _single_eps(cfg: RunConfig, setup) -> None:
+    if len(cfg.schedule()) != 1:
+        raise ConfigError("solve requires a single-eps schedule; use sweep instead")
+
+
+def _bumps_fit(cfg: RunConfig, setup) -> None:
     try:
-        probe.touch()
-        probe.unlink()
-    except OSError as exc:
-        raise ConfigError(f"output directory not writable: {exc}") from exc
+        check_support(default_family(setup.grid), setup.grid)
+    except SupportViolation as exc:
+        raise ConfigError(f"verify: {exc}") from exc
+
+
+def _prepare(config_path: str, out_override, check=None):
+    """Load the config, build the first stage's setup and make the output directory.
+
+    `check(cfg, setup)` is a command's own rule.  A `ConfigError` is logged
+    and exits with EXIT_CONFIG.
+    """
+    try:
+        cfg = load_config(config_path)
+        setup = cfg.build_setup()
+        if check:
+            check(cfg, setup)
+        if out_override:
+            cfg.outputs = out_override
+        outdir = Path(cfg.outputs)
+        outdir.mkdir(parents=True, exist_ok=True)
+        probe = outdir / ".write_probe"
+        try:
+            probe.touch()
+            probe.unlink()
+        except OSError as exc:
+            raise ConfigError(f"output directory not writable: {exc}") from exc
+    except ConfigError as exc:
+        log.error("%s", exc)
+        sys.exit(EXIT_CONFIG)
     return cfg, setup, outdir
 
 
@@ -186,60 +213,45 @@ def _config_options(fn):
 @_config_options
 def solve(config_path, out_override) -> None:
     """Solve the penalized problem at a single eps."""
-    try:
-        cfg, setup, outdir = _prepare(config_path, out_override)
-        if len(cfg.schedule()) != 1:
-            raise ConfigError("solve requires a single-eps schedule; use sweep instead")
-    except ConfigError as exc:
-        log.error("%s", exc)
-        sys.exit(EXIT_CONFIG)
-
+    cfg, setup, outdir = _prepare(config_path, out_override, check=_single_eps)
     t0 = time.perf_counter()
     result = newton_solve(setup, setup.phi, cfg.tolerances)
     elapsed = time.perf_counter() - t0
     stage = _write_stage(outdir / "solution.csv", setup, result)
-    _write_manifest(outdir, cfg, [stage], {"solve": elapsed}, ["solution.csv"])
     if not result.converged:
         log.error("Newton did not converge (final residual %.3e)", result.residual_norms[-1])
-        sys.exit(EXIT_SOLVER)
-    sys.exit(EXIT_OK)
+    run = {"stages": [stage], "wall_clock_seconds": {"solve": elapsed}, "files": ["solution.csv"]}
+    _finish(outdir, cfg, run, EXIT_OK if result.converged else EXIT_SOLVER)
 
 
 @main.command()
 @_config_options
 def sweep(config_path, out_override) -> None:
     """Continuation sweep over the eps schedule with diagnostics."""
-    try:
-        cfg, setup, outdir = _prepare(config_path, out_override)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        sys.exit(EXIT_CONFIG)
-    code, _, _ = _run_sweep(cfg, setup, outdir)
-    sys.exit(code)
+    cfg, setup, outdir = _prepare(config_path, out_override)
+    code, _, run = _run_sweep(cfg, setup, outdir)
+    _finish(outdir, cfg, run, code)
 
 
 @main.command()
 @_config_options
 def compare(config_path, out_override) -> None:
     """Run the sweep and the direct minimizer, report their agreement."""
-    try:
-        cfg, setup, outdir = _prepare(config_path, out_override)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        sys.exit(EXIT_CONFIG)
-
-    code, stages, _ = _run_sweep(cfg, setup, outdir)
+    cfg, setup, outdir = _prepare(config_path, out_override)
+    code, stages, run = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
-        sys.exit(code)
+        _finish(outdir, cfg, run, code)
     setup, result = stages[-1]
     g = setup.grid
 
     problem = ConeProblem(grid=g, lagrangian=setup.lagrangian, phi=setup.phi)
+    t0 = time.perf_counter()
     oracle = minimize_direct(problem)
+    run["wall_clock_seconds"]["oracle"] = time.perf_counter() - t0
     if oracle.kkt_residual > cfg.tolerances.kkt_tol:
         log.error("oracle failed: KKT residual %.3e > %.3e",
                   oracle.kkt_residual, cfg.tolerances.kkt_tol)
-        sys.exit(EXIT_ORACLE)
+        _finish(outdir, cfg, run, EXIT_ORACLE)
 
     diff = np.abs(result.u - oracle.v)
     write_csv(outdir / "compare.csv",
@@ -258,22 +270,18 @@ def compare(config_path, out_override) -> None:
         "oracle_kkt_residual": oracle.kkt_residual,
     }
     write_json(outdir / "compare_summary.json", summary)
-    sys.exit(EXIT_OK)
+    run["files"] += ["compare.csv", "compare_summary.json"]
+    _finish(outdir, cfg, run, EXIT_OK)
 
 
 @main.command()
 @_config_options
 def verify(config_path, out_override) -> None:
     """Weak-form residual of the limiting Euler-Lagrange identity."""
-    try:
-        cfg, setup, outdir = _prepare(config_path, out_override)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        sys.exit(EXIT_CONFIG)
-
-    code, stages, _ = _run_sweep(cfg, setup, outdir)
+    cfg, setup, outdir = _prepare(config_path, out_override, check=_bumps_fit)
+    code, stages, run = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
-        sys.exit(code)
+        _finish(outdir, cfg, run, code)
     setup, result = stages[-1]
     family = default_family(setup.grid)
     w_resc = rescaled_w(result, setup)
@@ -288,7 +296,8 @@ def verify(config_path, out_override) -> None:
         "tolerance": tol,
         "status": "PASS" if max_res <= tol else "FAIL",
     })
-    sys.exit(EXIT_OK)
+    run["files"] += ["el_residuals.csv", "verify_summary.json"]
+    _finish(outdir, cfg, run, EXIT_OK)
 
 
 if __name__ == "__main__":

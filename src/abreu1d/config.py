@@ -3,7 +3,7 @@
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .grid import Grid, build_grid
 from .lagrangian import CUSTOM_REGISTRY, LagrangianSpec, check_partials, make_rochet_chone
@@ -23,6 +23,13 @@ def _check_keys(doc, allowed, where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _integer(value, name: str) -> int:
+    """`value` if JSON gave an integer: 64.9 or "64" is an error, not a truncation."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     grid_n: int
@@ -30,7 +37,7 @@ class RunConfig:
     grid_b: float
     phi: list[float]
     preset: str
-    eta0: list[float]
+    eta0: Optional[list[float]]  # polynomial weight; given for `rochet_chone` only
     rho_minus: float
     rho_plus: float
     eps_schedule: Union[dict, list[float]]
@@ -38,10 +45,13 @@ class RunConfig:
     outputs: str = "out"
 
     def to_dict(self) -> dict:
+        lagrangian = {"preset": self.preset}
+        if self.eta0 is not None:
+            lagrangian["eta0"] = list(self.eta0)
         return {
             "grid": {"n": self.grid_n, "a": self.grid_a, "b": self.grid_b},
             "phi": list(self.phi),
-            "lagrangian": {"preset": self.preset, "eta0": list(self.eta0)},
+            "lagrangian": lagrangian,
             "rho_minus": self.rho_minus,
             "rho_plus": self.rho_plus,
             "eps_schedule": self.eps_schedule,
@@ -67,12 +77,12 @@ class RunConfig:
             grid = doc["grid"]
             lag = doc["lagrangian"]
             cfg = RunConfig(
-                grid_n=int(grid["n"]),
+                grid_n=_integer(grid["n"], "grid.n"),
                 grid_a=float(grid["a"]),
                 grid_b=float(grid["b"]),
                 phi=[float(c) for c in doc["phi"]],
                 preset=str(lag["preset"]),
-                eta0=[float(c) for c in lag.get("eta0", [0.0])],
+                eta0=[float(c) for c in lag["eta0"]] if "eta0" in lag else None,
                 rho_minus=float(doc["rho_minus"]),
                 rho_plus=float(doc["rho_plus"]),
                 eps_schedule=doc["eps_schedule"],
@@ -91,6 +101,9 @@ class RunConfig:
             raise ConfigError("window must satisfy -1 < a < b < 1")
         if self.preset not in ("rochet_chone", "zero") and not self.preset.startswith("custom:"):
             raise ConfigError(f"unknown lagrangian preset: {self.preset!r}")
+        if (self.eta0 is None) == (self.preset == "rochet_chone"):
+            raise ConfigError(f"lagrangian.eta0 is for 'rochet_chone' only, and required there "
+                              f"(preset {self.preset!r})")
         schedule = self.schedule()
         try:
             check_schedule(schedule)
@@ -103,7 +116,8 @@ class RunConfig:
             if isinstance(s, list):
                 return [float(e) for e in s]
             if isinstance(s, dict):
-                return default_eps_schedule(float(s["start"]), float(s["ratio"]), int(s["stages"]))
+                return default_eps_schedule(float(s["start"]), float(s["ratio"]),
+                                            _integer(s["stages"], "stages"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad eps_schedule: {exc}") from exc
         raise ConfigError("eps_schedule must be a list or {start, ratio, stages}")

@@ -6,9 +6,14 @@ and flagged PASS when it is positive, finite, and stable.  Stability is
 judged on the running extremum (the fitted constant itself), not on the
 per-stage ratio, so that problems beating a bound by a growing margin
 still pass.
+
+The thresholds are module constants: `STABILITY_FACTOR` (largest ratio of
+the running extremum over the second half of the sweep), `DECAY_FACTOR`
+and `DECAY_FLOOR` (the boundary-gradient rule), and `RATE_FLOOR` (values
+at or below it make a rate fit report `identically_small`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +22,11 @@ from .grid import d1, d2, integrate
 from .solver import NotConverged, ProblemSetup, SolveResult, eval_J_eps
 from .minimizer import ConeProblem, eval_J
 
+STABILITY_FACTOR = 10.0
+DECAY_FACTOR = 5.0
+DECAY_FLOOR = 1e-6
+RATE_FLOOR = 1e-14
+
 
 class InsufficientData(ValueError):
     """Too few sweep stages for a fit or bound check."""
@@ -24,66 +34,29 @@ class InsufficientData(ValueError):
 
 @dataclass
 class EstimateReport:
+    """One converged stage's estimates; the fields are the `sweep.csv` columns, in order."""
+
     eps: float
     sup_u: float
     sup_grad_ab: float
     min_upp_ab: float
     max_w_ab: float
     penalty_l2: float
-    eps_times_uprime_bdry: tuple[float, float]
+    eps_uprime_left: float
+    eps_uprime_right: float
     J_val: float
     J_eps_val: float
     int_inv_upp: float
 
-    CSV_FIELDS = (
-        "eps", "sup_u", "sup_grad_ab", "min_upp_ab", "max_w_ab", "penalty_l2",
-        "eps_uprime_left", "eps_uprime_right", "J_val", "J_eps_val", "int_inv_upp",
-    )
-
-    def csv_row(self) -> list[float]:
-        return [
-            self.eps, self.sup_u, self.sup_grad_ab, self.min_upp_ab, self.max_w_ab,
-            self.penalty_l2, self.eps_times_uprime_bdry[0], self.eps_times_uprime_bdry[1],
-            self.J_val, self.J_eps_val, self.int_inv_upp,
-        ]
-
 
 @dataclass
 class RateFit:
-    quantity: str
-    pairs: list[tuple[float, float]]
+    """One `rates.csv` row: the log-log slope over `stages` reports."""
+
     slope: float
     r2: float
+    stages: int
     identically_small: bool = False
-
-
-@dataclass
-class BoundCheck:
-    name: str
-    fitted_constant: float
-    stage_values: list[float]
-    passed: bool
-    note: str = ""
-
-
-@dataclass
-class BoundCheckSummary:
-    checks: list[BoundCheck] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            c.name: {
-                "fitted_constant": c.fitted_constant,
-                "stage_values": c.stage_values,
-                "pass": c.passed,
-                "note": c.note,
-            }
-            for c in self.checks
-        }
 
 
 def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
@@ -105,93 +78,75 @@ def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
         min_upp_ab=float(np.min(upp[win])),
         max_w_ab=float(np.max(result.w[win])),
         penalty_l2=float(penalty_l2),
-        eps_times_uprime_bdry=(float(setup.eps * up[0]), float(setup.eps * up[-1])),
+        eps_uprime_left=float(setup.eps * up[0]),
+        eps_uprime_right=float(setup.eps * up[-1]),
         J_val=eval_J(u, cone),
         J_eps_val=eval_J_eps(u, setup),
         int_inv_upp=float(integrate(1.0 / upp, g, 0, g.n)),
     )
 
 
-def fit_rate(reports: Sequence[EstimateReport], field_name: str, floor: float = 1e-14) -> RateFit:
+def fit_rate(reports: Sequence[EstimateReport], field_name: str) -> RateFit:
     """Least-squares slope of log(value) vs log(eps) across a sweep."""
     if len(reports) < 4:
         raise InsufficientData(f"need >= 4 stages for a rate fit, got {len(reports)}")
-    pairs = [(r.eps, float(getattr(r, field_name))) for r in reports]
-    values = np.array([v for _, v in pairs])
-    if np.any(values <= floor):
-        return RateFit(quantity=field_name, pairs=pairs, slope=float("nan"),
-                       r2=float("nan"), identically_small=True)
-    logs_e = np.log(np.array([e for e, _ in pairs]))
+    values = np.array([float(getattr(r, field_name)) for r in reports])
+    if np.any(values <= RATE_FLOOR):
+        return RateFit(slope=float("nan"), r2=float("nan"), stages=len(reports),
+                       identically_small=True)
+    logs_e = np.log(np.array([r.eps for r in reports]))
     logs_v = np.log(values)
     slope, intercept = np.polyfit(logs_e, logs_v, 1)
     pred = slope * logs_e + intercept
     ss_res = float(np.sum((logs_v - pred) ** 2))
     ss_tot = float(np.sum((logs_v - np.mean(logs_v)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(quantity=field_name, pairs=pairs, slope=float(slope), r2=float(r2))
+    return RateFit(slope=float(slope), r2=float(r2), stages=len(reports))
 
 
-def _stable(running: np.ndarray, factor: float = 10.0) -> bool:
-    half = running[len(running) // 2 :]
-    lo, hi = float(np.min(half)), float(np.max(half))
-    return lo > 0.0 and np.isfinite(hi) and hi / lo < factor
+_DECAY_NOTE = (f"requires decay by factor {DECAY_FACTOR} first-to-last, "
+               f"or < {DECAY_FLOOR} throughout")
+
+# (bounds.json name, stage value of one report, rule, note).  A "lower" rule
+# fits the running min and an "upper" rule the running max; either passes
+# when, over the second half of the sweep, that extremum stays positive,
+# finite and within STABILITY_FACTOR, and an upper rule also needs every
+# stage finite.  A "decay" rule fits the last stage and passes when it is
+# DECAY_FACTOR below the first, or when every stage is below DECAY_FLOOR.
+BOUND_RULES = (
+    ("curvature_lower_bound", lambda r: r.min_upp_ab / r.eps, "lower",
+     "fitted constant = running min of (min u'' on window)/eps"),
+    ("reciprocal_curvature_upper_bound", lambda r: r.eps * r.max_w_ab, "upper",
+     "fitted constant = running max of eps * (max w on window)"),
+    ("integral_inverse_curvature_bound", lambda r: r.eps * r.int_inv_upp, "upper",
+     "fitted constant = running max of eps * int(1/u'')"),
+    ("boundary_gradient_decay_left", lambda r: abs(r.eps_uprime_left), "decay", _DECAY_NOTE),
+    ("boundary_gradient_decay_right", lambda r: abs(r.eps_uprime_right), "decay", _DECAY_NOTE),
+)
 
 
-def check_theorem_bounds(
-    reports: Sequence[EstimateReport],
-    stability_factor: float = 10.0,
-    decay_factor: float = 5.0,
-    decay_floor: float = 1e-6,
-) -> BoundCheckSummary:
-    """Fit and stability-check the curvature, reciprocal-curvature and
-    boundary-gradient bounds across a sweep."""
+def check_theorem_bounds(reports: Sequence[EstimateReport]) -> dict:
+    """Fit and stability-check each of BOUND_RULES across a sweep.
+
+    Returns the `bounds.json` mapping: rule name -> {"fitted_constant",
+    "stage_values", "pass", "note"}.
+    """
     if len(reports) < 4:
         raise InsufficientData(f"need >= 4 stages for bound checks, got {len(reports)}")
-    summary = BoundCheckSummary()
-
-    # lower curvature bound: min u'' on the window should stay >= const * eps
-    ratios = np.array([r.min_upp_ab / r.eps for r in reports])
-    running_min = np.minimum.accumulate(ratios)
-    summary.checks.append(BoundCheck(
-        name="curvature_lower_bound",
-        fitted_constant=float(running_min[-1]),
-        stage_values=list(ratios),
-        passed=bool(running_min[-1] > 0.0 and _stable(running_min, stability_factor)),
-        note="fitted constant = running min of (min u'' on window)/eps",
-    ))
-
-    # upper bound on w: eps * max w on the window bounded by a stable constant
-    vals = np.array([r.eps * r.max_w_ab for r in reports])
-    running_max = np.maximum.accumulate(vals)
-    summary.checks.append(BoundCheck(
-        name="reciprocal_curvature_upper_bound",
-        fitted_constant=float(running_max[-1]),
-        stage_values=list(vals),
-        passed=bool(np.all(np.isfinite(vals)) and _stable(running_max, stability_factor)),
-        note="fitted constant = running max of eps * (max w on window)",
-    ))
-
-    # weighted integral bound: eps * int 1/u'' bounded by a stable constant
-    vals = np.array([r.eps * r.int_inv_upp for r in reports])
-    running_max = np.maximum.accumulate(vals)
-    summary.checks.append(BoundCheck(
-        name="integral_inverse_curvature_bound",
-        fitted_constant=float(running_max[-1]),
-        stage_values=list(vals),
-        passed=bool(np.all(np.isfinite(vals)) and _stable(running_max, stability_factor)),
-        note="fitted constant = running max of eps * int(1/u'')",
-    ))
-
-    # boundary gradient decay: eps*|u'(+-1)| shrinks by decay_factor or stays tiny
-    for side, pick in (("left", 0), ("right", 1)):
-        vals = np.array([abs(r.eps_times_uprime_bdry[pick]) for r in reports])
-        tiny = bool(np.all(vals < decay_floor))
-        decays = bool(vals[0] > 0.0 and vals[-1] * decay_factor <= vals[0])
-        summary.checks.append(BoundCheck(
-            name=f"boundary_gradient_decay_{side}",
-            fitted_constant=float(vals[-1]),
-            stage_values=list(vals),
-            passed=tiny or decays,
-            note=f"requires decay by factor {decay_factor} first-to-last, or < {decay_floor} throughout",
-        ))
-    return summary
+    bounds = {}
+    for name, stage_value, rule, note in BOUND_RULES:
+        vals = np.array([stage_value(r) for r in reports])
+        if rule == "decay":
+            fitted = vals[-1]
+            passed = bool(np.all(vals < DECAY_FLOOR)
+                          or (vals[0] > 0.0 and vals[-1] * DECAY_FACTOR <= vals[0]))
+        else:
+            running = (np.minimum if rule == "lower" else np.maximum).accumulate(vals)
+            fitted = running[-1]
+            half = running[len(running) // 2 :]
+            lo, hi = float(np.min(half)), float(np.max(half))
+            passed = bool(lo > 0.0 and np.isfinite(hi) and hi / lo < STABILITY_FACTOR
+                          and (rule == "lower" or np.all(np.isfinite(vals))))
+        bounds[name] = {"fitted_constant": float(fitted), "stage_values": vals.tolist(),
+                        "pass": passed, "note": note}
+    return bounds

@@ -46,13 +46,28 @@ class TestFunctionFamily:
         return psi, dpsi, ddpsi
 
 
-def default_family(grid: Grid, count: int = 10) -> TestFunctionFamily:
-    """Bumps with centers equispaced over the inner 70% of the window."""
+BUMP_COUNT = 10
+
+
+def default_family(grid: Grid) -> TestFunctionFamily:
+    """BUMP_COUNT bumps of radius 10% of the window, centers equispaced over its
+    inner 70%; `check_support` passes them when the window is >= 20 cells wide.
+    """
     a, b = grid.a, grid.b
     width = b - a
-    centers = np.linspace(a + 0.15 * width, b - 0.15 * width, count)
-    radii = np.full(count, 0.1 * width)
+    centers = np.linspace(a + 0.15 * width, b - 0.15 * width, BUMP_COUNT)
+    radii = np.full(BUMP_COUNT, 0.1 * width)
     return TestFunctionFamily(centers=centers, radii=radii)
+
+
+def check_support(family: TestFunctionFamily, grid: Grid) -> None:
+    """Raise SupportViolation unless every support stays a cell h inside the window."""
+    for j, (c, r) in enumerate(zip(family.centers, family.radii)):
+        if c - r < grid.a + grid.h or c + r > grid.b - grid.h:
+            raise SupportViolation(
+                f"bump {j} support [{c - r}, {c + r}] comes within h = {grid.h} "
+                f"of the window [{grid.a}, {grid.b}]"
+            )
 
 
 def rescaled_w(result: SolveResult, setup: ProblemSetup) -> np.ndarray:
@@ -70,14 +85,7 @@ def distributional_residual(
 ) -> tuple[float, list[float]]:
     """Max (and per-bump) weak-form residual over the family."""
     g, lag = setup.grid, setup.lagrangian
-    margin = g.h
-    for j in range(len(family)):
-        c, r = family.centers[j], family.radii[j]
-        if c - r < g.a + margin or c + r > g.b - margin:
-            raise SupportViolation(
-                f"bump {j} support [{c - r}, {c + r}] reaches the window [{g.a}, {g.b}]"
-            )
-
+    check_support(family, g)
     win = g.window_slice()
     xw = g.nodes[win]
     if w_window.shape != xw.shape:

@@ -117,7 +117,11 @@ def fd_jacobian(u, setup, step=1e-6):
 
 
 def write_config(path, **overrides):
-    """Write a run-config JSON; keyword overrides patch the base document."""
+    """Write a run-config JSON; keyword overrides patch the base document.
+
+    A dict override updates the base section, and a None value in it deletes
+    that key (e.g. `lagrangian={"preset": "zero", "eta0": None}`).
+    """
     doc = {
         "grid": {"n": 64, "a": -0.5, "b": 0.5},
         "phi": CAL_PHI,
@@ -129,7 +133,7 @@ def write_config(path, **overrides):
     }
     for key, value in overrides.items():
         if isinstance(value, dict) and isinstance(doc.get(key), dict):
-            doc[key].update(value)
+            doc[key] = {k: v for k, v in {**doc[key], **value}.items() if v is not None}
         else:
             doc[key] = value
     path.write_text(json.dumps(doc, indent=2), encoding="utf-8")

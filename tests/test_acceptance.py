@@ -155,10 +155,9 @@ def test_criterion_05_curvature_lower_bound(calib_sweep_64, steep_sweep_64):
     ok = True
     for stages in (calib_sweep_64, steep_sweep_64):
         reports = [compute_report(r, s) for s, r in stages]
-        check = {c.name: c for c in check_theorem_bounds(reports).checks}
-        c = check["curvature_lower_bound"]
-        ok = ok and c.passed
-        consts.append(c.fitted_constant)
+        c = check_theorem_bounds(reports)["curvature_lower_bound"]
+        ok = ok and c["pass"]
+        consts.append(c["fitted_constant"])
     _gate(5, ok, f"stable positive constants {consts[0]:.2f}, {consts[1]:.2f}")
 
 
@@ -167,10 +166,10 @@ def test_criterion_06_reciprocal_curvature_upper_bound(calib_sweep_64, steep_swe
     ok = True
     for stages in (calib_sweep_64, steep_sweep_64):
         reports = [compute_report(r, s) for s, r in stages]
-        check = {c.name: c for c in check_theorem_bounds(reports).checks}
+        check = check_theorem_bounds(reports)
         for name in ("reciprocal_curvature_upper_bound", "integral_inverse_curvature_bound"):
-            ok = ok and check[name].passed
-        consts.append(check["reciprocal_curvature_upper_bound"].fitted_constant)
+            ok = ok and check[name]["pass"]
+        consts.append(check["reciprocal_curvature_upper_bound"]["fitted_constant"])
     _gate(6, ok, f"stable constants {consts[0]:.3f}, {consts[1]:.3f}")
 
 
@@ -179,11 +178,11 @@ def test_criterion_07_boundary_gradient_decay(calib_sweep_64, steep_sweep_64):
     factors = []
     for stages in (calib_sweep_64, steep_sweep_64):
         reports = [compute_report(r, s) for s, r in stages]
-        check = {c.name: c for c in check_theorem_bounds(reports).checks}
+        check = check_theorem_bounds(reports)
         for side in ("left", "right"):
             c = check[f"boundary_gradient_decay_{side}"]
-            ok = ok and c.passed
-            factors.append(c.stage_values[0] / max(c.stage_values[-1], 1e-300))
+            ok = ok and c["pass"]
+            factors.append(c["stage_values"][0] / max(c["stage_values"][-1], 1e-300))
     _gate(7, ok, f"first-to-last decay factors {min(factors):.0f}..{max(factors):.0f} >= 5")
 
 

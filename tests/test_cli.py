@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import logging
 
@@ -123,9 +124,13 @@ def _invoke(*args):
     return exc.value.code
 
 
+# A custom Lagrangian reads no `eta0`, so the base document's is dropped.
+QUARTIC = {"preset": "custom:quartic", "eta0": None}
+
+
 def test_custom_lagrangian_sweep_converges(tmp_path, monkeypatch):
     monkeypatch.setitem(CUSTOM_REGISTRY, "quartic", quartic_spec)
-    cfg = write_config(tmp_path / "cfg.json", lagrangian={"preset": "custom:quartic"})
+    cfg = write_config(tmp_path / "cfg.json", lagrangian=QUARTIC)
     assert _invoke("sweep", "--config", cfg) == 0
     stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     assert len(stages) == 5
@@ -135,7 +140,7 @@ def test_custom_lagrangian_sweep_converges(tmp_path, monkeypatch):
 def test_custom_lagrangian_with_wrong_partial_is_config_error(tmp_path, monkeypatch, caplog):
     monkeypatch.setitem(CUSTOM_REGISTRY, "quartic", lambda: dataclasses.replace(
         quartic_spec(), f1_ppp=lambda x, p: 0.0 * p))
-    cfg = write_config(tmp_path / "cfg.json", lagrangian={"preset": "custom:quartic"})
+    cfg = write_config(tmp_path / "cfg.json", lagrangian=QUARTIC)
     with caplog.at_level(logging.ERROR, logger="abreu1d"):
         assert _invoke("sweep", "--config", cfg) == 1
     assert "custom lagrangian 'quartic': f1_ppp disagrees" in caplog.text
@@ -143,7 +148,8 @@ def test_custom_lagrangian_with_wrong_partial_is_config_error(tmp_path, monkeypa
 
 
 def test_unregistered_custom_lagrangian_is_config_error(tmp_path, caplog):
-    cfg = write_config(tmp_path / "cfg.json", lagrangian={"preset": "custom:no-such-id"})
+    cfg = write_config(tmp_path / "cfg.json",
+                       lagrangian={"preset": "custom:no-such-id", "eta0": None})
     with caplog.at_level(logging.ERROR, logger="abreu1d"):
         assert _invoke("sweep", "--config", cfg) == 1
     assert "unregistered custom lagrangian: 'no-such-id'" in caplog.text
@@ -231,6 +237,44 @@ def test_verify_pass_and_fail_statuses(tmp_path):
         summary = json.loads((tmp_path / expected / "verify_summary.json").read_text())
         assert summary["status"] == expected
         assert len(_rows(tmp_path / expected / "el_residuals.csv")) == 10
+
+
+SHORT_SWEEP = {"start": 0.1, "ratio": 0.5, "stages": 4}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, code",
+    [
+        ("compare", {"grid": {"n": 32}}, 0),
+        ("verify", {}, 0),
+        ("compare", {"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5, "grid": {"n": 32},
+                     "tolerances": {"kkt_tol": 1e-16}}, 3),
+        ("verify", {"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5,
+                    "tolerances": {"newton_tol_scale": 1e-30}}, 2),
+    ],
+    ids=["compare", "verify", "compare-oracle-failure", "verify-solver-failure"],
+)
+def test_manifest_hashes_every_artifact(tmp_path, command, overrides, code):
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, **overrides)
+    assert _invoke(command, "--config", cfg) == code
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    artifacts = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert set(manifest["files"]) == artifacts
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    if command == "compare":
+        assert manifest["wall_clock_seconds"]["oracle"] > 0.0
+
+
+def test_verify_rejects_window_narrower_than_bumps(tmp_path):
+    # at n = 32 the window [-0.5, 0.5] is 16 cells; the bumps need 20
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 32}, eps_schedule=SHORT_SWEEP)
+    proc = run_cli("verify", "--config", cfg)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "support [" in proc.stderr and "window [-0.5, 0.5]" in proc.stderr
+    assert not (tmp_path / "out" / "solution_stage00.csv").exists()
 
 
 def test_log_level_env(tmp_path, monkeypatch):

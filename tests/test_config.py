@@ -17,7 +17,7 @@ def _base_doc(**overrides):
     }
     for key, value in overrides.items():
         if isinstance(value, dict) and isinstance(doc.get(key), dict):
-            doc[key].update(value)
+            doc[key] = {k: v for k, v in {**doc[key], **value}.items() if v is not None}
         else:
             doc[key] = value
     return doc
@@ -30,6 +30,13 @@ def test_round_trip_is_lossless(tmp_path):
     cfg2 = load_config(path)
     assert cfg.to_dict() == cfg2.to_dict()
     assert cfg2.eps_schedule == [0.1, 0.037, 1.25e-3]
+
+
+def test_zero_preset_round_trips_without_eta0(tmp_path):
+    cfg = RunConfig.from_dict(_base_doc(lagrangian={"preset": "zero", "eta0": None}))
+    assert "eta0" not in cfg.to_dict()["lagrangian"]
+    save_config(cfg, tmp_path / "cfg.json")
+    assert load_config(tmp_path / "cfg.json").to_dict() == cfg.to_dict()
 
 
 def test_schedule_forms():
@@ -58,6 +65,17 @@ UNKNOWN_KEYS = [
 ]
 
 
+# Values that must not be ignored or truncated, with the field the error must name.
+FIELD_ERRORS = [
+    ({"lagrangian": {"preset": "zero", "eta0": [-5.0]}}, "eta0"),
+    ({"lagrangian": {"preset": "custom:quartic"}}, "eta0"),
+    ({"lagrangian": {"eta0": None}}, "eta0"),
+    ({"grid": {"n": 64.9}}, "grid.n"),
+    ({"grid": {"n": "64"}}, "grid.n"),
+    ({"eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 3.7}}, "stages"),
+]
+
+
 @pytest.mark.parametrize(
     "patch",
     [
@@ -73,6 +91,7 @@ UNKNOWN_KEYS = [
         {"tolerances": {"kkt_tol": "tight"}},
         {"tolerances": {"newton_tol": 1e-30}},
         *(patch for patch, _ in UNKNOWN_KEYS),
+        *(patch for patch, _ in FIELD_ERRORS),
     ],
 )
 def test_invalid_configs_rejected(patch):
@@ -85,6 +104,12 @@ def test_invalid_configs_rejected(patch):
 )
 def test_unknown_key_is_named(patch, key):
     with pytest.raises(ConfigError, match=rf"^unknown \w+ keys: {key}$"):
+        RunConfig.from_dict(_base_doc(**patch))
+
+
+@pytest.mark.parametrize("patch, name", FIELD_ERRORS)
+def test_malformed_field_is_named(patch, name):
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
         RunConfig.from_dict(_base_doc(**patch))
 
 

@@ -22,7 +22,7 @@ def _sweep(**kwargs):
 def _synthetic_report(eps, value):
     return EstimateReport(
         eps=eps, sup_u=1.0, sup_grad_ab=1.0, min_upp_ab=2.0, max_w_ab=0.5,
-        penalty_l2=value, eps_times_uprime_bdry=(-2 * eps, 2 * eps),
+        penalty_l2=value, eps_uprime_left=-2 * eps, eps_uprime_right=2 * eps,
         J_val=0.0, J_eps_val=0.0, int_inv_upp=1.0,
     )
 
@@ -35,8 +35,8 @@ def test_compute_report_closed_form_quantities():
     assert rep.min_upp_ab == pytest.approx(2.0, abs=1e-9)
     assert rep.max_w_ab == pytest.approx(0.5, abs=1e-9)
     assert rep.penalty_l2 == pytest.approx(0.0, abs=1e-18)
-    assert rep.eps_times_uprime_bdry[0] == pytest.approx(-0.02, abs=1e-12)
-    assert rep.eps_times_uprime_bdry[1] == pytest.approx(0.02, abs=1e-12)
+    assert rep.eps_uprime_left == pytest.approx(-0.02, abs=1e-12)
+    assert rep.eps_uprime_right == pytest.approx(0.02, abs=1e-12)
     assert rep.sup_grad_ab == pytest.approx(1.0, abs=1e-9)
     assert rep.int_inv_upp == pytest.approx(1.0, abs=1e-9)
     assert rep.J_val == pytest.approx(-11.0 / 12.0, abs=1e-3)
@@ -84,16 +84,15 @@ def test_fit_rate_insufficient_data():
 def test_bound_checks_pass_on_exact_solution_sweep():
     stages = _sweep()
     reports = [compute_report(r, s) for s, r in stages]
-    summary = check_theorem_bounds(reports)
-    assert summary.all_passed
-    by_name = {c.name: c for c in summary.checks}
+    bounds = check_theorem_bounds(reports)
+    assert all(check["pass"] for check in bounds.values())
     # running min of (min u'' on window)/eps: attained at the largest eps
-    assert by_name["curvature_lower_bound"].fitted_constant == pytest.approx(
+    assert bounds["curvature_lower_bound"]["fitted_constant"] == pytest.approx(
         2.0 / reports[0].eps, rel=1e-6
     )
     # boundary gradient 2*eps decays by factor 2 per stage
-    left = by_name["boundary_gradient_decay_left"]
-    assert left.stage_values[0] / left.stage_values[-1] == pytest.approx(1024, rel=1e-6)
+    left = bounds["boundary_gradient_decay_left"]["stage_values"]
+    assert left[0] / left[-1] == pytest.approx(1024, rel=1e-6)
 
 
 def test_bound_checks_insufficient_data():

@@ -115,3 +115,87 @@ def test_detector_flags_private_package_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_package_imports(path):
     assert private_package_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unpassed_defaults(defs: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of a `def` in `defs` that no call in `callers` passes.
+
+    `defs` maps a file name to its text; `callers` are source texts.  A call matches a `def` by the callee's
+    bare name (`f(...)` or `obj.f(...)`) and passes a parameter by keyword or
+    by position; `*args` passes every position and `**kwargs` every keyword.
+    A method's first parameter is taken to be bound, except on a staticmethod.
+    """
+    calls = [
+        node
+        for text in callers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+    ]
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def passes(call, name, position):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        if position is None:
+            return False
+        return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+
+    found = []
+    for fname, text in defs.items():
+        tree = ast.parse(text)
+        methods = {
+            id(fn)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            bound = 1 if id(fn) in methods else 0
+            defaulted = [
+                (arg.arg, k - bound)
+                for k, arg in enumerate(positional)
+                if k >= len(positional) - len(a.defaults)
+            ] + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for name, position in defaulted:
+                if not any(callee(c) == fn.name and passes(c, name, position) for c in calls):
+                    found.append(f"{fname}:{fn.name}({name}) (line {fn.lineno})")
+    return found
+
+
+def test_detector_flags_unpassed_defaults():
+    defs = {
+        "m.py": (
+            "def by_kw(x, floor=1e-14): pass\n"
+            "def by_pos(x, count=10): pass\n"
+            "def never(x, knob=1.0, other=2.0): pass\n"
+            "def starred(x, k=0): pass\n"
+            "def kwonly(x, *, flag=False): pass\n"
+            "class C:\n"
+            "    def meth(self, x, tol=0.0): pass\n"
+            "    @staticmethod\n"
+            "    def stat(x, tol=0.0): pass\n"
+        ),
+    }
+    callers = [
+        "by_kw(1, floor=0.0)\nmod.by_pos(1, 5)\nnever(1)\nstarred(*args)\n",
+        "kwonly(1, 2)\nC().meth(1, 2)\nC.stat(1)\n",
+    ]
+    assert unpassed_defaults(defs, callers) == [
+        "m.py:never(knob) (line 3)",
+        "m.py:never(other) (line 3)",
+        "m.py:kwonly(flag) (line 5)",
+        "m.py:stat(tol) (line 9)",
+    ]
+
+
+def test_every_default_is_passed_somewhere():
+    defs = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    tests = Path(__file__).resolve().parent
+    callers = [*defs.values(), *(p.read_text(encoding="utf-8") for p in tests.glob("*.py"))]
+    assert unpassed_defaults(defs, callers) == []

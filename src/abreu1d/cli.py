@@ -182,9 +182,9 @@ def _prepare(config_path: str, out_override, check=None):
         if out_override:
             cfg.outputs = out_override
         outdir = Path(cfg.outputs)
-        outdir.mkdir(parents=True, exist_ok=True)
         probe = outdir / ".write_probe"
         try:
+            outdir.mkdir(parents=True, exist_ok=True)
             probe.touch()
             probe.unlink()
         except OSError as exc:

@@ -35,8 +35,17 @@ class LagrangianSpec:
 
 
 def _polyval(coeffs, x):
-    # coeffs in ascending order
-    return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
+    """Polynomial with ascending `coeffs` at a float or array `x`.
+
+    Horner's rule in the order of operations of
+    `numpy.polynomial.polynomial.polyval`, so the values are bit-identical,
+    without its argument handling.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    y = c[-1] + x * 0
+    for k in range(len(c) - 2, -1, -1):
+        y = c[k] + y * x
+    return y
 
 
 def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) -> LagrangianSpec:

@@ -7,7 +7,10 @@ the free values to the pinned obstacle slopes.
 
 A log-barrier interior-point method is used.  The barrier objective is
 minimized with an inner Newton iteration whose Hessian is pentadiagonal in
-the free values, so it is assembled and solved in banded form.  The smooth
+the free values, so it is assembled in banded form and solved with
+`solver.solve_banded` (LAPACK dgbsv; a singular Hessian is a RuntimeError).
+The backtracking line search evaluates the barrier objective once per trial
+and carries the accepted trial's value to the next step.  The smooth
 part is assembled from a per-cell midpoint quadrature, which (unlike the
 nodal trapezoid rule) is exactly stationary at the discrete minimizer and
 free of the odd/even decoupling of nodal central differences.  Reported
@@ -18,10 +21,10 @@ quadrature.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grid import Grid, d1, d2, integrate
 from .lagrangian import LagrangianSpec
+from .solver import solve_banded
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,10 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
         raise ValueError("infeasible start: obstacle is not uniformly convex on the grid")
 
     smooth_value, smooth_grad_hess = _cell_objective(problem)
+
+    def barrier_objective(v, s, mu):  # s = _constraint_s(v, g)
+        return smooth_value(v) - mu * float(np.sum(np.log(s)))
+
     free = problem.free
     total_iters = 0
     stage_J = []
@@ -169,6 +176,7 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
     grad_total = None
     for mu in BARRIER_PATH:
         inner_tol = max(1e-11, 1e-4 * mu)
+        obj0 = None  # barrier objective at v, kept from the accepted trial
         for _ in range(INNER_MAX_ITERS):
             gJ, HJ = smooth_grad_hess(v)
             gB, HB = _barrier_terms(v, problem, mu)
@@ -181,16 +189,18 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
             except np.linalg.LinAlgError:
                 raise RuntimeError("inner Newton failure: singular barrier Hessian")
             # backtrack: stay strictly feasible and decrease the barrier objective
-            obj0 = smooth_value(v) - mu * _log_sum(v, g)
+            if obj0 is None:
+                obj0 = barrier_objective(v, _constraint_s(v, g), mu)
             t = 1.0
             accepted = False
             for _ in range(60):
                 v_try = v.copy()
                 v_try[free] = v[free] + t * step
-                if np.min(_constraint_s(v_try, g)) > 0.0:
-                    obj_try = smooth_value(v_try) - mu * _log_sum(v_try, g)
+                s_try = _constraint_s(v_try, g)
+                if np.min(s_try) > 0.0:
+                    obj_try = barrier_objective(v_try, s_try, mu)
                     if obj_try < obj0 + 1e-14 * abs(obj0):
-                        v = v_try
+                        v, obj0 = v_try, obj_try
                         accepted = True
                         break
                 t *= 0.5
@@ -209,7 +219,3 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
         stage_J=stage_J,
         min_constraint=float(np.min(s_all)),
     )
-
-
-def _log_sum(v, grid: Grid) -> float:
-    return float(np.sum(np.log(_constraint_s(v, grid))))

@@ -8,14 +8,15 @@ i = 1, n-1.  Interior rows discretize
     eps * w'' = (1/eps)(u - phi)                       outside (a, b)
     eps * w'' = f0_z(x, u) - f1_px(x, u') - f1_pp(x, u') u''   inside (a, b)
 
-with the window-edge nodes taking the penalty branch.
+with the window-edge nodes taking the penalty branch.  Each Newton step is
+one `solve_banded` call, a direct LAPACK dgbsv solve of the banded Jacobian.
 """
 
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .grid import Grid, d1, d2, d2_boundary_coeffs, integrate
 from .lagrangian import LagrangianSpec
@@ -105,6 +106,33 @@ class SolveResult:
     min_upp: float
 
 
+def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for the banded A stored as ab[u + i - j, j] = A[i, j].
+
+    The package's one linear solve, for the Newton Jacobian and the barrier
+    Hessian, both (2, 2) bands.  It copies the band into the (2l + u + 1, n)
+    storage of LAPACK's dgbsv (banded LU with partial pivoting) and calls it,
+    as `scipy.linalg.solve_banded` does for any band but (1, 1), so x is
+    bit-identical to scipy's.  It keeps scipy's checks: ValueError for
+    non-finite entries, mismatched shapes or an illegal dgbsv argument, and
+    LinAlgError for a singular matrix.  Neither input is modified.
+    """
+    nlower, nupper = l_and_u
+    if ab.shape != (nlower + nupper + 1, b.shape[0]):
+        raise ValueError(f"band of shape {ab.shape} does not fit (l, u) = {l_and_u} "
+                         f"and a right-hand side of length {b.shape[0]}")
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("band and right-hand side must not contain infs or NaNs")
+    lu = np.zeros((2 * nlower + nupper + 1, ab.shape[1]))
+    lu[nlower:] = ab
+    _, _, x, info = dgbsv(nlower, nupper, lu, b, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgbsv")
+    return x
+
+
 def _curvatures(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     s = d2(u, setup.grid)
     if np.any(s <= 0.0):
@@ -141,8 +169,9 @@ def residual(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     R[n] = u[n]
     R[1] = w[0] - setup.rho_minus
     R[n - 1] = w[n] - setup.rho_plus
-    i = np.arange(2, n - 1)
-    R[i] = setup.eps * (w[i + 1] - 2.0 * w[i] + w[i - 1]) / (h * h) - f[i]
+    # rows i = 2 .. n-2 and their neighbours i - 1 and i + 1
+    i, left, right = slice(2, n - 1), slice(1, n - 2), slice(3, n)
+    R[i] = setup.eps * (w[right] - 2.0 * w[i] + w[left]) / (h * h) - f[i]
     return R
 
 

@@ -234,6 +234,7 @@ def test_criterion_09_oracle_self_consistency():
                 d[r] += wt / h2 * phi16[j]
     vf = v0[free].copy()
     for _ in range(1_000_000):
+        previous = vf
         vf = vf - alpha * (g0 + H @ (vf - v0[free]))
         if (C @ vf + d).min() < 0.0:
             for _ in range(200):
@@ -250,6 +251,10 @@ def test_criterion_09_oracle_self_consistency():
                             vf[0] = max(vf[0], 2 * phi16[ia] - phi16[ia - 1])
                         elif i == ib:
                             vf[-1] = max(vf[-1], 2 * phi16[ib] - phi16[ib + 1])
+        # the step and projection depend on vf alone, so once they return vf
+        # bit for bit, every remaining iteration of the budget returns it too
+        if np.array_equal(vf, previous):
+            break
     v_pg = v0.copy()
     v_pg[free] = vf
     brute_diff = float(np.max(np.abs(res16.v - v_pg)))

@@ -155,6 +155,18 @@ def test_unregistered_custom_lagrangian_is_config_error(tmp_path, caplog):
     assert "unregistered custom lagrangian: 'no-such-id'" in caplog.text
 
 
+def test_output_path_under_a_file_is_config_error(tmp_path, caplog):
+    # creating <file>/sub raises NotADirectoryError: one logged error, no traceback
+    blocker = tmp_path / "blocker.json"
+    blocker.write_text("{}", encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json")
+    with caplog.at_level(logging.ERROR, logger="abreu1d"):
+        assert _invoke("sweep", "--config", cfg, "--out", blocker / "sub") == 1
+    assert "output directory not writable" in caplog.text
+    assert str(blocker / "sub") in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 def test_missing_config_field_is_config_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"grid": {"n": 64, "a": -0.5, "b": 0.5}}', encoding="utf-8")

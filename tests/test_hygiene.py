@@ -199,3 +199,40 @@ def test_every_default_is_passed_somewhere():
     tests = Path(__file__).resolve().parent
     callers = [*defs.values(), *(p.read_text(encoding="utf-8") for p in tests.glob("*.py"))]
     assert unpassed_defaults(defs, callers) == []
+
+
+def scipy_linalg_uses(source: str) -> list[str]:
+    """Imports of `scipy.linalg` (or a submodule) and `scipy.linalg` attribute reads."""
+    def linalg(name):
+        return name == "scipy.linalg" or name.startswith("scipy.linalg.")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(linalg(name) for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_detector_flags_scipy_linalg_uses():
+    source = (
+        "import scipy\nimport scipy.linalg as sl\nfrom scipy.linalg import solve_banded\n"
+        "from scipy import linalg\nfrom scipy.linalg.lapack import dgbsv\n"
+        "x = scipy.linalg.solve\nfrom scipy.sparse import linalg as sparse_linalg\n"
+        "from . import linalg\nimport numpy.linalg\n"
+    )
+    assert scipy_linalg_uses(source) == ["line 2", "line 3", "line 4", "line 5", "line 6"]
+
+
+def test_only_solver_uses_scipy_linalg():
+    # solver.solve_banded is the package's one linear solve
+    uses = {p.name: scipy_linalg_uses(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert uses.pop("solver.py")
+    assert uses == {name: [] for name in uses}

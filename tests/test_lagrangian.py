@@ -6,7 +6,7 @@ from helpers import quartic_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abreu1d.lagrangian import LagrangianSpec, check_partials, make_rochet_chone
+from abreu1d.lagrangian import LagrangianSpec, _polyval, check_partials, make_rochet_chone
 
 DERIVED_PARTIALS = ("f0_z", "f0_zz", "f1_p", "f1_pp", "f1_px", "f1_pxp", "f1_ppp")
 
@@ -117,3 +117,19 @@ def test_derivative_consistency_small_step():
     for fd, analytic in pairs:
         rel = np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1.0)
         assert np.max(rel) <= 1e-6
+
+
+FINITE = st.floats(-1e3, 1e3, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=5), st.lists(FINITE, min_size=1, max_size=40))
+def test_polyval_equals_numpy_polyval_bitwise(coeffs, xs):
+    c = np.array(coeffs)
+    x = np.array(xs)
+    P = np.polynomial.polynomial
+    for point in (x, x.reshape(1, -1), xs[0], x[0]):
+        ours, numpy_value = _polyval(c, point), P.polyval(point, c)
+        assert np.shape(ours) == np.shape(numpy_value)
+        assert np.array_equal(ours, numpy_value)
+        assert np.array_equal(np.signbit(ours), np.signbit(numpy_value))

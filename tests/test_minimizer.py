@@ -13,9 +13,12 @@ from helpers import (
 from abreu1d.grid import build_grid
 from abreu1d.lagrangian import make_rochet_chone
 from abreu1d.minimizer import (
+    BARRIER_PATH,
+    INNER_MAX_ITERS,
     ConeProblem,
     _barrier_terms,
     _cell_objective,
+    _constraint_s,
     check_admissibility,
     eval_J,
     eval_J_cell,
@@ -255,3 +258,54 @@ def test_oracle_banded_step_matches_dense_solve():
             step = solve_banded((2, 2), H, -grad)
             dense = np.linalg.solve(band_to_dense(H), -grad)
             assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def _minimize_direct_loop(problem):
+    """Reference for `minimize_direct`: the same barrier loop with scipy's
+    `solve_banded`, recomputing the barrier objective at v at every inner step
+    and the constraints of each trial twice.  Returns (v, iters, stage_J,
+    kkt_residual)."""
+    g, free = problem.grid, problem.free
+    value, grad_hess = _cell_objective(problem)
+
+    def objective(v, mu):
+        return value(v) - mu * float(np.sum(np.log(_constraint_s(v, g))))
+
+    v = np.array(problem.phi, dtype=float)
+    iters, stage_J, grad = 0, [], None
+    for mu in BARRIER_PATH:
+        for _ in range(INNER_MAX_ITERS):
+            gJ, HJ = grad_hess(v)
+            gB, HB = _barrier_terms(v, problem, mu)
+            grad = gJ + gB
+            if float(np.max(np.abs(grad))) <= max(1e-11, 1e-4 * mu):
+                break
+            step = solve_banded((2, 2), HJ + HB, -grad)
+            obj0 = objective(v, mu)
+            t, accepted = 1.0, False
+            for _ in range(60):
+                v_try = v.copy()
+                v_try[free] = v[free] + t * step
+                if np.min(_constraint_s(v_try, g)) > 0.0 and (
+                        objective(v_try, mu) < obj0 + 1e-14 * abs(obj0)):
+                    v, accepted = v_try, True
+                    break
+                t *= 0.5
+            iters += 1
+            if not accepted:
+                break
+        stage_J.append(value(v))
+    return v, iters, stage_J, float(np.max(np.abs(grad)))
+
+
+@pytest.mark.parametrize("weight", [(1.0,), (1.0, 0.5)], ids=["const", "linear"])
+@pytest.mark.parametrize("phi, rho", [(STEEP_PHI, 1.0 / 6.0), (SHALLOW_PHI, 1.5)],
+                         ids=["steep", "shallow"])
+def test_minimize_direct_iterates_equal_reference_loop_bitwise(phi, rho, weight):
+    prob = _problem(monopolist_setup(n=64, phi=phi, rho=rho, weight=weight))
+    v, iters, stage_J, kkt = _minimize_direct_loop(prob)
+    res = minimize_direct(prob)
+    assert np.array_equal(res.v, v)
+    assert res.iters == iters
+    assert res.stage_J == stage_J
+    assert res.kkt_residual == kkt

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
-from helpers import CAL_PHI, STEEP_PHI, band_to_dense, fd_jacobian, monopolist_setup, quartic_spec
+import scipy.linalg
+import scipy.linalg.lapack
+from helpers import (
+    CAL_PHI,
+    SHALLOW_PHI,
+    STEEP_PHI,
+    band_to_dense,
+    fd_jacobian,
+    monopolist_setup,
+    quartic_spec,
+)
 
 from abreu1d.grid import build_grid, d1, d2, d2_boundary_coeffs
 from abreu1d.lagrangian import make_rochet_chone
-from abreu1d.minimizer import ConeProblem, eval_J
+from abreu1d.minimizer import ConeProblem, _barrier_terms, _cell_objective, eval_J
 from abreu1d.solver import (
     NonconvexIterate,
     Tolerances,
@@ -15,6 +25,7 @@ from abreu1d.solver import (
     make_setup,
     newton_solve,
     residual,
+    solve_banded,
 )
 
 
@@ -272,3 +283,80 @@ def test_stationarity_link_at_converged_solution():
         um[k] -= step
         grad = (eval_J_eps(up, setup) - eval_J_eps(um, setup)) / (2 * step)
         assert abs(grad) <= tol
+
+
+def _random_band(rng, n, pivoting):
+    """A random (2, 2) band of order n: diagonally dominant, or with a diagonal
+    small enough that partial pivoting swaps rows."""
+    ab = rng.uniform(-1.0, 1.0, (5, n))
+    if pivoting:
+        ab[2] *= 1e-3
+    else:
+        ab[2] = np.sign(ab[2]) * (4.5 + np.abs(ab[2]))
+    return ab
+
+
+def _real_bands():
+    """The Newton Jacobian and the barrier Hessian at n = 64, with right-hand sides."""
+    setup = monopolist_setup(n=64, eps=0.01, phi=STEEP_PHI, rho=1.0 / 6.0, weight=(1.0, 0.5))
+    u = setup.phi + 0.01 * np.cos(np.pi * setup.grid.nodes / 2.0) * setup.grid.nodes**2
+    yield jacobian(u, setup), -residual(u, setup)
+    for phi in (STEEP_PHI, SHALLOW_PHI):
+        s = monopolist_setup(n=64, phi=phi, weight=(1.0, 0.5))
+        prob = ConeProblem(grid=s.grid, lagrangian=s.lagrangian, phi=s.phi)
+        gJ, HJ = _cell_objective(prob)[1](prob.phi)
+        gB, HB = _barrier_terms(prob.phi, prob, 1e-3)
+        yield HJ + HB, -(gJ + gB)
+
+
+@pytest.mark.parametrize("n", [17, 129, 8193])
+@pytest.mark.parametrize("pivoting", [False, True], ids=["dominant", "pivoting"])
+def test_solve_banded_equals_scipy_bitwise_on_random_bands(n, pivoting):
+    rng = np.random.default_rng(n + pivoting)
+    for _ in range(3):
+        ab, b = _random_band(rng, n, pivoting), rng.standard_normal(n)
+        x = solve_banded((2, 2), ab, b)
+        assert np.array_equal(x, scipy.linalg.solve_banded((2, 2), ab, b))
+        assert np.all(np.isfinite(x))
+        lu = np.zeros((7, n))
+        lu[2:] = ab
+        swapped = scipy.linalg.lapack.dgbsv(2, 2, lu, b)[1] != np.arange(n)  # 0-based pivots
+        assert np.any(swapped) == pivoting
+
+
+def test_solve_banded_equals_scipy_bitwise_on_the_packages_bands():
+    for ab, b in _real_bands():
+        assert np.array_equal(solve_banded((2, 2), ab, b),
+                              scipy.linalg.solve_banded((2, 2), ab, b))
+
+
+def test_solve_banded_leaves_its_inputs_unchanged():
+    ab, b = _random_band(np.random.default_rng(0), 17, pivoting=True), np.ones(17)
+    ab0, b0 = ab.copy(), b.copy()
+    solve_banded((2, 2), ab, b)
+    assert np.array_equal(ab, ab0) and np.array_equal(b, b0)
+
+
+def _bad_inputs():
+    ab, b = _random_band(np.random.default_rng(1), 17, pivoting=False), np.ones(17)
+    for bad in (np.nan, np.inf, -np.inf):
+        a_bad, b_bad = ab.copy(), b.copy()
+        a_bad[2, 5] = bad
+        b_bad[5] = bad
+        yield f"band {bad}", (2, 2), a_bad, b, ValueError
+        yield f"rhs {bad}", (2, 2), ab, b_bad, ValueError
+    singular = np.zeros((5, 17))
+    singular[2] = 1.0
+    singular[2, 9] = 0.0
+    yield "singular", (2, 2), singular, b, np.linalg.LinAlgError
+    yield "rhs length", (2, 2), ab, np.ones(16), ValueError
+    yield "band rows", (1, 2), ab, b, ValueError
+
+
+@pytest.mark.parametrize("case", list(_bad_inputs()), ids=lambda case: case[0])
+@pytest.mark.parametrize("solve", [solve_banded, scipy.linalg.solve_banded],
+                         ids=["package", "scipy"])
+def test_solve_banded_raises_what_scipy_raises(solve, case):
+    _, l_and_u, ab, b, error = case
+    with pytest.raises(error):
+        solve(l_and_u, ab, b)

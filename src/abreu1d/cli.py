@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 configuration error, 2 solver nonconvergence,
 one formatting rule: comma separator, floats as `%.17g`, other values as
 `str()`, LF line endings, UTF-8.  Manifests and summaries are JSON; the
 manifest is written last and hashes every other file the command wrote.
+
+A large sweep writes its stage solution files from two processes: a forked
+child writes every second file while the command writes the others, and the
+command reaps the child before it writes anything more.  Small sweeps, and
+machines with one CPU, write them serially.
 """
 
 import hashlib
@@ -95,19 +100,95 @@ def _finish(outdir: Path, cfg: RunConfig, run: dict, code: int) -> None:
     sys.exit(code)
 
 
-def _write_stage(path: Path, setup, result) -> dict:
-    """Write one stage's solution CSV; return its manifest entry."""
-    g = setup.grid
-    u = result.u
-    upp = d2(u, g)
-    write_csv(path, ("x", "u", "u_prime", "u_pp", "w", "f_eps"),
-              (g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
+STAGE_HEADER = ("x", "u", "u_prime", "u_pp", "w", "f_eps")
+
+# Stage files are written from two processes when they hold at least this
+# many values in all.  The fork costs a few ms and each `%.17g` value about
+# 0.6 us.  On a 2-vCPU Xeon VM (11 stages of the exact-solution problem) the
+# split broke even between 17 k and 25 k values, saved 20 % of the write time
+# at 34 k and 44 % at 540 k (n = 8192), and cost 1-2 ms at 8.5 k (n = 128).
+_SPLIT_MIN_VALUES = 25_000
+
+
+def _stage_entry(setup, result) -> dict:
+    """A stage's manifest entry."""
     return {
         "eps": setup.eps,
         "converged": result.converged,
         "newton_iters": result.newton_iters,
         "final_residual": result.residual_norms[-1],
     }
+
+
+def _write_stage(path: Path, setup, result) -> None:
+    """Write one stage's solution CSV."""
+    g = setup.grid
+    u = result.u
+    upp = d2(u, g)
+    write_csv(path, STAGE_HEADER,
+              (g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
+
+
+def _write_stages(outdir: Path, names, stages) -> list[dict]:
+    """Write every stage's solution CSV; return their manifest entries.
+
+    With at least `_SPLIT_MIN_VALUES` values, os.fork and two or more CPUs
+    to run on, the files are written from two processes (`_write_split`).
+    """
+    jobs = [(outdir / name, setup, result) for name, (setup, result) in zip(names, stages)]
+    values = len(STAGE_HEADER) * sum(setup.grid.n + 1 for setup, _ in stages)
+    if (values >= _SPLIT_MIN_VALUES and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        _write_split(jobs)
+    else:
+        for job in jobs:
+            _write_stage(*job)
+    return [_stage_entry(setup, result) for setup, result in stages]
+
+
+def _write_split(jobs) -> None:
+    """Write every second job's file from a forked child and the rest here.
+
+    The child is reaped before this returns or raises, and a failed child
+    write raises OSError naming the file.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    # The child runs only elementwise numpy, formatting and file writes: no
+    # BLAS call, whose worker threads do not survive the fork.  It reports a
+    # failure through the pipe and its exit status, and never returns.
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            for path, setup, result in jobs[1::2]:
+                try:
+                    _write_stage(path, setup, result)
+                except BaseException as exc:
+                    os.write(write_fd, f"{path.name}: {exc}".encode(errors="replace"))
+                    raise
+            status = 0
+        finally:
+            os._exit(status)
+
+    os.close(write_fd)
+    try:
+        for job in jobs[::2]:
+            _write_stage(*job)
+    finally:
+        failure = _reap(pid, read_fd)
+    if failure:
+        raise OSError(f"stage writer process failed: {failure}")
+
+
+def _reap(pid: int, read_fd: int) -> str:
+    """Wait for the writer child; return its failure message, or "" on success."""
+    try:
+        with os.fdopen(read_fd, "rb") as fh:
+            message = fh.read().decode(errors="replace")
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return "" if code == 0 else message or f"exit status {code}"
 
 
 def _run_sweep(cfg: RunConfig, setup, outdir: Path):
@@ -121,8 +202,7 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
     elapsed = time.perf_counter() - t0
 
     files = [f"solution_stage{k:02d}.csv" for k in range(len(stages))]
-    stage_meta = [_write_stage(outdir / name, stage_setup, result)
-                  for name, (stage_setup, result) in zip(files, stages)]
+    stage_meta = _write_stages(outdir, files, stages)
 
     reports = [compute_report(r, s) for s, r in stages if r.converged]
     header = [f.name for f in fields(EstimateReport)]
@@ -217,10 +297,10 @@ def solve(config_path, out_override) -> None:
     t0 = time.perf_counter()
     result = newton_solve(setup, setup.phi, cfg.tolerances)
     elapsed = time.perf_counter() - t0
-    stage = _write_stage(outdir / "solution.csv", setup, result)
+    _write_stage(outdir / "solution.csv", setup, result)
     if not result.converged:
         log.error("Newton did not converge (final residual %.3e)", result.residual_norms[-1])
-    run = {"stages": [stage], "wall_clock_seconds": {"solve": elapsed}, "files": ["solution.csv"]}
+    run = {"stages": [_stage_entry(setup, result)], "wall_clock_seconds": {"solve": elapsed}, "files": ["solution.csv"]}
     _finish(outdir, cfg, run, EXIT_OK if result.converged else EXIT_SOLVER)
 
 

@@ -1,6 +1,7 @@
 """Run configuration: a JSON document validated into typed pieces."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
@@ -28,6 +29,14 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _finite(value, name: str) -> float:
+    """`float(value)` if that is finite: JSON's NaN and Infinity are errors."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass
@@ -78,13 +87,13 @@ class RunConfig:
             lag = doc["lagrangian"]
             cfg = RunConfig(
                 grid_n=_integer(grid["n"], "grid.n"),
-                grid_a=float(grid["a"]),
-                grid_b=float(grid["b"]),
-                phi=[float(c) for c in doc["phi"]],
+                grid_a=_finite(grid["a"], "grid.a"),
+                grid_b=_finite(grid["b"], "grid.b"),
+                phi=[_finite(c, "phi") for c in doc["phi"]],
                 preset=str(lag["preset"]),
-                eta0=[float(c) for c in lag["eta0"]] if "eta0" in lag else None,
-                rho_minus=float(doc["rho_minus"]),
-                rho_plus=float(doc["rho_plus"]),
+                eta0=[_finite(c, "lagrangian.eta0") for c in lag["eta0"]] if "eta0" in lag else None,
+                rho_minus=_finite(doc["rho_minus"], "rho_minus"),
+                rho_plus=_finite(doc["rho_plus"], "rho_plus"),
                 eps_schedule=doc["eps_schedule"],
                 tolerances=Tolerances(**{name: float(v) for name, v in tols.items()}),
                 outputs=str(doc.get("outputs", "out")),

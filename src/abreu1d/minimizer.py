@@ -10,12 +10,12 @@ minimized with an inner Newton iteration whose Hessian is pentadiagonal in
 the free values, so it is assembled in banded form and solved with
 `solver.solve_banded` (LAPACK dgbsv; a singular Hessian is a RuntimeError).
 The backtracking line search evaluates the barrier objective once per trial
-and carries the accepted trial's value to the next step.  The smooth
-part is assembled from a per-cell midpoint quadrature, which (unlike the
-nodal trapezoid rule) is exactly stationary at the discrete minimizer and
-free of the odd/even decoupling of nodal central differences.  Reported
-functional values use `eval_J` (trapezoid), matching the grid module's
-quadrature.
+and carries the accepted trial's value and second differences to the next
+step.  The smooth part is assembled from a per-cell midpoint quadrature,
+which (unlike the nodal trapezoid rule) is exactly stationary at the
+discrete minimizer and free of the odd/even decoupling of nodal central
+differences.  Reported functional values use `eval_J` (trapezoid), matching
+the grid module's quadrature.
 """
 
 from dataclasses import dataclass, field
@@ -132,8 +132,10 @@ def _cell_objective(problem: ConeProblem):
     return value, grad_hess
 
 
-def _barrier_terms(v, problem: ConeProblem, mu: float):
+def _barrier_terms(v, problem: ConeProblem, mu: float, s=None):
     """Gradient and Hessian of -mu * sum log s_i over free nodes.
+
+    `s`, if given, is `_constraint_s(v)`, already computed by the caller.
 
     Only constraints i = ia .. ib involve free values; the rest are constant.
     Constraint i touches free nodes i-2, i-1, i (counted from ia + 1), so the
@@ -143,7 +145,8 @@ def _barrier_terms(v, problem: ConeProblem, mu: float):
     g = problem.grid
     h2 = g.h * g.h
     m = g.ib - g.ia - 1
-    s = _constraint_s(v, g)
+    if s is None:
+        s = _constraint_s(v, g)
     w0, w1, w2 = np.array([1.0, -2.0, 1.0]) / h2
     q = -mu / s
     r = mu / (s * s)
@@ -161,7 +164,8 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
     """Interior-point minimization over the discrete convex cone."""
     g = problem.grid
     v = np.array(problem.phi, dtype=float)
-    if np.min(_constraint_s(v, g)) <= 0.0:
+    s = _constraint_s(v, g)  # kept equal to _constraint_s(v, g) as v moves
+    if np.min(s) <= 0.0:
         raise ValueError("infeasible start: obstacle is not uniformly convex on the grid")
 
     smooth_value, smooth_grad_hess = _cell_objective(problem)
@@ -179,7 +183,7 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
         obj0 = None  # barrier objective at v, kept from the accepted trial
         for _ in range(INNER_MAX_ITERS):
             gJ, HJ = smooth_grad_hess(v)
-            gB, HB = _barrier_terms(v, problem, mu)
+            gB, HB = _barrier_terms(v, problem, mu, s)
             grad_total = gJ + gB
             if float(np.max(np.abs(grad_total))) <= inner_tol:
                 break
@@ -190,7 +194,7 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
                 raise RuntimeError("inner Newton failure: singular barrier Hessian")
             # backtrack: stay strictly feasible and decrease the barrier objective
             if obj0 is None:
-                obj0 = barrier_objective(v, _constraint_s(v, g), mu)
+                obj0 = barrier_objective(v, s, mu)
             t = 1.0
             accepted = False
             for _ in range(60):
@@ -200,7 +204,7 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
                 if np.min(s_try) > 0.0:
                     obj_try = barrier_objective(v_try, s_try, mu)
                     if obj_try < obj0 + 1e-14 * abs(obj0):
-                        v, obj0 = v_try, obj_try
+                        v, s, obj0 = v_try, s_try, obj_try
                         accepted = True
                         break
                 t *= 0.5

@@ -12,7 +12,8 @@ with the window-edge nodes taking the penalty branch.  Each Newton step is
 one `solve_banded` call, a direct LAPACK dgbsv solve of the banded Jacobian.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,12 @@ class Tolerances:
     convexity_floor_scale: float = 1e-3
     kkt_tol: float = 1e-8
     el_residual_tol: float = 1e-3
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{f.name} must be a finite number > 0, got {value!r}")
 
 
 MAX_ITERS = 200
@@ -133,8 +140,10 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.
     return x
 
 
-def _curvatures(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
-    s = d2(u, setup.grid)
+def _curvatures(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> np.ndarray:
+    """Nodal u'', `s` if given, else d2(u); NonconvexIterate unless all are > 0."""
+    if s is None:
+        s = d2(u, setup.grid)
     if np.any(s <= 0.0):
         i = int(np.argmin(s))
         raise NonconvexIterate(f"u'' <= 0 at node {i}: {s[i]}")
@@ -157,11 +166,14 @@ def f_eps(u: np.ndarray, s: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     return f
 
 
-def residual(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
-    """Nodal residual; rows 0, n are Dirichlet, rows 1, n-1 the w boundary data."""
+def residual(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> np.ndarray:
+    """Nodal residual; rows 0, n are Dirichlet, rows 1, n-1 the w boundary data.
+
+    `s`, if given, is d2(u), already computed by the caller.
+    """
     g = setup.grid
     n, h = g.n, g.h
-    s = _curvatures(u, setup)
+    s = _curvatures(u, setup, s)
     w = 1.0 / s
     f = f_eps(u, s, setup)
     R = np.empty(n + 1)
@@ -175,8 +187,8 @@ def residual(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     return R
 
 
-def jacobian(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
-    """Analytic Jacobian of `residual` in `solve_banded` (2, 2) form.
+def jacobian(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> np.ndarray:
+    """Analytic Jacobian of `residual` in `solve_banded` (2, 2) form; `s` as there.
 
     The Jacobian A is pentadiagonal; the (5, n+1) band holds
     ab[2 + i - j, j] = A[i, j].  Each entry sums its terms in a fixed order:
@@ -185,7 +197,7 @@ def jacobian(u: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     """
     g, lag, eps = setup.grid, setup.lagrangian, setup.eps
     n, h = g.n, g.h
-    s = _curvatures(u, setup)
+    s = _curvatures(u, setup, s)
     p = d1(u, g)
     inv_s2 = 1.0 / (s * s)
 
@@ -236,6 +248,8 @@ def newton_solve(
     """Damped Newton with backtracking on the residual max-norm.
 
     Steps that would make min u'' drop to the convexity floor are halved.
+    Each iterate's d2(u) is computed once and passed to `residual` and
+    `jacobian`.
     """
     tols = tols or Tolerances()
     g = setup.grid
@@ -245,14 +259,15 @@ def newton_solve(
     u = np.array(u0, dtype=float)
     u[0] = 0.0
     u[-1] = 0.0
-    R = residual(u, setup)
+    s = d2(u, g)
+    R = residual(u, setup, s)
     norm = float(np.max(np.abs(R)))
     norms = [norm]
 
     iters = 0
     converged = norm <= tol
     while not converged and iters < MAX_ITERS:
-        step = solve_banded((2, 2), jacobian(u, setup), -R)
+        step = solve_banded((2, 2), jacobian(u, setup, s), -R)
         t = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS):
@@ -264,10 +279,10 @@ def newton_solve(
             if np.min(s_try) <= floor:
                 t *= 0.5
                 continue
-            R_try = residual(u_try, setup)
+            R_try = residual(u_try, setup, s_try)
             norm_try = float(np.max(np.abs(R_try)))
             if norm_try < norm:
-                u, R, norm = u_try, R_try, norm_try
+                u, s, R, norm = u_try, s_try, R_try, norm_try
                 accepted = True
                 break
             t *= 0.5
@@ -279,7 +294,6 @@ def newton_solve(
         norms.append(norm)
         converged = norm <= tol
 
-    s = d2(u, g)
     min_upp = float(np.min(s))
     return SolveResult(
         u=u,
@@ -315,7 +329,9 @@ def continuation_sweep(
 
 
 def check_schedule(eps_schedule: Sequence[float]) -> None:
-    """Raise ValueError unless the values lie in (0, 1) and strictly decrease."""
+    """Raise ValueError unless there are values, in (0, 1) and strictly decreasing."""
+    if not eps_schedule:
+        raise ValueError("eps schedule must not be empty")
     for eps in eps_schedule:
         if not (0.0 < eps < 1.0):
             raise ValueError(f"eps schedule values must lie in (0, 1), got {eps}")

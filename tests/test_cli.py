@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,8 +241,9 @@ def test_compare_oracle_failure_exit_code(tmp_path):
 
 def test_verify_pass_and_fail_statuses(tmp_path):
     # residual at this resolution is small but nonzero: a generous tolerance
-    # reports PASS, tolerance zero reports FAIL, both with exit code 0
-    for tol, expected in ((0.5, "PASS"), (0.0, "FAIL")):
+    # reports PASS, a tolerance far below it (tolerances must be > 0) reports
+    # FAIL, both with exit code 0
+    for tol, expected in ((0.5, "PASS"), (1e-300, "FAIL")):
         cfg = write_config(tmp_path / f"cfg_{expected}.json",
                            eps_schedule={"start": 0.1, "ratio": 0.5, "stages": 4},
                            outputs=str(tmp_path / expected),
@@ -290,16 +294,97 @@ def test_verify_rejects_window_narrower_than_bumps(tmp_path):
 
 
 def test_log_level_env(tmp_path, monkeypatch):
-    import subprocess
-    import sys
-
     cfg = write_config(tmp_path / "cfg.json", eps_schedule=[0.01])
     env_quiet = {"ABREU1D_LOG": "quiet"}
-    import os
-
     env = dict(os.environ, **env_quiet)
     proc = subprocess.run(
         [sys.executable, "-m", "abreu1d.cli", "solve", "--config", str(cfg)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
+
+
+def _split_writes(monkeypatch, split):
+    """Force the stage writes onto the two-process path (split) or the serial one."""
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0 if split else 10**12)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_split_and_serial_stage_writes_are_byte_identical(tmp_path, monkeypatch, command):
+    outputs = {}
+    forks = _count_forks(monkeypatch)
+    for split in (False, True):  # serial first: no fork, then one
+        _split_writes(monkeypatch, split)
+        out = tmp_path / f"split{split}"
+        cfg = write_config(tmp_path / "cfg.json", outputs=str(out))
+        assert _invoke(command, "--config", cfg) == 0
+        assert len(forks) == split
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["wall_clock_seconds"]
+        del manifest["config"]["outputs"]
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        outputs[split] = (manifest, files)
+    assert outputs[True] == outputs[False]
+    assert len(outputs[True][0]["files"]) == len(outputs[True][1])
+
+
+@pytest.mark.parametrize(
+    "blocked, error",
+    [("solution_stage00.csv", r"Is a directory: '.*solution_stage00\.csv'"),
+     ("solution_stage01.csv", r"^stage writer process failed: solution_stage01\.csv: ")],
+    ids=["parent-file", "child-file"],
+)
+def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeypatch,
+                                                               blocked, error):
+    # a directory where a stage file goes makes its write fail: stage 01 is
+    # the forked child's, stage 00 this process's
+    _split_writes(monkeypatch, True)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = write_config(tmp_path / "cfg.json")
+    with pytest.raises(OSError, match=error):
+        cli.main.main(args=["sweep", "--config", str(cfg)], standalone_mode=False)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (out / "manifest.json").exists()
+
+
+def test_failed_child_write_is_nonzero_exit(tmp_path):
+    out = tmp_path / "out"
+    (out / "solution_stage01.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path / "cfg.json")
+    forced = ("import os; from abreu1d import cli; cli._SPLIT_MIN_VALUES = 0; "
+              "os.sched_getaffinity = lambda pid: {0, 1}; cli.main()")
+    proc = subprocess.run([sys.executable, "-c", forced, "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "stage writer process failed: solution_stage01.csv" in proc.stderr
+
+
+def test_small_sweeps_never_fork(tmp_path, monkeypatch):
+    # 11 stages at n = 128 are 8514 values and stay serial; at n = 8192 they split
+    values = len(cli.STAGE_HEADER) * 11
+    assert values * 129 < cli._SPLIT_MIN_VALUES <= values * 8193
+
+    def no_fork():
+        raise AssertionError("os.fork called below the split threshold")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 128},
+                       eps_schedule={"start": 0.1, "ratio": 0.5, "stages": 11})
+    assert _invoke("verify", "--config", cfg) == 0
+    assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]) == 11

@@ -65,6 +65,8 @@ UNKNOWN_KEYS = [
 ]
 
 
+NAN, INF = float("nan"), float("inf")
+
 # Values that must not be ignored or truncated, with the field the error must name.
 FIELD_ERRORS = [
     ({"lagrangian": {"preset": "zero", "eta0": [-5.0]}}, "eta0"),
@@ -73,6 +75,15 @@ FIELD_ERRORS = [
     ({"grid": {"n": 64.9}}, "grid.n"),
     ({"grid": {"n": "64"}}, "grid.n"),
     ({"eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 3.7}}, "stages"),
+    # JSON's NaN and Infinity, and tolerances that are not finite and > 0
+    ({"rho_minus": NAN}, "rho_minus"),
+    ({"phi": [-1.0, 0.0, NAN]}, "phi"),
+    ({"lagrangian": {"eta0": [INF]}}, "eta0"),
+    ({"grid": {"a": -INF}}, "grid.a"),
+    ({"tolerances": {"kkt_tol": NAN}}, "kkt_tol"),
+    ({"tolerances": {"newton_tol_scale": INF}}, "newton_tol_scale"),
+    ({"tolerances": {"el_residual_tol": 0.0}}, "el_residual_tol"),
+    ({"tolerances": {"convexity_floor_scale": -1e-3}}, "convexity_floor_scale"),
 ]
 
 
@@ -92,6 +103,8 @@ FIELD_ERRORS = [
         {"tolerances": {"newton_tol": 1e-30}},
         *(patch for patch, _ in UNKNOWN_KEYS),
         *(patch for patch, _ in FIELD_ERRORS),
+        {"eps_schedule": []},
+        {"eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 0}},
     ],
 )
 def test_invalid_configs_rejected(patch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -132,6 +134,55 @@ def test_steep_obstacle_constraints_inactive():
     assert min(s[g.ia - 1], s[g.ib - 1]) > 1.0
     v_unc = unconstrained_window_solution(prob)
     assert np.max(np.abs(res.v - v_unc)) <= 1e-6
+
+
+def test_oracle_matches_active_set_enumeration_at_n16():
+    # Exact solution of the n = 16 cone QP on the shallow obstacle: the cell
+    # objective is quadratic in the 7 free values and the 9 constraints
+    # s_ia .. s_ib are affine in them, so try every active set (KKT solve,
+    # then primal and dual feasibility).  The start is not the minimizer here,
+    # so this checks what criterion 09's projected gradient does not search.
+    prob = _problem(monopolist_setup(n=16, phi=SHALLOW_PHI))
+    g, free = prob.grid, prob.free
+    m = free.stop - free.start
+    _, grad_hess = _cell_objective(prob)
+    y0 = prob.phi[free]
+    g0, H_band = grad_hess(prob.phi)
+    H = band_to_dense(H_band)  # the gradient at free values y is g0 + H (y - y0)
+    base = prob.phi.copy()
+    base[free] = 0.0
+    d = _constraint_s(base, g)  # s = C y + d
+    C = np.empty((len(d), m))
+    for k in range(m):
+        e = base.copy()
+        e[free.start + k] = 1.0
+        C[:, k] = _constraint_s(e, g) - d
+    assert len(d) == 9
+
+    kkt_points = []
+    for mask in itertools.product((False, True), repeat=len(d)):
+        active = np.flatnonzero(mask)
+        CA = C[active]
+        if np.linalg.matrix_rank(CA) < len(active):
+            continue
+        K = np.block([[H, -CA.T], [CA, np.zeros((len(active), len(active)))]])
+        sol = np.linalg.solve(K, np.concatenate([H @ y0 - g0, -d[active]]))
+        y, lam = sol[:m], sol[m:]
+        if (C @ y + d).min() >= -1e-9 and lam.min(initial=0.0) >= -1e-9:
+            kkt_points.append((active, y))
+    # degenerate active sets (s = 0 with a zero multiplier) give the same point
+    assert kkt_points
+    for _, y in kkt_points:
+        np.testing.assert_allclose(y, kkt_points[0][1], rtol=0.0, atol=1e-12)
+    smallest = min(kkt_points, key=lambda point: len(point[0]))[0]
+    assert smallest.tolist() == [0, 1, 7, 8]  # two constraints at each window edge
+
+    v_exact = prob.phi.copy()
+    v_exact[free] = kkt_points[0][1]
+    assert np.max(np.abs(v_exact - prob.phi)) > 0.05
+    res = minimize_direct(prob)
+    assert np.max(np.abs(res.v - v_exact)) <= 1e-5
+    assert abs(eval_J_cell(res.v, prob) - eval_J_cell(v_exact, prob)) <= 1e-5
 
 
 def test_infeasible_start_rejected():

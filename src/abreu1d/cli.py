@@ -1,23 +1,31 @@
 """Command-line front end: solve / sweep / compare / verify.
 
 Exit codes: 0 success, 1 configuration error, 2 solver nonconvergence,
-3 oracle failure.  Tabular outputs are CSV, all written by `write_csv` with
-one formatting rule: comma separator, floats as `%.17g`, other values as
-`str()`, LF line endings, UTF-8.  Manifests and summaries are JSON; the
-manifest is written last and hashes every other file the command wrote.
+3 oracle failure, 4 output error (an artifact could not be written; one
+error line names the file, and no manifest is written).  Tabular outputs
+are CSV, all written by `write_csv` with one formatting rule: comma
+separator, floats as `%.17g`, other values as `str()`, LF line endings,
+UTF-8.  Manifests and summaries are JSON; the manifest is written last and
+hashes every other file the command wrote.
 
-A large sweep writes its stage solution files from two processes: a forked
-child writes every second file while the command writes the others, and the
-command reaps the child before it writes anything more.  Small sweeps, and
-machines with one CPU, write them serially.
+Work that can run beside the command goes to one forked child through
+`_in_child`: `compare` runs the convex-cone oracle in a second process while
+the sweep runs in this one, and a large sweep has the child write every
+second stage solution file while the command writes the others.  Each child
+is reaped before the command writes anything that depends on it.  Machines
+with one CPU, or without os.fork, run that work in the command's process.
 """
 
+import functools
 import hashlib
 import json
 import logging
 import os
+import pickle
+import signal
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -39,6 +47,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_ORACLE = 3
+EXIT_OUTPUT = 4
 
 RATE_FIELDS = ("penalty_l2", "min_upp_ab", "max_w_ab", "int_inv_upp")
 
@@ -129,66 +138,88 @@ def _write_stage(path: Path, setup, result) -> None:
               (g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
 
 
+def _write_each(jobs) -> None:
+    for job in jobs:
+        _write_stage(*job)
+
+
 def _write_stages(outdir: Path, names, stages) -> list[dict]:
     """Write every stage's solution CSV; return their manifest entries.
 
-    With at least `_SPLIT_MIN_VALUES` values, os.fork and two or more CPUs
-    to run on, the files are written from two processes (`_write_split`).
+    With at least `_SPLIT_MIN_VALUES` values, every second file is written
+    by `_in_child` while this process writes the others.
     """
     jobs = [(outdir / name, setup, result) for name, (setup, result) in zip(names, stages)]
     values = len(STAGE_HEADER) * sum(setup.grid.n + 1 for setup, _ in stages)
-    if (values >= _SPLIT_MIN_VALUES and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
-        _write_split(jobs)
+    if values >= _SPLIT_MIN_VALUES:
+        with _in_child(_write_each, jobs[1::2]) as child_written:
+            _write_each(jobs[::2])
+            child_written()
     else:
-        for job in jobs:
-            _write_stage(*job)
+        _write_each(jobs)
     return [_stage_entry(setup, result) for setup, result in stages]
 
 
-def _write_split(jobs) -> None:
-    """Write every second job's file from a forked child and the rest here.
+@contextmanager
+def _in_child(fn, *args):
+    """Start fn(*args) in a forked child; yield `wait`, which returns its value.
 
-    The child is reaped before this returns or raises, and a failed child
-    write raises OSError naming the file.
+    `wait()` returns what fn returned, or raises the exception that fn raised,
+    with the same type and message; a child that ends without sending a
+    result (one that was killed, say) makes it raise RuntimeError.  The child
+    is killed, if it still runs, and reaped when the `with` block is left.
+    Without os.fork or a second CPU to run on, `wait()` calls fn(*args) in
+    this process.
     """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        yield lambda: fn(*args)
+        return
     read_fd, write_fd = os.pipe()
     pid = os.fork()
-    # The child runs only elementwise numpy, formatting and file writes: no
-    # BLAS call, whose worker threads do not survive the fork.  It reports a
-    # failure through the pipe and its exit status, and never returns.
+    # The child sends the pickled (ok, value) through the pipe and never
+    # returns.  OpenBLAS, which numpy and scipy load, stops its thread pool
+    # before a fork and starts it again in either process when needed.
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            for path, setup, result in jobs[1::2]:
-                try:
-                    _write_stage(path, setup, result)
-                except BaseException as exc:
-                    os.write(write_fd, f"{path.name}: {exc}".encode(errors="replace"))
-                    raise
+            try:
+                result = (True, fn(*args))
+            except BaseException as exc:
+                result = (False, exc)
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(pickle.dumps(result))
             status = 0
         finally:
             os._exit(status)
 
     os.close(write_fd)
-    try:
-        for job in jobs[::2]:
-            _write_stage(*job)
-    finally:
-        failure = _reap(pid, read_fd)
-    if failure:
-        raise OSError(f"stage writer process failed: {failure}")
+    reader = os.fdopen(read_fd, "rb")
+    reaped = False
 
+    # A child that has sent its result still takes about 2 ms to exit (a
+    # 2-vCPU Xeon VM, n = 128 compare), so `wait` reaps only a child that
+    # sent none, and the block's end reaps the others.
+    def wait():
+        nonlocal reaped
+        data = reader.read()
+        if not data:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped = True
+            raise RuntimeError(f"child process ended without a result (exit status {code})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
 
-def _reap(pid: int, read_fd: int) -> str:
-    """Wait for the writer child; return its failure message, or "" on success."""
     try:
-        with os.fdopen(read_fd, "rb") as fh:
-            message = fh.read().decode(errors="replace")
+        yield wait
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return "" if code == 0 else message or f"exit status {code}"
+        reader.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _run_sweep(cfg: RunConfig, setup, outdir: Path):
@@ -281,16 +312,29 @@ def main() -> None:
     _setup_logging()
 
 
-def _config_options(fn):
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(), help="Path to the JSON run configuration.")(fn)
-    fn = click.option("--out", "out_override", default=None,
-                      type=click.Path(), help="Override the output directory.")(fn)
-    return fn
+def _command(fn):
+    """Register `fn(config_path, out_override)` as a subcommand.
+
+    An OSError that leaves it is a failed output write, because `_prepare`
+    turns every earlier one into a `ConfigError`.  It is logged as one line
+    and exits with EXIT_OUTPUT, without a manifest.
+    """
+    @functools.wraps(fn)
+    def command(config_path, out_override):
+        try:
+            fn(config_path, out_override)
+        except OSError as exc:
+            log.error("output write failed: %s", exc)
+            sys.exit(EXIT_OUTPUT)
+
+    command = click.option("--config", "config_path", required=True,
+                           type=click.Path(), help="Path to the JSON run configuration.")(command)
+    command = click.option("--out", "out_override", default=None,
+                           type=click.Path(), help="Override the output directory.")(command)
+    return main.command()(command)
 
 
-@main.command()
-@_config_options
+@_command
 def solve(config_path, out_override) -> None:
     """Solve the penalized problem at a single eps."""
     cfg, setup, outdir = _prepare(config_path, out_override, check=_single_eps)
@@ -304,8 +348,7 @@ def solve(config_path, out_override) -> None:
     _finish(outdir, cfg, run, EXIT_OK if result.converged else EXIT_SOLVER)
 
 
-@main.command()
-@_config_options
+@_command
 def sweep(config_path, out_override) -> None:
     """Continuation sweep over the eps schedule with diagnostics."""
     cfg, setup, outdir = _prepare(config_path, out_override)
@@ -313,49 +356,55 @@ def sweep(config_path, out_override) -> None:
     _finish(outdir, cfg, run, code)
 
 
-@main.command()
-@_config_options
+def _oracle(problem: ConeProblem):
+    """The direct minimizer's result and its own wall time."""
+    t0 = time.perf_counter()
+    oracle = minimize_direct(problem)
+    return oracle, time.perf_counter() - t0
+
+
+@_command
 def compare(config_path, out_override) -> None:
     """Run the sweep and the direct minimizer, report their agreement."""
     cfg, setup, outdir = _prepare(config_path, out_override)
-    code, stages, run = _run_sweep(cfg, setup, outdir)
-    if code != EXIT_OK:
-        _finish(outdir, cfg, run, code)
-    setup, result = stages[-1]
-    g = setup.grid
+    # Every stage shares the first stage's grid, Lagrangian and obstacle, so
+    # the oracle, which needs nothing else, runs beside the sweep.
+    problem = ConeProblem(grid=setup.grid, lagrangian=setup.lagrangian, phi=setup.phi)
+    with _in_child(_oracle, problem) as oracle_result:
+        code, stages, run = _run_sweep(cfg, setup, outdir)
+        if code != EXIT_OK:
+            _finish(outdir, cfg, run, code)
+        oracle, run["wall_clock_seconds"]["oracle"] = oracle_result()
+        # the child has sent its result; it is reaped when _finish leaves the block
+        setup, result = stages[-1]
+        g = setup.grid
+        if oracle.kkt_residual > cfg.tolerances.kkt_tol:
+            log.error("oracle failed: KKT residual %.3e > %.3e",
+                      oracle.kkt_residual, cfg.tolerances.kkt_tol)
+            _finish(outdir, cfg, run, EXIT_ORACLE)
 
-    problem = ConeProblem(grid=g, lagrangian=setup.lagrangian, phi=setup.phi)
-    t0 = time.perf_counter()
-    oracle = minimize_direct(problem)
-    run["wall_clock_seconds"]["oracle"] = time.perf_counter() - t0
-    if oracle.kkt_residual > cfg.tolerances.kkt_tol:
-        log.error("oracle failed: KKT residual %.3e > %.3e",
-                  oracle.kkt_residual, cfg.tolerances.kkt_tol)
-        _finish(outdir, cfg, run, EXIT_ORACLE)
+        diff = np.abs(result.u - oracle.v)
+        write_csv(outdir / "compare.csv",
+                  ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
+                  (g.nodes, result.u, oracle.v, diff))
 
-    diff = np.abs(result.u - oracle.v)
-    write_csv(outdir / "compare.csv",
-              ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
-              (g.nodes, result.u, oracle.v, diff))
-
-    width = g.b - g.a
-    inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
-    J_abreu = eval_J(result.u, problem)
-    summary = {
-        "eps_smallest": setup.eps,
-        "sup_diff_inner_window": float(np.max(diff[inner])),
-        "J_abreu": J_abreu,
-        "J_direct": oracle.J_value,
-        "J_abs_diff": abs(J_abreu - oracle.J_value),
-        "oracle_kkt_residual": oracle.kkt_residual,
-    }
-    write_json(outdir / "compare_summary.json", summary)
-    run["files"] += ["compare.csv", "compare_summary.json"]
-    _finish(outdir, cfg, run, EXIT_OK)
+        width = g.b - g.a
+        inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
+        J_abreu = eval_J(result.u, problem)
+        summary = {
+            "eps_smallest": setup.eps,
+            "sup_diff_inner_window": float(np.max(diff[inner])),
+            "J_abreu": J_abreu,
+            "J_direct": oracle.J_value,
+            "J_abs_diff": abs(J_abreu - oracle.J_value),
+            "oracle_kkt_residual": oracle.kkt_residual,
+        }
+        write_json(outdir / "compare_summary.json", summary)
+        run["files"] += ["compare.csv", "compare_summary.json"]
+        _finish(outdir, cfg, run, EXIT_OK)
 
 
-@main.command()
-@_config_options
+@_command
 def verify(config_path, out_override) -> None:
     """Weak-form residual of the limiting Euler-Lagrange identity."""
     cfg, setup, outdir = _prepare(config_path, out_override, check=_bumps_fit)

@@ -4,12 +4,15 @@ import hashlib
 import json
 import logging
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
-from helpers import SHALLOW_PHI, quartic_spec, run_cli, write_config
+from helpers import SHALLOW_PHI, STEEP_PHI, quartic_spec, run_cli, write_config
 
 from abreu1d import cli
 from abreu1d.lagrangian import CUSTOM_REGISTRY
@@ -322,6 +325,15 @@ def _count_forks(monkeypatch):
     return forks
 
 
+def _artifacts(out):
+    """(manifest without its wall times and output directory, every other file's bytes)."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["wall_clock_seconds"] = sorted(manifest["wall_clock_seconds"])
+    del manifest["config"]["outputs"]
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    return manifest, files
+
+
 @pytest.mark.parametrize("command", ["sweep", "verify"])
 def test_split_and_serial_stage_writes_are_byte_identical(tmp_path, monkeypatch, command):
     outputs = {}
@@ -332,11 +344,7 @@ def test_split_and_serial_stage_writes_are_byte_identical(tmp_path, monkeypatch,
         cfg = write_config(tmp_path / "cfg.json", outputs=str(out))
         assert _invoke(command, "--config", cfg) == 0
         assert len(forks) == split
-        manifest = json.loads((out / "manifest.json").read_text())
-        del manifest["wall_clock_seconds"]
-        del manifest["config"]["outputs"]
-        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
-        outputs[split] = (manifest, files)
+        outputs[split] = _artifacts(out)
     assert outputs[True] == outputs[False]
     assert len(outputs[True][0]["files"]) == len(outputs[True][1])
 
@@ -344,10 +352,10 @@ def test_split_and_serial_stage_writes_are_byte_identical(tmp_path, monkeypatch,
 @pytest.mark.parametrize(
     "blocked, error",
     [("solution_stage00.csv", r"Is a directory: '.*solution_stage00\.csv'"),
-     ("solution_stage01.csv", r"^stage writer process failed: solution_stage01\.csv: ")],
+     ("solution_stage01.csv", r"Is a directory: '.*solution_stage01\.csv'")],
     ids=["parent-file", "child-file"],
 )
-def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeypatch,
+def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeypatch, caplog,
                                                                blocked, error):
     # a directory where a stage file goes makes its write fail: stage 01 is
     # the forked child's, stage 00 this process's
@@ -355,8 +363,10 @@ def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeyp
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     cfg = write_config(tmp_path / "cfg.json")
-    with pytest.raises(OSError, match=error):
-        cli.main.main(args=["sweep", "--config", str(cfg)], standalone_mode=False)
+    with caplog.at_level(logging.ERROR, logger="abreu1d"):
+        assert _invoke("sweep", "--config", cfg) == cli.EXIT_OUTPUT == 4
+    [record] = caplog.records
+    assert re.search("^output write failed: .*" + error, record.getMessage())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not (out / "manifest.json").exists()
@@ -370,8 +380,112 @@ def test_failed_child_write_is_nonzero_exit(tmp_path):
               "os.sched_getaffinity = lambda pid: {0, 1}; cli.main()")
     proc = subprocess.run([sys.executable, "-c", forced, "sweep", "--config", str(cfg)],
                           capture_output=True, text=True)
-    assert proc.returncode != 0
-    assert "stage writer process failed: solution_stage01.csv" in proc.stderr
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert "output write failed: " in proc.stderr and "solution_stage01.csv" in proc.stderr
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [("sweep", "solution_stage02.csv"),
+                                              ("sweep", "rates.csv"),
+                                              ("compare", "compare.csv"),
+                                              ("verify", "verify_summary.json.tmp")])
+def test_failed_serial_write_is_output_error(tmp_path, monkeypatch, caplog, command, blocked):
+    _split_writes(monkeypatch, False)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP)
+    with caplog.at_level(logging.ERROR, logger="abreu1d"):
+        assert _invoke(command, "--config", cfg) == 4
+    [record] = caplog.records
+    assert record.getMessage().startswith("output write failed: ")
+    assert blocked in record.getMessage()
+    with pytest.raises(ChildProcessError):  # compare's oracle child
+        os.waitpid(-1, os.WNOHANG)
+    assert not (out / "manifest.json").exists()
+
+
+def _oracle_cpus(monkeypatch, forked):
+    """Give `compare` two CPUs (the oracle is forked) or one (it runs inline)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0},
+                        raising=False)
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [({"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6}, 0),
+     ({"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5, "grid": {"n": 32},
+       "tolerances": {"kkt_tol": 1e-16}}, 3)],
+    ids=["steep", "shallow-oracle-failure"],
+)
+def test_forked_and_inline_oracle_are_byte_identical(tmp_path, monkeypatch, overrides, code):
+    outputs = {}
+    forks = _count_forks(monkeypatch)
+    for forked in (False, True):  # inline first: no fork, then one for the oracle
+        _oracle_cpus(monkeypatch, forked)
+        out = tmp_path / f"forked{forked}"
+        cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, outputs=str(out),
+                           **overrides)
+        assert _invoke("compare", "--config", cfg) == code
+        assert len(forks) == forked
+        outputs[forked] = _artifacts(out)
+    assert outputs[True] == outputs[False]
+    assert outputs[True][0]["wall_clock_seconds"] == ["oracle", "sweep"]
+    assert ("compare.csv" in outputs[True][1]) == (code == 0)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+def test_oracle_exception_is_raised_by_compare(tmp_path, monkeypatch, forked):
+    def singular(problem):
+        raise RuntimeError("inner Newton failure: singular barrier Hessian")
+
+    _oracle_cpus(monkeypatch, forked)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "minimize_direct", singular)
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 32}, eps_schedule=SHORT_SWEEP)
+    with pytest.raises(RuntimeError) as exc:
+        cli.main.main(args=["compare", "--config", str(cfg)], standalone_mode=False)
+    assert type(exc.value) is RuntimeError
+    assert str(exc.value) == "inner Newton failure: singular barrier Hessian"
+    assert len(forks) == forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+def test_failed_sweep_kills_and_reaps_the_oracle(tmp_path, monkeypatch, forked):
+    # an oracle that would outlast the test unless it is killed
+    def endless(problem):
+        time.sleep(120)
+
+    _oracle_cpus(monkeypatch, forked)
+    monkeypatch.setattr(cli, "minimize_direct", endless)
+    cfg = write_config(tmp_path / "cfg.json", phi=SHALLOW_PHI, rho_minus=1.5, rho_plus=1.5,
+                       eps_schedule=SHORT_SWEEP, tolerances={"newton_tol_scale": 1e-30})
+    t0 = time.perf_counter()
+    assert _invoke("compare", "--config", cfg) == 2
+    assert time.perf_counter() - t0 < 60
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "oracle" not in manifest["wall_clock_seconds"]
+
+
+def test_oracle_child_that_dies_is_not_an_output_error(tmp_path, monkeypatch):
+    command = os.getpid()
+
+    def killed(problem):
+        assert os.getpid() != command, "the oracle ran in the command's process"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    _oracle_cpus(monkeypatch, True)
+    monkeypatch.setattr(cli, "minimize_direct", killed)
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 32}, eps_schedule=SHORT_SWEEP)
+    with pytest.raises(RuntimeError, match=r"ended without a result \(exit status -9\)"):
+        cli.main.main(args=["compare", "--config", str(cfg)], standalone_mode=False)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_small_sweeps_never_fork(tmp_path, monkeypatch):

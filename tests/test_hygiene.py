@@ -236,3 +236,56 @@ def test_only_solver_uses_scipy_linalg():
     uses = {p.name: scipy_linalg_uses(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     assert uses.pop("solver.py")
     assert uses == {name: [] for name in uses}
+
+
+def fork_sites(sources: dict[str, str]) -> list[str]:
+    """Functions in `sources` (file name -> text) that call `os.fork`.
+
+    A call counts for the innermost function around it, or for `<module>`;
+    `fork()` counts when `fork` is imported from `os`.
+    """
+    found = []
+
+    def forks(node, imported):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            return func.attr == "fork" and isinstance(func.value, ast.Name) and func.value.id == "os"
+        return isinstance(func, ast.Name) and func.id in imported
+
+    def visit(node, where, imported):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split(':')[0]}:{child.name}", imported)
+                continue
+            if isinstance(child, ast.Call) and forks(child, imported):
+                found.append(f"{where} (line {child.lineno})")
+            visit(child, where, imported)
+
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "os"
+            for alias in node.names if alias.name == "fork"
+        }
+        visit(tree, f"{name}:<module>", imported)
+    return found
+
+
+def test_detector_flags_every_fork_site():
+    sources = {
+        "a.py": "import os\ndef one():\n    pid = os.fork()\n"
+                "def two():\n    def inner():\n        return os.fork()\n    return inner\n"
+                "def spoon(fork):\n    return fork()\n",
+        "b.py": "from os import fork as f\nf()\n",
+    }
+    assert fork_sites(sources) == [
+        "a.py:one (line 3)", "a.py:inner (line 6)", "b.py:<module> (line 2)",
+    ]
+
+
+def test_one_fork_site():
+    # cli._in_child owns the fork, the result pipe and the reaping
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert [site.split(" ")[0] for site in fork_sites(sources)] == ["cli.py:_in_child"]

@@ -252,14 +252,14 @@ def fork_sites(sources: dict[str, str]) -> list[str]:
             return func.attr == "fork" and isinstance(func.value, ast.Name) and func.value.id == "os"
         return isinstance(func, ast.Name) and func.id in imported
 
-    def visit(node, where, imported):
+    def visit(node, file, owner, imported):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{where.split(':')[0]}:{child.name}", imported)
+                visit(child, file, child.name, imported)
                 continue
             if isinstance(child, ast.Call) and forks(child, imported):
-                found.append(f"{where} (line {child.lineno})")
-            visit(child, where, imported)
+                found.append(f"{file}:{owner} (line {child.lineno})")
+            visit(child, file, owner, imported)
 
     for name, text in sources.items():
         tree = ast.parse(text)
@@ -269,7 +269,7 @@ def fork_sites(sources: dict[str, str]) -> list[str]:
             if isinstance(node, ast.ImportFrom) and node.module == "os"
             for alias in node.names if alias.name == "fork"
         }
-        visit(tree, f"{name}:<module>", imported)
+        visit(tree, name, "<module>", imported)
     return found
 
 

@@ -11,9 +11,10 @@ hashes every other file the command wrote.
 Work that can run beside the command goes to one forked child through
 `_in_child`: `compare` runs the convex-cone oracle in a second process while
 the sweep runs in this one, and a large sweep has the child write every
-second stage solution file while the command writes the others.  Each child
-is reaped before the command writes anything that depends on it.  Machines
-with one CPU, or without os.fork, run that work in the command's process.
+second stage solution file while the command writes the others and its
+summary files.  Each child is reaped before the command writes anything
+that depends on it.  Machines with one CPU, or without os.fork, run that
+work in the command's process.
 """
 
 import functools
@@ -37,7 +38,7 @@ from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .grid import d1, d2
 from .minimizer import ConeProblem, eval_J, minimize_direct
-from .solver import continuation_sweep, f_eps, newton_solve
+from .solver import continuation_sweep, f_eps, load_dgbsv, newton_solve
 from .weakform import (SupportViolation, check_support, default_family,
                        distributional_residual, rescaled_w)
 
@@ -143,21 +144,24 @@ def _write_each(jobs) -> None:
         _write_stage(*job)
 
 
-def _write_stages(outdir: Path, names, stages) -> list[dict]:
-    """Write every stage's solution CSV; return their manifest entries.
+@contextmanager
+def _writing_stages(outdir: Path, names, stages):
+    """Write every stage's solution CSV; all are written when the block ends.
 
     With at least `_SPLIT_MIN_VALUES` values, every second file is written
-    by `_in_child` while this process writes the others.
+    by `_in_child` while this process writes the others and then runs the
+    block, so the child's exit overlaps the block's writes.
     """
     jobs = [(outdir / name, setup, result) for name, (setup, result) in zip(names, stages)]
     values = len(STAGE_HEADER) * sum(setup.grid.n + 1 for setup, _ in stages)
-    if values >= _SPLIT_MIN_VALUES:
-        with _in_child(_write_each, jobs[1::2]) as child_written:
-            _write_each(jobs[::2])
-            child_written()
-    else:
+    if values < _SPLIT_MIN_VALUES:
         _write_each(jobs)
-    return [_stage_entry(setup, result) for setup, result in stages]
+        yield
+        return
+    with _in_child(_write_each, jobs[1::2]) as child_written:
+        _write_each(jobs[::2])
+        yield
+        child_written()
 
 
 @contextmanager
@@ -178,8 +182,9 @@ def _in_child(fn, *args):
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     # The child sends the pickled (ok, value) through the pipe and never
-    # returns.  OpenBLAS, which numpy and scipy load, stops its thread pool
-    # before a fork and starts it again in either process when needed.
+    # returns.  numpy's OpenBLAS, and the second copy that scipy's LAPACK
+    # brings in on the first banded solve, each stop their thread pool
+    # before a fork and start it again in either process when needed.
     if pid == 0:
         status = 1
         try:
@@ -233,32 +238,32 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
     elapsed = time.perf_counter() - t0
 
     files = [f"solution_stage{k:02d}.csv" for k in range(len(stages))]
-    stage_meta = _write_stages(outdir, files, stages)
+    with _writing_stages(outdir, files, stages):
+        reports = [compute_report(r, s) for s, r in stages if r.converged]
+        header = [f.name for f in fields(EstimateReport)]
+        write_csv(outdir / "sweep.csv", header,
+                  [[getattr(r, name) for r in reports] for name in header])
+        files.append("sweep.csv")
 
-    reports = [compute_report(r, s) for s, r in stages if r.converged]
-    header = [f.name for f in fields(EstimateReport)]
-    write_csv(outdir / "sweep.csv", header,
-              [[getattr(r, name) for r in reports] for name in header])
-    files.append("sweep.csv")
+        rate_rows = []
+        for name in RATE_FIELDS:
+            try:
+                fit = fit_rate(reports, name)
+            except ValueError:
+                continue
+            rate_rows.append((name, fit.slope, fit.r2, fit.stages,
+                              "yes" if fit.identically_small else "no"))
+        write_csv(outdir / "rates.csv",
+                  ("quantity", "slope", "r2", "stages", "identically_small"),
+                  list(zip(*rate_rows)))
+        files.append("rates.csv")
 
-    rate_rows = []
-    for name in RATE_FIELDS:
         try:
-            fit = fit_rate(reports, name)
-        except ValueError:
-            continue
-        rate_rows.append((name, fit.slope, fit.r2, fit.stages,
-                          "yes" if fit.identically_small else "no"))
-    write_csv(outdir / "rates.csv",
-              ("quantity", "slope", "r2", "stages", "identically_small"),
-              list(zip(*rate_rows)))
-    files.append("rates.csv")
-
-    try:
-        write_json(outdir / "bounds.json", check_theorem_bounds(reports))
-        files.append("bounds.json")
-    except ValueError as exc:
-        log.warning("bound checks skipped: %s", exc)
+            write_json(outdir / "bounds.json", check_theorem_bounds(reports))
+            files.append("bounds.json")
+        except ValueError as exc:
+            log.warning("bound checks skipped: %s", exc)
+    stage_meta = [_stage_entry(setup, result) for setup, result in stages]
 
     all_converged = len(stages) == len(schedule) and all(r.converged for _, r in stages)
     if not all_converged:
@@ -370,6 +375,8 @@ def compare(config_path, out_override) -> None:
     # Every stage shares the first stage's grid, Lagrangian and obstacle, so
     # the oracle, which needs nothing else, runs beside the sweep.
     problem = ConeProblem(grid=setup.grid, lagrangian=setup.lagrangian, phi=setup.phi)
+    # Both processes solve banded systems: load LAPACK once, before the fork.
+    load_dgbsv()
     with _in_child(_oracle, problem) as oracle_result:
         code, stages, run = _run_sweep(cfg, setup, outdir)
         if code != EXIT_OK:

@@ -10,14 +10,16 @@ i = 1, n-1.  Interior rows discretize
 
 with the window-edge nodes taking the penalty branch.  Each Newton step is
 one `solve_banded` call, a direct LAPACK dgbsv solve of the banded Jacobian.
+LAPACK comes from scipy, which `load_dgbsv` imports on the first solve, so a
+process that takes no Newton or barrier step never loads scipy.
 """
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .grid import Grid, d1, d2, d2_boundary_coeffs, integrate
 from .lagrangian import LagrangianSpec
@@ -113,6 +115,14 @@ class SolveResult:
     min_upp: float
 
 
+@functools.cache
+def load_dgbsv():
+    """LAPACK's dgbsv, imported on the first call: importing scipy.linalg
+    (about 0.3 s and 20 MB) is half of a cold command-line start."""
+    from scipy.linalg.lapack import dgbsv
+    return dgbsv
+
+
 def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for the banded A stored as ab[u + i - j, j] = A[i, j].
 
@@ -122,7 +132,8 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.
     as `scipy.linalg.solve_banded` does for any band but (1, 1), so x is
     bit-identical to scipy's.  It keeps scipy's checks: ValueError for
     non-finite entries, mismatched shapes or an illegal dgbsv argument, and
-    LinAlgError for a singular matrix.  Neither input is modified.
+    LinAlgError for a singular matrix.  Neither input is modified.  The
+    first call loads LAPACK through `load_dgbsv`.
     """
     nlower, nupper = l_and_u
     if ab.shape != (nlower + nupper + 1, b.shape[0]):
@@ -132,7 +143,7 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.
         raise ValueError("band and right-hand side must not contain infs or NaNs")
     lu = np.zeros((2 * nlower + nupper + 1, ab.shape[1]))
     lu[nlower:] = ab
-    _, _, x, info = dgbsv(nlower, nupper, lu, b, overwrite_ab=True)
+    _, _, x, info = load_dgbsv()(nlower, nupper, lu, b, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:

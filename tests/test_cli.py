@@ -502,3 +502,79 @@ def test_small_sweeps_never_fork(tmp_path, monkeypatch):
                        eps_schedule={"start": 0.1, "ratio": 0.5, "stages": 11})
     assert _invoke("verify", "--config", cfg) == 0
     assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]) == 11
+
+
+# Runs the command line given in argv[1:] in a fresh interpreter, with two
+# CPUs and os.fork wrapped; at exit it writes a JSON line to stderr: whether
+# scipy was imported, and for each fork whether scipy's LAPACK was already
+# imported when it happened.
+COLD_CLI = """\
+import atexit, json, os, sys
+forks, fork = [], os.fork
+def recording_fork():
+    forks.append("scipy.linalg.lapack" in sys.modules)
+    return fork()
+os.fork = recording_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+atexit.register(lambda: print("cold:", json.dumps({"scipy": "scipy" in sys.modules,
+                                                   "forks": forks}), file=sys.stderr))
+from abreu1d import cli
+cli.main()
+"""
+
+
+def _cold(*args):
+    """(exit code, the COLD_CLI record) of a fresh-interpreter command line."""
+    proc = subprocess.run([sys.executable, "-c", COLD_CLI, *map(str, args)],
+                          capture_output=True, text=True)
+    [record] = re.findall(r"^cold: (.*)$", proc.stderr, re.M)
+    return proc.returncode, json.loads(record)
+
+
+def test_cold_import_and_config_load_leave_scipy_unloaded(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    snippet = ("import sys; from abreu1d import cli; cli.load_config(sys.argv[1]); "
+               "print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", snippet, str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "command, overrides, code",
+    [("--help", None, 0),
+     ("verify", {"grid": {"nn": 8}}, 1),
+     ("verify", {}, 0)],
+    ids=["help", "config-error", "verify-exact-solution"],
+)
+def test_cold_command_without_newton_steps_leaves_scipy_unloaded(tmp_path, command,
+                                                                 overrides, code):
+    args = [command]
+    if overrides is not None:
+        args += ["--config", write_config(tmp_path / "cfg.json", **overrides)]
+    assert _cold(*args) == (code, {"scipy": False, "forks": []})
+    if command == "verify" and code == 0:
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [s["newton_iters"] for s in manifest["stages"]] == [0] * 5
+
+
+def test_cold_sweep_loads_scipy_on_its_first_newton_step(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", phi=STEEP_PHI, rho_minus=1 / 6, rho_plus=1 / 6,
+                       eps_schedule=SHORT_SWEEP)
+    assert _cold("sweep", "--config", cfg) == (0, {"scipy": True, "forks": []})
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stages"][0]["newton_iters"] > 0
+
+
+def test_cold_compare_loads_lapack_once_before_the_fork(tmp_path, monkeypatch):
+    steep = {"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6,
+             "eps_schedule": SHORT_SWEEP}
+    cold = write_config(tmp_path / "cold.json", outputs=str(tmp_path / "cold"), **steep)
+    assert _cold("compare", "--config", cold) == (0, {"scipy": True, "forks": [True]})
+    _oracle_cpus(monkeypatch, False)
+    inline = write_config(tmp_path / "inline.json", outputs=str(tmp_path / "inline"), **steep)
+    assert _invoke("compare", "--config", inline) == 0
+    manifest, files = _artifacts(tmp_path / "cold")
+    assert {"compare.csv", "compare_summary.json"} <= set(files)
+    assert (manifest, files) == _artifacts(tmp_path / "inline")

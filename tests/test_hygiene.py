@@ -238,6 +238,50 @@ def test_only_solver_uses_scipy_linalg():
     assert uses == {name: [] for name in uses}
 
 
+def import_time_scipy_imports(source: str) -> list[str]:
+    """Imports of scipy (or a submodule) that run when the module is imported.
+
+    An import in a function body runs when the function is called; every
+    other one (module body, class body, `if` or `try` block) counts.
+    """
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"line {child.lineno}")
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_detector_flags_import_time_scipy_imports():
+    source = (
+        "import scipy\nimport numpy, scipy.sparse as sp\nfrom scipy.linalg.lapack import dgbsv\n"
+        "from . import scipy_like\nimport scipyx\n"
+        "try:\n    from scipy import linalg\nexcept ImportError:\n    pass\n"
+        "class C:\n    import scipy.optimize\n"
+        "def f():\n    from scipy.linalg.lapack import dgbsv\n    return dgbsv\n"
+        "async def g():\n    import scipy\n"
+    )
+    assert import_time_scipy_imports(source) == ["line 1", "line 2", "line 3", "line 7", "line 11"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_time_scipy_imports(path):
+    # importing scipy.linalg is half of a cold start; solver.load_dgbsv defers it
+    assert import_time_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
 def fork_sites(sources: dict[str, str]) -> list[str]:
     """Functions in `sources` (file name -> text) that call `os.fork`.
 

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 configuration error, 2 solver nonconvergence,
 3 oracle failure, 4 output error (an artifact could not be written; one
-error line names the file, and no manifest is written).  Tabular outputs
-are CSV, all written by `write_csv` with one formatting rule: comma
-separator, floats as `%.17g`, other values as `str()`, LF line endings,
-UTF-8.  Manifests and summaries are JSON; the manifest is written last and
-hashes every other file the command wrote.
+error line names the file, and no manifest is written).  `_command` is the
+one place that picks the exit code: each command returns its code and its
+manifest record, and `_command` writes the manifest last, then exits.
+Tabular outputs are CSV, all written by `write_csv` with one formatting
+rule: comma separator, floats as `%.17g`, other values as `str()`, LF line
+endings, UTF-8.  Manifests and summaries are JSON; the manifest hashes
+every other file the command wrote.
 
 Work that can run beside the command goes to one forked child through
 `_in_child`: `compare` runs the convex-cone oracle in a second process while
@@ -96,8 +98,8 @@ def write_json(path: Path, doc) -> None:
     os.replace(tmp, path)
 
 
-def _finish(outdir: Path, cfg: RunConfig, run: dict, code: int) -> None:
-    """Write manifest.json after the command's last artifact, then exit with `code`.
+def _finish(outdir: Path, cfg: RunConfig, run: dict) -> None:
+    """Write manifest.json after the command's last artifact.
 
     `run` holds "stages", "wall_clock_seconds" and "files", the artifact names to hash.
     """
@@ -107,7 +109,6 @@ def _finish(outdir: Path, cfg: RunConfig, run: dict, code: int) -> None:
         **run,
         "files": {n: hashlib.sha256((outdir / n).read_bytes()).hexdigest() for n in run["files"]},
     })
-    sys.exit(code)
 
 
 STAGE_HEADER = ("x", "u", "u_prime", "u_pp", "w", "f_eps")
@@ -130,18 +131,14 @@ def _stage_entry(setup, result) -> dict:
     }
 
 
-def _write_stage(path: Path, setup, result) -> None:
-    """Write one stage's solution CSV."""
-    g = setup.grid
-    u = result.u
-    upp = d2(u, g)
-    write_csv(path, STAGE_HEADER,
-              (g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
-
-
-def _write_each(jobs) -> None:
-    for job in jobs:
-        _write_stage(*job)
+def _write_stages(jobs) -> None:
+    """Write each `(path, setup, result)` job's solution CSV."""
+    for path, setup, result in jobs:
+        g = setup.grid
+        u = result.u
+        upp = d2(u, g)
+        write_csv(path, STAGE_HEADER,
+                  (g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
 
 
 @contextmanager
@@ -155,11 +152,11 @@ def _writing_stages(outdir: Path, names, stages):
     jobs = [(outdir / name, setup, result) for name, (setup, result) in zip(names, stages)]
     values = len(STAGE_HEADER) * sum(setup.grid.n + 1 for setup, _ in stages)
     if values < _SPLIT_MIN_VALUES:
-        _write_each(jobs)
+        _write_stages(jobs)
         yield
         return
-    with _in_child(_write_each, jobs[1::2]) as child_written:
-        _write_each(jobs[::2])
+    with _in_child(_write_stages, jobs[1::2]) as child_written:
+        _write_stages(jobs[::2])
         yield
         child_written()
 
@@ -284,30 +281,26 @@ def _bumps_fit(cfg: RunConfig, setup) -> None:
         raise ConfigError(f"verify: {exc}") from exc
 
 
-def _prepare(config_path: str, out_override, check=None):
+def _prepare(config_path: str, out_override, check):
     """Load the config, build the first stage's setup and make the output directory.
 
-    `check(cfg, setup)` is a command's own rule.  A `ConfigError` is logged
-    and exits with EXIT_CONFIG.
+    `check(cfg, setup)`, if given, is a command's own rule.  A bad config, a
+    broken rule and an unwritable output directory raise `ConfigError`.
     """
+    cfg = load_config(config_path)
+    setup = cfg.build_setup()
+    if check:
+        check(cfg, setup)
+    if out_override:
+        cfg.outputs = out_override
+    outdir = Path(cfg.outputs)
+    probe = outdir / ".write_probe"
     try:
-        cfg = load_config(config_path)
-        setup = cfg.build_setup()
-        if check:
-            check(cfg, setup)
-        if out_override:
-            cfg.outputs = out_override
-        outdir = Path(cfg.outputs)
-        probe = outdir / ".write_probe"
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            probe.touch()
-            probe.unlink()
-        except OSError as exc:
-            raise ConfigError(f"output directory not writable: {exc}") from exc
-    except ConfigError as exc:
-        log.error("%s", exc)
-        sys.exit(EXIT_CONFIG)
+        outdir.mkdir(parents=True, exist_ok=True)
+        probe.touch()
+        probe.unlink()
+    except OSError as exc:
+        raise ConfigError(f"output directory not writable: {exc}") from exc
     return cfg, setup, outdir
 
 
@@ -317,48 +310,58 @@ def main() -> None:
     _setup_logging()
 
 
-def _command(fn):
-    """Register `fn(config_path, out_override)` as a subcommand.
+def _command(check=None):
+    """Register `fn(cfg, setup, outdir) -> (code, run)` as a subcommand.
 
-    An OSError that leaves it is a failed output write, because `_prepare`
-    turns every earlier one into a `ConfigError`.  It is logged as one line
-    and exits with EXIT_OUTPUT, without a manifest.
+    The one place a command exits.  It runs `_prepare` with `check`, then
+    `fn`, then `_finish`, which writes the manifest last, and exits with
+    `code`.  A `ConfigError` is logged and exits with EXIT_CONFIG.  An
+    OSError is a failed output write, because `_prepare` turns every earlier
+    one into a `ConfigError`; it is logged as one line and exits with
+    EXIT_OUTPUT, without a manifest.
     """
-    @functools.wraps(fn)
-    def command(config_path, out_override):
-        try:
-            fn(config_path, out_override)
-        except OSError as exc:
-            log.error("output write failed: %s", exc)
-            sys.exit(EXIT_OUTPUT)
+    def register(fn):
+        @functools.wraps(fn)
+        def command(config_path, out_override):
+            try:
+                cfg, setup, outdir = _prepare(config_path, out_override, check)
+                code, run = fn(cfg, setup, outdir)
+                _finish(outdir, cfg, run)
+            except ConfigError as exc:
+                log.error("%s", exc)
+                code = EXIT_CONFIG
+            except OSError as exc:
+                log.error("output write failed: %s", exc)
+                code = EXIT_OUTPUT
+            sys.exit(code)
 
-    command = click.option("--config", "config_path", required=True,
-                           type=click.Path(), help="Path to the JSON run configuration.")(command)
-    command = click.option("--out", "out_override", default=None,
-                           type=click.Path(), help="Override the output directory.")(command)
-    return main.command()(command)
+        command = click.option("--config", "config_path", required=True,
+                               type=click.Path(), help="Path to the JSON run configuration.")(command)
+        command = click.option("--out", "out_override", default=None,
+                               type=click.Path(), help="Override the output directory.")(command)
+        return main.command()(command)
+
+    return register
 
 
-@_command
-def solve(config_path, out_override) -> None:
+@_command(check=_single_eps)
+def solve(cfg, setup, outdir):
     """Solve the penalized problem at a single eps."""
-    cfg, setup, outdir = _prepare(config_path, out_override, check=_single_eps)
     t0 = time.perf_counter()
     result = newton_solve(setup, setup.phi, cfg.tolerances)
     elapsed = time.perf_counter() - t0
-    _write_stage(outdir / "solution.csv", setup, result)
+    _write_stages([(outdir / "solution.csv", setup, result)])
     if not result.converged:
         log.error("Newton did not converge (final residual %.3e)", result.residual_norms[-1])
     run = {"stages": [_stage_entry(setup, result)], "wall_clock_seconds": {"solve": elapsed}, "files": ["solution.csv"]}
-    _finish(outdir, cfg, run, EXIT_OK if result.converged else EXIT_SOLVER)
+    return (EXIT_OK if result.converged else EXIT_SOLVER), run
 
 
-@_command
-def sweep(config_path, out_override) -> None:
+@_command()
+def sweep(cfg, setup, outdir):
     """Continuation sweep over the eps schedule with diagnostics."""
-    cfg, setup, outdir = _prepare(config_path, out_override)
     code, _, run = _run_sweep(cfg, setup, outdir)
-    _finish(outdir, cfg, run, code)
+    return code, run
 
 
 def _oracle(problem: ConeProblem):
@@ -368,10 +371,9 @@ def _oracle(problem: ConeProblem):
     return oracle, time.perf_counter() - t0
 
 
-@_command
-def compare(config_path, out_override) -> None:
+@_command()
+def compare(cfg, setup, outdir):
     """Run the sweep and the direct minimizer, report their agreement."""
-    cfg, setup, outdir = _prepare(config_path, out_override)
     # Every stage shares the first stage's grid, Lagrangian and obstacle, so
     # the oracle, which needs nothing else, runs beside the sweep.
     problem = ConeProblem(grid=setup.grid, lagrangian=setup.lagrangian, phi=setup.phi)
@@ -380,15 +382,15 @@ def compare(config_path, out_override) -> None:
     with _in_child(_oracle, problem) as oracle_result:
         code, stages, run = _run_sweep(cfg, setup, outdir)
         if code != EXIT_OK:
-            _finish(outdir, cfg, run, code)
+            return code, run
         oracle, run["wall_clock_seconds"]["oracle"] = oracle_result()
-        # the child has sent its result; it is reaped when _finish leaves the block
+        # the child has sent its result; it is reaped when the block is left
         setup, result = stages[-1]
         g = setup.grid
         if oracle.kkt_residual > cfg.tolerances.kkt_tol:
             log.error("oracle failed: KKT residual %.3e > %.3e",
                       oracle.kkt_residual, cfg.tolerances.kkt_tol)
-            _finish(outdir, cfg, run, EXIT_ORACLE)
+            return EXIT_ORACLE, run
 
         diff = np.abs(result.u - oracle.v)
         write_csv(outdir / "compare.csv",
@@ -408,16 +410,15 @@ def compare(config_path, out_override) -> None:
         }
         write_json(outdir / "compare_summary.json", summary)
         run["files"] += ["compare.csv", "compare_summary.json"]
-        _finish(outdir, cfg, run, EXIT_OK)
+    return EXIT_OK, run
 
 
-@_command
-def verify(config_path, out_override) -> None:
+@_command(check=_bumps_fit)
+def verify(cfg, setup, outdir):
     """Weak-form residual of the limiting Euler-Lagrange identity."""
-    cfg, setup, outdir = _prepare(config_path, out_override, check=_bumps_fit)
     code, stages, run = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
-        _finish(outdir, cfg, run, code)
+        return code, run
     setup, result = stages[-1]
     family = default_family(setup.grid)
     w_resc = rescaled_w(result, setup)
@@ -433,7 +434,7 @@ def verify(config_path, out_override) -> None:
         "status": "PASS" if max_res <= tol else "FAIL",
     })
     run["files"] += ["el_residuals.csv", "verify_summary.json"]
-    _finish(outdir, cfg, run, EXIT_OK)
+    return EXIT_OK, run
 
 
 if __name__ == "__main__":

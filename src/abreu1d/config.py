@@ -100,24 +100,20 @@ class RunConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.rho_minus <= 0.0 or self.rho_plus <= 0.0:
+        if cfg.rho_minus <= 0.0 or cfg.rho_plus <= 0.0:
             raise ConfigError("boundary data must satisfy rho+- > 0")
-        if not (-1.0 < self.grid_a < self.grid_b < 1.0):
+        if not (-1.0 < cfg.grid_a < cfg.grid_b < 1.0):
             raise ConfigError("window must satisfy -1 < a < b < 1")
-        if self.preset not in ("rochet_chone", "zero") and not self.preset.startswith("custom:"):
-            raise ConfigError(f"unknown lagrangian preset: {self.preset!r}")
-        if (self.eta0 is None) == (self.preset == "rochet_chone"):
+        if cfg.preset not in ("rochet_chone", "zero") and not cfg.preset.startswith("custom:"):
+            raise ConfigError(f"unknown lagrangian preset: {cfg.preset!r}")
+        if (cfg.eta0 is None) == (cfg.preset == "rochet_chone"):
             raise ConfigError(f"lagrangian.eta0 is for 'rochet_chone' only, and required there "
-                              f"(preset {self.preset!r})")
-        schedule = self.schedule()
+                              f"(preset {cfg.preset!r})")
         try:
-            check_schedule(schedule)
+            check_schedule(cfg.schedule())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        return cfg
 
     def schedule(self) -> list[float]:
         s = self.eps_schedule
@@ -131,35 +127,30 @@ class RunConfig:
             raise ConfigError(f"bad eps_schedule: {exc}") from exc
         raise ConfigError("eps_schedule must be a list or {start, ratio, stages}")
 
-    def build_grid(self) -> Grid:
-        try:
-            return build_grid(self.grid_n, self.grid_a, self.grid_b)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
     def build_lagrangian(self, grid: Grid) -> LagrangianSpec:
         """The preset's Lagrangian; a `custom:` one must pass `check_partials`."""
         if self.preset.startswith("custom:"):
             key = self.preset.removeprefix("custom:")
             if key not in CUSTOM_REGISTRY:
-                raise ConfigError(f"unregistered custom lagrangian: {key!r}")
+                raise ValueError(f"unregistered custom lagrangian: {key!r}")
             spec = CUSTOM_REGISTRY[key]()
             try:
                 check_partials(spec)
             except ValueError as exc:
-                raise ConfigError(f"custom lagrangian {key!r}: {exc}") from exc
+                raise ValueError(f"custom lagrangian {key!r}: {exc}") from exc
             return spec
         eta0 = self.eta0 if self.preset == "rochet_chone" else [0.0]
-        try:
-            return make_rochet_chone(eta0, sample_nodes=grid.nodes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return make_rochet_chone(eta0, sample_nodes=grid.nodes)
 
     def build_setup(self) -> ProblemSetup:
-        """The problem at the schedule's first eps."""
-        grid = self.build_grid()
-        lag = self.build_lagrangian(grid)
+        """The problem at the schedule's first eps.
+
+        The one place where a ValueError from building the grid, the
+        Lagrangian or the setup becomes a ConfigError with its message.
+        """
         try:
+            grid = build_grid(self.grid_n, self.grid_a, self.grid_b)
+            lag = self.build_lagrangian(grid)
             return make_setup(grid, lag, self.phi, self.rho_minus, self.rho_plus, self.schedule()[0])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -173,8 +164,6 @@ def load_config(path: Union[str, Path]) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
     return RunConfig.from_dict(doc)
 
 

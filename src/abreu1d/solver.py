@@ -64,7 +64,6 @@ class ProblemSetup:
     grid: Grid
     lagrangian: LagrangianSpec
     phi: np.ndarray
-    phi_pp: np.ndarray
     rho_minus: float
     rho_plus: float
     eps: float
@@ -74,8 +73,6 @@ class ProblemSetup:
         n = self.grid.n
         if abs(self.phi[0]) > 1e-12 or abs(self.phi[n]) > 1e-12:
             raise ValueError("obstacle must vanish at the boundary: phi(+-1) = 0")
-        if self.c0 <= 0.0 or np.any(self.phi_pp < self.c0 - 1e-12):
-            raise ValueError("obstacle must be uniformly convex: phi'' >= c0 > 0")
         if self.rho_minus <= 0.0 or self.rho_plus <= 0.0:
             raise ValueError("boundary data must be positive: rho+- > 0")
         if not (0.0 < self.eps < 1.0):
@@ -100,7 +97,7 @@ def make_setup(
     if c0 <= 0.0:
         raise ValueError(f"obstacle is not uniformly convex on the grid: min phi'' = {c0}")
     return ProblemSetup(
-        grid=grid, lagrangian=lagrangian, phi=phi, phi_pp=phi_pp,
+        grid=grid, lagrangian=lagrangian, phi=phi,
         rho_minus=rho_minus, rho_plus=rho_plus, eps=eps, c0=c0,
     )
 
@@ -298,21 +295,18 @@ def newton_solve(
                 break
             t *= 0.5
         iters += 1
-        if not accepted or t < 1e-12:
-            if accepted:
-                norms.append(norm)
+        if not accepted:
             break
         norms.append(norm)
         converged = norm <= tol
 
-    min_upp = float(np.min(s))
     return SolveResult(
         u=u,
         w=1.0 / s,
         newton_iters=iters,
         residual_norms=norms,
-        converged=bool(converged and min_upp > 0.0),
-        min_upp=min_upp,
+        converged=bool(converged),
+        min_upp=float(np.min(s)),
     )
 
 

@@ -386,6 +386,27 @@ def test_failed_child_write_is_nonzero_exit(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_split_writer_raises_the_childs_error(tmp_path, monkeypatch):
+    # only the forked child's write fails, and no file is left behind that
+    # would make the manifest fail instead: the error must come from the child
+    _split_writes(monkeypatch, True)
+    command_pid = os.getpid()
+    write_csv = cli.write_csv
+
+    def failing_in_child(path, header, columns):
+        if os.getpid() != command_pid:
+            raise RuntimeError(f"child write refused: {path.name}")
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "write_csv", failing_in_child)
+    cfg = write_config(tmp_path / "cfg.json")
+    with pytest.raises(RuntimeError, match=r"^child write refused: solution_stage01\.csv$"):
+        cli.main.main(args=["sweep", "--config", str(cfg)], standalone_mode=False)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command, blocked", [("sweep", "solution_stage02.csv"),
                                               ("sweep", "rates.csv"),
                                               ("compare", "compare.csv"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from helpers import write_config
 
@@ -133,10 +135,26 @@ def test_missing_field_rejected():
         RunConfig.from_dict(doc)
 
 
-def test_nonvanishing_obstacle_rejected_at_setup():
-    cfg = RunConfig.from_dict(_base_doc(phi=[-1.0, 0.0, 2.0]))
-    with pytest.raises(ConfigError):
+# Rules that only `build_setup` enforces, through the grid, Lagrangian and
+# setup builders, with the builder's message the ConfigError must carry.
+SETUP_ERRORS = {
+    "odd-n": ({"grid": {"n": 63}}, "need even n >= 16"),
+    "n-8": ({"grid": {"n": 8}}, "need even n >= 16"),
+    "window-at-boundary": ({"grid": {"a": -0.999}}, "window endpoints snapped to the boundary"),
+    "window-too-small": ({"grid": {"a": -0.01, "b": 0.01}}, "window too small"),
+    "negative-weight": ({"lagrangian": {"eta0": [-1.0]}}, "negative weight"),
+    "nonvanishing-obstacle": ({"phi": [-1.0, 0.0, 2.0]}, "must vanish at the boundary"),
+    "flat-obstacle": ({"phi": [0.0]}, "not uniformly convex"),
+}
+
+
+@pytest.mark.parametrize("patch, message", SETUP_ERRORS.values(), ids=SETUP_ERRORS.keys())
+def test_setup_rule_rejected_at_build_setup(patch, message):
+    cfg = RunConfig.from_dict(_base_doc(**patch))
+    with pytest.raises(ConfigError, match=re.escape(message)) as exc:
         cfg.build_setup()
+    assert not isinstance(exc.value.__cause__, ConfigError)
+    assert str(exc.value) == str(exc.value.__cause__)
 
 
 def test_unreadable_or_invalid_json(tmp_path):
@@ -146,6 +164,10 @@ def test_unreadable_or_invalid_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
+    for text in ("[]", '"text"', "3"):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="^config must be a mapping$"):
+            load_config(bad)
 
 
 def test_write_config_helper_round_trips(tmp_path):

@@ -282,18 +282,19 @@ def test_no_import_time_scipy_imports(path):
     assert import_time_scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
-def fork_sites(sources: dict[str, str]) -> list[str]:
-    """Functions in `sources` (file name -> text) that call `os.fork`.
+def call_sites(sources: dict[str, str], module: str, function: str) -> list[str]:
+    """Functions in `sources` (file name -> text) that call `module.function`.
 
     A call counts for the innermost function around it, or for `<module>`;
-    `fork()` counts when `fork` is imported from `os`.
+    a bare `function()` counts when `function` is imported from `module`.
     """
     found = []
 
-    def forks(node, imported):
+    def calls(node, imported):
         func = node.func
         if isinstance(func, ast.Attribute):
-            return func.attr == "fork" and isinstance(func.value, ast.Name) and func.value.id == "os"
+            return (func.attr == function and isinstance(func.value, ast.Name)
+                    and func.value.id == module)
         return isinstance(func, ast.Name) and func.id in imported
 
     def visit(node, file, owner, imported):
@@ -301,7 +302,7 @@ def fork_sites(sources: dict[str, str]) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, file, child.name, imported)
                 continue
-            if isinstance(child, ast.Call) and forks(child, imported):
+            if isinstance(child, ast.Call) and calls(child, imported):
                 found.append(f"{file}:{owner} (line {child.lineno})")
             visit(child, file, owner, imported)
 
@@ -310,8 +311,8 @@ def fork_sites(sources: dict[str, str]) -> list[str]:
         imported = {
             alias.asname or alias.name
             for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "os"
-            for alias in node.names if alias.name == "fork"
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names if alias.name == function
         }
         visit(tree, name, "<module>", imported)
     return found
@@ -324,12 +325,36 @@ def test_detector_flags_every_fork_site():
                 "def spoon(fork):\n    return fork()\n",
         "b.py": "from os import fork as f\nf()\n",
     }
-    assert fork_sites(sources) == [
+    assert call_sites(sources, "os", "fork") == [
         "a.py:one (line 3)", "a.py:inner (line 6)", "b.py:<module> (line 2)",
     ]
 
 
+def test_detector_flags_every_exit_site():
+    sources = {
+        "a.py": "import os, sys\ndef one():\n    sys.exit(1)\n"
+                "def two():\n    os._exit(0)\n    raise SystemExit(2)\n",
+        "b.py": "from sys import exit\nexit(3)\n",
+    }
+    assert call_sites(sources, "sys", "exit") == ["a.py:one (line 3)", "b.py:<module> (line 2)"]
+
+
+def _package_sources():
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
 def test_one_fork_site():
     # cli._in_child owns the fork, the result pipe and the reaping
-    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert [site.split(" ")[0] for site in fork_sites(sources)] == ["cli.py:_in_child"]
+    sites = call_sites(_package_sources(), "os", "fork")
+    assert [site.split(" ")[0] for site in sites] == ["cli.py:_in_child"]
+
+
+def test_one_exit_site():
+    # the command that cli._command registers picks every exit code, after the manifest
+    [site] = call_sites(_package_sources(), "sys", "exit")
+    owner, line = site.removesuffix(")").split(" (line ")
+    assert owner == "cli.py:command"
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    [register] = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_command"]
+    assert register.lineno < int(line) <= register.end_lineno

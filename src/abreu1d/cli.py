@@ -6,17 +6,19 @@ error line names the file, and no manifest is written).  `_command` is the
 one place that picks the exit code: each command returns its code and its
 manifest record, and `_command` writes the manifest last, then exits.
 Tabular outputs are CSV, all written by `write_csv` with one formatting
-rule: comma separator, floats as `%.17g`, other values as `str()`, LF line
-endings, UTF-8.  Manifests and summaries are JSON; the manifest hashes
-every other file the command wrote.
+rule: comma separator, floats as `%.17g` (`_FLOAT_FORMAT`), other values as
+`str()`, LF line endings, UTF-8.  Manifests and summaries are JSON.
+`write_csv` and `write_json` return the sha256 of the bytes they wrote, and
+the manifest lists those digests for every other file the command wrote;
+no artifact is read back.
 
 Work that can run beside the command goes to one forked child through
 `_in_child`: `compare` runs the convex-cone oracle in a second process while
-the sweep runs in this one, and a large sweep has the child write every
-second stage solution file while the command writes the others and its
-summary files.  Each child is reaped before the command writes anything
-that depends on it.  Machines with one CPU, or without os.fork, run that
-work in the command's process.
+the sweep runs in this one, and a large sweep has the child write stages
+00, 02, ... (the larger half when the count is odd) while the command
+writes the others and its summary files.  Each child is reaped before the
+command writes anything that depends on it.  Machines with one CPU, or
+without os.fork, run that work in the command's process.
 """
 
 import functools
@@ -69,55 +71,68 @@ def _setup_logging() -> None:
 # raised the process's peak RSS by about 0.6 MB.
 _CSV_BLOCK_ROWS = 512
 
+# How `write_csv` writes a float, and how `_write_stages` renders grid nodes.
+_FLOAT_FORMAT = "%.17g"
 
-def write_csv(path: Path, header, columns) -> None:
+
+def write_csv(path: Path, header, columns) -> str:
     """Write equal-length `columns` under `header`; no columns writes the header alone.
 
-    A column that numpy reads as a float array is written with `%.17g`, any
-    other column with `str()`.  Each block of rows is formatted by one `%`.
+    A column that numpy reads as a float array is written with
+    `_FLOAT_FORMAT`, any other column with `str()`.  Each block of rows is
+    formatted by one `%`.  Returns the sha256 hex digest of the bytes written.
     """
     cols = [np.asarray(c) for c in columns]
     width = len(cols)
     n = len(cols[0]) if cols else 0
-    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    row = ",".join(_FLOAT_FORMAT if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+
+    def blocks():
+        yield ",".join(header) + "\n"
         for lo in range(0, n, _CSV_BLOCK_ROWS):
             hi = min(lo + _CSV_BLOCK_ROWS, n)
             values = [None] * ((hi - lo) * width)
             for j, c in enumerate(cols):
                 values[j::width] = c[lo:hi].tolist()
-            fh.write((row * (hi - lo)) % tuple(values))
+            yield (row * (hi - lo)) % tuple(values)
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in blocks():
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
-def write_json(path: Path, doc) -> None:
+def write_json(path: Path, doc) -> str:
+    """Write `doc` as indented JSON through a temporary file; returns the sha256 of its bytes."""
+    data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _finish(outdir: Path, cfg: RunConfig, run: dict) -> None:
     """Write manifest.json after the command's last artifact.
 
-    `run` holds "stages", "wall_clock_seconds" and "files", the artifact names to hash.
+    `run` holds "stages", "wall_clock_seconds" and "files", each artifact's
+    name -> sha256 as its writer returned it.
     """
-    write_json(outdir / "manifest.json", {
-        "tool_version": __version__,
-        "config": cfg.to_dict(),
-        **run,
-        "files": {n: hashlib.sha256((outdir / n).read_bytes()).hexdigest() for n in run["files"]},
-    })
+    write_json(outdir / "manifest.json", {"tool_version": __version__, "config": cfg.to_dict(), **run})
 
 
 STAGE_HEADER = ("x", "u", "u_prime", "u_pp", "w", "f_eps")
 
 # Stage files are written from two processes when they hold at least this
-# many values in all.  The fork costs a few ms and each `%.17g` value about
-# 0.6 us.  On a 2-vCPU Xeon VM (11 stages of the exact-solution problem) the
-# split broke even between 17 k and 25 k values, saved 20 % of the write time
-# at 34 k and 44 % at 540 k (n = 8192), and cost 1-2 ms at 8.5 k (n = 128).
+# many values in all.  The fork costs a few ms and each float value about
+# 0.6 us to format.  On a 2-vCPU Xeon VM (11 stages of the exact-solution
+# problem) the split broke even between 17 k and 25 k values, saved 20 % of
+# the write time at 34 k and 44 % at 540 k (n = 8192), and cost 1-2 ms at
+# 8.5 k (n = 128).  The child writes the larger half, stages 00, 02, ...,
+# because this process goes on to write the summary files.
 _SPLIT_MIN_VALUES = 25_000
 
 
@@ -131,34 +146,45 @@ def _stage_entry(setup, result) -> dict:
     }
 
 
-def _write_stages(jobs) -> None:
-    """Write each `(path, setup, result)` job's solution CSV."""
+def _write_stages(jobs) -> dict:
+    """Write each `(path, setup, result)` job's solution CSV; returns file name -> sha256.
+
+    The nodes of a grid are rendered with `_FLOAT_FORMAT` once, and every
+    stage on that grid writes them as a column of strings.
+    """
+    digests = {}
+    grid = nodes = None
     for path, setup, result in jobs:
-        g = setup.grid
+        if setup.grid is not grid:
+            grid = setup.grid
+            nodes = np.array([_FLOAT_FORMAT % x for x in grid.nodes.tolist()], dtype=object)
         u = result.u
-        upp = d2(u, g)
-        write_csv(path, STAGE_HEADER,
-                  (g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
+        upp = d2(u, grid)
+        digests[path.name] = write_csv(path, STAGE_HEADER,
+                                       (nodes, u, d1(u, grid), upp, result.w, f_eps(u, upp, setup)))
+    return digests
 
 
 @contextmanager
-def _writing_stages(outdir: Path, names, stages):
-    """Write every stage's solution CSV; all are written when the block ends.
+def _writing_stages(outdir: Path, stages):
+    """Write every stage's `solution_stageNN.csv`; yield the file name -> sha256 record.
 
-    With at least `_SPLIT_MIN_VALUES` values, every second file is written
-    by `_in_child` while this process writes the others and then runs the
-    block, so the child's exit overlaps the block's writes.
+    The block adds its own files to the record, which holds every stage
+    file when the block ends.  With at least `_SPLIT_MIN_VALUES` values,
+    `_in_child` writes stages 00, 02, ... while this process writes the
+    others and then runs the block, so the child's exit overlaps the
+    block's writes.
     """
-    jobs = [(outdir / name, setup, result) for name, (setup, result) in zip(names, stages)]
+    jobs = [(outdir / f"solution_stage{k:02d}.csv", setup, result)
+            for k, (setup, result) in enumerate(stages)]
     values = len(STAGE_HEADER) * sum(setup.grid.n + 1 for setup, _ in stages)
     if values < _SPLIT_MIN_VALUES:
-        _write_stages(jobs)
-        yield
+        yield _write_stages(jobs)
         return
-    with _in_child(_write_stages, jobs[1::2]) as child_written:
-        _write_stages(jobs[::2])
-        yield
-        child_written()
+    with _in_child(_write_stages, jobs[::2]) as child_written:
+        files = _write_stages(jobs[1::2])
+        yield files
+        files.update(child_written())
 
 
 @contextmanager
@@ -234,13 +260,11 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
     stages = continuation_sweep(setup, schedule, cfg.tolerances)
     elapsed = time.perf_counter() - t0
 
-    files = [f"solution_stage{k:02d}.csv" for k in range(len(stages))]
-    with _writing_stages(outdir, files, stages):
+    with _writing_stages(outdir, stages) as files:
         reports = [compute_report(r, s) for s, r in stages if r.converged]
         header = [f.name for f in fields(EstimateReport)]
-        write_csv(outdir / "sweep.csv", header,
-                  [[getattr(r, name) for r in reports] for name in header])
-        files.append("sweep.csv")
+        files["sweep.csv"] = write_csv(outdir / "sweep.csv", header,
+                                       [[getattr(r, name) for r in reports] for name in header])
 
         rate_rows = []
         for name in RATE_FIELDS:
@@ -250,14 +274,13 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
                 continue
             rate_rows.append((name, fit.slope, fit.r2, fit.stages,
                               "yes" if fit.identically_small else "no"))
-        write_csv(outdir / "rates.csv",
-                  ("quantity", "slope", "r2", "stages", "identically_small"),
-                  list(zip(*rate_rows)))
-        files.append("rates.csv")
+        files["rates.csv"] = write_csv(outdir / "rates.csv",
+                                       ("quantity", "slope", "r2", "stages", "identically_small"),
+                                       list(zip(*rate_rows)))
 
         try:
-            write_json(outdir / "bounds.json", check_theorem_bounds(reports))
-            files.append("bounds.json")
+            files["bounds.json"] = write_json(outdir / "bounds.json",
+                                              check_theorem_bounds(reports))
         except ValueError as exc:
             log.warning("bound checks skipped: %s", exc)
     stage_meta = [_stage_entry(setup, result) for setup, result in stages]
@@ -350,10 +373,10 @@ def solve(cfg, setup, outdir):
     t0 = time.perf_counter()
     result = newton_solve(setup, setup.phi, cfg.tolerances)
     elapsed = time.perf_counter() - t0
-    _write_stages([(outdir / "solution.csv", setup, result)])
+    files = _write_stages([(outdir / "solution.csv", setup, result)])
     if not result.converged:
         log.error("Newton did not converge (final residual %.3e)", result.residual_norms[-1])
-    run = {"stages": [_stage_entry(setup, result)], "wall_clock_seconds": {"solve": elapsed}, "files": ["solution.csv"]}
+    run = {"stages": [_stage_entry(setup, result)], "wall_clock_seconds": {"solve": elapsed}, "files": files}
     return (EXIT_OK if result.converged else EXIT_SOLVER), run
 
 
@@ -392,10 +415,11 @@ def compare(cfg, setup, outdir):
                       oracle.kkt_residual, cfg.tolerances.kkt_tol)
             return EXIT_ORACLE, run
 
+        files = run["files"]
         diff = np.abs(result.u - oracle.v)
-        write_csv(outdir / "compare.csv",
-                  ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
-                  (g.nodes, result.u, oracle.v, diff))
+        files["compare.csv"] = write_csv(outdir / "compare.csv",
+                                         ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
+                                         (g.nodes, result.u, oracle.v, diff))
 
         width = g.b - g.a
         inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
@@ -408,8 +432,7 @@ def compare(cfg, setup, outdir):
             "J_abs_diff": abs(J_abreu - oracle.J_value),
             "oracle_kkt_residual": oracle.kkt_residual,
         }
-        write_json(outdir / "compare_summary.json", summary)
-        run["files"] += ["compare.csv", "compare_summary.json"]
+        files["compare_summary.json"] = write_json(outdir / "compare_summary.json", summary)
     return EXIT_OK, run
 
 
@@ -423,17 +446,17 @@ def verify(cfg, setup, outdir):
     family = default_family(setup.grid)
     w_resc = rescaled_w(result, setup)
     max_res, per_bump = distributional_residual(w_resc, result.u, setup, family)
-    write_csv(outdir / "el_residuals.csv",
-              ("center", "radius", "residual"),
-              (family.centers, family.radii, per_bump))
+    files = run["files"]
+    files["el_residuals.csv"] = write_csv(outdir / "el_residuals.csv",
+                                          ("center", "radius", "residual"),
+                                          (family.centers, family.radii, per_bump))
     tol = cfg.tolerances.el_residual_tol
-    write_json(outdir / "verify_summary.json", {
+    files["verify_summary.json"] = write_json(outdir / "verify_summary.json", {
         "eps": setup.eps,
         "max_residual": max_res,
         "tolerance": tol,
         "status": "PASS" if max_res <= tol else "FAIL",
     })
-    run["files"] += ["el_residuals.csv", "verify_summary.json"]
     return EXIT_OK, run
 
 

@@ -12,10 +12,12 @@ import time
 
 import numpy as np
 import pytest
-from helpers import SHALLOW_PHI, STEEP_PHI, quartic_spec, run_cli, write_config
+from helpers import SHALLOW_PHI, STEEP_PHI, monopolist_setup, quartic_spec, run_cli, write_config
 
 from abreu1d import cli
+from abreu1d.grid import d1, d2
 from abreu1d.lagrangian import CUSTOM_REGISTRY
+from abreu1d.solver import continuation_sweep, f_eps
 
 
 def _rows(path):
@@ -55,9 +57,10 @@ def test_write_csv_bytes_match_per_value_format(tmp_path, rows):
         [("penalty_l2", "min_upp_ab")[k % 2] for k in range(rows)],
     ]
     header = ("a", "b", "c", "d", "stages", "quantity")
-    cli.write_csv(tmp_path / "new.csv", header, columns)
+    digest = cli.write_csv(tmp_path / "new.csv", header, columns)
     _per_value_csv(tmp_path / "old.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert digest == hashlib.sha256((tmp_path / "new.csv").read_bytes()).hexdigest()
 
 
 def test_write_csv_rates_shape_and_header_only_match_per_value_format(tmp_path):
@@ -71,11 +74,40 @@ def test_write_csv_rates_shape_and_header_only_match_per_value_format(tmp_path):
         "empty_columns": [[] for _ in RATES_HEADER],
     }
     for name, columns in cases.items():
-        cli.write_csv(tmp_path / f"{name}.csv", RATES_HEADER, columns)
+        digest = cli.write_csv(tmp_path / f"{name}.csv", RATES_HEADER, columns)
         _per_value_csv(tmp_path / f"{name}_ref.csv", RATES_HEADER,
                        rate_rows if name == "rates" else [])
-        assert ((tmp_path / f"{name}.csv").read_bytes()
-                == (tmp_path / f"{name}_ref.csv").read_bytes()), name
+        written = (tmp_path / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+        assert digest == hashlib.sha256(written).hexdigest(), name
+
+
+def test_write_json_returns_the_digest_of_its_bytes(tmp_path):
+    doc = {"b": [0.1, -0.0, 5e-324], "a": {"status": "PASS", "n": 3}, "nan": float("nan")}
+    path = tmp_path / "doc.json"
+    digest = cli.write_json(path, doc)
+    written = path.read_bytes()
+    assert written == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert digest == hashlib.sha256(written).hexdigest()
+    assert not (tmp_path / "doc.json.tmp").exists()
+
+
+@pytest.mark.parametrize("n", [16, 24, 8192])
+def test_stage_files_with_rendered_nodes_match_per_value_format(tmp_path, n):
+    # two stages on one grid: the second reuses the first one's rendered nodes;
+    # at n = 24 the nodes are not dyadic and need all 17 digits
+    stages = continuation_sweep(monopolist_setup(n=n), [0.1, 0.05])
+    jobs = [(tmp_path / f"stage{k}.csv", setup, result) for k, (setup, result) in enumerate(stages)]
+    digests = cli._write_stages(jobs)
+    assert list(digests) == ["stage0.csv", "stage1.csv"]
+    for path, setup, result in jobs:
+        g, u = setup.grid, result.u
+        upp = d2(u, g)
+        _per_value_csv(tmp_path / "ref.csv", cli.STAGE_HEADER,
+                       zip(g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
+        written = path.read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes(), path.name
+        assert digests[path.name] == hashlib.sha256(written).hexdigest(), path.name
 
 
 def test_solve_exact_solution(tmp_path):
@@ -262,18 +294,26 @@ SHORT_SWEEP = {"start": 0.1, "ratio": 0.5, "stages": 4}
 
 
 @pytest.mark.parametrize(
-    "command, overrides, code",
+    "command, overrides, code, split",
     [
-        ("compare", {"grid": {"n": 32}}, 0),
-        ("verify", {}, 0),
+        ("compare", {"grid": {"n": 32}}, 0, False),
+        ("verify", {}, 0, False),
         ("compare", {"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5, "grid": {"n": 32},
-                     "tolerances": {"kkt_tol": 1e-16}}, 3),
+                     "tolerances": {"kkt_tol": 1e-16}}, 3, False),
         ("verify", {"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5,
-                    "tolerances": {"newton_tol_scale": 1e-30}}, 2),
+                    "tolerances": {"newton_tol_scale": 1e-30}}, 2, False),
+        ("sweep", {}, 0, True),
+        ("compare", {"grid": {"n": 32}}, 0, True),
+        ("verify", {}, 0, True),
     ],
-    ids=["compare", "verify", "compare-oracle-failure", "verify-solver-failure"],
+    ids=["compare", "verify", "compare-oracle-failure", "verify-solver-failure",
+         "sweep-split", "compare-split", "verify-split"],
 )
-def test_manifest_hashes_every_artifact(tmp_path, command, overrides, code):
+def test_manifest_hashes_every_artifact(tmp_path, monkeypatch, command, overrides, code, split):
+    # with the split writer forced, the forked child's stage files are hashed
+    # by the child, which sends their digests back
+    if split:
+        _split_writes(monkeypatch, True)
     cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, **overrides)
     assert _invoke(command, "--config", cfg) == code
     out = tmp_path / "out"
@@ -351,14 +391,14 @@ def test_split_and_serial_stage_writes_are_byte_identical(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize(
     "blocked, error",
-    [("solution_stage00.csv", r"Is a directory: '.*solution_stage00\.csv'"),
-     ("solution_stage01.csv", r"Is a directory: '.*solution_stage01\.csv'")],
+    [("solution_stage01.csv", r"Is a directory: '.*solution_stage01\.csv'"),
+     ("solution_stage00.csv", r"Is a directory: '.*solution_stage00\.csv'")],
     ids=["parent-file", "child-file"],
 )
 def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeypatch, caplog,
                                                                blocked, error):
-    # a directory where a stage file goes makes its write fail: stage 01 is
-    # the forked child's, stage 00 this process's
+    # a directory where a stage file goes makes its write fail: stage 00 is
+    # the forked child's first file, stage 01 this process's
     _split_writes(monkeypatch, True)
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
@@ -374,7 +414,7 @@ def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeyp
 
 def test_failed_child_write_is_nonzero_exit(tmp_path):
     out = tmp_path / "out"
-    (out / "solution_stage01.csv").mkdir(parents=True)
+    (out / "solution_stage00.csv").mkdir(parents=True)  # the forked child's first file
     cfg = write_config(tmp_path / "cfg.json")
     forced = ("import os; from abreu1d import cli; cli._SPLIT_MIN_VALUES = 0; "
               "os.sched_getaffinity = lambda pid: {0, 1}; cli.main()")
@@ -382,7 +422,7 @@ def test_failed_child_write_is_nonzero_exit(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
-    assert "output write failed: " in proc.stderr and "solution_stage01.csv" in proc.stderr
+    assert "output write failed: " in proc.stderr and "solution_stage00.csv" in proc.stderr
     assert not (out / "manifest.json").exists()
 
 
@@ -396,11 +436,11 @@ def test_split_writer_raises_the_childs_error(tmp_path, monkeypatch):
     def failing_in_child(path, header, columns):
         if os.getpid() != command_pid:
             raise RuntimeError(f"child write refused: {path.name}")
-        write_csv(path, header, columns)
+        return write_csv(path, header, columns)
 
     monkeypatch.setattr(cli, "write_csv", failing_in_child)
     cfg = write_config(tmp_path / "cfg.json")
-    with pytest.raises(RuntimeError, match=r"^child write refused: solution_stage01\.csv$"):
+    with pytest.raises(RuntimeError, match=r"^child write refused: solution_stage00\.csv$"):
         cli.main.main(args=["sweep", "--config", str(cfg)], standalone_mode=False)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

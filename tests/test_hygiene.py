@@ -358,3 +358,55 @@ def test_one_exit_site():
     [register] = [node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_command"]
     assert register.lineno < int(line) <= register.end_lineno
+
+
+def float_format_literals(sources: dict[str, str]) -> list[str]:
+    """String constants in `sources` (file name -> text) that hold a `.17g` float format.
+
+    `"%.17g"`, a row template built on it, an f-string's `:.17g` spec and a
+    `format(v, ".17g")` argument all count; docstrings do not.
+    """
+    found = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None
+        }
+        found += sorted(
+            (name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ".17g" in node.value and id(node) not in docstrings
+        )
+    return [f"{name} (line {line})" for name, line in found]
+
+
+def test_detector_flags_every_float_format_literal():
+    sources = {
+        "a.py": '"""Floats as %.17g."""\n'
+                'FMT = "%.17g"\n'
+                'def f(v):\n'
+                '    """Writes %.17g."""\n'
+                '    return f"{v:.17g}" + format(v, ".17g")\n'
+                'class C:\n'
+                '    """Rows of %.17g."""\n'
+                '    row = "%.17g,%s\\n"\n'
+                'x = "%.16g" + "17g"\n',
+        "b.py": "def g(v):\n    return '%.17g' % v\n",
+    }
+    assert float_format_literals(sources) == [
+        "a.py (line 2)", "a.py (line 5)", "a.py (line 5)", "a.py (line 8)", "b.py (line 2)",
+    ]
+
+
+def test_one_float_format_literal():
+    # cli._FLOAT_FORMAT is how write_csv writes a float and how stage files render nodes
+    [site] = float_format_literals(_package_sources())
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    [definition] = [node for node in tree.body if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["_FLOAT_FORMAT"]]
+    assert site == f"cli.py (line {definition.lineno})"
+    assert ast.literal_eval(definition.value) == "%.17g"

@@ -221,6 +221,17 @@ def test_continuation_sweep_all_stages_converge():
         assert np.max(np.abs(res.u - stage_setup.phi)) <= 1e-8
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the Newton stop test ignores the conditioning, so stage 0 stops at "
+    "max|R| 1.1e-9 to 1.5e-8 against a tolerance of 1.1e-9 when n is not a power of two"))
+@pytest.mark.parametrize("n", [192, 200, 320, 384])
+def test_calibration_sweep_converges_off_powers_of_two(n):
+    # phi = x^2 - 1 solves the scheme at every eps, so every stage should converge
+    stages = continuation_sweep(monopolist_setup(n=n, eps=0.1), default_eps_schedule())
+    assert len(stages) == 11
+    assert all(res.converged for _, res in stages)
+
+
 def test_continuation_single_stage_equals_newton_solve():
     setup = monopolist_setup(eps=0.05)
     stages = continuation_sweep(setup, [0.05])

@@ -41,8 +41,8 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .grid import d1, d2
-from .minimizer import ConeProblem, eval_J, minimize_direct
-from .solver import continuation_sweep, f_eps, load_dgbsv, newton_solve
+from .minimizer import ConeProblem, minimize_direct
+from .solver import continuation_sweep, eval_J, f_eps, load_dgbsv, newton_solve
 from .weakform import (SupportViolation, check_support, default_family,
                        distributional_residual, rescaled_w)
 
@@ -71,7 +71,7 @@ def _setup_logging() -> None:
 # raised the process's peak RSS by about 0.6 MB.
 _CSV_BLOCK_ROWS = 512
 
-# How `write_csv` writes a float, and how `_write_stages` renders grid nodes.
+# How `write_csv` writes a float, and how `_writing_stages` renders grid nodes.
 _FLOAT_FORMAT = "%.17g"
 
 
@@ -146,22 +146,17 @@ def _stage_entry(setup, result) -> dict:
     }
 
 
-def _write_stages(jobs) -> dict:
+def _write_stages(nodes, jobs) -> dict:
     """Write each `(path, setup, result)` job's solution CSV; returns file name -> sha256.
 
-    The nodes of a grid are rendered with `_FLOAT_FORMAT` once, and every
-    stage on that grid writes them as a column of strings.
+    `nodes` is the `x` column of every job, as `write_csv` takes a column.
     """
     digests = {}
-    grid = nodes = None
     for path, setup, result in jobs:
-        if setup.grid is not grid:
-            grid = setup.grid
-            nodes = np.array([_FLOAT_FORMAT % x for x in grid.nodes.tolist()], dtype=object)
-        u = result.u
-        upp = d2(u, grid)
+        g, u = setup.grid, result.u
+        upp = d2(u, g)
         digests[path.name] = write_csv(path, STAGE_HEADER,
-                                       (nodes, u, d1(u, grid), upp, result.w, f_eps(u, upp, setup)))
+                                       (nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
     return digests
 
 
@@ -170,19 +165,20 @@ def _writing_stages(outdir: Path, stages):
     """Write every stage's `solution_stageNN.csv`; yield the file name -> sha256 record.
 
     The block adds its own files to the record, which holds every stage
-    file when the block ends.  With at least `_SPLIT_MIN_VALUES` values,
-    `_in_child` writes stages 00, 02, ... while this process writes the
-    others and then runs the block, so the child's exit overlaps the
-    block's writes.
+    file when the block ends.  The stages' nodes are rendered once, before
+    any write.  With at least `_SPLIT_MIN_VALUES` values, `_in_child` writes
+    stages 00, 02, ... while this process writes the others and then runs
+    the block, so the child's exit overlaps the block's writes.
     """
+    grid = stages[0][0].grid
+    nodes = np.array([_FLOAT_FORMAT % x for x in grid.nodes.tolist()], dtype=object)
     jobs = [(outdir / f"solution_stage{k:02d}.csv", setup, result)
             for k, (setup, result) in enumerate(stages)]
-    values = len(STAGE_HEADER) * sum(setup.grid.n + 1 for setup, _ in stages)
-    if values < _SPLIT_MIN_VALUES:
-        yield _write_stages(jobs)
+    if len(STAGE_HEADER) * len(nodes) * len(stages) < _SPLIT_MIN_VALUES:
+        yield _write_stages(nodes, jobs)
         return
-    with _in_child(_write_stages, jobs[::2]) as child_written:
-        files = _write_stages(jobs[1::2])
+    with _in_child(_write_stages, nodes, jobs[::2]) as child_written:
+        files = _write_stages(nodes, jobs[1::2])
         yield files
         files.update(child_written())
 
@@ -373,7 +369,7 @@ def solve(cfg, setup, outdir):
     t0 = time.perf_counter()
     result = newton_solve(setup, setup.phi, cfg.tolerances)
     elapsed = time.perf_counter() - t0
-    files = _write_stages([(outdir / "solution.csv", setup, result)])
+    files = _write_stages(setup.grid.nodes, [(outdir / "solution.csv", setup, result)])
     if not result.converged:
         log.error("Newton did not converge (final residual %.3e)", result.residual_norms[-1])
     run = {"stages": [_stage_entry(setup, result)], "wall_clock_seconds": {"solve": elapsed}, "files": files}
@@ -423,7 +419,7 @@ def compare(cfg, setup, outdir):
 
         width = g.b - g.a
         inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
-        J_abreu = eval_J(result.u, problem)
+        J_abreu = eval_J(result.u, g, setup.lagrangian)
         summary = {
             "eps_smallest": setup.eps,
             "sup_diff_inner_window": float(np.max(diff[inner])),

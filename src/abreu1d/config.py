@@ -32,11 +32,10 @@ def _integer(value, name: str) -> int:
 
 
 def _finite(value, name: str) -> float:
-    """`float(value)` if that is finite: JSON's NaN and Infinity are errors."""
-    number = float(value)
-    if not math.isfinite(number):
+    """`float(value)` if JSON gave a finite number: true, "0.5", NaN and Infinity are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 @dataclass
@@ -95,7 +94,7 @@ class RunConfig:
                 rho_minus=_finite(doc["rho_minus"], "rho_minus"),
                 rho_plus=_finite(doc["rho_plus"], "rho_plus"),
                 eps_schedule=doc["eps_schedule"],
-                tolerances=Tolerances(**{name: float(v) for name, v in tols.items()}),
+                tolerances=Tolerances(**{k: _finite(v, f"tolerances.{k}") for k, v in tols.items()}),
                 outputs=str(doc.get("outputs", "out")),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -119,9 +118,10 @@ class RunConfig:
         s = self.eps_schedule
         try:
             if isinstance(s, list):
-                return [float(e) for e in s]
+                return [_finite(e, "eps_schedule") for e in s]
             if isinstance(s, dict):
-                return default_eps_schedule(float(s["start"]), float(s["ratio"]),
+                return default_eps_schedule(_finite(s["start"], "eps_schedule.start"),
+                                            _finite(s["ratio"], "eps_schedule.ratio"),
                                             _integer(s["stages"], "stages"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad eps_schedule: {exc}") from exc

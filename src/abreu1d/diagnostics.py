@@ -19,8 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import d1, d2, integrate
-from .solver import NotConverged, ProblemSetup, SolveResult, eval_J_eps
-from .minimizer import ConeProblem, eval_J
+from .solver import NotConverged, ProblemSetup, SolveResult, eval_J, eval_J_eps, penalty_l2
 
 STABILITY_FACTOR = 10.0
 DECAY_FACTOR = 5.0
@@ -68,19 +67,16 @@ def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
     up = d1(u, g)
     upp = d2(u, g)
     win = g.window_slice()
-    pen = (u - setup.phi) ** 2
-    penalty_l2 = integrate(pen, g, 0, g.ia) + integrate(pen, g, g.ib, g.n)
-    cone = ConeProblem(grid=g, lagrangian=setup.lagrangian, phi=setup.phi)
     return EstimateReport(
         eps=setup.eps,
         sup_u=float(np.max(np.abs(u))),
         sup_grad_ab=float(np.max(np.abs(up[win]))),
         min_upp_ab=float(np.min(upp[win])),
         max_w_ab=float(np.max(result.w[win])),
-        penalty_l2=float(penalty_l2),
+        penalty_l2=penalty_l2(u, setup),
         eps_uprime_left=float(setup.eps * up[0]),
         eps_uprime_right=float(setup.eps * up[-1]),
-        J_val=eval_J(u, cone),
+        J_val=eval_J(u, g, setup.lagrangian),
         J_eps_val=eval_J_eps(u, setup),
         int_inv_upp=float(integrate(1.0 / upp, g, 0, g.n)),
     )

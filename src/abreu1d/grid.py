@@ -33,6 +33,10 @@ class Grid:
         """Nodes x_i with a <= x_i <= b."""
         return slice(self.ia, self.ib + 1)
 
+    def interior_slice(self) -> slice:
+        """Nodes x_i with a < x_i < b: the scheme's window rows and the oracle's free values."""
+        return slice(self.ia + 1, self.ib)
+
 
 def build_grid(n: int, a: float, b: float) -> Grid:
     """Build a uniform grid with the window endpoints snapped to nodes.
@@ -94,6 +98,11 @@ def integrate(values: np.ndarray, grid: Grid, lo: int, hi: int) -> float:
     if not (0 <= lo < hi <= grid.n):
         raise ValueError(f"bad integration range [{lo}, {hi}] on grid with n={grid.n}")
     return float(np.trapezoid(v[lo : hi + 1], dx=grid.h))
+
+
+def d2_central_coeffs(grid: Grid) -> np.ndarray:
+    """Weights of `d2`'s interior stencil on v_{i-1}, v_i, v_{i+1}."""
+    return np.array([1.0, -2.0, 1.0]) / (grid.h * grid.h)
 
 
 def d2_boundary_coeffs(grid: Grid, left: bool) -> np.ndarray:

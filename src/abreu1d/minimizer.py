@@ -14,17 +14,17 @@ and carries the accepted trial's value and second differences to the next
 step.  The smooth part is assembled from a per-cell midpoint quadrature,
 which (unlike the nodal trapezoid rule) is exactly stationary at the
 discrete minimizer and free of the odd/even decoupling of nodal central
-differences.  Reported functional values use `eval_J` (trapezoid), matching
-the grid module's quadrature.
+differences.  Reported functional values use `solver.eval_J` (trapezoid),
+the scheme's own quadrature.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, d1, d2, integrate
+from .grid import Grid, d2, d2_central_coeffs
 from .lagrangian import LagrangianSpec
-from .solver import solve_banded
+from .solver import eval_J, solve_banded
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class ConeProblem:
 
     @property
     def free(self) -> slice:
-        return slice(self.grid.ia + 1, self.grid.ib)
+        return self.grid.interior_slice()
 
 
 @dataclass
@@ -53,19 +53,11 @@ BARRIER_PATH = [0.1 * 0.25**k for k in range(15)]
 INNER_MAX_ITERS = 80
 
 
-def eval_J(v: np.ndarray, problem: ConeProblem) -> float:
-    """Trapezoid quadrature of F(x, v, v') over the window."""
-    g, lag = problem.grid, problem.lagrangian
-    x = g.nodes
-    F = lag.f0(x, v) + lag.f1(x, d1(v, g))
-    return integrate(F, g, g.ia, g.ib)
-
-
 def eval_J_cell(v: np.ndarray, problem: ConeProblem) -> float:
     """Per-cell midpoint quadrature of F(x, v, v') over the window.
 
     This is the smooth objective the barrier method actually minimizes;
-    `eval_J` (trapezoid) is the reporting quadrature.
+    `solver.eval_J` (trapezoid) is the reporting quadrature.
     """
     value, _ = _cell_objective(problem)
     return value(np.asarray(v, dtype=float))
@@ -78,7 +70,7 @@ def second_differences(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _constraint_s(v, grid: Grid) -> np.ndarray:
     """Second differences s_ia .. s_ib, the constraints that touch free values."""
-    return second_differences(v, grid)[grid.ia - 1 : grid.ib]
+    return d2(v, grid)[grid.window_slice()]
 
 
 def check_admissibility(v: np.ndarray, problem: ConeProblem, tol: float = 1e-10):
@@ -143,11 +135,10 @@ def _barrier_terms(v, problem: ConeProblem, mu: float, s=None):
     Each entry sums its constraints in increasing i.
     """
     g = problem.grid
-    h2 = g.h * g.h
     m = g.ib - g.ia - 1
     if s is None:
         s = _constraint_s(v, g)
-    w0, w1, w2 = np.array([1.0, -2.0, 1.0]) / h2
+    w0, w1, w2 = d2_central_coeffs(g)
     q = -mu / s
     r = mu / (s * s)
     grad = q[:m] * w2 + q[1:-1] * w1 + q[2:] * w0
@@ -217,7 +208,7 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
     kkt = float(np.max(np.abs(grad_total)))
     return MinimizeResult(
         v=v,
-        J_value=eval_J(v, problem),
+        J_value=eval_J(v, g, problem.lagrangian),
         kkt_residual=kkt,
         iters=total_iters,
         stage_J=stage_J,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid, d1, d2, d2_boundary_coeffs, integrate
+from .grid import Grid, d1, d2, d2_boundary_coeffs, d2_central_coeffs, integrate
 from .lagrangian import LagrangianSpec
 
 
@@ -162,13 +162,13 @@ def f_eps(u: np.ndarray, s: np.ndarray, setup: ProblemSetup) -> np.ndarray:
     """Right-hand side f of the interior rows eps * w'' = f, at every node.
 
     `s` holds the nodal u''.  f is f0_z(x, u) - f1_px(x, u') - f1_pp(x, u') u''
-    strictly inside the window (the rows `jacobian` treats as window rows) and
-    the penalty (u - phi)/eps elsewhere.
+    on the window's interior rows, `Grid.interior_slice`, and the penalty
+    (u - phi)/eps elsewhere.
     """
     g, lag = setup.grid, setup.lagrangian
     p = d1(u, g)
     f = (u - setup.phi) / setup.eps
-    win = slice(g.ia + 1, g.ib)
+    win = g.interior_slice()
     x, uw, pw, sw = g.nodes[win], u[win], p[win], s[win]
     f[win] = lag.f0_z(x, uw) - lag.f1_px(x, pw) - lag.f1_pp(x, pw) * sw
     return f
@@ -218,7 +218,7 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None)
     ab[4 - k, n - 3 + k] = -inv_s2[n] * d2_boundary_coeffs(g, left=False)
 
     # eps * d2(w) chain of rows i = 2 .. n-2: w_j = 1/s_j for j = i-1, i, i+1
-    c0, c1, c2 = np.array([1.0, -2.0, 1.0]) / (h * h)
+    c0, c1, c2 = d2_central_coeffs(g)
     wl = eps * c0 * -inv_s2[1 : n - 2]
     wc = eps * c1 * -inv_s2[2 : n - 1]
     wr = eps * c2 * -inv_s2[3:n]
@@ -229,7 +229,7 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None)
     ab[0, 4:] = wr * c2
 
     # window rows i = ia+1 .. ib-1; columns i-1 and i+1 sit on bands 3 and 1
-    win, lo, up = slice(g.ia + 1, g.ib), slice(g.ia, g.ib - 1), slice(g.ia + 2, g.ib + 1)
+    win, lo, up = g.interior_slice(), slice(g.ia, g.ib - 1), slice(g.ia + 2, g.ib + 1)
     x, uw, pw, sw = g.nodes[win], u[win], p[win], s[win]
     ab[2, win] -= lag.f0_zz(x, uw)
     # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i; R_i holds them with
@@ -348,14 +348,21 @@ def default_eps_schedule(start: float = 1e-1, ratio: float = 0.5, stages: int = 
     return [start * ratio**k for k in range(stages)]
 
 
-def eval_J_eps(u: np.ndarray, setup: ProblemSetup) -> float:
-    """Penalized functional: window Lagrangian - eps * log-curvature + obstacle penalty."""
-    g, lag, eps = setup.grid, setup.lagrangian, setup.eps
-    s = _curvatures(u, setup)
-    x = g.nodes
-    F = lag.f0(x, u) + lag.f1(x, d1(u, g))
-    term_window = integrate(F, g, g.ia, g.ib)
-    term_log = -eps * integrate(np.log(s), g, 0, g.n)
+def eval_J(u: np.ndarray, grid: Grid, lagrangian: LagrangianSpec) -> float:
+    """Window functional: trapezoid quadrature of F(x, u, u') over [a, b]."""
+    F = lagrangian.f0(grid.nodes, u) + lagrangian.f1(grid.nodes, d1(u, grid))
+    return integrate(F, grid, grid.ia, grid.ib)
+
+
+def penalty_l2(u: np.ndarray, setup: ProblemSetup) -> float:
+    """Obstacle penalty: trapezoid quadrature of (u - phi)^2 outside (a, b)."""
+    g = setup.grid
     pen = (u - setup.phi) ** 2
-    term_pen = (integrate(pen, g, 0, g.ia) + integrate(pen, g, g.ib, g.n)) / (2.0 * eps)
-    return term_window + term_log + term_pen
+    return integrate(pen, g, 0, g.ia) + integrate(pen, g, g.ib, g.n)
+
+
+def eval_J_eps(u: np.ndarray, setup: ProblemSetup) -> float:
+    """Penalized functional: `eval_J` - eps * log-curvature + `penalty_l2` / (2 eps)."""
+    g, eps = setup.grid, setup.eps
+    term_log = -eps * integrate(np.log(_curvatures(u, setup)), g, 0, g.n)
+    return eval_J(u, g, setup.lagrangian) + term_log + penalty_l2(u, setup) / (2.0 * eps)

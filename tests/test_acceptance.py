@@ -25,13 +25,13 @@ from abreu1d.lagrangian import make_rochet_chone
 from abreu1d.minimizer import (
     ConeProblem,
     _cell_objective,
-    eval_J,
     minimize_direct,
     second_differences,
 )
 from abreu1d.solver import (
     continuation_sweep,
     default_eps_schedule,
+    eval_J,
     jacobian,
     newton_solve,
 )
@@ -137,7 +137,7 @@ def test_criterion_03_scheme_vs_oracle(calib_sweep_512, zero_sweep_512):
         width = g.b - g.a
         inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
         diff = float(np.max(np.abs(res.u - oracle.v)[inner]))
-        j_diff = abs(eval_J(res.u, _cone(setup)) - oracle.J_value)
+        j_diff = abs(eval_J(res.u, g, setup.lagrangian) - oracle.J_value)
         ok = ok and diff <= 5e-3 and j_diff <= 1e-3
         details.append(f"{name}: sup diff {diff:.2e}, J diff {j_diff:.2e}")
     _gate(3, ok, "; ".join(details))

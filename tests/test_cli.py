@@ -94,13 +94,14 @@ def test_write_json_returns_the_digest_of_its_bytes(tmp_path):
 
 @pytest.mark.parametrize("n", [16, 24, 8192])
 def test_stage_files_with_rendered_nodes_match_per_value_format(tmp_path, n):
-    # two stages on one grid: the second reuses the first one's rendered nodes;
+    # both stages write the nodes rendered once for the sweep;
     # at n = 24 the nodes are not dyadic and need all 17 digits
     stages = continuation_sweep(monopolist_setup(n=n), [0.1, 0.05])
-    jobs = [(tmp_path / f"stage{k}.csv", setup, result) for k, (setup, result) in enumerate(stages)]
-    digests = cli._write_stages(jobs)
-    assert list(digests) == ["stage0.csv", "stage1.csv"]
-    for path, setup, result in jobs:
+    with cli._writing_stages(tmp_path, stages) as digests:
+        pass
+    assert sorted(digests) == ["solution_stage00.csv", "solution_stage01.csv"]
+    for k, (setup, result) in enumerate(stages):
+        path = tmp_path / f"solution_stage{k:02d}.csv"
         g, u = setup.grid, result.u
         upp = d2(u, g)
         _per_value_csv(tmp_path / "ref.csv", cli.STAGE_HEADER,
@@ -153,6 +154,13 @@ def test_unknown_config_key_is_config_error(tmp_path):
     proc = run_cli("sweep", "--config", cfg)
     assert proc.returncode == 1
     assert "nn" in proc.stderr
+
+
+def test_string_number_is_config_error(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", rho_minus="0.5")
+    proc = run_cli("sweep", "--config", cfg)
+    assert proc.returncode == 1
+    assert "rho_minus must be a finite number" in proc.stderr
 
 
 def _invoke(*args):

@@ -86,6 +86,15 @@ FIELD_ERRORS = [
     ({"tolerances": {"newton_tol_scale": INF}}, "newton_tol_scale"),
     ({"tolerances": {"el_residual_tol": 0.0}}, "el_residual_tol"),
     ({"tolerances": {"convexity_floor_scale": -1e-3}}, "convexity_floor_scale"),
+    # JSON booleans and strings are not numbers
+    ({"rho_minus": True}, "rho_minus"),
+    ({"rho_minus": "0.5"}, "rho_minus"),
+    ({"phi": ["-1", 0, 1]}, "phi"),
+    ({"grid": {"a": "-0.5"}}, "grid.a"),
+    ({"tolerances": {"kkt_tol": "1e-8"}}, "kkt_tol"),
+    ({"eps_schedule": {"start": "0.1", "ratio": 0.5, "stages": 4}}, "eps_schedule.start"),
+    ({"eps_schedule": {"start": 0.1, "ratio": "0.5", "stages": 4}}, "eps_schedule.ratio"),
+    ({"eps_schedule": [0.1, "0.05"]}, "eps_schedule"),
 ]
 
 

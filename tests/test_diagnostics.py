@@ -10,8 +10,9 @@ from abreu1d.diagnostics import (
     compute_report,
     fit_rate,
 )
-from abreu1d.grid import d2
-from abreu1d.solver import continuation_sweep, default_eps_schedule, newton_solve
+from abreu1d.grid import d2, integrate
+from abreu1d.solver import (continuation_sweep, default_eps_schedule, eval_J, eval_J_eps,
+                            newton_solve, penalty_l2)
 
 
 def _sweep(**kwargs):
@@ -40,6 +41,21 @@ def test_compute_report_closed_form_quantities():
     assert rep.sup_grad_ab == pytest.approx(1.0, abs=1e-9)
     assert rep.int_inv_upp == pytest.approx(1.0, abs=1e-9)
     assert rep.J_val == pytest.approx(-11.0 / 12.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("weight", [(1.0, 0.5), (1.0,)], ids=["variable-weight", "calibration"])
+def test_report_functionals_are_the_solvers(weight):
+    setup = monopolist_setup(n=64, eps=0.01, weight=weight)
+    res = newton_solve(setup, setup.phi)
+    assert res.converged
+    g, u = setup.grid, res.u
+    rep = compute_report(res, setup)
+    assert rep.J_val == eval_J(u, g, setup.lagrangian)
+    assert rep.J_eps_val == eval_J_eps(u, setup)
+    assert rep.penalty_l2 == penalty_l2(u, setup)
+    # J_eps sums the window functional, the log-curvature term and the penalty, in that order
+    log_term = -setup.eps * integrate(np.log(d2(u, g)), g, 0, g.n)
+    assert rep.J_eps_val == rep.J_val + log_term + rep.penalty_l2 / (2.0 * setup.eps)
 
 
 def test_compute_report_requires_convergence():

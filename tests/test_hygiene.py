@@ -410,3 +410,47 @@ def test_one_float_format_literal():
                     and [getattr(t, "id", None) for t in node.targets] == ["_FLOAT_FORMAT"]]
     assert site == f"cli.py (line {definition.lineno})"
     assert ast.literal_eval(definition.value) == "%.17g"
+
+
+def package_imports_of(source: str, module: str) -> list[str]:
+    """Lines of `source` that import the package's `module` or a name from it.
+
+    Relative imports and imports from `abreu1d` count, in each of the forms
+    `from .m import x`, `from . import m`, `import abreu1d.m`,
+    `from abreu1d.m import x` and `from abreu1d import m`, in any scope.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".")[1:] for alias in node.names
+                     if alias.name.split(".")[0] == "abreu1d"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "abreu1d"):
+            base = [part for part in (node.module or "").split(".") if part]
+            paths = [base[node.level == 0:] + [alias.name] for alias in node.names]
+        else:
+            continue
+        if any(path[:1] == [module] for path in paths):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_detector_flags_every_import_of_a_package_module():
+    source = (
+        "from .minimizer import ConeProblem\nfrom . import grid, minimizer\n"
+        "import abreu1d.minimizer as m\nfrom abreu1d.minimizer import minimize_direct\n"
+        "from abreu1d import minimizer\nfrom .solver import minimize\n"
+        "from .minimizer_extra import x\nimport minimizer\nimport abreu1d.solver\n"
+        "def f():\n    from .minimizer import late\n"
+    )
+    assert package_imports_of(source, "minimizer") == [
+        "line 1", "line 2", "line 3", "line 4", "line 5", "line 11",
+    ]
+
+
+def test_only_cli_imports_minimizer():
+    # the scheme and the convex-cone oracle are independent evidence; only the
+    # command that compares them may reach the oracle
+    sources = _package_sources()
+    importers = [name for name, text in sources.items() if package_imports_of(text, "minimizer")]
+    assert importers == ["cli.py"]

@@ -22,11 +22,11 @@ from abreu1d.minimizer import (
     _cell_objective,
     _constraint_s,
     check_admissibility,
-    eval_J,
     eval_J_cell,
     minimize_direct,
     second_differences,
 )
+from abreu1d.solver import eval_J
 
 
 def _problem(phi_setup):
@@ -36,27 +36,26 @@ def _problem(phi_setup):
 
 def test_eval_J_closed_form():
     # integral of (v'^2/2 - x v' + v) over [-1/2, 1/2] at v = x^2 - 1 is -11/12
-    prob = _problem(monopolist_setup())
-    assert eval_J(prob.phi, prob) == pytest.approx(-11.0 / 12.0, abs=1e-3)
+    setup = monopolist_setup()
+    assert eval_J(setup.phi, setup.grid, setup.lagrangian) == pytest.approx(-11.0 / 12.0, abs=1e-3)
 
 
 def test_eval_J_zero_lagrangian():
     g = build_grid(64, -0.5, 0.5)
-    prob = ConeProblem(grid=g, lagrangian=make_rochet_chone([0.0]), phi=g.nodes**2 - 1)
     rng = np.random.default_rng(3)
-    assert eval_J(rng.uniform(-1, 1, g.n + 1), prob) == 0.0
+    assert eval_J(rng.uniform(-1, 1, g.n + 1), g, make_rochet_chone([0.0])) == 0.0
 
 
 def test_eval_J_ignores_values_away_from_window():
     # the integrand is supported in the window; changing nodes outside the
     # window (beyond the one-node gradient-stencil halo) cannot change J
-    prob = _problem(monopolist_setup())
-    g = prob.grid
-    v = prob.phi.copy()
-    before = eval_J(v, prob)
+    setup = monopolist_setup()
+    g, lag = setup.grid, setup.lagrangian
+    v = setup.phi.copy()
+    before = eval_J(v, g, lag)
     v[: g.ia - 1] += 5.0
     v[g.ib + 2 :] -= 3.0
-    assert eval_J(v, prob) == before
+    assert eval_J(v, g, lag) == before
 
 
 def test_minimizer_recovers_interior_optimum():

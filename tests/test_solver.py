@@ -14,12 +14,13 @@ from helpers import (
 
 from abreu1d.grid import build_grid, d1, d2, d2_boundary_coeffs
 from abreu1d.lagrangian import make_rochet_chone
-from abreu1d.minimizer import ConeProblem, _barrier_terms, _cell_objective, eval_J
+from abreu1d.minimizer import ConeProblem, _barrier_terms, _cell_objective
 from abreu1d.solver import (
     NonconvexIterate,
     Tolerances,
     continuation_sweep,
     default_eps_schedule,
+    eval_J,
     eval_J_eps,
     jacobian,
     make_setup,
@@ -257,8 +258,7 @@ def test_eval_J_eps_closed_form_pieces():
     phi = setup1.phi
     J1 = eval_J_eps(phi, setup1)
     J2 = eval_J_eps(phi, setup2)
-    window = eval_J(phi, ConeProblem(grid=setup1.grid,
-                                     lagrangian=setup1.lagrangian, phi=phi))
+    window = eval_J(phi, setup1.grid, setup1.lagrangian)
     assert J1 + 2 * 0.02 * np.log(2.0) == pytest.approx(window, abs=1e-13)
     assert J2 + 2 * 0.01 * np.log(2.0) == pytest.approx(window, abs=1e-13)
     # halving eps at u = phi changes only the log term

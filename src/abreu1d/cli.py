@@ -43,8 +43,7 @@ from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, f
 from .grid import d1, d2
 from .minimizer import ConeProblem, minimize_direct
 from .solver import continuation_sweep, eval_J, f_eps, load_dgbsv, newton_solve
-from .weakform import (SupportViolation, check_support, default_family,
-                       distributional_residual, rescaled_w)
+from .weakform import check_support, default_family, distributional_residual, rescaled_w
 
 log = logging.getLogger("abreu1d")
 
@@ -296,7 +295,7 @@ def _single_eps(cfg: RunConfig, setup) -> None:
 def _bumps_fit(cfg: RunConfig, setup) -> None:
     try:
         check_support(default_family(setup.grid), setup.grid)
-    except SupportViolation as exc:
+    except ValueError as exc:
         raise ConfigError(f"verify: {exc}") from exc
 
 

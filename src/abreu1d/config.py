@@ -32,10 +32,14 @@ def _integer(value, name: str) -> int:
 
 
 def _finite(value, name: str) -> float:
-    """`float(value)` if JSON gave a finite number: true, "0.5", NaN and Infinity are errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    """`float(value)` if JSON gave a finite number: true, "0.5", NaN, Infinity
+    and an integer beyond the float range are errors."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # math.isfinite of an int too large for a float
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -99,10 +103,6 @@ class RunConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"missing or malformed config field: {exc}") from exc
-        if cfg.rho_minus <= 0.0 or cfg.rho_plus <= 0.0:
-            raise ConfigError("boundary data must satisfy rho+- > 0")
-        if not (-1.0 < cfg.grid_a < cfg.grid_b < 1.0):
-            raise ConfigError("window must satisfy -1 < a < b < 1")
         if cfg.preset not in ("rochet_chone", "zero") and not cfg.preset.startswith("custom:"):
             raise ConfigError(f"unknown lagrangian preset: {cfg.preset!r}")
         if (cfg.eta0 is None) == (cfg.preset == "rochet_chone"):
@@ -162,7 +162,9 @@ def load_config(path: Union[str, Path]) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, UnicodeDecodeError and an integer of more than 4300
+    # digits are ValueErrors; a document nested too deep is a RecursionError
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(doc)
 

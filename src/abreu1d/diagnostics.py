@@ -19,16 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .grid import d1, d2, integrate
-from .solver import NotConverged, ProblemSetup, SolveResult, eval_J, eval_J_eps, penalty_l2
+from .solver import ProblemSetup, SolveResult, eval_J, eval_J_eps, penalty_l2
 
 STABILITY_FACTOR = 10.0
 DECAY_FACTOR = 5.0
 DECAY_FLOOR = 1e-6
 RATE_FLOOR = 1e-14
-
-
-class InsufficientData(ValueError):
-    """Too few sweep stages for a fit or bound check."""
 
 
 @dataclass
@@ -60,8 +56,6 @@ class RateFit:
 
 def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
     """All sweep diagnostics for one converged stage."""
-    if not result.converged:
-        raise NotConverged("estimate report requires a converged stage")
     g = setup.grid
     u = result.u
     up = d1(u, g)
@@ -85,7 +79,7 @@ def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
 def fit_rate(reports: Sequence[EstimateReport], field_name: str) -> RateFit:
     """Least-squares slope of log(value) vs log(eps) across a sweep."""
     if len(reports) < 4:
-        raise InsufficientData(f"need >= 4 stages for a rate fit, got {len(reports)}")
+        raise ValueError(f"need >= 4 stages for a rate fit, got {len(reports)}")
     values = np.array([float(getattr(r, field_name)) for r in reports])
     if np.any(values <= RATE_FLOOR):
         return RateFit(slope=float("nan"), r2=float("nan"), stages=len(reports),
@@ -128,7 +122,7 @@ def check_theorem_bounds(reports: Sequence[EstimateReport]) -> dict:
     "stage_values", "pass", "note"}.
     """
     if len(reports) < 4:
-        raise InsufficientData(f"need >= 4 stages for bound checks, got {len(reports)}")
+        raise ValueError(f"need >= 4 stages for bound checks, got {len(reports)}")
     bounds = {}
     for name, stage_value, rule, note in BOUND_RULES:
         vals = np.array([stage_value(r) for r in reports])

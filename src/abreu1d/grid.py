@@ -10,10 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class GridError(ValueError):
-    """Invalid grid construction parameters."""
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [-1, 1] into n cells with window [a, b].
@@ -41,13 +37,16 @@ class Grid:
 def build_grid(n: int, a: float, b: float) -> Grid:
     """Build a uniform grid with the window endpoints snapped to nodes.
 
-    Raises GridError if the domain is invalid or the snapped window holds
-    fewer than 3 interior nodes.
+    Raises ValueError if n is odd, below 16 or too large for numpy to hold
+    n + 1 float nodes, if the domain is invalid, or if the snapped window
+    holds fewer than 3 interior nodes.
     """
     if n < 16 or n % 2 != 0:
-        raise GridError(f"need even n >= 16, got n={n}")
+        raise ValueError(f"need even n >= 16, got n={n}")
+    if 8 * (n + 1) > np.iinfo(np.intp).max:
+        raise ValueError(f"n is too large for numpy to hold n + 1 float nodes, got n={n}")
     if not (-1.0 < a < b < 1.0):
-        raise GridError(f"bad domain: need -1 < a < b < 1, got a={a}, b={b}")
+        raise ValueError(f"bad domain: need -1 < a < b < 1, got a={a}, b={b}")
     h = 2.0 / n
     nodes = -1.0 + h * np.arange(n + 1)
     nodes[0] = -1.0
@@ -55,9 +54,9 @@ def build_grid(n: int, a: float, b: float) -> Grid:
     ia = int(round((a + 1.0) / h))
     ib = int(round((b + 1.0) / h))
     if ia <= 0 or ib >= n:
-        raise GridError(f"window endpoints snapped to the boundary: ia={ia}, ib={ib}")
+        raise ValueError(f"window endpoints snapped to the boundary: ia={ia}, ib={ib}")
     if ib - ia < 4:
-        raise GridError(
+        raise ValueError(
             f"window too small: snapped [a, b] holds {max(ib - ia - 1, 0)} interior nodes, need >= 3"
         )
     return Grid(n=n, h=h, nodes=nodes, ia=ia, ib=ib, a=nodes[ia], b=nodes[ib])

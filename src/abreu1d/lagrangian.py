@@ -56,6 +56,8 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
     lattice over [-1, 1].  eta0 = 0 gives the zero Lagrangian.
     """
     c = np.asarray(eta0_coeffs, dtype=float)
+    if len(c) == 0:
+        raise ValueError("eta0 must have at least one coefficient")
     cder = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
     check_x = sample_nodes if sample_nodes is not None else np.linspace(-1.0, 1.0, 2001)
     vals = _polyval(c, check_x)

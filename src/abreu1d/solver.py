@@ -29,10 +29,6 @@ class NonconvexIterate(RuntimeError):
     """Some discrete second difference of the iterate is nonpositive."""
 
 
-class NotConverged(RuntimeError):
-    """A post-processing step was given a stage that did not converge."""
-
-
 @dataclass
 class Tolerances:
     """The package's tolerances; the only settable numerical options.
@@ -87,8 +83,11 @@ def make_setup(
     rho_plus: float,
     eps: float,
 ) -> ProblemSetup:
-    """Sample a polynomial obstacle on the grid and certify its convexity."""
+    """Sample a polynomial obstacle on the grid and certify its convexity: c0, the
+    least phi'' at the nodes, and d2(phi) at every node, where Newton starts, must be > 0."""
     c = np.asarray(phi_coeffs, dtype=float)
+    if len(c) == 0:
+        raise ValueError("phi must have at least one coefficient")
     P = np.polynomial.polynomial
     x = grid.nodes
     phi = P.polyval(x, c)
@@ -96,6 +95,10 @@ def make_setup(
     c0 = float(np.min(phi_pp))
     if c0 <= 0.0:
         raise ValueError(f"obstacle is not uniformly convex on the grid: min phi'' = {c0}")
+    s = d2(phi, grid)
+    if np.any(s <= 0.0):
+        i = int(np.argmin(s))
+        raise ValueError(f"obstacle is not convex on the grid: d2(phi) = {s[i]} <= 0 at node {i}")
     return ProblemSetup(
         grid=grid, lagrangian=lagrangian, phi=phi,
         rho_minus=rho_minus, rho_plus=rho_plus, eps=eps, c0=c0,

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, d1, integrate
-from .solver import NotConverged, ProblemSetup, SolveResult
-
-
-class SupportViolation(ValueError):
-    """A test-function support reaches the window boundary."""
+from .solver import ProblemSetup, SolveResult
 
 
 @dataclass(frozen=True)
@@ -61,19 +57,17 @@ def default_family(grid: Grid) -> TestFunctionFamily:
 
 
 def check_support(family: TestFunctionFamily, grid: Grid) -> None:
-    """Raise SupportViolation unless every support stays a cell h inside the window."""
+    """Raise ValueError, naming the bump, unless every support stays a cell h inside the window."""
     for j, (c, r) in enumerate(zip(family.centers, family.radii)):
         if c - r < grid.a + grid.h or c + r > grid.b - grid.h:
-            raise SupportViolation(
+            raise ValueError(
                 f"bump {j} support [{c - r}, {c + r}] comes within h = {grid.h} "
                 f"of the window [{grid.a}, {grid.b}]"
             )
 
 
 def rescaled_w(result: SolveResult, setup: ProblemSetup) -> np.ndarray:
-    """eps * w on the window nodes; proxy for the weak limit at small eps."""
-    if not result.converged:
-        raise NotConverged("rescaled w requires a converged stage")
+    """eps * w on the window nodes of a converged stage; proxy for the weak limit at small eps."""
     return setup.eps * result.w[setup.grid.window_slice()]
 
 

@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from abreu1d import cli
 from abreu1d.grid import build_grid
 from abreu1d.lagrangian import LagrangianSpec, make_rochet_chone
 from abreu1d.minimizer import check_admissibility, eval_J_cell, second_differences
@@ -138,6 +140,16 @@ def write_config(path, **overrides):
             doc[key] = value
     path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     return path
+
+
+def invoke_cli(*args):
+    """Run the command line in this process; returns its exit code.
+
+    Any exception but the command's own SystemExit escapes.
+    """
+    with pytest.raises(SystemExit) as exc:
+        cli.main.main(args=[str(a) for a in args], standalone_mode=False)
+    return exc.value.code
 
 
 def run_cli(*args):

@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 import pytest
-from helpers import SHALLOW_PHI, STEEP_PHI, monopolist_setup, quartic_spec, run_cli, write_config
+from helpers import (SHALLOW_PHI, STEEP_PHI, invoke_cli, monopolist_setup, quartic_spec, run_cli,
+                     write_config)
 
 from abreu1d import cli
 from abreu1d.grid import d1, d2
@@ -163,13 +164,6 @@ def test_string_number_is_config_error(tmp_path):
     assert "rho_minus must be a finite number" in proc.stderr
 
 
-def _invoke(*args):
-    """Run the command line in this process; returns its exit code."""
-    with pytest.raises(SystemExit) as exc:
-        cli.main.main(args=[str(a) for a in args], standalone_mode=False)
-    return exc.value.code
-
-
 # A custom Lagrangian reads no `eta0`, so the base document's is dropped.
 QUARTIC = {"preset": "custom:quartic", "eta0": None}
 
@@ -177,7 +171,7 @@ QUARTIC = {"preset": "custom:quartic", "eta0": None}
 def test_custom_lagrangian_sweep_converges(tmp_path, monkeypatch):
     monkeypatch.setitem(CUSTOM_REGISTRY, "quartic", quartic_spec)
     cfg = write_config(tmp_path / "cfg.json", lagrangian=QUARTIC)
-    assert _invoke("sweep", "--config", cfg) == 0
+    assert invoke_cli("sweep", "--config", cfg) == 0
     stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     assert len(stages) == 5
     assert all(stage["converged"] for stage in stages)
@@ -188,7 +182,7 @@ def test_custom_lagrangian_with_wrong_partial_is_config_error(tmp_path, monkeypa
         quartic_spec(), f1_ppp=lambda x, p: 0.0 * p))
     cfg = write_config(tmp_path / "cfg.json", lagrangian=QUARTIC)
     with caplog.at_level(logging.ERROR, logger="abreu1d"):
-        assert _invoke("sweep", "--config", cfg) == 1
+        assert invoke_cli("sweep", "--config", cfg) == 1
     assert "custom lagrangian 'quartic': f1_ppp disagrees" in caplog.text
     assert not (tmp_path / "out" / "manifest.json").exists()
 
@@ -197,7 +191,7 @@ def test_unregistered_custom_lagrangian_is_config_error(tmp_path, caplog):
     cfg = write_config(tmp_path / "cfg.json",
                        lagrangian={"preset": "custom:no-such-id", "eta0": None})
     with caplog.at_level(logging.ERROR, logger="abreu1d"):
-        assert _invoke("sweep", "--config", cfg) == 1
+        assert invoke_cli("sweep", "--config", cfg) == 1
     assert "unregistered custom lagrangian: 'no-such-id'" in caplog.text
 
 
@@ -207,7 +201,7 @@ def test_output_path_under_a_file_is_config_error(tmp_path, caplog):
     blocker.write_text("{}", encoding="utf-8")
     cfg = write_config(tmp_path / "cfg.json")
     with caplog.at_level(logging.ERROR, logger="abreu1d"):
-        assert _invoke("sweep", "--config", cfg, "--out", blocker / "sub") == 1
+        assert invoke_cli("sweep", "--config", cfg, "--out", blocker / "sub") == 1
     assert "output directory not writable" in caplog.text
     assert str(blocker / "sub") in caplog.text
     assert "Traceback" not in caplog.text
@@ -323,7 +317,7 @@ def test_manifest_hashes_every_artifact(tmp_path, monkeypatch, command, override
     if split:
         _split_writes(monkeypatch, True)
     cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, **overrides)
-    assert _invoke(command, "--config", cfg) == code
+    assert invoke_cli(command, "--config", cfg) == code
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text())
     artifacts = {p.name for p in out.iterdir()} - {"manifest.json"}
@@ -390,7 +384,7 @@ def test_split_and_serial_stage_writes_are_byte_identical(tmp_path, monkeypatch,
         _split_writes(monkeypatch, split)
         out = tmp_path / f"split{split}"
         cfg = write_config(tmp_path / "cfg.json", outputs=str(out))
-        assert _invoke(command, "--config", cfg) == 0
+        assert invoke_cli(command, "--config", cfg) == 0
         assert len(forks) == split
         outputs[split] = _artifacts(out)
     assert outputs[True] == outputs[False]
@@ -412,7 +406,7 @@ def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeyp
     (out / blocked).mkdir(parents=True)
     cfg = write_config(tmp_path / "cfg.json")
     with caplog.at_level(logging.ERROR, logger="abreu1d"):
-        assert _invoke("sweep", "--config", cfg) == cli.EXIT_OUTPUT == 4
+        assert invoke_cli("sweep", "--config", cfg) == cli.EXIT_OUTPUT == 4
     [record] = caplog.records
     assert re.search("^output write failed: .*" + error, record.getMessage())
     with pytest.raises(ChildProcessError):
@@ -465,7 +459,7 @@ def test_failed_serial_write_is_output_error(tmp_path, monkeypatch, caplog, comm
     (out / blocked).mkdir(parents=True)
     cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP)
     with caplog.at_level(logging.ERROR, logger="abreu1d"):
-        assert _invoke(command, "--config", cfg) == 4
+        assert invoke_cli(command, "--config", cfg) == 4
     [record] = caplog.records
     assert record.getMessage().startswith("output write failed: ")
     assert blocked in record.getMessage()
@@ -495,7 +489,7 @@ def test_forked_and_inline_oracle_are_byte_identical(tmp_path, monkeypatch, over
         out = tmp_path / f"forked{forked}"
         cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, outputs=str(out),
                            **overrides)
-        assert _invoke("compare", "--config", cfg) == code
+        assert invoke_cli("compare", "--config", cfg) == code
         assert len(forks) == forked
         outputs[forked] = _artifacts(out)
     assert outputs[True] == outputs[False]
@@ -532,7 +526,7 @@ def test_failed_sweep_kills_and_reaps_the_oracle(tmp_path, monkeypatch, forked):
     cfg = write_config(tmp_path / "cfg.json", phi=SHALLOW_PHI, rho_minus=1.5, rho_plus=1.5,
                        eps_schedule=SHORT_SWEEP, tolerances={"newton_tol_scale": 1e-30})
     t0 = time.perf_counter()
-    assert _invoke("compare", "--config", cfg) == 2
+    assert invoke_cli("compare", "--config", cfg) == 2
     assert time.perf_counter() - t0 < 60
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -569,7 +563,7 @@ def test_small_sweeps_never_fork(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     cfg = write_config(tmp_path / "cfg.json", grid={"n": 128},
                        eps_schedule={"start": 0.1, "ratio": 0.5, "stages": 11})
-    assert _invoke("verify", "--config", cfg) == 0
+    assert invoke_cli("verify", "--config", cfg) == 0
     assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]) == 11
 
 
@@ -643,7 +637,7 @@ def test_cold_compare_loads_lapack_once_before_the_fork(tmp_path, monkeypatch):
     assert _cold("compare", "--config", cold) == (0, {"scipy": True, "forks": [True]})
     _oracle_cpus(monkeypatch, False)
     inline = write_config(tmp_path / "inline.json", outputs=str(tmp_path / "inline"), **steep)
-    assert _invoke("compare", "--config", inline) == 0
+    assert invoke_cli("compare", "--config", inline) == 0
     manifest, files = _artifacts(tmp_path / "cold")
     assert {"compare.csv", "compare_summary.json"} <= set(files)
     assert (manifest, files) == _artifacts(tmp_path / "inline")

@@ -1,7 +1,9 @@
+import json
+import logging
 import re
 
 import pytest
-from helpers import write_config
+from helpers import invoke_cli, write_config
 
 from abreu1d.config import ConfigError, RunConfig, load_config, save_config
 
@@ -68,6 +70,7 @@ UNKNOWN_KEYS = [
 
 
 NAN, INF = float("nan"), float("inf")
+BIG = 10**400  # a JSON integer that no float holds
 
 # Values that must not be ignored or truncated, with the field the error must name.
 FIELD_ERRORS = [
@@ -95,29 +98,33 @@ FIELD_ERRORS = [
     ({"eps_schedule": {"start": "0.1", "ratio": 0.5, "stages": 4}}, "eps_schedule.start"),
     ({"eps_schedule": {"start": 0.1, "ratio": "0.5", "stages": 4}}, "eps_schedule.ratio"),
     ({"eps_schedule": [0.1, "0.05"]}, "eps_schedule"),
+    # integers beyond the float range
+    ({"rho_minus": BIG}, "rho_minus"),
+    ({"phi": [-1.0, 0.0, BIG]}, "phi"),
+    ({"lagrangian": {"eta0": [BIG]}}, "eta0"),
+    ({"grid": {"a": -BIG}}, "grid.a"),
+    ({"tolerances": {"kkt_tol": BIG}}, "kkt_tol"),
+    ({"eps_schedule": {"start": 0.1, "ratio": BIG, "stages": 4}}, "eps_schedule.ratio"),
+]
+
+# Documents that `RunConfig.from_dict` rejects.
+INVALID_PATCHES = [
+    {"lagrangian": {"preset": "unknown"}},
+    {"eps_schedule": [0.1, 0.2]},
+    {"eps_schedule": [0.1, 0.05, 1.5]},
+    {"eps_schedule": "oops"},
+    {"eps_schedule": ["0.1", "x"]},
+    {"eps_schedule": [0.1, None]},
+    {"tolerances": {"kkt_tol": "tight"}},
+    {"tolerances": {"newton_tol": 1e-30}},
+    *(patch for patch, _ in UNKNOWN_KEYS),
+    *(patch for patch, _ in FIELD_ERRORS),
+    {"eps_schedule": []},
+    {"eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 0}},
 ]
 
 
-@pytest.mark.parametrize(
-    "patch",
-    [
-        {"rho_minus": 0.0},
-        {"grid": {"a": 0.5, "b": 0.4}},
-        {"grid": {"a": -1.5}},
-        {"lagrangian": {"preset": "unknown"}},
-        {"eps_schedule": [0.1, 0.2]},
-        {"eps_schedule": [0.1, 0.05, 1.5]},
-        {"eps_schedule": "oops"},
-        {"eps_schedule": ["0.1", "x"]},
-        {"eps_schedule": [0.1, None]},
-        {"tolerances": {"kkt_tol": "tight"}},
-        {"tolerances": {"newton_tol": 1e-30}},
-        *(patch for patch, _ in UNKNOWN_KEYS),
-        *(patch for patch, _ in FIELD_ERRORS),
-        {"eps_schedule": []},
-        {"eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 0}},
-    ],
-)
+@pytest.mark.parametrize("patch", INVALID_PATCHES)
 def test_invalid_configs_rejected(patch):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(_base_doc(**patch))
@@ -137,11 +144,15 @@ def test_malformed_field_is_named(patch, name):
         RunConfig.from_dict(_base_doc(**patch))
 
 
-def test_missing_field_rejected():
+def _without_phi():
     doc = _base_doc()
     del doc["phi"]
+    return doc
+
+
+def test_missing_field_rejected():
     with pytest.raises(ConfigError):
-        RunConfig.from_dict(doc)
+        RunConfig.from_dict(_without_phi())
 
 
 # Rules that only `build_setup` enforces, through the grid, Lagrangian and
@@ -154,6 +165,19 @@ SETUP_ERRORS = {
     "negative-weight": ({"lagrangian": {"eta0": [-1.0]}}, "negative weight"),
     "nonvanishing-obstacle": ({"phi": [-1.0, 0.0, 2.0]}, "must vanish at the boundary"),
     "flat-obstacle": ({"phi": [0.0]}, "not uniformly convex"),
+    "nonpositive-rho": ({"rho_minus": 0.0}, "boundary data must be positive: rho+- > 0"),
+    "reversed-window": ({"grid": {"a": 0.5, "b": 0.4}}, "bad domain: need -1 < a < b < 1"),
+    "window-outside-domain": ({"grid": {"a": -1.5}}, "bad domain: need -1 < a < b < 1"),
+    "n-beyond-float-range": ({"grid": {"n": BIG}},
+                             "n is too large for numpy to hold n + 1 float nodes"),
+    "empty-obstacle": ({"phi": []}, "phi must have at least one coefficient"),
+    "empty-weight": ({"lagrangian": {"eta0": []}}, "eta0 must have at least one coefficient"),
+    # phi'' >= 5.4e-3 at the nodes, but the one-sided d2 at node 16 is -7.0e-4,
+    # and Newton starts from phi
+    "obstacle-d2-nonpositive": (
+        {"grid": {"n": 16}, "phi": [-0.113911, 0.066617, 0.096184, -0.066617, 0.017727]},
+        "obstacle is not convex on the grid: d2(phi) = -0.0007",
+    ),
 }
 
 
@@ -166,17 +190,50 @@ def test_setup_rule_rejected_at_build_setup(patch, message):
     assert str(exc.value) == str(exc.value.__cause__)
 
 
+# Files that `load_config` rejects before `from_dict` sees a field, with the
+# start of the error.
+INVALID_FILES = {
+    "not-json": (b"{not json", "config is not valid JSON"),
+    "integer-over-4300-digits": (b'{"rho_minus": 1' + b"0" * 4300 + b"}",
+                                 "config is not valid JSON"),
+    "not-utf8": (b'{"outputs": "\xff"}', "config is not valid JSON"),
+    "nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, "config is not valid JSON"),
+    "list": (b"[]", "config must be a mapping$"),
+    "string": (b'"text"', "config must be a mapping$"),
+    "number": (b"3", "config must be a mapping$"),
+}
+
+
 def test_unreadable_or_invalid_json(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^cannot read config"):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_config(bad)
-    for text in ("[]", '"text"', "3"):
-        bad.write_text(text, encoding="utf-8")
-        with pytest.raises(ConfigError, match="^config must be a mapping$"):
+    for data, message in INVALID_FILES.values():
+        bad.write_bytes(data)
+        with pytest.raises(ConfigError, match=f"^{message}"):
             load_config(bad)
+
+
+# Every document this module rejects, as the bytes of a config file.
+REJECTED_FILES = {
+    **{f"from_dict-{k}": json.dumps(_base_doc(**patch)).encode()
+       for k, patch in enumerate(INVALID_PATCHES)},
+    "from_dict-missing-phi": json.dumps(_without_phi()).encode(),
+    **{f"build_setup-{name}": json.dumps(_base_doc(**patch)).encode()
+       for name, (patch, _) in SETUP_ERRORS.items()},
+    **{f"load_config-{name}": data for name, (data, _) in INVALID_FILES.items()},
+}
+
+
+@pytest.mark.parametrize("data", REJECTED_FILES.values(), ids=REJECTED_FILES.keys())
+def test_rejected_config_is_one_logged_error(tmp_path, caplog, data):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with caplog.at_level(logging.ERROR, logger="abreu1d"):
+        assert invoke_cli("sweep", "--config", path, "--out", tmp_path / "out") == 1
+    [record] = caplog.records
+    assert record.levelname == "ERROR" and record.exc_info is None
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_config_helper_round_trips(tmp_path):

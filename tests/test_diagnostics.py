@@ -4,8 +4,6 @@ from helpers import monopolist_setup
 
 from abreu1d.diagnostics import (
     EstimateReport,
-    InsufficientData,
-    NotConverged,
     check_theorem_bounds,
     compute_report,
     fit_rate,
@@ -58,14 +56,6 @@ def test_report_functionals_are_the_solvers(weight):
     assert rep.J_eps_val == rep.J_val + log_term + rep.penalty_l2 / (2.0 * setup.eps)
 
 
-def test_compute_report_requires_convergence():
-    setup = monopolist_setup(eps=0.01)
-    res = newton_solve(setup, setup.phi)
-    res.converged = False
-    with pytest.raises(NotConverged):
-        compute_report(res, setup)
-
-
 def test_reciprocal_curvature_identity():
     setup = monopolist_setup(eps=0.01)
     x = setup.grid.nodes
@@ -93,7 +83,7 @@ def test_fit_rate_identically_small_path():
 
 def test_fit_rate_insufficient_data():
     eps = [0.1, 0.05]
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError, match="need >= 4 stages for a rate fit, got 2"):
         fit_rate([_synthetic_report(e, e) for e in eps], "penalty_l2")
 
 
@@ -114,7 +104,7 @@ def test_bound_checks_pass_on_exact_solution_sweep():
 def test_bound_checks_insufficient_data():
     stages = _sweep()
     reports = [compute_report(r, s) for s, r in stages][:2]
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError, match="need >= 4 stages for bound checks, got 2"):
         check_theorem_bounds(reports)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abreu1d.grid import GridError, build_grid, d1, d2, integrate
+from abreu1d.grid import build_grid, d1, d2, integrate
 
 
 def test_build_grid_exact_window_nodes():
@@ -19,19 +19,19 @@ def test_build_grid_snaps_to_nearest_node():
 
 
 def test_build_grid_window_too_small():
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="window too small"):
         build_grid(16, 0.4, 0.5)
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.4), (-1.2, 0.5), (0.1, 1.0), (-1.0, 0.5)])
 def test_build_grid_bad_domain(a, b):
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="bad domain"):
         build_grid(64, a, b)
 
 
 @pytest.mark.parametrize("n", [8, 15, 17])
 def test_build_grid_rejects_small_or_odd_n(n):
-    with pytest.raises(GridError):
+    with pytest.raises(ValueError, match="need even n >= 16"):
         build_grid(n, -0.5, 0.5)
 
 

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: stdlib `ast` only."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -454,3 +455,45 @@ def test_only_cli_imports_minimizer():
     sources = _package_sources()
     importers = [name for name, text in sources.items() if package_imports_of(text, "minimizer")]
     assert importers == ["cli.py"]
+
+
+def value_error_subclasses(sources: dict[str, str]) -> list[str]:
+    """Classes in `sources` (file name -> text) that derive from ValueError.
+
+    A base counts by its last name (`ValueError`, `builtins.ValueError`) when
+    it is ValueError, one of its builtin subclasses, or a class of `sources`
+    that derives from ValueError through any number of steps.
+    """
+    classes = [
+        (f"{name}:{node.name} (line {node.lineno})", node.name,
+         {getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases})
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+    ]
+    derived = {name for name, obj in vars(builtins).items()
+               if isinstance(obj, type) and issubclass(obj, ValueError)}
+    while True:
+        more = {cls for _, cls, bases in classes if bases & derived} - derived
+        if not more:
+            return [site for site, cls, _ in classes if cls in derived]
+        derived |= more
+
+
+def test_detector_flags_every_value_error_subclass():
+    sources = {
+        "a.py": "class ConfigError(ValueError): pass\nclass Narrow(ConfigError): pass\n"
+                "class Other(RuntimeError): pass\nclass Decode(UnicodeDecodeError): pass\n",
+        "b.py": "import builtins\nfrom a import Narrow\nclass Plain: pass\n"
+                "class Deep(Other, Narrow): pass\nclass Qual(builtins.ValueError): pass\n",
+    }
+    assert value_error_subclasses(sources) == [
+        "a.py:ConfigError (line 1)", "a.py:Narrow (line 2)", "a.py:Decode (line 4)",
+        "b.py:Deep (line 4)", "b.py:Qual (line 5)",
+    ]
+
+
+def test_config_error_is_the_only_value_error_subclass():
+    # every other bad input is a plain ValueError from the builder that owns its rule
+    sites = value_error_subclasses(_package_sources())
+    assert [site.split(" ")[0] for site in sites] == ["config.py:ConfigError"]

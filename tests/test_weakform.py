@@ -4,13 +4,7 @@ from helpers import monopolist_setup
 
 from abreu1d.grid import build_grid, integrate
 from abreu1d.solver import continuation_sweep, default_eps_schedule, newton_solve
-from abreu1d.weakform import (
-    NotConverged,
-    SupportViolation,
-    default_family,
-    distributional_residual,
-    rescaled_w,
-)
+from abreu1d.weakform import default_family, distributional_residual, rescaled_w
 from abreu1d.weakform import TestFunctionFamily as BumpFamily
 
 
@@ -45,20 +39,12 @@ def test_rescaled_w_halves_with_eps():
     np.testing.assert_allclose(w2, 0.5 * w1, rtol=1e-10)
 
 
-def test_rescaled_w_requires_convergence():
-    setup = monopolist_setup(eps=0.01)
-    res = newton_solve(setup, setup.phi)
-    res.converged = False
-    with pytest.raises(NotConverged):
-        rescaled_w(res, setup)
-
-
 def test_support_violation_detected():
     setup = monopolist_setup(eps=0.01)
     res = newton_solve(setup, setup.phi)
     family = BumpFamily(centers=np.array([setup.grid.b - 0.05]),
                         radii=np.array([0.1]))
-    with pytest.raises(SupportViolation):
+    with pytest.raises(ValueError, match=r"bump 0 support \[.*\] comes within h"):
         distributional_residual(rescaled_w(res, setup), res.u, setup, family)
 
 

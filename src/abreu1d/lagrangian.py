@@ -51,15 +51,21 @@ def _polyval(coeffs, x):
 def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) -> LagrangianSpec:
     """Monopolist-model Lagrangian F = (p^2/2 - p x + z) * eta0(x).
 
-    eta0 is a polynomial (ascending coefficients) that must be nonnegative;
-    nonnegativity is checked on sample_nodes when given, else on a fine
-    lattice over [-1, 1].  eta0 = 0 gives the zero Lagrangian.
+    eta0 is a polynomial (ascending coefficients) that must be nonnegative
+    wherever a solver evaluates it.  When sample_nodes are given, that is at
+    every node, where the scheme evaluates it, and at every midpoint of two
+    neighbouring nodes, where the oracle's cell quadrature does; otherwise it
+    is checked on a fine lattice over [-1, 1].  eta0 = 0 gives the zero
+    Lagrangian.
     """
     c = np.asarray(eta0_coeffs, dtype=float)
     if len(c) == 0:
         raise ValueError("eta0 must have at least one coefficient")
     cder = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
-    check_x = sample_nodes if sample_nodes is not None else np.linspace(-1.0, 1.0, 2001)
+    if sample_nodes is None:
+        check_x = np.linspace(-1.0, 1.0, 2001)
+    else:
+        check_x = np.concatenate((sample_nodes, 0.5 * (sample_nodes[:-1] + sample_nodes[1:])))
     vals = _polyval(c, check_x)
     if np.any(vals < 0.0):
         i = int(np.argmin(vals))

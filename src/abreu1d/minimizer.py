@@ -18,7 +18,7 @@ differences.  Reported functional values use `solver.eval_J` (trapezoid),
 the scheme's own quadrature.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,23 +44,11 @@ class MinimizeResult:
     J_value: float
     kkt_residual: float
     iters: int
-    stage_J: list[float] = field(default_factory=list)
-    min_constraint: float = 0.0
 
 
 # barrier parameters mu = 0.1 * 4^-k down to the first one <= 1e-9
 BARRIER_PATH = [0.1 * 0.25**k for k in range(15)]
 INNER_MAX_ITERS = 80
-
-
-def eval_J_cell(v: np.ndarray, problem: ConeProblem) -> float:
-    """Per-cell midpoint quadrature of F(x, v, v') over the window.
-
-    This is the smooth objective the barrier method actually minimizes;
-    `solver.eval_J` (trapezoid) is the reporting quadrature.
-    """
-    value, _ = _cell_objective(problem)
-    return value(np.asarray(v, dtype=float))
 
 
 def second_differences(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -88,7 +76,8 @@ def check_admissibility(v: np.ndarray, problem: ConeProblem, tol: float = 1e-10)
 def _cell_objective(problem: ConeProblem):
     """Smooth part of the barrier objective on the free nodes.
 
-    Returns (value, grad_hess).  grad_hess gives the gradient and the Hessian
+    Returns (value, grad_hess).  value(v) is the per-cell midpoint quadrature
+    of F(x, v, v') over the window.  grad_hess gives the gradient and the Hessian
     in `solve_banded` (2, 2) form, ab[2 + k - l, l] = H[k, l]; the Hessian is
     tridiagonal, so bands 0 and 4 stay zero.
     """
@@ -166,7 +155,6 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
 
     free = problem.free
     total_iters = 0
-    stage_J = []
 
     grad_total = None
     for mu in BARRIER_PATH:
@@ -202,15 +190,11 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
             total_iters += 1
             if not accepted:
                 break
-        stage_J.append(smooth_value(v))
 
-    s_all = second_differences(v, g)
     kkt = float(np.max(np.abs(grad_total)))
     return MinimizeResult(
         v=v,
         J_value=eval_J(v, g, problem.lagrangian),
         kkt_residual=kkt,
         iters=total_iters,
-        stage_J=stage_J,
-        min_constraint=float(np.min(s_all)),
     )

@@ -112,7 +112,6 @@ class SolveResult:
     newton_iters: int
     residual_norms: list[float]
     converged: bool
-    min_upp: float
 
 
 @functools.cache
@@ -183,7 +182,7 @@ def residual(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None)
     `s`, if given, is d2(u), already computed by the caller.
     """
     g = setup.grid
-    n, h = g.n, g.h
+    n = g.n
     s = _curvatures(u, setup, s)
     w = 1.0 / s
     f = f_eps(u, s, setup)
@@ -192,9 +191,7 @@ def residual(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None)
     R[n] = u[n]
     R[1] = w[0] - setup.rho_minus
     R[n - 1] = w[n] - setup.rho_plus
-    # rows i = 2 .. n-2 and their neighbours i - 1 and i + 1
-    i, left, right = slice(2, n - 1), slice(1, n - 2), slice(3, n)
-    R[i] = setup.eps * (w[right] - 2.0 * w[i] + w[left]) / (h * h) - f[i]
+    R[2 : n - 1] = setup.eps * d2(w, g)[2 : n - 1] - f[2 : n - 1]
     return R
 
 
@@ -309,7 +306,6 @@ def newton_solve(
         newton_iters=iters,
         residual_norms=norms,
         converged=bool(converged),
-        min_upp=float(np.min(s)),
     )
 
 

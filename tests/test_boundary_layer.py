@@ -1,0 +1,43 @@
+"""The boundary layer of the second boundary condition when rho != 1/phi''(+-1).
+
+On the calibration obstacle phi = x^2 - 1, u = phi and w = 1/phi'' = 1/2
+solve the scheme for rho+- = 1/2.  Any other rho+- forces a layer at that
+end: linearizing eps * w'' = (u - phi)/eps about u = phi gives a damped
+oscillation of w - 1/phi'' with decay rate and wavenumber
+beta = sqrt(phi''(+-1) / (2 eps)), so consecutive zeros of w - 1/2 lie pi/beta
+apart wherever the grid resolves the layer.
+"""
+
+import numpy as np
+import pytest
+from helpers import CAL_PHI
+
+from abreu1d.grid import build_grid
+from abreu1d.lagrangian import make_rochet_chone
+from abreu1d.solver import Tolerances, continuation_sweep, default_eps_schedule, make_setup
+
+N = 512
+STAGES = 9  # eps = 0.1 * 2^-k down to 3.9e-4
+# From eps = 3.125e-3 on, the layer is thin enough for the linearization to
+# hold to 1 %, and pi/beta still spans >= 16 cells at the last stage.
+RESOLVED_FROM = 5
+
+
+def zero_crossings(x, y):
+    """Linearly interpolated zeros of y between nodes where its sign changes."""
+    k = np.flatnonzero(np.sign(y[:-1]) != np.sign(y[1:]))
+    return x[k] - y[k] * (x[k + 1] - x[k]) / (y[k + 1] - y[k])
+
+
+@pytest.mark.parametrize("rho_minus, rho_plus", [(1.0, 1.0), (1.0, 0.75)])
+def test_layer_zeros_lie_pi_over_beta_apart(rho_minus, rho_plus):
+    g = build_grid(N, -0.5, 0.5)
+    setup = make_setup(g, make_rochet_chone([1.0], g.nodes), CAL_PHI, rho_minus, rho_plus, 0.1)
+    stages = continuation_sweep(setup, default_eps_schedule(stages=STAGES),
+                                Tolerances(newton_tol_scale=1e-6))
+    assert len(stages) == STAGES and all(result.converged for _, result in stages)
+    for stage, result in stages[RESOLVED_FROM:]:
+        zeros = zero_crossings(g.nodes, result.w - 0.5)
+        beta = np.sqrt(2.0 / (2.0 * stage.eps))  # phi'' = 2 at both ends
+        for spacing in (zeros[1] - zeros[0], zeros[-1] - zeros[-2]):
+            assert spacing * beta / np.pi == pytest.approx(1.0, abs=0.01), stage.eps

@@ -178,6 +178,12 @@ SETUP_ERRORS = {
         {"grid": {"n": 16}, "phi": [-0.113911, 0.066617, 0.096184, -0.066617, 0.017727]},
         "obstacle is not convex on the grid: d2(phi) = -0.0007",
     ),
+    # eta0 = (x - 1/16)^2 - 1e-3 is >= 2.9e-3 at the nodes of n = 16, but the
+    # oracle's cell quadrature evaluates it at the midpoint x = 1/16
+    "negative-weight-at-midpoint": (
+        {"grid": {"n": 16}, "lagrangian": {"eta0": [1.0 / 256.0 - 1e-3, -0.125, 1.0]}},
+        "negative weight: eta0(0.0625) = -0.001",
+    ),
 }
 
 

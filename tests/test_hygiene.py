@@ -497,3 +497,50 @@ def test_config_error_is_the_only_value_error_subclass():
     # every other bad input is a plain ValueError from the builder that owns its rule
     sites = value_error_subclasses(_package_sources())
     assert [site.split(" ")[0] for site in sites] == ["config.py:ConfigError"]
+
+
+def unread_fields(sources: dict[str, str], classes: tuple[str, ...], readers: list[str]) -> list[str]:
+    """Fields of `classes`, defined in `sources` (file name -> text), that no text in `readers` reads.
+
+    A field is an annotated name in the class body.  A read is a loaded
+    attribute of that name (`obj.field`) on any object.  A class that no
+    source defines is reported too.
+    """
+    read = {
+        node.attr
+        for text in readers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found, defined = [], set()
+    for name, text in sources.items():
+        for cls in ast.walk(ast.parse(text)):
+            if isinstance(cls, ast.ClassDef) and cls.name in classes:
+                defined.add(cls.name)
+                found += [
+                    f"{name}:{cls.name}.{node.target.id} (line {node.lineno})"
+                    for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                    and node.target.id not in read
+                ]
+    return found + [f"{cls}: not defined" for cls in classes if cls not in defined]
+
+
+def test_detector_flags_unread_fields():
+    sources = {
+        "a.py": "class R:\n    x: int\n    y: float = 0.0\n    z: list\n"
+                "    def m(self):\n        return self.y\n"
+                "class Other:\n    q: int\n",
+    }
+    readers = [*sources.values(), "def f(r):\n    r.z = 1\n    return r.x, q\n"]
+    assert unread_fields(sources, ("R", "Missing"), readers) == [
+        "a.py:R.z (line 4)", "Missing: not defined",
+    ]
+
+
+def test_every_result_field_has_a_reader():
+    # a result field that only tests read is state the commands carry for nothing
+    sources = _package_sources()
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    readers = [*sources.values(), *(p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py")))]
+    assert unread_fields(sources, ("SolveResult", "MinimizeResult"), readers) == []

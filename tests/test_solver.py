@@ -172,7 +172,7 @@ def test_newton_recovers_exact_solution_from_perturbed_start():
     assert res.converged
     assert np.max(np.abs(res.u - setup.phi)) <= 1e-8
     assert res.u[0] == 0.0 and res.u[-1] == 0.0
-    assert res.min_upp > 0.0 and np.all(res.w > 0.0)
+    assert np.min(d2(res.u, setup.grid)) > 0.0 and np.all(res.w > 0.0)
 
 
 def test_newton_from_exact_start_converges_immediately():
@@ -207,10 +207,10 @@ def test_newton_convexity_floor_comes_from_tolerances():
     setup = monopolist_setup(eps=0.1, phi=STEEP_PHI, rho=1.0 / 6.0)
     default = newton_solve(setup, setup.phi)
     assert default.converged and default.newton_iters > 1
-    assert default.min_upp < 3.0
+    assert np.min(d2(default.u, setup.grid)) < 3.0
     floored = newton_solve(setup, setup.phi, Tolerances(convexity_floor_scale=5.0))
     assert not floored.converged
-    assert floored.min_upp > 5.0 * setup.eps * setup.c0
+    assert np.min(d2(floored.u, setup.grid)) > 5.0 * setup.eps * setup.c0
 
 
 def test_continuation_sweep_all_stages_converge():

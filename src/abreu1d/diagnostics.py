@@ -61,17 +61,19 @@ def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
     up = d1(u, g)
     upp = d2(u, g)
     win = g.window_slice()
+    J_val = eval_J(u, g, setup.lagrangian)
+    pen = penalty_l2(u, setup)
     return EstimateReport(
         eps=setup.eps,
-        sup_u=float(np.max(np.abs(u))),
-        sup_grad_ab=float(np.max(np.abs(up[win]))),
-        min_upp_ab=float(np.min(upp[win])),
-        max_w_ab=float(np.max(result.w[win])),
-        penalty_l2=penalty_l2(u, setup),
+        sup_u=float(np.abs(u).max()),
+        sup_grad_ab=float(np.abs(up[win]).max()),
+        min_upp_ab=float(upp[win].min()),
+        max_w_ab=float(result.w[win].max()),
+        penalty_l2=pen,
         eps_uprime_left=float(setup.eps * up[0]),
         eps_uprime_right=float(setup.eps * up[-1]),
-        J_val=eval_J(u, g, setup.lagrangian),
-        J_eps_val=eval_J_eps(u, setup),
+        J_val=J_val,
+        J_eps_val=eval_J_eps(u, setup, J_val, pen),
         int_inv_upp=float(integrate(1.0 / upp, g, 0, g.n)),
     )
 

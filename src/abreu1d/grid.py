@@ -37,9 +37,9 @@ class Grid:
 def build_grid(n: int, a: float, b: float) -> Grid:
     """Build a uniform grid with the window endpoints snapped to nodes.
 
-    Raises ValueError if n is odd, below 16 or too large for numpy to hold
-    n + 1 float nodes, if the domain is invalid, or if the snapped window
-    holds fewer than 3 interior nodes.
+    Raises ValueError if n is odd, below 16, too large for numpy to hold
+    n + 1 float nodes or for the memory to allocate them, if the domain is
+    invalid, or if the snapped window holds fewer than 3 interior nodes.
     """
     if n < 16 or n % 2 != 0:
         raise ValueError(f"need even n >= 16, got n={n}")
@@ -48,7 +48,11 @@ def build_grid(n: int, a: float, b: float) -> Grid:
     if not (-1.0 < a < b < 1.0):
         raise ValueError(f"bad domain: need -1 < a < b < 1, got a={a}, b={b}")
     h = 2.0 / n
-    nodes = -1.0 + h * np.arange(n + 1)
+    try:
+        nodes = -1.0 + h * np.arange(n + 1)
+    except MemoryError as exc:
+        raise ValueError(f"n={n} does not fit in memory: its n + 1 nodes need "
+                         f"{8 * (n + 1)} bytes") from exc
     nodes[0] = -1.0
     nodes[n] = 1.0
     ia = int(round((a + 1.0) / h))

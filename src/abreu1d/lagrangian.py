@@ -34,18 +34,29 @@ class LagrangianSpec:
     f1_ppp: ScalarField
 
 
-def _polyval(coeffs, x):
+def polyval(coeffs, x):
     """Polynomial with ascending `coeffs` at a float or array `x`.
 
     Horner's rule in the order of operations of
     `numpy.polynomial.polynomial.polyval`, so the values are bit-identical,
-    without its argument handling.
+    without its argument handling.  It is the package's one polynomial
+    evaluator, so the package never imports `numpy.polynomial`.
     """
     c = np.asarray(coeffs, dtype=float)
     y = c[-1] + x * 0
     for k in range(len(c) - 2, -1, -1):
         y = c[k] + y * x
     return y
+
+
+def polyder(coeffs) -> np.ndarray:
+    """Ascending coefficients k * c_k of the derivative, [0.0] for a constant.
+
+    With two or more coefficients these are the products of
+    `numpy.polynomial.polynomial.polyder`, so bit-identical.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
 
 
 def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) -> LagrangianSpec:
@@ -61,21 +72,21 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
     c = np.asarray(eta0_coeffs, dtype=float)
     if len(c) == 0:
         raise ValueError("eta0 must have at least one coefficient")
-    cder = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
+    cder = polyder(c)
     if sample_nodes is None:
         check_x = np.linspace(-1.0, 1.0, 2001)
     else:
         check_x = np.concatenate((sample_nodes, 0.5 * (sample_nodes[:-1] + sample_nodes[1:])))
-    vals = _polyval(c, check_x)
+    vals = polyval(c, check_x)
     if np.any(vals < 0.0):
         i = int(np.argmin(vals))
         raise ValueError(f"negative weight: eta0({check_x[i]}) = {vals[i]}")
 
     def eta0(x):
-        return _polyval(c, x)
+        return polyval(c, x)
 
     def eta0_prime(x):
-        return _polyval(cder, x)
+        return polyval(cder, x)
 
     return LagrangianSpec(
         f0=lambda x, z: z * eta0(x),

@@ -17,12 +17,12 @@ process that takes no Newton or barrier step never loads scipy.
 import functools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .grid import Grid, d1, d2, d2_boundary_coeffs, d2_central_coeffs, integrate
-from .lagrangian import LagrangianSpec
+from .lagrangian import LagrangianSpec, polyder, polyval
 
 
 class NonconvexIterate(RuntimeError):
@@ -88,10 +88,9 @@ def make_setup(
     c = np.asarray(phi_coeffs, dtype=float)
     if len(c) == 0:
         raise ValueError("phi must have at least one coefficient")
-    P = np.polynomial.polynomial
     x = grid.nodes
-    phi = P.polyval(x, c)
-    phi_pp = P.polyval(x, P.polyder(c, 2)) if len(c) > 2 else np.zeros_like(x)
+    phi = polyval(c, x)
+    phi_pp = polyval(polyder(polyder(c)), x) if len(c) > 2 else np.zeros_like(x)
     c0 = float(np.min(phi_pp))
     if c0 <= 0.0:
         raise ValueError(f"obstacle is not uniformly convex on the grid: min phi'' = {c0}")
@@ -154,38 +153,60 @@ def _curvatures(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = No
     """Nodal u'', `s` if given, else d2(u); NonconvexIterate unless all are > 0."""
     if s is None:
         s = d2(u, setup.grid)
-    if np.any(s <= 0.0):
+    if (s <= 0.0).any():
         i = int(np.argmin(s))
         raise NonconvexIterate(f"u'' <= 0 at node {i}: {s[i]}")
     return s
 
 
-def f_eps(u: np.ndarray, s: np.ndarray, setup: ProblemSetup) -> np.ndarray:
-    """Right-hand side f of the interior rows eps * w'' = f, at every node.
+class _Derivatives(NamedTuple):
+    """What `residual` and `jacobian` both take of an iterate u, from `_derivatives`."""
 
-    `s` holds the nodal u''.  f is f0_z(x, u) - f1_px(x, u') - f1_pp(x, u') u''
-    on the window's interior rows, `Grid.interior_slice`, and the penalty
-    (u - phi)/eps elsewhere.
-    """
-    g, lag = setup.grid, setup.lagrangian
+    s: np.ndarray  # u'' = d2(u) at every node, all > 0
+    p: np.ndarray  # u' = d1(u) at every node
+    f1pp: np.ndarray  # f1_pp(x, u') on the window rows, `Grid.interior_slice`
+
+
+def _derivatives(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> _Derivatives:
+    """u'' (`s` if given, else d2(u)), checked by `_curvatures`, u' and f1_pp."""
+    g = setup.grid
+    s = _curvatures(u, setup, s)
     p = d1(u, g)
+    win = g.interior_slice()
+    return _Derivatives(s, p, setup.lagrangian.f1_pp(g.nodes[win], p[win]))
+
+
+def _rhs(u: np.ndarray, dv: _Derivatives, setup: ProblemSetup) -> np.ndarray:
+    """`f_eps` of u from its `_derivatives` `dv`."""
+    g, lag = setup.grid, setup.lagrangian
     f = (u - setup.phi) / setup.eps
     win = g.interior_slice()
-    x, uw, pw, sw = g.nodes[win], u[win], p[win], s[win]
-    f[win] = lag.f0_z(x, uw) - lag.f1_px(x, pw) - lag.f1_pp(x, pw) * sw
+    x, uw, pw, sw = g.nodes[win], u[win], dv.p[win], dv.s[win]
+    f[win] = lag.f0_z(x, uw) - lag.f1_px(x, pw) - dv.f1pp * sw
     return f
 
 
-def residual(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> np.ndarray:
+def f_eps(u: np.ndarray, s: np.ndarray, setup: ProblemSetup) -> np.ndarray:
+    """Right-hand side f of the interior rows eps * w'' = f, at every node.
+
+    `s` holds the nodal u'', all > 0.  f is f0_z(x, u) - f1_px(x, u') -
+    f1_pp(x, u') u'' on the window's interior rows, `Grid.interior_slice`,
+    and the penalty (u - phi)/eps elsewhere.
+    """
+    return _rhs(u, _derivatives(u, setup, s), setup)
+
+
+def residual(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = None) -> np.ndarray:
     """Nodal residual; rows 0, n are Dirichlet, rows 1, n-1 the w boundary data.
 
-    `s`, if given, is d2(u), already computed by the caller.
+    `dv`, if given, is `_derivatives(u, setup)`, already built by the caller.
     """
     g = setup.grid
     n = g.n
-    s = _curvatures(u, setup, s)
-    w = 1.0 / s
-    f = f_eps(u, s, setup)
+    if dv is None:
+        dv = _derivatives(u, setup)
+    w = 1.0 / dv.s
+    f = _rhs(u, dv, setup)
     R = np.empty(n + 1)
     R[0] = u[0]
     R[n] = u[n]
@@ -195,56 +216,91 @@ def residual(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None)
     return R
 
 
-def jacobian(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> np.ndarray:
-    """Analytic Jacobian of `residual` in `solve_banded` (2, 2) form; `s` as there.
+class _Band(NamedTuple):
+    """What the Jacobian band takes of a stage, from `_band`; no iterate changes it."""
 
-    The Jacobian A is pentadiagonal; the (5, n+1) band holds
+    base: np.ndarray  # Dirichlet rows 0, n and the penalty rows' -1/eps; zero elsewhere
+    edges: tuple  # (band indices, four-point stencil weights) of rows 1 and n-1
+    c: tuple  # `d2_central_coeffs` (c_out, c_mid, c_out) as (c_out, c_mid)
+    eps_c: tuple  # eps times each
+    win: slice  # window rows i, and their columns i-1 and i+1
+    lo: slice
+    up: slice
+    x: np.ndarray  # window-row nodes
+
+
+def _band(setup: ProblemSetup) -> _Band:
+    g, n = setup.grid, setup.grid.n
+    base = np.zeros((5, n + 1))
+    base[2, 0] = 1.0
+    base[2, n] = 1.0
+    # penalty rows i = 2 .. ia and ib .. n-2
+    base[2, 2 : g.ia + 1] = -1.0 / setup.eps
+    base[2, g.ib : n - 1] = -1.0 / setup.eps
+    k = np.arange(4)
+    c = d2_central_coeffs(g)
+    win = g.interior_slice()
+    return _Band(
+        base=base,
+        edges=(((3 - k, k), d2_boundary_coeffs(g, left=True)),
+               ((4 - k, n - 3 + k), d2_boundary_coeffs(g, left=False))),
+        c=(c[0], c[1]), eps_c=(setup.eps * c[0], setup.eps * c[1]),
+        win=win, lo=slice(g.ia, g.ib - 1), up=slice(g.ia + 2, g.ib + 1), x=g.nodes[win],
+    )
+
+
+def jacobian(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = None,
+             band: Optional[_Band] = None) -> np.ndarray:
+    """Analytic Jacobian of `residual` in `solve_banded` (2, 2) form.
+
+    `dv` is as in `residual`, and `band`, if given, is `_band(setup)`.  The
+    Jacobian A is pentadiagonal; the (5, n+1) band holds
     ab[2 + i - j, j] = A[i, j].  Each entry sums its terms in a fixed order:
     the eps * d2(w) chain, then -f0_zz, the chain through u', and f1_pp * d2
-    inside the window, or -1/eps outside it.
+    inside the window, or -1/eps outside it (added first, which gives the
+    same sum).
     """
-    g, lag, eps = setup.grid, setup.lagrangian, setup.eps
-    n, h = g.n, g.h
-    s = _curvatures(u, setup, s)
-    p = d1(u, g)
-    inv_s2 = 1.0 / (s * s)
+    lag, n, h = setup.lagrangian, setup.grid.n, setup.grid.h
+    if dv is None:
+        dv = _derivatives(u, setup)
+    if band is None:
+        band = _band(setup)
+    s = dv.s
+    dw = -1.0 / (s * s)  # dw_j/ds_j for w = 1/s
 
-    ab = np.zeros((5, n + 1))
-    ab[2, 0] = 1.0
-    ab[2, n] = 1.0
+    ab = band.base.copy()
     # rows 1 and n-1: w = 1/s at the endpoints through the four-point stencils
-    k = np.arange(4)
-    ab[3 - k, k] = -inv_s2[0] * d2_boundary_coeffs(g, left=True)
-    ab[4 - k, n - 3 + k] = -inv_s2[n] * d2_boundary_coeffs(g, left=False)
+    (left, c_left), (right, c_right) = band.edges
+    ab[left] = dw[0] * c_left
+    ab[right] = dw[n] * c_right
 
-    # eps * d2(w) chain of rows i = 2 .. n-2: w_j = 1/s_j for j = i-1, i, i+1
-    c0, c1, c2 = d2_central_coeffs(g)
-    wl = eps * c0 * -inv_s2[1 : n - 2]
-    wc = eps * c1 * -inv_s2[2 : n - 1]
-    wr = eps * c2 * -inv_s2[3:n]
-    ab[4, : n - 3] = wl * c0
-    ab[3, 1 : n - 2] = wl * c1 + wc * c0
-    ab[2, 2 : n - 1] = wl * c2 + wc * c1 + wr * c0
-    ab[1, 3:n] = wc * c2 + wr * c1
-    ab[0, 4:] = wr * c2
+    # eps * d2(w) chain of rows i = 2 .. n-2: w_j = 1/s_j for j = i-1, i, i+1.
+    # The stencil is (c_out, c_mid, c_out), so each term is w_j's weight times
+    # u_k's weight times dw_j, one of four products at every node j
+    c_out, c_mid = band.c
+    e_out, e_mid = band.eps_c
+    w_out, w_mid = e_out * dw, e_mid * dw
+    oo, om = w_out * c_out, w_out * c_mid
+    mo, mm = w_mid * c_out, w_mid * c_mid
+    ab[4, : n - 3] = oo[1 : n - 2]
+    ab[3, 1 : n - 2] = om[1 : n - 2] + mo[2 : n - 1]
+    ab[2, 2 : n - 1] += oo[1 : n - 2] + mm[2 : n - 1] + oo[3:n]
+    ab[1, 3:n] = mo[2 : n - 1] + om[3:n]
+    ab[0, 4:] = oo[3:n]
 
     # window rows i = ia+1 .. ib-1; columns i-1 and i+1 sit on bands 3 and 1
-    win, lo, up = g.interior_slice(), slice(g.ia, g.ib - 1), slice(g.ia + 2, g.ib + 1)
-    x, uw, pw, sw = g.nodes[win], u[win], p[win], s[win]
+    win, lo, up, x = band.win, band.lo, band.up, band.x
+    uw, pw, sw = u[win], dv.p[win], s[win]
     ab[2, win] -= lag.f0_zz(x, uw)
     # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i; R_i holds them with
     # a minus sign and p_i = (u_{i+1} - u_{i-1}) / 2h, so column i-1 gets -chain
     chain = (lag.f1_pxp(x, pw) + lag.f1_ppp(x, pw) * sw) / (2.0 * h)
     ab[3, lo] -= chain
     ab[1, up] += chain
-    f1pp = lag.f1_pp(x, pw)
-    ab[3, lo] += f1pp * c0
-    ab[2, win] += f1pp * c1
-    ab[1, up] += f1pp * c2
-
-    # penalty rows i = 2 .. ia and ib .. n-2
-    ab[2, 2 : g.ia + 1] -= 1.0 / eps
-    ab[2, g.ib : n - 1] -= 1.0 / eps
+    f1pp = dv.f1pp
+    ab[3, lo] += f1pp * c_out
+    ab[2, win] += f1pp * c_mid
+    ab[1, up] += f1pp * c_out
     return ab
 
 
@@ -256,26 +312,28 @@ def newton_solve(
     """Damped Newton with backtracking on the residual max-norm.
 
     Steps that would make min u'' drop to the convexity floor are halved.
-    Each iterate's d2(u) is computed once and passed to `residual` and
-    `jacobian`.
+    The band's stage constants are built once, and each trial point's
+    derivatives once, and passed to `residual` and, for an accepted point,
+    to `jacobian`.
     """
     tols = tols or Tolerances()
     g = setup.grid
     tol = tols.newton_tol_scale * (1.0 + 1.0 / setup.eps)
     floor = tols.convexity_floor_scale * setup.eps * setup.c0
+    band = _band(setup)
 
     u = np.array(u0, dtype=float)
     u[0] = 0.0
     u[-1] = 0.0
-    s = d2(u, g)
-    R = residual(u, setup, s)
-    norm = float(np.max(np.abs(R)))
+    dv = _derivatives(u, setup)
+    R = residual(u, setup, dv)
+    norm = float(np.abs(R).max())
     norms = [norm]
 
     iters = 0
     converged = norm <= tol
     while not converged and iters < MAX_ITERS:
-        step = solve_banded((2, 2), jacobian(u, setup, s), -R)
+        step = solve_banded((2, 2), jacobian(u, setup, dv, band), -R)
         t = 1.0
         accepted = False
         for _ in range(MAX_HALVINGS):
@@ -284,13 +342,14 @@ def newton_solve(
             u_try[0] = 0.0
             u_try[-1] = 0.0
             s_try = d2(u_try, g)
-            if np.min(s_try) <= floor:
+            if s_try.min() <= floor:
                 t *= 0.5
                 continue
-            R_try = residual(u_try, setup, s_try)
-            norm_try = float(np.max(np.abs(R_try)))
+            dv_try = _derivatives(u_try, setup, s_try)
+            R_try = residual(u_try, setup, dv_try)
+            norm_try = float(np.abs(R_try).max())
             if norm_try < norm:
-                u, s, R, norm = u_try, s_try, R_try, norm_try
+                u, dv, R, norm = u_try, dv_try, R_try, norm_try
                 accepted = True
                 break
             t *= 0.5
@@ -302,7 +361,7 @@ def newton_solve(
 
     return SolveResult(
         u=u,
-        w=1.0 / s,
+        w=1.0 / dv.s,
         newton_iters=iters,
         residual_norms=norms,
         converged=bool(converged),
@@ -344,6 +403,23 @@ def check_schedule(eps_schedule: Sequence[float]) -> None:
 
 
 def default_eps_schedule(start: float = 1e-1, ratio: float = 0.5, stages: int = 11) -> list[float]:
+    """The geometric schedule start * ratio**k for k = 0 .. stages-1.
+
+    Raises ValueError, before the list is built, when the values cannot all
+    lie in (0, 1) and strictly decrease: a ratio outside (0, 1), or a first
+    or last value outside (0, 1).  So a huge `stages` is refused in O(1);
+    `check_schedule` checks the list itself.
+    """
+    if stages > 1 and not 0.0 < ratio < 1.0:
+        raise ValueError(f"eps schedule ratio must lie in (0, 1), got {ratio}")
+    if stages > 0:
+        try:
+            last = start * ratio ** (stages - 1)
+        except OverflowError:  # stages - 1 is beyond the float range, so the power is 0
+            last = 0.0
+        for eps in (start, last):
+            if not (0.0 < eps < 1.0):
+                raise ValueError(f"eps schedule values must lie in (0, 1), got {eps}")
     return [start * ratio**k for k in range(stages)]
 
 
@@ -360,8 +436,17 @@ def penalty_l2(u: np.ndarray, setup: ProblemSetup) -> float:
     return integrate(pen, g, 0, g.ia) + integrate(pen, g, g.ib, g.n)
 
 
-def eval_J_eps(u: np.ndarray, setup: ProblemSetup) -> float:
-    """Penalized functional: `eval_J` - eps * log-curvature + `penalty_l2` / (2 eps)."""
+def eval_J_eps(u: np.ndarray, setup: ProblemSetup, J: Optional[float] = None,
+               pen: Optional[float] = None) -> float:
+    """Penalized functional: `eval_J` - eps * log-curvature + `penalty_l2` / (2 eps).
+
+    `J` and `pen`, if given, are `eval_J` and `penalty_l2` of u, already
+    computed by the caller.
+    """
     g, eps = setup.grid, setup.eps
+    if J is None:
+        J = eval_J(u, g, setup.lagrangian)
+    if pen is None:
+        pen = penalty_l2(u, setup)
     term_log = -eps * integrate(np.log(_curvatures(u, setup)), g, 0, g.n)
-    return eval_J(u, g, setup.lagrangian) + term_log + penalty_l2(u, setup) / (2.0 * eps)
+    return J + term_log + pen / (2.0 * eps)

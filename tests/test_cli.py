@@ -641,3 +641,38 @@ def test_cold_compare_loads_lapack_once_before_the_fork(tmp_path, monkeypatch):
     manifest, files = _artifacts(tmp_path / "cold")
     assert {"compare.csv", "compare_summary.json"} <= set(files)
     assert (manifest, files) == _artifacts(tmp_path / "inline")
+
+
+def _fresh_cli(prelude, *args):
+    """Run `prelude`, then the command line `args`, in a fresh interpreter."""
+    script = prelude + "from abreu1d import cli\ncli.main()\n"
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True)
+
+
+def test_cold_sweep_without_newton_steps_leaves_numpy_polynomial_unloaded(tmp_path):
+    # phi = x^2 - 1 solves every stage, so no Newton step loads scipy, whose
+    # own import loads numpy.polynomial
+    cfg = write_config(tmp_path / "cfg.json")
+    proc = _fresh_cli("import atexit, sys\n"
+                      "atexit.register(lambda: print('loaded:', 'numpy.polynomial' in sys.modules, "
+                      "'scipy' in sys.modules, file=sys.stderr))\n",
+                      "sweep", "--config", cfg)
+    assert proc.returncode == 0, proc.stderr
+    assert re.findall(r"^loaded: .*$", proc.stderr, re.M) == ["loaded: False False"]
+
+
+def test_grid_beyond_memory_is_one_config_error(tmp_path):
+    # the child caps its own address space at 1 GiB, with one BLAS thread so
+    # that numpy's import fits on any core count; 10**12 cells need 8 TB
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 10**12})
+    proc = _fresh_cli("import os, resource\n"
+                      "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+                      "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                      "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n",
+                      "sweep", "--config", cfg)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "ERROR abreu1d: n=1000000000000 does not fit in memory: "
+        "its n + 1 nodes need 8000000000008 bytes"]
+    assert not (tmp_path / "out" / "manifest.json").exists()

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import tracemalloc
 
 import pytest
 from helpers import invoke_cli, write_config
@@ -121,6 +122,10 @@ INVALID_PATCHES = [
     *(patch for patch, _ in FIELD_ERRORS),
     {"eps_schedule": []},
     {"eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 0}},
+    # schedules refused before their 10**400 values would be listed
+    {"eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": BIG}},
+    {"eps_schedule": {"start": 0.1, "ratio": 1.0, "stages": BIG}},
+    {"eps_schedule": {"start": 1.5, "ratio": 0.5, "stages": BIG}},
 ]
 
 
@@ -128,6 +133,20 @@ INVALID_PATCHES = [
 def test_invalid_configs_rejected(patch):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(_base_doc(**patch))
+
+
+@pytest.mark.parametrize("stages", [3_000_000, BIG], ids=["3e6", "1e400"])
+def test_underflowing_schedule_is_refused_before_it_is_listed(stages):
+    # its last value underflows to 0; listing 3 000 000 values took 143 MB
+    doc = _base_doc(eps_schedule={"start": 0.1, "ratio": 0.5, "stages": stages})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=re.escape("must lie in (0, 1), got 0.0")):
+            RunConfig.from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
+import collections
+
 import numpy as np
 import pytest
 from helpers import monopolist_setup
 
+from abreu1d import diagnostics, solver
 from abreu1d.diagnostics import (
     EstimateReport,
     check_theorem_bounds,
@@ -54,6 +57,23 @@ def test_report_functionals_are_the_solvers(weight):
     # J_eps sums the window functional, the log-curvature term and the penalty, in that order
     log_term = -setup.eps * integrate(np.log(d2(u, g)), g, 0, g.n)
     assert rep.J_eps_val == rep.J_val + log_term + rep.penalty_l2 / (2.0 * setup.eps)
+
+
+def test_compute_report_evaluates_each_functional_once(monkeypatch):
+    # J_eps_val is formed from the report's own J_val and penalty_l2
+    setup = monopolist_setup(n=64, eps=0.01, weight=(1.0, 0.5))
+    res = newton_solve(setup, setup.phi)
+    expected = compute_report(res, setup)
+    calls = collections.Counter()
+    for name in ("eval_J", "penalty_l2"):
+        def counted(*args, _name=name, _fn=getattr(solver, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        for module in (solver, diagnostics):
+            monkeypatch.setattr(module, name, counted)
+    assert compute_report(res, setup) == expected
+    assert calls == {"eval_J": 1, "penalty_l2": 1}
 
 
 def test_reciprocal_curvature_identity():

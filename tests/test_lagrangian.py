@@ -6,7 +6,8 @@ from helpers import quartic_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abreu1d.lagrangian import LagrangianSpec, _polyval, check_partials, make_rochet_chone
+from abreu1d.grid import build_grid
+from abreu1d.lagrangian import LagrangianSpec, check_partials, make_rochet_chone, polyder, polyval
 
 DERIVED_PARTIALS = ("f0_z", "f0_zz", "f1_p", "f1_pp", "f1_px", "f1_pxp", "f1_ppp")
 
@@ -129,7 +130,32 @@ def test_polyval_equals_numpy_polyval_bitwise(coeffs, xs):
     x = np.array(xs)
     P = np.polynomial.polynomial
     for point in (x, x.reshape(1, -1), xs[0], x[0]):
-        ours, numpy_value = _polyval(c, point), P.polyval(point, c)
+        ours, numpy_value = polyval(c, point), P.polyval(point, c)
         assert np.shape(ours) == np.shape(numpy_value)
         assert np.array_equal(ours, numpy_value)
         assert np.array_equal(np.signbit(ours), np.signbit(numpy_value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FINITE, min_size=2, max_size=6))
+def test_polyder_equals_numpy_polyder_bitwise(coeffs):
+    P = np.polynomial.polynomial
+    assert np.array_equal(polyder(coeffs), P.polyder(coeffs))
+    if len(coeffs) > 2:
+        assert np.array_equal(polyder(polyder(coeffs)), P.polyder(coeffs, 2))
+
+
+# the obstacles and weights of the tests and the benchmark configs
+SAMPLED_POLYNOMIALS = ([-1.0, 0.0, 1.0], [-3.0, 0.0, 3.0], [-1.0 / 3.0, 0.0, 1.0 / 3.0],
+                       [1.0, 0.5], [1.0, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("n", [16, 128, 1024, 8192])
+def test_sampled_polynomials_equal_numpy_bitwise(n):
+    P = np.polynomial.polynomial
+    x = build_grid(n, -0.5, 0.5).nodes
+    for c in SAMPLED_POLYNOMIALS:
+        assert np.array_equal(polyval(c, x), P.polyval(x, c))
+        assert np.array_equal(polyval(polyder(c), x), P.polyval(x, P.polyder(c)))
+        if len(c) > 2:
+            assert np.array_equal(polyval(polyder(polyder(c)), x), P.polyval(x, P.polyder(c, 2)))

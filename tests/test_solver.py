@@ -13,6 +13,7 @@ from helpers import (
 )
 
 from abreu1d.grid import build_grid, d1, d2, d2_boundary_coeffs
+from abreu1d import solver
 from abreu1d.lagrangian import make_rochet_chone
 from abreu1d.minimizer import ConeProblem, _barrier_terms, _cell_objective
 from abreu1d.solver import (
@@ -131,6 +132,42 @@ def test_jacobian_band_equals_loop_assembly_bitwise(n):
             c = rng.uniform(-1, 1, 3)
             u = setup.phi + 1e-3 * sum(c[k] * np.sin((k + 1) * np.pi * (x + 1) / 2) for k in range(3))
             np.testing.assert_array_equal(band_to_dense(jacobian(u, setup)), _jacobian_loop(u, setup))
+
+
+def _counting(monkeypatch, name, record):
+    """Replace `solver.<name>` with a wrapper that calls `record(args, result)`."""
+    original = getattr(solver, name)
+
+    def counted(*args):
+        out = original(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(solver, name, counted)
+    return original
+
+
+def test_newton_evaluates_each_iterates_derivatives_once(monkeypatch):
+    # An accepted iterate's d1(u) and f1_pp serve its residual and the next
+    # Jacobian, and the band's stage constants are built once per solve
+    setup = monopolist_setup(eps=0.01, phi=STEEP_PHI, rho=1.0 / 6.0, weight=(1.0, 0.5))
+    d1_args, residual_args, jacobians, bands = [], [], [], []
+    _counting(monkeypatch, "d1", lambda args, out: d1_args.append(args[0].copy()))
+    _counting(monkeypatch, "residual", lambda args, out: residual_args.append(args[0].copy()))
+    jacobian_alone = _counting(monkeypatch, "jacobian",
+                               lambda args, out: jacobians.append((args[0].copy(), out)))
+    _counting(monkeypatch, "_band", lambda args, out: bands.append(out))
+    res = solver.newton_solve(setup, setup.phi)
+    assert res.converged and res.newton_iters >= 3
+    assert len(bands) == 1
+    assert len(jacobians) == res.newton_iters
+    # one d1 per residual evaluation, each of a different point
+    assert len(d1_args) == len(residual_args)
+    assert all(np.array_equal(a, b) for a, b in zip(d1_args, residual_args))
+    assert len({a.tobytes() for a in d1_args}) == len(d1_args)
+    # the reused pieces give the Jacobian bit for bit
+    for u, ab in jacobians:
+        assert np.array_equal(ab, jacobian_alone(u, setup))
 
 
 def test_jacobian_matches_finite_differences_at_smooth_perturbation():

@@ -42,7 +42,7 @@ from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .grid import d1, d2
 from .minimizer import ConeProblem, minimize_direct
-from .solver import continuation_sweep, eval_J, f_eps, load_dgbsv, newton_solve
+from .solver import continuation_sweep, eval_J, f_eps, layer_beta_h, load_dgbsv, newton_solve
 from .weakform import check_support, default_family, distributional_residual, rescaled_w
 
 log = logging.getLogger("abreu1d")
@@ -136,12 +136,17 @@ _SPLIT_MIN_VALUES = 25_000
 
 
 def _stage_entry(setup, result) -> dict:
-    """A stage's manifest entry."""
+    """A stage's manifest entry: the Newton record and the boundary layer's beta * h."""
     return {
         "eps": setup.eps,
         "converged": result.converged,
         "newton_iters": result.newton_iters,
         "final_residual": result.residual_norms[-1],
+        "residual_norms": result.residual_norms,
+        "step_norms": result.step_norms,
+        "step_lengths": result.step_lengths,
+        "halvings": result.halvings,
+        "beta_h": layer_beta_h(setup),
     }
 
 

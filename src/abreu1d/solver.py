@@ -10,12 +10,19 @@ i = 1, n-1.  Interior rows discretize
 
 with the window-edge nodes taking the penalty branch.  Each Newton step is
 one `solve_banded` call, a direct LAPACK dgbsv solve of the banded Jacobian.
-LAPACK comes from scipy, which `load_dgbsv` imports on the first solve, so a
-process that takes no Newton or barrier step never loads scipy.
+LAPACK is scipy's compiled wrapper `scipy.linalg._flapack`, which
+`load_dgbsv` loads from its file on the first solve, without running the
+`scipy` or `scipy.linalg` package set-up.  No process imports the `scipy`
+package for this module, and one that takes no Newton or barrier step loads
+no LAPACK either.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import logging
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -23,6 +30,8 @@ import numpy as np
 
 from .grid import Grid, d1, d2, d2_boundary_coeffs, d2_central_coeffs, integrate
 from .lagrangian import LagrangianSpec, polyder, polyval
+
+log = logging.getLogger(__name__)
 
 
 class NonconvexIterate(RuntimeError):
@@ -64,6 +73,7 @@ class ProblemSetup:
     rho_plus: float
     eps: float
     c0: float
+    phi_pp_ends: tuple[float, float]  # phi''(-1), phi''(+1)
 
     def __post_init__(self):
         n = self.grid.n
@@ -101,24 +111,69 @@ def make_setup(
     return ProblemSetup(
         grid=grid, lagrangian=lagrangian, phi=phi,
         rho_minus=rho_minus, rho_plus=rho_plus, eps=eps, c0=c0,
+        phi_pp_ends=(float(phi_pp[0]), float(phi_pp[-1])),
     )
+
+
+def layer_beta_h(setup: ProblemSetup) -> tuple[float, float]:
+    """beta * h at -1 and +1, with beta = sqrt(phi''(+-1) / (2 eps)).
+
+    A rho+- other than 1/phi''(+-1) forces a boundary layer at that end, a
+    damped oscillation of w - 1/phi'' whose decay rate and wavenumber are
+    beta.  The grid resolves it while beta * h <~ 0.2.
+    """
+    return tuple(setup.grid.h * math.sqrt(pp / (2.0 * setup.eps)) for pp in setup.phi_pp_ends)
 
 
 @dataclass
 class SolveResult:
+    """A Newton solve and its record, one entry per iteration in each list.
+
+    `residual_norms` holds max|R| at the start and after each accepted step,
+    so it has `newton_iters + 1` entries unless the last iteration stalled.
+    `step_norms` is max|Δu| of each iteration's full Newton correction,
+    `step_lengths` the step length t taken (0.0 for a stall) and `halvings`
+    how often t was halved.
+    """
+
     u: np.ndarray
     w: np.ndarray
     newton_iters: int
     residual_norms: list[float]
+    step_norms: list[float]
+    step_lengths: list[float]
+    halvings: list[int]
     converged: bool
 
 
 @functools.cache
 def load_dgbsv():
-    """LAPACK's dgbsv, imported on the first call: importing scipy.linalg
-    (about 0.3 s and 20 MB) is half of a cold command-line start."""
-    from scipy.linalg.lapack import dgbsv
-    return dgbsv
+    """LAPACK's dgbsv, loaded on the first call from scipy's extension module
+    `scipy.linalg._flapack`, the routine that `scipy.linalg.lapack.dgbsv`
+    re-exports.
+
+    Importing `scipy.linalg` runs scipy's package set-up for this one
+    routine: with scipy 1.17 on a 2-vCPU Xeon VM it took about 0.28 s, 24 MB
+    and 333 more modules (numpy.f2py and numpy.polynomial among them) than
+    loading the extension alone, which takes about 5 ms.  `find_spec`
+    locates the installed scipy without importing it, and the extension
+    loader loads the one file.  A process that imports `scipy.linalg`
+    before or after gets the same module.  Raises ImportError, naming the
+    module, when scipy or the extension is missing.
+    """
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy is not None:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"LAPACK extension {name} not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgbsv
 
 
 def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -314,7 +369,8 @@ def newton_solve(
     Steps that would make min u'' drop to the convexity floor are halved.
     The band's stage constants are built once, and each trial point's
     derivatives once, and passed to `residual` and, for an accepted point,
-    to `jacobian`.
+    to `jacobian`.  Each iteration is recorded in the `SolveResult` and
+    logged at debug level.
     """
     tols = tols or Tolerances()
     g = setup.grid
@@ -329,6 +385,7 @@ def newton_solve(
     R = residual(u, setup, dv)
     norm = float(np.abs(R).max())
     norms = [norm]
+    step_norms, step_lengths, halvings = [], [], []
 
     iters = 0
     converged = norm <= tol
@@ -336,7 +393,7 @@ def newton_solve(
         step = solve_banded((2, 2), jacobian(u, setup, dv, band), -R)
         t = 1.0
         accepted = False
-        for _ in range(MAX_HALVINGS):
+        for halved in range(MAX_HALVINGS):
             u_try = u + t * step
             # keep the Dirichlet rows exact against linear-solver roundoff
             u_try[0] = 0.0
@@ -354,6 +411,11 @@ def newton_solve(
                 break
             t *= 0.5
         iters += 1
+        step_norms.append(float(np.abs(step).max()))
+        step_lengths.append(t if accepted else 0.0)
+        halvings.append(halved if accepted else MAX_HALVINGS)
+        log.debug("newton eps=%.6g iter %d: max|R| %.3e max|du| %.3e t %.6g halvings %d",
+                  setup.eps, iters, norm, step_norms[-1], step_lengths[-1], halvings[-1])
         if not accepted:
             break
         norms.append(norm)
@@ -364,6 +426,9 @@ def newton_solve(
         w=1.0 / dv.s,
         newton_iters=iters,
         residual_norms=norms,
+        step_norms=step_norms,
+        step_lengths=step_lengths,
+        halvings=halvings,
         converged=bool(converged),
     )
 

@@ -14,7 +14,8 @@ from helpers import CAL_PHI
 
 from abreu1d.grid import build_grid
 from abreu1d.lagrangian import make_rochet_chone
-from abreu1d.solver import Tolerances, continuation_sweep, default_eps_schedule, make_setup
+from abreu1d.solver import (Tolerances, continuation_sweep, default_eps_schedule, layer_beta_h,
+                            make_setup)
 
 N = 512
 STAGES = 9  # eps = 0.1 * 2^-k down to 3.9e-4
@@ -39,5 +40,8 @@ def test_layer_zeros_lie_pi_over_beta_apart(rho_minus, rho_plus):
     for stage, result in stages[RESOLVED_FROM:]:
         zeros = zero_crossings(g.nodes, result.w - 0.5)
         beta = np.sqrt(2.0 / (2.0 * stage.eps))  # phi'' = 2 at both ends
+        # README's resolution rule: the layer is resolved while beta * h <~ 0.2
+        assert layer_beta_h(stage) == (pytest.approx(beta * g.h, rel=1e-14),) * 2
+        assert beta * g.h < 0.2
         for spacing in (zeros[1] - zeros[0], zeros[-1] - zeros[-2]):
             assert spacing * beta / np.pi == pytest.approx(1.0, abs=0.01), stage.eps

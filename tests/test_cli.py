@@ -349,6 +349,40 @@ def test_log_level_env(tmp_path, monkeypatch):
     assert proc.returncode == 0
 
 
+def test_manifest_and_debug_log_record_every_newton_iteration(tmp_path):
+    # the newton-sweep benchmark problem: eta0 = 1 + x/2 at n = 128, 11 stages
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 128}, lagrangian={"eta0": [1.0, 0.5]},
+                       eps_schedule={"start": 0.1, "ratio": 0.5, "stages": 11})
+    proc = subprocess.run([sys.executable, "-m", "abreu1d.cli", "sweep", "--config", str(cfg)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, ABREU1D_LOG="debug"))
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert len(stages) == 11
+    for stage in stages:
+        iters, norms = stage["newton_iters"], stage["residual_norms"]
+        assert len(norms) == iters + 1 and norms[-1] == stage["final_residual"]
+        assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
+        assert [len(stage[key]) for key in ("step_norms", "step_lengths", "halvings")] == [iters] * 3
+        assert stage["step_lengths"] == [0.5 ** k for k in stage["halvings"]]
+        assert all(norm > 0.0 for norm in stage["step_norms"])
+    lines = re.findall(r"^DEBUG abreu1d\.solver: newton eps=.* iter \d+: .*$", proc.stderr, re.M)
+    assert len(lines) == sum(stage["newton_iters"] for stage in stages) > 0
+
+
+def test_manifest_records_beta_h_at_each_end(tmp_path):
+    # phi = (x^2 - 1)(1 + x/5): phi'' = 2 + 6x/5 is 0.8 at -1 and 3.2 at +1
+    eps = [0.1, 0.05, 0.025]
+    cfg = write_config(tmp_path / "cfg.json", phi=[-1.0, -0.2, 1.0, 0.2],
+                       rho_minus=1.0, rho_plus=1.0, eps_schedule=eps)
+    assert invoke_cli("sweep", "--config", cfg) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    h = 2.0 / 64
+    assert [stage["beta_h"] for stage in stages] == [
+        [pytest.approx(h * np.sqrt(0.8 / (2 * e)), rel=1e-14),
+         pytest.approx(h * np.sqrt(3.2 / (2 * e)), rel=1e-14)] for e in eps]
+
+
 def _split_writes(monkeypatch, split):
     """Force the stage writes onto the two-process path (split) or the serial one."""
     monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0 if split else 10**12)
@@ -568,19 +602,26 @@ def test_small_sweeps_never_fork(tmp_path, monkeypatch):
 
 
 # Runs the command line given in argv[1:] in a fresh interpreter, with two
-# CPUs and os.fork wrapped; at exit it writes a JSON line to stderr: whether
-# scipy was imported, and for each fork whether scipy's LAPACK was already
-# imported when it happened.
+# CPUs and os.fork wrapped; at exit it writes a JSON line to stderr: how many
+# times `solver.load_dgbsv` loaded LAPACK, which of the modules that scipy's
+# package set-up brings in were imported, and for each fork how many times
+# LAPACK had been loaded when it happened.
 COLD_CLI = """\
 import atexit, json, os, sys
+SETUP_MODULES = ("scipy", "scipy.linalg", "scipy._lib", "numpy.polynomial")
+def dgbsv_loads():
+    solver = sys.modules.get("abreu1d.solver")
+    return solver.load_dgbsv.cache_info().misses if solver else 0
 forks, fork = [], os.fork
 def recording_fork():
-    forks.append("scipy.linalg.lapack" in sys.modules)
+    forks.append(dgbsv_loads())
     return fork()
 os.fork = recording_fork
 os.sched_getaffinity = lambda pid: {0, 1}
-atexit.register(lambda: print("cold:", json.dumps({"scipy": "scipy" in sys.modules,
-                                                   "forks": forks}), file=sys.stderr))
+atexit.register(lambda: print("cold:", json.dumps({
+    "dgbsv_loads": dgbsv_loads(),
+    "loaded": [name for name in SETUP_MODULES if name in sys.modules],
+    "forks": forks}), file=sys.stderr))
 from abreu1d import cli
 cli.main()
 """
@@ -616,16 +657,16 @@ def test_cold_command_without_newton_steps_leaves_scipy_unloaded(tmp_path, comma
     args = [command]
     if overrides is not None:
         args += ["--config", write_config(tmp_path / "cfg.json", **overrides)]
-    assert _cold(*args) == (code, {"scipy": False, "forks": []})
+    assert _cold(*args) == (code, {"dgbsv_loads": 0, "loaded": [], "forks": []})
     if command == "verify" and code == 0:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert [s["newton_iters"] for s in manifest["stages"]] == [0] * 5
 
 
-def test_cold_sweep_loads_scipy_on_its_first_newton_step(tmp_path):
+def test_cold_newton_sweep_loads_dgbsv_without_scipys_package_set_up(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", phi=STEEP_PHI, rho_minus=1 / 6, rho_plus=1 / 6,
                        eps_schedule=SHORT_SWEEP)
-    assert _cold("sweep", "--config", cfg) == (0, {"scipy": True, "forks": []})
+    assert _cold("sweep", "--config", cfg) == (0, {"dgbsv_loads": 1, "loaded": [], "forks": []})
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["stages"][0]["newton_iters"] > 0
 
@@ -634,7 +675,8 @@ def test_cold_compare_loads_lapack_once_before_the_fork(tmp_path, monkeypatch):
     steep = {"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6,
              "eps_schedule": SHORT_SWEEP}
     cold = write_config(tmp_path / "cold.json", outputs=str(tmp_path / "cold"), **steep)
-    assert _cold("compare", "--config", cold) == (0, {"scipy": True, "forks": [True]})
+    assert _cold("compare", "--config", cold) == (0, {"dgbsv_loads": 1, "loaded": [],
+                                                      "forks": [1]})
     _oracle_cpus(monkeypatch, False)
     inline = write_config(tmp_path / "inline.json", outputs=str(tmp_path / "inline"), **steep)
     assert invoke_cli("compare", "--config", inline) == 0
@@ -651,8 +693,8 @@ def _fresh_cli(prelude, *args):
 
 
 def test_cold_sweep_without_newton_steps_leaves_numpy_polynomial_unloaded(tmp_path):
-    # phi = x^2 - 1 solves every stage, so no Newton step loads scipy, whose
-    # own import loads numpy.polynomial
+    # phi = x^2 - 1 solves every stage, so no Newton step runs; the
+    # Newton-taking sweep and compare above check the same modules
     cfg = write_config(tmp_path / "cfg.json")
     proc = _fresh_cli("import atexit, sys\n"
                       "atexit.register(lambda: print('loaded:', 'numpy.polynomial' in sys.modules, "

@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import pytest
@@ -202,41 +203,65 @@ def test_every_default_is_passed_somewhere():
     assert unpassed_defaults(defs, callers) == []
 
 
-def scipy_linalg_uses(source: str) -> list[str]:
-    """Imports of `scipy.linalg` (or a submodule) and `scipy.linalg` attribute reads."""
-    def linalg(name):
-        return name == "scipy.linalg" or name.startswith("scipy.linalg.")
+def scipy_names(source: str) -> list[str]:
+    """Functions that name scipy: an import of scipy (or a submodule), or a
+    string that holds the word `scipy`, outside docstrings.
 
+    A site counts for the innermost function around it, or for `<module>`.
+    """
     found = []
-    for node in ast.walk(ast.parse(source)):
+
+    def names_scipy(node):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            names = [f"{node.value.id}.{node.attr}"]
-        else:
-            continue
-        if any(linalg(name) for name in names):
-            found.append(f"line {node.lineno}")
+            return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.level == 0 and node.module.split(".")[0] == "scipy"
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.search(r"\bscipy\b", node.value) is not None)
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue  # a docstring
+            if names_scipy(child):
+                found.append(f"{owner} (line {child.lineno})")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
     return found
 
 
-def test_detector_flags_scipy_linalg_uses():
+def test_detector_flags_every_scipy_name():
     source = (
-        "import scipy\nimport scipy.linalg as sl\nfrom scipy.linalg import solve_banded\n"
-        "from scipy import linalg\nfrom scipy.linalg.lapack import dgbsv\n"
-        "x = scipy.linalg.solve\nfrom scipy.sparse import linalg as sparse_linalg\n"
-        "from . import linalg\nimport numpy.linalg\n"
+        '"""Mentions scipy in a docstring."""\n'
+        "import numpy, scipy.sparse as sp\n"
+        "def load():\n"
+        '    """Loads from scipy."""\n'
+        "    from scipy.linalg.lapack import dgbsv\n"
+        "    return find_spec('scipy')\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        def inner():\n"
+        "            return f'{self}: scipy.linalg._flapack'\n"
+        "        return inner\n"
+        "import scipyx\nfrom . import scipy\nname = 'scipy_like'\n"
+        "path = 'lib/scipy/linalg'\n"
     )
-    assert scipy_linalg_uses(source) == ["line 2", "line 3", "line 4", "line 5", "line 6"]
+    assert scipy_names(source) == [
+        "<module> (line 2)", "load (line 5)", "load (line 6)", "inner (line 10)",
+        "<module> (line 15)",
+    ]
 
 
-def test_only_solver_uses_scipy_linalg():
-    # solver.solve_banded is the package's one linear solve
-    uses = {p.name: scipy_linalg_uses(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    assert uses.pop("solver.py")
-    assert uses == {name: [] for name in uses}
+def test_only_load_dgbsv_names_scipy():
+    # solver.load_dgbsv loads LAPACK from scipy's extension file, without the
+    # scipy package's set-up; no other code may import scipy or name it
+    sites = {p.name: scipy_names(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    owners = {f"{name}:{site.split(' ')[0]}" for name, found in sites.items() for site in found}
+    assert owners == {"solver.py:load_dgbsv"}
 
 
 def import_time_scipy_imports(source: str) -> list[str]:
@@ -279,7 +304,7 @@ def test_detector_flags_import_time_scipy_imports():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_import_time_scipy_imports(path):
-    # importing scipy.linalg is half of a cold start; solver.load_dgbsv defers it
+    # solver.load_dgbsv loads LAPACK on the first banded solve, and only then
     assert import_time_scipy_imports(path.read_text(encoding="utf-8")) == []
 
 

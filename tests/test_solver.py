@@ -1,3 +1,8 @@
+import importlib.machinery
+import importlib.util
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -408,3 +413,60 @@ def test_solve_banded_raises_what_scipy_raises(solve, case):
     _, l_and_u, ab, b, error = case
     with pytest.raises(error):
         solve(l_and_u, ab, b)
+
+
+# In a fresh interpreter, imports scipy.linalg before or after the first
+# `load_dgbsv()` (argv[1] is "before" or "after"), then prints whether its
+# dgbsv gives every output of scipy.linalg.lapack.dgbsv bit for bit.
+LOAD_ORDER = """\
+import sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.linalg
+from abreu1d.solver import load_dgbsv
+dgbsv = load_dgbsv()
+import scipy.linalg.lapack
+rng = np.random.default_rng(5)
+for n in (17, 129, 8193):
+    lu = np.zeros((7, n))
+    lu[2:] = rng.standard_normal((5, n))
+    b = rng.standard_normal(n)
+    ours = dgbsv(2, 2, lu.copy(), b.copy())
+    scipys = scipy.linalg.lapack.dgbsv(2, 2, lu.copy(), b.copy())
+    print(all(np.array_equal(x, y) for x, y in zip(ours, scipys)))
+"""
+
+
+@pytest.mark.parametrize("scipy_linalg", ["before", "after"])
+def test_load_dgbsv_equals_scipys_dgbsv_bitwise(scipy_linalg):
+    proc = subprocess.run([sys.executable, "-c", LOAD_ORDER, scipy_linalg],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n" * 3
+
+
+@pytest.mark.parametrize("installed", [False, True], ids=["no-scipy", "no-extension"])
+def test_load_dgbsv_names_a_missing_extension(tmp_path, monkeypatch, installed):
+    # a scipy package directory without linalg/_flapack, or no scipy at all
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec if installed else None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        solver.load_dgbsv.__wrapped__()
+
+
+def test_newton_records_every_iteration():
+    setup = monopolist_setup(n=64, eps=0.1, rho=1.0)  # rho != 1/phi'' forces halvings
+    res = newton_solve(setup, setup.phi)
+    assert res.converged and max(res.halvings) > 0
+    assert len(res.residual_norms) == res.newton_iters + 1
+    assert [len(res.step_norms), len(res.step_lengths), len(res.halvings)] == [res.newton_iters] * 3
+    assert res.step_lengths == [0.5**k for k in res.halvings]
+
+
+def test_newton_records_a_stalled_iteration():
+    setup = monopolist_setup(n=64, eps=0.1, rho=1 / 6, phi=STEEP_PHI)
+    res = newton_solve(setup, setup.phi, Tolerances(newton_tol_scale=1e-30))
+    assert not res.converged and res.newton_iters < solver.MAX_ITERS
+    assert len(res.residual_norms) == res.newton_iters
+    assert (res.step_lengths[-1], res.halvings[-1]) == (0.0, solver.MAX_HALVINGS)

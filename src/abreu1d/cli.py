@@ -12,13 +12,18 @@ rule: comma separator, floats as `%.17g` (`_FLOAT_FORMAT`), other values as
 the manifest lists those digests for every other file the command wrote;
 no artifact is read back.
 
-Work that can run beside the command goes to one forked child through
-`_in_child`: `compare` runs the convex-cone oracle in a second process while
-the sweep runs in this one, and a large sweep has the child write stages
-00, 02, ... (the larger half when the count is odd) while the command
-writes the others and its summary files.  Each child is reaped before the
-command writes anything that depends on it.  Machines with one CPU, or
-without os.fork, run that work in the command's process.
+Work that can run beside the command goes to a forked child through
+`_in_child`.  `compare` runs the convex-cone oracle in a child while the
+sweep runs in this process.  With at least `_SPLIT_MIN_VALUES` stage-file
+values, each command forks a writer child for stages 00, 02, ... (the
+larger half when the count is odd) while it writes the others and its
+summary files.  Below the threshold only `compare` shares those stages,
+with its oracle child: the child writes each one it takes once its oracle
+is done, and the command takes what is left after its own stages and
+summary files, so that it writes them all when the oracle is the slower
+side.  Each child is reaped before the command writes anything that
+depends on it.  Machines with one CPU, or without os.fork, run that work
+in the command's process.
 """
 
 import functools
@@ -30,9 +35,10 @@ import pickle
 import signal
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import fields
+from contextlib import contextmanager, suppress
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -143,6 +149,7 @@ def _stage_entry(setup, result) -> dict:
         "newton_iters": result.newton_iters,
         "final_residual": result.residual_norms[-1],
         "residual_norms": result.residual_norms,
+        "min_upps": result.min_upps,
         "step_norms": result.step_norms,
         "step_lengths": result.step_lengths,
         "halvings": result.halvings,
@@ -164,56 +171,146 @@ def _write_stages(nodes, jobs) -> dict:
     return digests
 
 
+def _node_strings(grid) -> np.ndarray:
+    """The grid's nodes as `write_csv` writes them, rendered once for many stage files."""
+    return np.array([_FLOAT_FORMAT % x for x in grid.nodes.tolist()], dtype=object)
+
+
 @contextmanager
-def _writing_stages(outdir: Path, stages):
+def _writing_stages(outdir: Path, stages, other=None):
     """Write every stage's `solution_stageNN.csv`; yield the file name -> sha256 record.
 
     The block adds its own files to the record, which holds every stage
-    file when the block ends.  The stages' nodes are rendered once, before
-    any write.  With at least `_SPLIT_MIN_VALUES` values, `_in_child` writes
-    stages 00, 02, ... while this process writes the others and then runs
-    the block, so the child's exit overlaps the block's writes.
+    file once the `with` statement is left.  The stages' nodes are rendered
+    once, before any write.  With at least `_SPLIT_MIN_VALUES` values,
+    `_in_child` writes stages 00, 02, ... while this process writes the
+    others and then runs the block, so the child's exit overlaps the
+    block's writes.
+
+    `other`, if given, is the `_Child` of `compare`'s oracle, and is always
+    shared a list of `(path, eps, result)` jobs, empty at or above the
+    threshold or with one stage.  Below it, the list is stages 00, 02, ...:
+    this process writes the others, runs the block and then takes what is
+    left of the list, one stage at a time, while `other` takes them once
+    its oracle is done.  The record lacks the stages `other` took; it
+    returns their digests with its value.
     """
-    grid = stages[0][0].grid
-    nodes = np.array([_FLOAT_FORMAT % x for x in grid.nodes.tolist()], dtype=object)
+    nodes = _node_strings(stages[0][0].grid)
     jobs = [(outdir / f"solution_stage{k:02d}.csv", setup, result)
             for k, (setup, result) in enumerate(stages)]
-    if len(STAGE_HEADER) * len(nodes) * len(stages) < _SPLIT_MIN_VALUES:
+    if len(STAGE_HEADER) * len(nodes) * len(stages) >= _SPLIT_MIN_VALUES:
+        if other is not None:
+            other.share([])
+        with _in_child(_write_stages, nodes, jobs[::2]) as child:
+            files = _write_stages(nodes, jobs[1::2])
+            yield files
+            files.update(child.wait())
+        return
+    if other is None:
         yield _write_stages(nodes, jobs)
         return
-    with _in_child(_write_stages, nodes, jobs[::2]) as child_written:
-        files = _write_stages(nodes, jobs[1::2])
-        yield files
-        files.update(child_written())
+    # One stage is not shared.  With two or more, the shared list's arrays
+    # take under 47 kB below the threshold, and its pickle fits the 64 KiB
+    # pipe buffer up to about 60 stages, so `share` does not wait for the
+    # oracle.  A setup holds the Lagrangian's closures, which do not pickle,
+    # so each job goes as its eps, and `_oracle` rebuilds the setup.
+    theirs = jobs[::2] if len(jobs) > 1 else []
+    other.share([(path, setup.eps, result) for path, setup, result in theirs])
+    files = _write_stages(nodes, jobs[1::2] if theirs else jobs)
+    yield files
+    while (k := other.take()) is not None:
+        files.update(_write_stages(nodes, [theirs[k]]))
+
+
+class _Child(NamedTuple):
+    """The handle `_in_child` yields."""
+
+    share: Callable  # share(items) passes the child the list to share out
+    take: Callable  # take() returns the index of an item this process takes, or None
+    wait: Callable  # wait() returns the child's value
+
+
+def _claims(fd):
+    """Indices read from the non-blocking pipe `fd`, 4 bytes each, until it is empty.
+
+    A pipe read is atomic, so two processes that read one pipe never get
+    the same index.
+    """
+    while True:
+        try:
+            token = os.read(fd, 4)
+        except BlockingIOError:
+            return
+        yield int.from_bytes(token, "little")
+
+
+_NOTHING_SHARED = "the child's value was awaited before its list was shared"
 
 
 @contextmanager
-def _in_child(fn, *args):
-    """Start fn(*args) in a forked child; yield `wait`, which returns its value.
+def _in_child(fn, *args, shares=False):
+    """Start fn(*args) in a forked child; yield its `_Child` handle.
 
     `wait()` returns what fn returned, or raises the exception that fn raised,
     with the same type and message; a child that ends without sending a
-    result (one that was killed, say) makes it raise RuntimeError.  The child
-    is killed, if it still runs, and reaped when the `with` block is left.
-    Without os.fork or a second CPU to run on, `wait()` calls fn(*args) in
-    this process.
+    result (one that was killed, say) makes it raise RuntimeError.
+
+    With `shares`, fn is called as fn(*args, shared).  The command passes a
+    list after the fork with `share(items)`, once.  `shared()` waits for it
+    and returns it with an iterator over the indices of the items the child
+    takes; the command takes the others with `take()`.  Each index goes to
+    whichever process asks for it first.  `share` writes every index, in 4
+    bytes, before the list; a pipe buffer (64 KiB on Linux) holds 16 384 of
+    them.  It returns once the pipe has taken the list's pickle: at once
+    below that buffer, else when the child reads it.
+    `wait` closes the list's pipe first, so a `shared()` with no list raises
+    EOFError.  Share before starting another child, which would hold the
+    pipe open.
+
+    The child is killed, if it still runs, and reaped when the `with` block
+    is left.  Without os.fork or a second CPU to run on, `wait()` calls fn in
+    this process, so `take()` gets every index that is asked for before it.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2):
-        yield lambda: fn(*args)
+        inline = []
+
+        def share_inline(items):
+            inline.extend((items, iter(range(len(items)))))
+
+        def shared_inline():
+            if not inline:
+                raise EOFError(_NOTHING_SHARED)
+            return inline
+
+        yield _Child(share_inline, lambda: next(inline[1], None),
+                     lambda: fn(*args, shared_inline) if shares else fn(*args))
         return
     read_fd, write_fd = os.pipe()
+    receive_fd, send_fd = os.pipe()
+    claim_fd, offer_fd = os.pipe()
+    os.set_blocking(claim_fd, False)
     pid = os.fork()
-    # The child sends the pickled (ok, value) through the pipe and never
-    # returns.  numpy's OpenBLAS, and the second copy that scipy's LAPACK
-    # brings in on the first banded solve, each stop their thread pool
-    # before a fork and start it again in either process when needed.
+    # The child sends the pickled (ok, value) through one pipe and never
+    # returns; it reads what `share` pickles from another and takes indices
+    # from the third.  numpy's OpenBLAS, and the second copy that scipy's
+    # LAPACK brings in on the first banded solve, each stop their thread
+    # pool before a fork and start it again in either process when needed.
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
+            os.close(send_fd)
+
+            def shared():
+                with os.fdopen(receive_fd, "rb") as fh:
+                    data = fh.read()
+                if not data:
+                    raise EOFError(_NOTHING_SHARED)
+                return pickle.loads(data), _claims(claim_fd)
+
             try:
-                result = (True, fn(*args))
+                result = (True, fn(*args, shared) if shares else fn(*args))
             except BaseException as exc:
                 result = (False, exc)
             with os.fdopen(write_fd, "wb") as fh:
@@ -223,14 +320,25 @@ def _in_child(fn, *args):
             os._exit(status)
 
     os.close(write_fd)
+    os.close(receive_fd)
     reader = os.fdopen(read_fd, "rb")
+    sender = os.fdopen(send_fd, "wb")
+    claims = _claims(claim_fd)
     reaped = False
+
+    # A child that has ended, by an exception or a kill, has closed its end;
+    # `wait` then says how it ended.
+    def share(items):
+        os.write(offer_fd, b"".join(k.to_bytes(4, "little") for k in range(len(items))))
+        with suppress(BrokenPipeError), sender:
+            sender.write(pickle.dumps(items))
 
     # A child that has sent its result still takes about 2 ms to exit (a
     # 2-vCPU Xeon VM, n = 128 compare), so `wait` reaps only a child that
     # sent none, and the block's end reaps the others.
     def wait():
         nonlocal reaped
+        sender.close()
         data = reader.read()
         if not data:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -242,25 +350,32 @@ def _in_child(fn, *args):
         return value
 
     try:
-        yield wait
+        yield _Child(share, lambda: next(claims, None), wait)
     finally:
         reader.close()
+        sender.close()
+        os.close(claim_fd)
+        os.close(offer_fd)
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _run_sweep(cfg: RunConfig, setup, outdir: Path):
+def _run_sweep(cfg: RunConfig, setup, outdir: Path, other=None):
     """Shared sweep pipeline from the first stage's setup.
 
     Returns (exit_code, stages, run), with `run` as `_finish` takes it.
+    `other`, the `_Child` of compare's oracle, is `_writing_stages`'s other
+    writer when every stage converged; a failed sweep's command does not
+    wait for it, so this process then writes every stage file.
     """
     schedule = cfg.schedule()
     t0 = time.perf_counter()
     stages = continuation_sweep(setup, schedule, cfg.tolerances)
     elapsed = time.perf_counter() - t0
+    all_converged = len(stages) == len(schedule) and all(r.converged for _, r in stages)
 
-    with _writing_stages(outdir, stages) as files:
+    with _writing_stages(outdir, stages, other if all_converged else None) as files:
         reports = [compute_report(r, s) for s, r in stages if r.converged]
         header = [f.name for f in fields(EstimateReport)]
         files["sweep.csv"] = write_csv(outdir / "sweep.csv", header,
@@ -285,7 +400,6 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
             log.warning("bound checks skipped: %s", exc)
     stage_meta = [_stage_entry(setup, result) for setup, result in stages]
 
-    all_converged = len(stages) == len(schedule) and all(r.converged for _, r in stages)
     if not all_converged:
         log.error("sweep stopped at stage %d of %d", len(stages), len(schedule))
     run = {"stages": stage_meta, "wall_clock_seconds": {"sweep": elapsed}, "files": files}
@@ -387,27 +501,42 @@ def sweep(cfg, setup, outdir):
     return code, run
 
 
-def _oracle(problem: ConeProblem):
-    """The direct minimizer's result and its own wall time."""
+def _oracle(setup, shared):
+    """The direct minimizer's result, its own wall time and the stage files' digests.
+
+    The stage files are those of the `(path, eps, result)` jobs that
+    `shared()` gives once the minimizer is done, as `_writing_stages` shares
+    them, and that this process takes.  Every stage shares the first
+    stage's grid, Lagrangian and obstacle, so the minimizer, which needs
+    nothing else, runs beside the sweep.
+    """
+    problem = ConeProblem(grid=setup.grid, lagrangian=setup.lagrangian, phi=setup.phi)
     t0 = time.perf_counter()
     oracle = minimize_direct(problem)
-    return oracle, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    jobs, taken = shared()
+    nodes, written = None, {}
+    for k in taken:
+        if nodes is None:
+            nodes = _node_strings(setup.grid)
+        path, eps, result = jobs[k]
+        written.update(_write_stages(nodes, [(path, replace(setup, eps=eps), result)]))
+    return oracle, elapsed, written
 
 
 @_command()
 def compare(cfg, setup, outdir):
     """Run the sweep and the direct minimizer, report their agreement."""
-    # Every stage shares the first stage's grid, Lagrangian and obstacle, so
-    # the oracle, which needs nothing else, runs beside the sweep.
-    problem = ConeProblem(grid=setup.grid, lagrangian=setup.lagrangian, phi=setup.phi)
     # Both processes solve banded systems: load LAPACK once, before the fork.
     load_dgbsv()
-    with _in_child(_oracle, problem) as oracle_result:
-        code, stages, run = _run_sweep(cfg, setup, outdir)
+    with _in_child(_oracle, setup, shares=True) as oracle_child:
+        code, stages, run = _run_sweep(cfg, setup, outdir, oracle_child)
         if code != EXIT_OK:
             return code, run
-        oracle, run["wall_clock_seconds"]["oracle"] = oracle_result()
+        oracle, run["wall_clock_seconds"]["oracle"], written = oracle_child.wait()
         # the child has sent its result; it is reaped when the block is left
+        files = run["files"]
+        files.update(written)
         setup, result = stages[-1]
         g = setup.grid
         if oracle.kkt_residual > cfg.tolerances.kkt_tol:
@@ -415,7 +544,6 @@ def compare(cfg, setup, outdir):
                       oracle.kkt_residual, cfg.tolerances.kkt_tol)
             return EXIT_ORACLE, run
 
-        files = run["files"]
         diff = np.abs(result.u - oracle.v)
         files["compare.csv"] = write_csv(outdir / "compare.csv",
                                          ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),

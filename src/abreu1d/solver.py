@@ -130,16 +130,18 @@ class SolveResult:
     """A Newton solve and its record, one entry per iteration in each list.
 
     `residual_norms` holds max|R| at the start and after each accepted step,
-    so it has `newton_iters + 1` entries unless the last iteration stalled.
-    `step_norms` is max|Δu| of each iteration's full Newton correction,
-    `step_lengths` the step length t taken (0.0 for a stall) and `halvings`
-    how often t was halved.
+    so it has `newton_iters + 1` entries unless the last iteration stalled,
+    and `min_upps` holds min u'' at the same iterates.  `step_norms` is
+    max|Δu| of each iteration's full Newton correction, `step_lengths` the
+    step length t taken (0.0 for a stall) and `halvings` how often t was
+    halved.
     """
 
     u: np.ndarray
     w: np.ndarray
     newton_iters: int
     residual_norms: list[float]
+    min_upps: list[float]
     step_norms: list[float]
     step_lengths: list[float]
     halvings: list[int]
@@ -384,7 +386,9 @@ def newton_solve(
     dv = _derivatives(u, setup)
     R = residual(u, setup, dv)
     norm = float(np.abs(R).max())
+    upp_min = float(dv.s.min())
     norms = [norm]
+    min_upps = [upp_min]
     step_norms, step_lengths, halvings = [], [], []
 
     iters = 0
@@ -399,14 +403,15 @@ def newton_solve(
             u_try[0] = 0.0
             u_try[-1] = 0.0
             s_try = d2(u_try, g)
-            if s_try.min() <= floor:
+            s_min = float(s_try.min())
+            if s_min <= floor:
                 t *= 0.5
                 continue
             dv_try = _derivatives(u_try, setup, s_try)
             R_try = residual(u_try, setup, dv_try)
             norm_try = float(np.abs(R_try).max())
             if norm_try < norm:
-                u, dv, R, norm = u_try, dv_try, R_try, norm_try
+                u, dv, R, norm, upp_min = u_try, dv_try, R_try, norm_try, s_min
                 accepted = True
                 break
             t *= 0.5
@@ -414,11 +419,13 @@ def newton_solve(
         step_norms.append(float(np.abs(step).max()))
         step_lengths.append(t if accepted else 0.0)
         halvings.append(halved if accepted else MAX_HALVINGS)
-        log.debug("newton eps=%.6g iter %d: max|R| %.3e max|du| %.3e t %.6g halvings %d",
-                  setup.eps, iters, norm, step_norms[-1], step_lengths[-1], halvings[-1])
+        log.debug("newton eps=%.6g iter %d: max|R| %.3e max|du| %.3e t %.6g halvings %d "
+                  "min u'' %.3e", setup.eps, iters, norm, step_norms[-1], step_lengths[-1],
+                  halvings[-1], upp_min)
         if not accepted:
             break
         norms.append(norm)
+        min_upps.append(upp_min)
         converged = norm <= tol
 
     return SolveResult(
@@ -426,6 +433,7 @@ def newton_solve(
         w=1.0 / dv.s,
         newton_iters=iters,
         residual_norms=norms,
+        min_upps=min_upps,
         step_norms=step_norms,
         step_lengths=step_lengths,
         halvings=halvings,

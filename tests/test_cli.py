@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import json
 import logging
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -18,7 +20,7 @@ from helpers import (SHALLOW_PHI, STEEP_PHI, invoke_cli, monopolist_setup, quart
 from abreu1d import cli
 from abreu1d.grid import d1, d2
 from abreu1d.lagrangian import CUSTOM_REGISTRY
-from abreu1d.solver import continuation_sweep, f_eps
+from abreu1d.solver import SolveResult, continuation_sweep, f_eps
 
 
 def _rows(path):
@@ -366,8 +368,17 @@ def test_manifest_and_debug_log_record_every_newton_iteration(tmp_path):
         assert [len(stage[key]) for key in ("step_norms", "step_lengths", "halvings")] == [iters] * 3
         assert stage["step_lengths"] == [0.5 ** k for k in stage["halvings"]]
         assert all(norm > 0.0 for norm in stage["step_norms"])
+        assert len(stage["min_upps"]) == iters + 1 and min(stage["min_upps"]) > 0.0
+    # each stage starts from the last one's u, and ends at its stage file's u_pp
+    for k, stage in enumerate(stages):
+        rows = _rows(tmp_path / "out" / f"solution_stage{k:02d}.csv")
+        assert min(float(row["u_pp"]) for row in rows) == stage["min_upps"][-1]
+        if k:
+            assert stage["min_upps"][0] == stages[k - 1]["min_upps"][-1]
     lines = re.findall(r"^DEBUG abreu1d\.solver: newton eps=.* iter \d+: .*$", proc.stderr, re.M)
     assert len(lines) == sum(stage["newton_iters"] for stage in stages) > 0
+    logged = [float(v) for v in re.findall(r"min u'' (\S+)$", "\n".join(lines), re.M)]
+    assert logged == [float(f"{v:.3e}") for stage in stages for v in stage["min_upps"][1:]]
 
 
 def test_manifest_records_beta_h_at_each_end(tmp_path):
@@ -508,27 +519,210 @@ def _oracle_cpus(monkeypatch, forked):
                         raising=False)
 
 
+# the oracle-compare benchmark problem: steep at n = 128, 11 stages
+STEEP_128 = {"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6, "grid": {"n": 128},
+             "eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 11}}
+
+
 @pytest.mark.parametrize(
     "overrides, code",
     [({"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6}, 0),
      ({"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5, "grid": {"n": 32},
-       "tolerances": {"kkt_tol": 1e-16}}, 3)],
-    ids=["steep", "shallow-oracle-failure"],
+       "tolerances": {"kkt_tol": 1e-16}}, 3),
+     (STEEP_128, 0),
+     ({**STEEP_128, "tolerances": {"kkt_tol": 1e-16}}, 3)],
+    ids=["steep", "shallow-oracle-failure", "steep-128", "steep-128-oracle-failure"],
 )
 def test_forked_and_inline_oracle_are_byte_identical(tmp_path, monkeypatch, overrides, code):
+    # forked, the oracle's child writes stages 00, 02, ...
     outputs = {}
     forks = _count_forks(monkeypatch)
     for forked in (False, True):  # inline first: no fork, then one for the oracle
         _oracle_cpus(monkeypatch, forked)
+        if forked:
+            _child_takes_every_shared_stage(monkeypatch)
         out = tmp_path / f"forked{forked}"
-        cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, outputs=str(out),
-                           **overrides)
+        cfg = write_config(tmp_path / "cfg.json", outputs=str(out),
+                           **{"eps_schedule": SHORT_SWEEP, **overrides})
         assert invoke_cli("compare", "--config", cfg) == code
         assert len(forks) == forked
         outputs[forked] = _artifacts(out)
     assert outputs[True] == outputs[False]
     assert outputs[True][0]["wall_clock_seconds"] == ["oracle", "sweep"]
     assert ("compare.csv" in outputs[True][1]) == (code == 0)
+
+
+def _record_writers(monkeypatch, log):
+    """Make `write_csv` append "<file name> <pid>" to `log` before each write."""
+    write_csv = cli.write_csv
+
+    def recording(path, header, columns):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{path.name} {os.getpid()}\n")
+        return write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "write_csv", recording)
+
+
+def _writers(log):
+    """{True: files this process wrote, False: files another process wrote}."""
+    by_pid = {True: set(), False: set()}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        name, pid = line.split()
+        by_pid[int(pid) == os.getpid()].add(name)
+    return by_pid
+
+
+def _wait_until(ready, what):
+    deadline = time.monotonic() + 30.0
+    while not ready():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+def _child_takes_every_shared_stage(monkeypatch):
+    """Make `compare` take no shared stage, so its oracle's child writes them all."""
+    in_child = cli._in_child
+
+    @contextlib.contextmanager
+    def taking_none(fn, *args, **kwargs):
+        with in_child(fn, *args, **kwargs) as child:
+            yield child._replace(take=lambda: None)
+
+    monkeypatch.setattr(cli, "_in_child", taking_none)
+
+
+def test_oracle_child_writes_the_shared_stages_it_takes(tmp_path, monkeypatch):
+    # below the split threshold compare forks once and shares stages 00, 02,
+    # 04 with its oracle's child; when this process takes none, the child
+    # writes them all
+    _oracle_cpus(monkeypatch, True)
+    forks = _count_forks(monkeypatch)
+    _child_takes_every_shared_stage(monkeypatch)
+    _record_writers(monkeypatch, tmp_path / "writers.txt")
+    cfg = write_config(tmp_path / "cfg.json")  # 5 stages at n = 64
+    assert invoke_cli("compare", "--config", cfg) == 0
+    assert len(forks) == 1
+    assert _writers(tmp_path / "writers.txt") == {
+        False: {f"solution_stage{k:02d}.csv" for k in (0, 2, 4)},
+        True: {"solution_stage01.csv", "solution_stage03.csv", "sweep.csv", "rates.csv",
+               "compare.csv"}}
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {f"solution_stage{k:02d}.csv" for k in range(5)} <= set(manifest["files"])
+
+
+def test_busy_oracle_child_writes_no_stage_file(tmp_path, monkeypatch):
+    # the oracle does not finish until this process has taken and written
+    # the last shared stage, so its child takes none
+    log, go = tmp_path / "writers.txt", tmp_path / "go"
+    minimize_direct = cli.minimize_direct
+
+    def late(problem):
+        _wait_until(go.exists, "the command's last stage file")
+        return minimize_direct(problem)
+
+    _oracle_cpus(monkeypatch, True)
+    forks = _count_forks(monkeypatch)
+    _record_writers(monkeypatch, log)
+    write_csv = cli.write_csv
+
+    def last_opens_the_gate(path, header, columns):
+        digest = write_csv(path, header, columns)
+        if path.name == "solution_stage04.csv":
+            go.touch()
+        return digest
+
+    monkeypatch.setattr(cli, "write_csv", last_opens_the_gate)
+    monkeypatch.setattr(cli, "minimize_direct", late)
+    cfg = write_config(tmp_path / "cfg.json")  # 5 stages at n = 64
+    assert invoke_cli("compare", "--config", cfg) == 0
+    assert len(forks) == 1
+    assert _writers(log) == {False: set(), True: {
+        *(f"solution_stage{k:02d}.csv" for k in range(5)), "sweep.csv", "rates.csv",
+        "compare.csv"}}
+
+
+def test_failed_oracle_child_write_is_output_error(tmp_path, monkeypatch, caplog):
+    _oracle_cpus(monkeypatch, True)
+    forks = _count_forks(monkeypatch)
+    _child_takes_every_shared_stage(monkeypatch)
+    out = tmp_path / "out"
+    (out / "solution_stage00.csv").mkdir(parents=True)  # the oracle child's first file
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP)
+    with caplog.at_level(logging.ERROR, logger="abreu1d"):
+        assert invoke_cli("compare", "--config", cfg) == cli.EXIT_OUTPUT
+    assert len(forks) == 1
+    [record] = caplog.records
+    assert re.search(r"^output write failed: .*Is a directory: '.*solution_stage00\.csv'",
+                     record.getMessage())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("stages", [2, 3, 5, 11])
+def test_shared_stages_fit_the_pipe_buffer(tmp_path, stages):
+    # at the largest grid below the split threshold, with a 200-character
+    # output directory and 20 Newton iterations a stage, the pickle that
+    # `compare` shares takes less than a 64 KiB pipe buffer, so `share`
+    # returns without waiting for the oracle
+    nodes = (cli._SPLIT_MIN_VALUES - 1) // (len(cli.STAGE_HEADER) * stages)
+    rng = np.random.default_rng(stages)
+
+    def record(k):
+        return rng.random(k).tolist()
+
+    jobs = [(tmp_path / ("d" * 200) / f"solution_stage{k:02d}.csv", 0.1 * 0.5 ** k,
+             SolveResult(u=rng.random(nodes), w=rng.random(nodes), newton_iters=20,
+                         residual_norms=record(21), min_upps=record(21), step_norms=record(20),
+                         step_lengths=record(20), halvings=[0] * 20, converged=True))
+            for k in range(0, stages, 2)]
+    assert len(pickle.dumps(jobs)) < 65536
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+def test_each_shared_item_is_taken_once(monkeypatch, forked):
+    # both processes take indices as fast as they can; inline, the child
+    # runs at `wait`, after this process has taken them all
+    _oracle_cpus(monkeypatch, forked)
+
+    def taking(shared):
+        items, taken = shared()
+        return [items[k] for k in taken]
+
+    items = [f"item{k}" for k in range(2000)]
+    with cli._in_child(taking, shares=True) as child:
+        child.share(items)
+        mine = []
+        while (k := child.take()) is not None:
+            mine.append(items[k])
+        theirs = child.wait()
+    assert sorted(mine + theirs) == sorted(items)
+    if not forked:
+        assert theirs == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+def test_wait_before_share_raises_eoferror(monkeypatch, forked):
+    # `wait` closes the list's pipe, so a child that waits for the list ends;
+    # the alarm turns a `wait` that hangs instead into a failure
+    def hung(signum, frame):
+        raise TimeoutError("wait() hung on a child that waits for its list")
+
+    _oracle_cpus(monkeypatch, forked)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with cli._in_child(lambda shared: shared(), shares=True) as child:
+            with pytest.raises(EOFError, match="awaited before its list was shared"):
+                child.wait()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])

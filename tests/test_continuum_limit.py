@@ -16,9 +16,15 @@ eps * int 1/u'' -> int mu = 2/81.
 
 The discrete constraint at a window edge compares the first free slope with
 the chord slope of the pinned cell, phi'(a) - h phi''(a)/2, so every gap to
-the limit is first order in h.  The convex-cone oracle has the same
-first-order error, and its J_h lies below J*, by about 0.075 h: the discrete
-cone relaxes the continuum one.  Its KKT residual is not checked here: the
+the limit is first order in h.  With that widened slope the limit is
+
+    v_h*' = clip(2x, -(1 + h)/3, (1 + h)/3),
+    v_h* = x^2 + C for |x| <= (1 + h)/6, with C from v_h*(+-1/2) = -1/4,
+
+and both the scheme's last stage and the oracle lie within 3e-4 of it.  The
+convex-cone oracle has the same first-order error against v*, and its J_h
+lies below J*, by about 0.075 h: the discrete cone relaxes the continuum
+one.  Its KKT residual is not checked here: the
 barrier misses `kkt_tol` when constraints bind, a known defect.
 """
 
@@ -40,6 +46,14 @@ J_STAR = -119.0 / 324.0
 def v_star(x):
     ax = np.abs(x)
     return np.where(ax <= 1.0 / 6.0, x * x - 7.0 / 18.0, -13.0 / 36.0 + (ax - 1.0 / 6.0) / 3.0)
+
+
+def v_star_h(x, h):
+    """v*, with the slope bound 1/3 widened to the pinned cell's chord slope (1 + h)/3."""
+    s = (1.0 + h) / 3.0
+    c = -0.25 - s / 2.0 + s * s / 4.0
+    ax = np.abs(x)
+    return np.where(ax <= s / 2.0, x * x + c, s * s / 4.0 + c + s * (ax - s / 2.0))
 
 
 def mu(x):
@@ -115,3 +129,32 @@ def test_oracle_functional_lies_below_the_limit_by_a_first_order_term(n):
     gap = result.J_value - J_STAR
     assert gap < 0.0
     assert -0.08 <= gap / setup.grid.h <= -0.07, gap / setup.grid.h
+
+
+def test_widened_slope_closed_form():
+    # v* at h = 0; the obstacle's values at the window edges; C^1 at the kink
+    x = np.linspace(-0.5, 0.5, 101)
+    np.testing.assert_allclose(v_star_h(x, 0.0), v_star(x), rtol=0.0, atol=1e-15)
+    for h in (1.0 / 16.0, 1.0 / 64.0):
+        s = (1.0 + h) / 3.0
+        np.testing.assert_allclose(v_star_h(np.array([-0.5, 0.5]), h), [-0.25, -0.25],
+                                   rtol=0.0, atol=1e-15)
+        kink = s / 2.0
+        left, right = v_star_h(np.array([kink - 1e-7, kink + 1e-7]), h)
+        assert (right - left) / 2e-7 == pytest.approx(s, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+@pytest.mark.parametrize("solver", ["scheme", "oracle"])
+def test_gap_to_the_widened_slope_limit(n, solver):
+    if solver == "scheme":
+        setup, result = shallow_sweep(n)[-1]
+        u = result.u
+    else:
+        setup, result = shallow_oracle(n)
+        u = result.v
+    x = setup.grid.nodes
+    gap = _window_sup(u - v_star_h(x, setup.grid.h), setup)
+    unwidened = _window_sup(u - v_star(x), setup)
+    assert gap <= 3e-4, gap
+    assert 10.0 * gap <= unwidened, (gap, unwidened)

@@ -462,11 +462,15 @@ def test_newton_records_every_iteration():
     assert len(res.residual_norms) == res.newton_iters + 1
     assert [len(res.step_norms), len(res.step_lengths), len(res.halvings)] == [res.newton_iters] * 3
     assert res.step_lengths == [0.5**k for k in res.halvings]
+    assert len(res.min_upps) == len(res.residual_norms)
+    assert (res.min_upps[0], res.min_upps[-1]) == (d2(setup.phi, setup.grid).min(),
+                                                   d2(res.u, setup.grid).min())
 
 
 def test_newton_records_a_stalled_iteration():
     setup = monopolist_setup(n=64, eps=0.1, rho=1 / 6, phi=STEEP_PHI)
     res = newton_solve(setup, setup.phi, Tolerances(newton_tol_scale=1e-30))
     assert not res.converged and res.newton_iters < solver.MAX_ITERS
-    assert len(res.residual_norms) == res.newton_iters
+    assert len(res.residual_norms) == len(res.min_upps) == res.newton_iters
     assert (res.step_lengths[-1], res.halvings[-1]) == (0.0, solver.MAX_HALVINGS)
+    assert res.min_upps[-1] == d2(res.u, setup.grid).min()

@@ -14,16 +14,16 @@ no artifact is read back.
 
 Work that can run beside the command goes to a forked child through
 `_in_child`.  `compare` runs the convex-cone oracle in a child while the
-sweep runs in this process.  With at least `_SPLIT_MIN_VALUES` stage-file
-values, each command forks a writer child for stages 00, 02, ... (the
-larger half when the count is odd) while it writes the others and its
-summary files.  Below the threshold only `compare` shares those stages,
-with its oracle child: the child writes each one it takes once its oracle
-is done, and the command takes what is left after its own stages and
-summary files, so that it writes them all when the oracle is the slower
-side.  Each child is reaped before the command writes anything that
-depends on it.  Machines with one CPU, or without os.fork, run that work
-in the command's process.
+sweep runs in this process.  With two or more stages and at least
+`_SPLIT_MIN_VALUES` stage-file values, each command forks a writer child
+for stages 00, 02, ... (the larger half when the count is odd) while it
+writes the others and its summary files.  Below the threshold only
+`compare` shares those stages, with its oracle child: the child writes
+each one it takes once its oracle is done, and the command takes what is
+left after its own stages and summary files, so that it writes them all
+when the oracle is the slower side.  Each child is reaped before the
+command writes anything that depends on it.  Machines with one CPU, or
+without os.fork, run that work in the command's process.
 """
 
 import functools
@@ -47,7 +47,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .grid import d1, d2
-from .minimizer import ConeProblem, minimize_direct
+from .minimizer import minimize_direct
 from .solver import continuation_sweep, eval_J, f_eps, layer_beta_h, load_dgbsv, newton_solve
 from .weakform import check_support, default_family, distributional_residual, rescaled_w
 
@@ -182,14 +182,15 @@ def _writing_stages(outdir: Path, stages, other=None):
 
     The block adds its own files to the record, which holds every stage
     file once the `with` statement is left.  The stages' nodes are rendered
-    once, before any write.  With at least `_SPLIT_MIN_VALUES` values,
-    `_in_child` writes stages 00, 02, ... while this process writes the
-    others and then runs the block, so the child's exit overlaps the
-    block's writes.
+    once, before any write.  With two or more stages and at least
+    `_SPLIT_MIN_VALUES` values, `_in_child` writes stages 00, 02, ... while
+    this process writes the others and then runs the block, so the child's
+    exit overlaps the block's writes.  One stage has nothing to split, so
+    this process writes it without a fork.
 
     `other`, if given, is the `_Child` of `compare`'s oracle, and is always
-    shared a list of `(path, eps, result)` jobs, empty at or above the
-    threshold or with one stage.  Below it, the list is stages 00, 02, ...:
+    shared a list of `(path, eps, result)` jobs, empty with one stage or at
+    or above the threshold.  Below it, the list is stages 00, 02, ...:
     this process writes the others, runs the block and then takes what is
     left of the list, one stage at a time, while `other` takes them once
     its oracle is done.  The record lacks the stages `other` took; it
@@ -198,7 +199,7 @@ def _writing_stages(outdir: Path, stages, other=None):
     nodes = _node_strings(stages[0][0].grid)
     jobs = [(outdir / f"solution_stage{k:02d}.csv", setup, result)
             for k, (setup, result) in enumerate(stages)]
-    if len(STAGE_HEADER) * len(nodes) * len(stages) >= _SPLIT_MIN_VALUES:
+    if len(stages) > 1 and len(STAGE_HEADER) * len(nodes) * len(stages) >= _SPLIT_MIN_VALUES:
         if other is not None:
             other.share([])
         with _in_child(_write_stages, nodes, jobs[::2]) as child:
@@ -510,9 +511,8 @@ def _oracle(setup, shared):
     stage's grid, Lagrangian and obstacle, so the minimizer, which needs
     nothing else, runs beside the sweep.
     """
-    problem = ConeProblem(grid=setup.grid, lagrangian=setup.lagrangian, phi=setup.phi)
     t0 = time.perf_counter()
-    oracle = minimize_direct(problem)
+    oracle = minimize_direct(setup)
     elapsed = time.perf_counter() - t0
     jobs, taken = shared()
     nodes, written = None, {}

@@ -20,7 +20,9 @@ class LagrangianSpec:
     """Callbacks for F0(x, z), F1(x, p) and the seven partials the scheme uses.
 
     Every field is required.  f1_pxp and f1_ppp are the p-derivatives of
-    f1_px and f1_pp; they and f0_zz enter only the Newton Jacobian.
+    f1_px and f1_pp; they and f0_zz enter only the Newton Jacobian.  Each
+    callback is called with float arrays x and z (or p) of one shape and
+    returns an array of that shape.
     """
 
     f0: ScalarField
@@ -90,14 +92,14 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
 
     return LagrangianSpec(
         f0=lambda x, z: z * eta0(x),
-        f0_z=lambda x, z: eta0(x) * np.ones_like(np.asarray(z, dtype=float)),
-        f0_zz=lambda x, z: np.zeros_like(np.asarray(z, dtype=float)),
+        f0_z=lambda x, z: eta0(x),
+        f0_zz=lambda x, z: np.zeros_like(x),
         f1=lambda x, p: (0.5 * p * p - p * x) * eta0(x),
         f1_p=lambda x, p: (p - x) * eta0(x),
-        f1_pp=lambda x, p: eta0(x) * np.ones_like(np.asarray(p, dtype=float)),
+        f1_pp=lambda x, p: eta0(x),
         f1_px=lambda x, p: (p - x) * eta0_prime(x) - eta0(x),
-        f1_pxp=lambda x, p: eta0_prime(x) * np.ones_like(np.asarray(p, dtype=float)),
-        f1_ppp=lambda x, p: np.zeros_like(np.asarray(p, dtype=float)),
+        f1_pxp=lambda x, p: eta0_prime(x),
+        f1_ppp=lambda x, p: np.zeros_like(x),
     )
 
 

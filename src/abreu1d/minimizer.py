@@ -1,9 +1,11 @@
 """Direct minimization of the window functional over convex nodal functions.
 
-The admissible set pins v to the obstacle outside the window and requires
-nonnegative second differences at every interior node of [-1, 1] --
-including the nodes straddling the window endpoints, which is what couples
-the free values to the pinned obstacle slopes.
+The oracle reads only the grid, Lagrangian and obstacle of the scheme's
+`ProblemSetup`.  The admissible set pins v to the obstacle outside the
+window and requires nonnegative second differences at every interior node
+of [-1, 1] -- including s_ia .. s_ib at the nodes straddling the window
+endpoints, which couple the free values (`grid.interior_slice()`) to the
+pinned obstacle slopes.
 
 A log-barrier interior-point method is used.  The barrier objective is
 minimized with an inner Newton iteration whose Hessian is pentadiagonal in
@@ -23,19 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, d2, d2_central_coeffs
-from .lagrangian import LagrangianSpec
-from .solver import eval_J, solve_banded
-
-
-@dataclass(frozen=True)
-class ConeProblem:
-    grid: Grid
-    lagrangian: LagrangianSpec
-    phi: np.ndarray
-
-    @property
-    def free(self) -> slice:
-        return self.grid.interior_slice()
+from .solver import ProblemSetup, eval_J, solve_banded
 
 
 @dataclass
@@ -56,24 +46,19 @@ def second_differences(v: np.ndarray, grid: Grid) -> np.ndarray:
     return d2(v, grid)[1:-1]
 
 
-def _constraint_s(v, grid: Grid) -> np.ndarray:
-    """Second differences s_ia .. s_ib, the constraints that touch free values."""
-    return d2(v, grid)[grid.window_slice()]
-
-
-def check_admissibility(v: np.ndarray, problem: ConeProblem, tol: float = 1e-10):
+def check_admissibility(v: np.ndarray, setup: ProblemSetup, tol: float = 1e-10):
     """Return (admissible, worst_violation); violation > 0 means infeasible."""
-    g = problem.grid
+    g = setup.grid
     s = second_differences(v, g)
     conv_viol = float(np.max(-s))
     pinned = np.ones(g.n + 1, dtype=bool)
-    pinned[problem.free] = False
-    pin_viol = float(np.max(np.abs(v[pinned] - problem.phi[pinned])))
+    pinned[g.interior_slice()] = False
+    pin_viol = float(np.max(np.abs(v[pinned] - setup.phi[pinned])))
     worst = max(conv_viol, pin_viol)
     return worst <= tol, worst
 
 
-def _cell_objective(problem: ConeProblem):
+def _cell_objective(setup: ProblemSetup):
     """Smooth part of the barrier objective on the free nodes.
 
     Returns (value, grad_hess).  value(v) is the per-cell midpoint quadrature
@@ -81,7 +66,7 @@ def _cell_objective(problem: ConeProblem):
     in `solve_banded` (2, 2) form, ab[2 + k - l, l] = H[k, l]; the Hessian is
     tridiagonal, so bands 0 and 4 stay zero.
     """
-    g, lag = problem.grid, problem.lagrangian
+    g, lag = setup.grid, setup.lagrangian
     h = g.h
     cells = np.arange(g.ia, g.ib)  # cell i spans [x_i, x_{i+1}]
     xm = g.nodes[cells] + 0.5 * h
@@ -113,20 +98,20 @@ def _cell_objective(problem: ConeProblem):
     return value, grad_hess
 
 
-def _barrier_terms(v, problem: ConeProblem, mu: float, s=None):
+def _barrier_terms(v, setup: ProblemSetup, mu: float, s=None):
     """Gradient and Hessian of -mu * sum log s_i over free nodes.
 
-    `s`, if given, is `_constraint_s(v)`, already computed by the caller.
+    `s`, if given, is s_ia .. s_ib at v, already computed by the caller.
 
     Only constraints i = ia .. ib involve free values; the rest are constant.
     Constraint i touches free nodes i-2, i-1, i (counted from ia + 1), so the
     Hessian is pentadiagonal and returned in `solve_banded` (2, 2) form.
     Each entry sums its constraints in increasing i.
     """
-    g = problem.grid
+    g = setup.grid
     m = g.ib - g.ia - 1
     if s is None:
-        s = _constraint_s(v, g)
+        s = d2(v, g)[g.window_slice()]
     w0, w1, w2 = d2_central_coeffs(g)
     q = -mu / s
     r = mu / (s * s)
@@ -140,20 +125,20 @@ def _barrier_terms(v, problem: ConeProblem, mu: float, s=None):
     return grad, H
 
 
-def minimize_direct(problem: ConeProblem) -> MinimizeResult:
+def minimize_direct(setup: ProblemSetup) -> MinimizeResult:
     """Interior-point minimization over the discrete convex cone."""
-    g = problem.grid
-    v = np.array(problem.phi, dtype=float)
-    s = _constraint_s(v, g)  # kept equal to _constraint_s(v, g) as v moves
+    g = setup.grid
+    v = np.array(setup.phi, dtype=float)
+    s = d2(v, g)[g.window_slice()]  # s_ia .. s_ib at v, kept equal as v moves
     if np.min(s) <= 0.0:
         raise ValueError("infeasible start: obstacle is not uniformly convex on the grid")
 
-    smooth_value, smooth_grad_hess = _cell_objective(problem)
+    smooth_value, smooth_grad_hess = _cell_objective(setup)
 
-    def barrier_objective(v, s, mu):  # s = _constraint_s(v, g)
+    def barrier_objective(v, s, mu):  # s = s_ia .. s_ib at v
         return smooth_value(v) - mu * float(np.sum(np.log(s)))
 
-    free = problem.free
+    free = g.interior_slice()
     total_iters = 0
 
     grad_total = None
@@ -162,7 +147,7 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
         obj0 = None  # barrier objective at v, kept from the accepted trial
         for _ in range(INNER_MAX_ITERS):
             gJ, HJ = smooth_grad_hess(v)
-            gB, HB = _barrier_terms(v, problem, mu, s)
+            gB, HB = _barrier_terms(v, setup, mu, s)
             grad_total = gJ + gB
             if float(np.max(np.abs(grad_total))) <= inner_tol:
                 break
@@ -179,7 +164,7 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
             for _ in range(60):
                 v_try = v.copy()
                 v_try[free] = v[free] + t * step
-                s_try = _constraint_s(v_try, g)
+                s_try = d2(v_try, g)[g.window_slice()]
                 if np.min(s_try) > 0.0:
                     obj_try = barrier_objective(v_try, s_try, mu)
                     if obj_try < obj0 + 1e-14 * abs(obj0):
@@ -194,7 +179,7 @@ def minimize_direct(problem: ConeProblem) -> MinimizeResult:
     kkt = float(np.max(np.abs(grad_total)))
     return MinimizeResult(
         v=v,
-        J_value=eval_J(v, g, problem.lagrangian),
+        J_value=eval_J(v, g, setup.lagrangian),
         kkt_residual=kkt,
         iters=total_iters,
     )

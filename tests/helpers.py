@@ -19,9 +19,9 @@ STEEP_PHI = [-3.0, 0.0, 3.0]        # 3(x^2 - 1)
 SHALLOW_PHI = [-1.0 / 3.0, 0.0, 1.0 / 3.0]  # (x^2 - 1)/3
 
 
-def monopolist_setup(n=64, eps=1e-2, rho=0.5, phi=CAL_PHI, weight=(1.0,)):
-    """Constant-weight monopolist problem on the window [-1/2, 1/2]."""
-    grid = build_grid(n, -0.5, 0.5)
+def monopolist_setup(n=64, eps=1e-2, rho=0.5, phi=CAL_PHI, weight=(1.0,), window=(-0.5, 0.5)):
+    """Monopolist problem, by default with constant weight on the window [-1/2, 1/2]."""
+    grid = build_grid(n, *window)
     lag = make_rochet_chone(list(weight), sample_nodes=grid.nodes)
     return make_setup(grid, lag, phi, rho, rho, eps)
 
@@ -50,34 +50,34 @@ def quartic_spec():
     )
 
 
-def unconstrained_window_solution(problem):
+def unconstrained_window_solution(setup):
     """Solution of (v' - x)' = 1 on the window matching the pinned values.
 
     For the constant-weight monopolist Lagrangian the stationarity equation
     without convexity constraints is v'' = 2; with a symmetric obstacle the
     match of both endpoint values gives v = x^2 + (phi(a) - a^2).
     """
-    g = problem.grid
-    v = np.array(problem.phi, dtype=float)
+    g = setup.grid
+    v = np.array(setup.phi, dtype=float)
     win = g.window_slice()
-    v[win] = g.nodes[win] ** 2 + (problem.phi[g.ia] - g.a**2)
+    v[win] = g.nodes[win] ** 2 + (setup.phi[g.ia] - g.a**2)
     return v
 
 
 def min_improvement_over_random_feasible_directions(
-    problem, result, count=100, t=1e-3, seed=20240814
+    setup, result, count=100, t=1e-3, seed=20240814
 ):
     """min over random feasible directions of J(v* + t d) - J(v*).
 
     Directions are uniform on the free nodes, scaled down when needed so the
     perturbed point stays in the convex cone.
     """
-    g = problem.grid
+    g = setup.grid
     rng = np.random.default_rng(seed)
-    free = problem.free
+    free = g.interior_slice()
     m = free.stop - free.start
     s_star = second_differences(result.v, g)
-    value, _ = _cell_objective(problem)
+    value, _ = _cell_objective(setup)
     J0 = value(result.v)
     worst = np.inf
     for _ in range(count):
@@ -89,7 +89,7 @@ def min_improvement_over_random_feasible_directions(
         if np.any(bad):
             scale = min(1.0, 0.9 * float(np.min(s_star[bad] / (t * (-s_delta[bad])))))
         v_try = result.v + t * scale * delta
-        ok, _ = check_admissibility(v_try, problem, tol=1e-12)
+        ok, _ = check_admissibility(v_try, setup, tol=1e-12)
         assert ok, "direction scaling failed to stay feasible"
         worst = min(worst, value(v_try) - J0)
     return worst

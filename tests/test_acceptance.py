@@ -22,12 +22,7 @@ from abreu1d.config import RunConfig, load_config, save_config
 from abreu1d.diagnostics import check_theorem_bounds, compute_report, fit_rate
 from abreu1d.grid import build_grid, d2
 from abreu1d.lagrangian import make_rochet_chone
-from abreu1d.minimizer import (
-    ConeProblem,
-    _cell_objective,
-    minimize_direct,
-    second_differences,
-)
+from abreu1d.minimizer import _cell_objective, minimize_direct, second_differences
 from abreu1d.solver import (
     continuation_sweep,
     default_eps_schedule,
@@ -45,10 +40,6 @@ def _gate(num, ok, detail):
     line = f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
-
-
-def _cone(setup):
-    return ConeProblem(grid=setup.grid, lagrangian=setup.lagrangian, phi=setup.phi)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +124,7 @@ def test_criterion_03_scheme_vs_oracle(calib_sweep_512, zero_sweep_512):
     for name, stages in (("monopolist", calib_sweep_512), ("penalty-only", zero_sweep_512)):
         setup, res = stages[-1]
         g = setup.grid
-        oracle = minimize_direct(_cone(setup))
+        oracle = minimize_direct(setup)
         width = g.b - g.a
         inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
         diff = float(np.max(np.abs(res.u - oracle.v)[inner]))
@@ -201,22 +192,19 @@ def test_criterion_08_distributional_residual(calib_sweep_512, calib_sweep_256):
 
 def test_criterion_09_oracle_self_consistency():
     setup = monopolist_setup(n=64, eps=0.01)
-    problem = _cone(setup)
-    res = minimize_direct(problem)
+    res = minimize_direct(setup)
     kkt_ok = res.kkt_residual <= 1e-8
-    worst = min_improvement_over_random_feasible_directions(problem, res, count=100)
+    worst = min_improvement_over_random_feasible_directions(setup, res, count=100)
     dirs_ok = worst >= -1e-12
 
     # brute force at n = 16: long-run projected gradient on the same discrete
     # objective, projection by repeated local convexification sweeps
-    g16 = build_grid(16, -0.5, 0.5)
-    lag16 = make_rochet_chone([1.0], g16.nodes)
-    phi16 = g16.nodes**2 - 1
-    p16 = ConeProblem(grid=g16, lagrangian=lag16, phi=phi16)
+    p16 = monopolist_setup(n=16)
+    g16, phi16 = p16.grid, p16.phi
     res16 = minimize_direct(p16)
 
     _, grad_hess = _cell_objective(p16)
-    free = p16.free
+    free = g16.interior_slice()
     m = free.stop - free.start
     v0 = phi16.copy()
     g0, H_band = grad_hess(v0)
@@ -266,12 +254,11 @@ def test_criterion_09_oracle_self_consistency():
 
 def test_criterion_10_active_constraint_coupling():
     setup = monopolist_setup(n=64, eps=0.01, phi=STEEP_PHI, rho=1.0 / 6.0)
-    problem = _cone(setup)
-    res = minimize_direct(problem)
-    g = problem.grid
+    res = minimize_direct(setup)
+    g = setup.grid
     s = second_differences(res.v, g)
     edge_slack = min(s[g.ia - 1], s[g.ib - 1])
-    v_unc = unconstrained_window_solution(problem)
+    v_unc = unconstrained_window_solution(setup)
     shift = float(np.max(np.abs(res.v - v_unc)))
     ok = edge_slack <= 1e-4 and shift > 1e-3
     _gate(10, ok, f"window-edge constraint slack {edge_slack:.2e} (needs <= 1e-4), "

@@ -795,6 +795,21 @@ def test_small_sweeps_never_fork(tmp_path, monkeypatch):
     assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]) == 11
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_one_stage_runs_never_fork(tmp_path, monkeypatch, command):
+    # one stage file has nothing to split, however many values it holds
+    def no_fork():
+        raise AssertionError("os.fork called for a one-stage run")
+
+    monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule={"start": 0.1, "ratio": 0.5, "stages": 1})
+    assert invoke_cli(command, "--config", cfg) == 0
+    out = tmp_path / "out"
+    assert [p.name for p in out.glob("solution_stage*.csv")] == ["solution_stage00.csv"]
+
+
 # Runs the command line given in argv[1:] in a fresh interpreter, with two
 # CPUs and os.fork wrapped; at exit it writes a JSON line to stderr: how many
 # times `solver.load_dgbsv` loaded LAPACK, which of the modules that scipy's

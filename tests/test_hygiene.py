@@ -463,7 +463,7 @@ def package_imports_of(source: str, module: str) -> list[str]:
 
 def test_detector_flags_every_import_of_a_package_module():
     source = (
-        "from .minimizer import ConeProblem\nfrom . import grid, minimizer\n"
+        "from .minimizer import MinimizeResult\nfrom . import grid, minimizer\n"
         "import abreu1d.minimizer as m\nfrom abreu1d.minimizer import minimize_direct\n"
         "from abreu1d import minimizer\nfrom .solver import minimize\n"
         "from .minimizer_extra import x\nimport minimizer\nimport abreu1d.solver\n"

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,27 +11,21 @@ from helpers import (
     min_improvement_over_random_feasible_directions,
     monopolist_setup,
     unconstrained_window_solution,
+    zero_setup,
 )
 
-from abreu1d.grid import build_grid
+from abreu1d.grid import build_grid, d2
 from abreu1d.lagrangian import make_rochet_chone
 from abreu1d.minimizer import (
     BARRIER_PATH,
     INNER_MAX_ITERS,
-    ConeProblem,
     _barrier_terms,
     _cell_objective,
-    _constraint_s,
     check_admissibility,
     minimize_direct,
     second_differences,
 )
 from abreu1d.solver import eval_J
-
-
-def _problem(phi_setup):
-    return ConeProblem(grid=phi_setup.grid, lagrangian=phi_setup.lagrangian,
-                       phi=phi_setup.phi)
 
 
 def test_eval_J_closed_form():
@@ -58,7 +53,7 @@ def test_eval_J_ignores_values_away_from_window():
 
 
 def test_minimizer_recovers_interior_optimum():
-    prob = _problem(monopolist_setup())
+    prob = monopolist_setup()
     res = minimize_direct(prob)
     assert np.max(np.abs(res.v - prob.phi)) <= 1e-6
     assert res.kkt_residual <= 1e-8
@@ -68,8 +63,7 @@ def test_minimizer_recovers_interior_optimum():
 
 
 def test_minimizer_zero_lagrangian():
-    g = build_grid(64, -0.5, 0.5)
-    prob = ConeProblem(grid=g, lagrangian=make_rochet_chone([0.0]), phi=g.nodes**2 - 1)
+    prob = zero_setup()
     res = minimize_direct(prob)
     assert res.J_value == 0.0
     assert res.kkt_residual <= 1e-8
@@ -78,14 +72,14 @@ def test_minimizer_zero_lagrangian():
 
 
 def test_minimizer_random_direction_optimality():
-    prob = _problem(monopolist_setup())
+    prob = monopolist_setup()
     res = minimize_direct(prob)
     worst = min_improvement_over_random_feasible_directions(prob, res, count=100)
     assert worst >= -1e-12
 
 
 def test_minimizer_descent_across_barrier_stages():
-    prob = _problem(monopolist_setup(phi=SHALLOW_PHI, rho=1.5))
+    prob = monopolist_setup(phi=SHALLOW_PHI, rho=1.5)
     v, _, stage_J, _ = _minimize_direct_loop(prob)
     assert np.array_equal(v, minimize_direct(prob).v)
     for j1, j2 in zip(stage_J, stage_J[1:]):
@@ -94,18 +88,18 @@ def test_minimizer_descent_across_barrier_stages():
 
 def test_minimizer_never_beats_feasible_start():
     for phi in (SHALLOW_PHI, STEEP_PHI):
-        prob = _problem(monopolist_setup(phi=phi, rho=1.5))
+        prob = monopolist_setup(phi=phi, rho=1.5)
         res = minimize_direct(prob)
         value, _ = _cell_objective(prob)
         assert value(res.v) <= value(prob.phi) + 1e-12
 
 
 def test_check_admissibility():
-    prob = _problem(monopolist_setup())
+    prob = monopolist_setup()
     ok, worst = check_admissibility(prob.phi, prob)
     assert ok and worst <= 0.0
-    v = prob.phi.copy()
-    v[prob.free] = -prob.grid.nodes[prob.free] ** 2  # concave over the window
+    v, free = prob.phi.copy(), prob.grid.interior_slice()
+    v[free] = -prob.grid.nodes[free] ** 2  # concave over the window
     ok, worst = check_admissibility(v, prob)
     assert not ok and worst > 0.0
 
@@ -115,7 +109,7 @@ def test_shallow_obstacle_activates_window_edge_constraints():
     # convex extension across the window edges binds: the minimizer must bend
     # to meet the pinned slopes, activating a second-difference constraint at
     # the window edge and moving away from the unconstrained solution.
-    prob = _problem(monopolist_setup(phi=SHALLOW_PHI, rho=1.5))
+    prob = monopolist_setup(phi=SHALLOW_PHI, rho=1.5)
     res = minimize_direct(prob)
     g = prob.grid
     s = second_differences(res.v, g)
@@ -127,7 +121,7 @@ def test_shallow_obstacle_activates_window_edge_constraints():
 def test_steep_obstacle_constraints_inactive():
     # Curvature above the stationary value leaves room for convex extension:
     # the unconstrained solution is strictly feasible and is the minimizer.
-    prob = _problem(monopolist_setup(phi=STEEP_PHI, rho=1.0 / 6.0))
+    prob = monopolist_setup(phi=STEEP_PHI, rho=1.0 / 6.0)
     res = minimize_direct(prob)
     g = prob.grid
     s = second_differences(res.v, g)
@@ -142,8 +136,9 @@ def test_oracle_matches_active_set_enumeration_at_n16():
     # s_ia .. s_ib are affine in them, so try every active set (KKT solve,
     # then primal and dual feasibility).  The start is not the minimizer here,
     # so this checks what criterion 09's projected gradient does not search.
-    prob = _problem(monopolist_setup(n=16, phi=SHALLOW_PHI))
-    g, free = prob.grid, prob.free
+    prob = monopolist_setup(n=16, phi=SHALLOW_PHI)
+    g = prob.grid
+    free = g.interior_slice()
     m = free.stop - free.start
     _, grad_hess = _cell_objective(prob)
     y0 = prob.phi[free]
@@ -151,12 +146,12 @@ def test_oracle_matches_active_set_enumeration_at_n16():
     H = band_to_dense(H_band)  # the gradient at free values y is g0 + H (y - y0)
     base = prob.phi.copy()
     base[free] = 0.0
-    d = _constraint_s(base, g)  # s = C y + d
+    d = d2(base, g)[g.window_slice()]  # s = C y + d
     C = np.empty((len(d), m))
     for k in range(m):
         e = base.copy()
         e[free.start + k] = 1.0
-        C[:, k] = _constraint_s(e, g) - d
+        C[:, k] = d2(e, g)[g.window_slice()] - d
     assert len(d) == 9
 
     kkt_points = []
@@ -187,9 +182,8 @@ def test_oracle_matches_active_set_enumeration_at_n16():
 
 
 def test_infeasible_start_rejected():
-    g = build_grid(64, -0.5, 0.5)
-    lag = make_rochet_chone([1.0], g.nodes)
-    prob = ConeProblem(grid=g, lagrangian=lag, phi=-(g.nodes**2) + 1)
+    setup = monopolist_setup()
+    prob = replace(setup, phi=1.0 - setup.grid.nodes**2)
     with pytest.raises(ValueError):
         minimize_direct(prob)
 
@@ -200,7 +194,7 @@ def test_steep_obstacle_edge_slack_closed_form(n):
     # unconstrained v = x^2 + phi(a) - a^2, so the window-edge slack is
     # (v(a + h) - 2 phi(a) + phi(a - h)) / h^2 = -4a/h + 4 (and 4b/h + 4 at b),
     # which is n + 4 for the window [-1/2, 1/2]: the edge constraints cannot bind.
-    prob = _problem(monopolist_setup(n=n, phi=STEEP_PHI, rho=1.0 / 6.0))
+    prob = monopolist_setup(n=n, phi=STEEP_PHI, rho=1.0 / 6.0)
     res = minimize_direct(prob)
     g = prob.grid
     s = second_differences(res.v, g)
@@ -210,12 +204,12 @@ def test_steep_obstacle_edge_slack_closed_form(n):
 
 def _strictly_feasible_points(prob, count, seed):
     """phi plus random free-node perturbations that keep s >= min s(phi) / 2."""
-    g = prob.grid
+    g, free = prob.grid, prob.grid.interior_slice()
     rng = np.random.default_rng(seed)
     s_min = float(np.min(second_differences(prob.phi, g)))
     for _ in range(count):
         delta = np.zeros(g.n + 1)
-        delta[prob.free] = rng.uniform(-1.0, 1.0, prob.free.stop - prob.free.start)
+        delta[free] = rng.uniform(-1.0, 1.0, free.stop - free.start)
         yield prob.phi + 0.5 * s_min / np.max(np.abs(second_differences(delta, g))) * delta
 
 
@@ -232,7 +226,7 @@ def _fd_hessian(grad, v, free, step):
 
 def _oracle_problems():
     for phi, rho in ((STEEP_PHI, 1.0 / 6.0), (SHALLOW_PHI, 1.5)):
-        yield _problem(monopolist_setup(n=64, phi=phi, rho=rho, weight=(1.0, 0.5)))
+        yield monopolist_setup(n=64, phi=phi, rho=rho, weight=(1.0, 0.5))
 
 
 def _oracle_loop_assembly(v, prob, mu):
@@ -292,10 +286,11 @@ def test_oracle_band_hessians_match_central_differences():
         _, grad_hess = _cell_objective(prob)
         for v in _strictly_feasible_points(prob, 3, seed=5):
             H = band_to_dense(grad_hess(v)[1])
-            F = _fd_hessian(lambda w: grad_hess(w)[0], v, prob.free, 1e-6)
+            F = _fd_hessian(lambda w: grad_hess(w)[0], v, prob.grid.interior_slice(), 1e-6)
             assert np.max(np.abs(H - F)) <= 1e-6 * np.max(np.abs(H))
             H = band_to_dense(_barrier_terms(v, prob, mu)[1])
-            F = _fd_hessian(lambda w: _barrier_terms(w, prob, mu)[0], v, prob.free, 1e-8)
+            F = _fd_hessian(lambda w: _barrier_terms(w, prob, mu)[0], v,
+                            prob.grid.interior_slice(), 1e-8)
             assert np.max(np.abs(H - F)) <= 1e-6 * np.max(np.abs(H))
 
 
@@ -317,11 +312,11 @@ def _minimize_direct_loop(problem):
     `solve_banded`, recomputing the barrier objective at v at every inner step
     and the constraints of each trial twice.  Returns (v, iters, stage_J,
     kkt_residual)."""
-    g, free = problem.grid, problem.free
+    g, free = problem.grid, problem.grid.interior_slice()
     value, grad_hess = _cell_objective(problem)
 
     def objective(v, mu):
-        return value(v) - mu * float(np.sum(np.log(_constraint_s(v, g))))
+        return value(v) - mu * float(np.sum(np.log(d2(v, g)[g.window_slice()])))
 
     v = np.array(problem.phi, dtype=float)
     iters, stage_J, grad = 0, [], None
@@ -338,7 +333,7 @@ def _minimize_direct_loop(problem):
             for _ in range(60):
                 v_try = v.copy()
                 v_try[free] = v[free] + t * step
-                if np.min(_constraint_s(v_try, g)) > 0.0 and (
+                if np.min(d2(v_try, g)[g.window_slice()]) > 0.0 and (
                         objective(v_try, mu) < obj0 + 1e-14 * abs(obj0)):
                     v, accepted = v_try, True
                     break
@@ -354,7 +349,7 @@ def _minimize_direct_loop(problem):
 @pytest.mark.parametrize("phi, rho", [(STEEP_PHI, 1.0 / 6.0), (SHALLOW_PHI, 1.5)],
                          ids=["steep", "shallow"])
 def test_minimize_direct_iterates_equal_reference_loop_bitwise(phi, rho, weight):
-    prob = _problem(monopolist_setup(n=64, phi=phi, rho=rho, weight=weight))
+    prob = monopolist_setup(n=64, phi=phi, rho=rho, weight=weight)
     v, iters, _, kkt = _minimize_direct_loop(prob)
     res = minimize_direct(prob)
     assert np.array_equal(res.v, v)

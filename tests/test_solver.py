@@ -20,7 +20,7 @@ from helpers import (
 from abreu1d.grid import build_grid, d1, d2, d2_boundary_coeffs
 from abreu1d import solver
 from abreu1d.lagrangian import make_rochet_chone
-from abreu1d.minimizer import ConeProblem, _barrier_terms, _cell_objective
+from abreu1d.minimizer import _barrier_terms, _cell_objective
 from abreu1d.solver import (
     NonconvexIterate,
     Tolerances,
@@ -356,9 +356,8 @@ def _real_bands():
     yield jacobian(u, setup), -residual(u, setup)
     for phi in (STEEP_PHI, SHALLOW_PHI):
         s = monopolist_setup(n=64, phi=phi, weight=(1.0, 0.5))
-        prob = ConeProblem(grid=s.grid, lagrangian=s.lagrangian, phi=s.phi)
-        gJ, HJ = _cell_objective(prob)[1](prob.phi)
-        gB, HB = _barrier_terms(prob.phi, prob, 1e-3)
+        gJ, HJ = _cell_objective(s)[1](s.phi)
+        gB, HB = _barrier_terms(s.phi, s, 1e-3)
         yield HJ + HB, -(gJ + gB)
 
 

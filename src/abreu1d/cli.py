@@ -36,7 +36,7 @@ import signal
 import sys
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -46,9 +46,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
-from .grid import d1, d2
 from .minimizer import minimize_direct
-from .solver import continuation_sweep, eval_J, f_eps, layer_beta_h, load_dgbsv, newton_solve
+from .solver import continuation_sweep, eval_J, layer_beta_h, load_dgbsv, newton_solve
 from .weakform import check_support, default_family, distributional_residual, rescaled_w
 
 log = logging.getLogger("abreu1d")
@@ -140,6 +139,11 @@ STAGE_HEADER = ("x", "u", "u_prime", "u_pp", "w", "f_eps")
 # because this process goes on to write the summary files.
 _SPLIT_MIN_VALUES = 25_000
 
+# `compare` shares at most this many bytes of stages with its oracle child,
+# counting 32 bytes a node for a stage's four arrays and 2 kB for its Newton
+# record and path; see `_writing_stages`.
+_SHARE_MAX_BYTES = 60 * 1024
+
 
 def _stage_entry(setup, result) -> dict:
     """A stage's manifest entry: the Newton record and the boundary layer's beta * h."""
@@ -158,17 +162,14 @@ def _stage_entry(setup, result) -> dict:
 
 
 def _write_stages(nodes, jobs) -> dict:
-    """Write each `(path, setup, result)` job's solution CSV; returns file name -> sha256.
+    """Write each `(path, result)` job's solution CSV; returns file name -> sha256.
 
     `nodes` is the `x` column of every job, as `write_csv` takes a column.
+    The other columns are the result's u and the u', u'', w and f_eps that
+    Newton evaluated at it.
     """
-    digests = {}
-    for path, setup, result in jobs:
-        g, u = setup.grid, result.u
-        upp = d2(u, g)
-        digests[path.name] = write_csv(path, STAGE_HEADER,
-                                       (nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
-    return digests
+    return {path.name: write_csv(path, STAGE_HEADER, (nodes, r.u, r.up, r.upp, r.w, r.f))
+            for path, r in jobs}
 
 
 def _node_strings(grid) -> np.ndarray:
@@ -189,16 +190,15 @@ def _writing_stages(outdir: Path, stages, other=None):
     this process writes it without a fork.
 
     `other`, if given, is the `_Child` of `compare`'s oracle, and is always
-    shared a list of `(path, eps, result)` jobs, empty with one stage or at
-    or above the threshold.  Below it, the list is stages 00, 02, ...:
-    this process writes the others, runs the block and then takes what is
-    left of the list, one stage at a time, while `other` takes them once
-    its oracle is done.  The record lacks the stages `other` took; it
-    returns their digests with its value.
+    shared a list of `(path, result)` jobs, empty with one stage or at
+    or above the threshold.  Below it, the list is stages 00, 02, ..., as
+    many as `_SHARE_MAX_BYTES` holds: this process writes the others, runs
+    the block and then takes what is left of the list, one stage at a time,
+    while `other` takes them once its oracle is done.  The record lacks the
+    stages `other` took; it returns their digests with its value.
     """
     nodes = _node_strings(stages[0][0].grid)
-    jobs = [(outdir / f"solution_stage{k:02d}.csv", setup, result)
-            for k, (setup, result) in enumerate(stages)]
+    jobs = [(outdir / f"solution_stage{k:02d}.csv", result) for k, (_, result) in enumerate(stages)]
     if len(stages) > 1 and len(STAGE_HEADER) * len(nodes) * len(stages) >= _SPLIT_MIN_VALUES:
         if other is not None:
             other.share([])
@@ -210,14 +210,17 @@ def _writing_stages(outdir: Path, stages, other=None):
     if other is None:
         yield _write_stages(nodes, jobs)
         return
-    # One stage is not shared.  With two or more, the shared list's arrays
-    # take under 47 kB below the threshold, and its pickle fits the 64 KiB
-    # pipe buffer up to about 60 stages, so `share` does not wait for the
-    # oracle.  A setup holds the Lagrangian's closures, which do not pickle,
-    # so each job goes as its eps, and `_oracle` rebuilds the setup.
-    theirs = jobs[::2] if len(jobs) > 1 else []
-    other.share([(path, setup.eps, result) for path, setup, result in theirs])
-    files = _write_stages(nodes, jobs[1::2] if theirs else jobs)
+    # One stage is not shared.  Below the threshold, stages 00, 02, ... take
+    # up to 89 kB of arrays (3 stages of 1387 nodes), and a Newton record of
+    # 20 iterations with a 200-character path pickles to about 1.5 kB, so the
+    # list holds as many of them as `_SHARE_MAX_BYTES` counts.  Its pickle
+    # then fits the 64 KiB pipe buffer, and `share` does not wait for the
+    # oracle.
+    k = min((len(jobs) + 1) // 2,
+            _SHARE_MAX_BYTES // (32 * len(nodes) + 2048)) if len(jobs) > 1 else 0
+    theirs = jobs[: 2 * k : 2]
+    other.share(theirs)
+    files = _write_stages(nodes, jobs[1 : 2 * k : 2] + jobs[2 * k :])
     yield files
     while (k := other.take()) is not None:
         files.update(_write_stages(nodes, [theirs[k]]))
@@ -488,7 +491,7 @@ def solve(cfg, setup, outdir):
     t0 = time.perf_counter()
     result = newton_solve(setup, setup.phi, cfg.tolerances)
     elapsed = time.perf_counter() - t0
-    files = _write_stages(setup.grid.nodes, [(outdir / "solution.csv", setup, result)])
+    files = _write_stages(setup.grid.nodes, [(outdir / "solution.csv", result)])
     if not result.converged:
         log.error("Newton did not converge (final residual %.3e)", result.residual_norms[-1])
     run = {"stages": [_stage_entry(setup, result)], "wall_clock_seconds": {"solve": elapsed}, "files": files}
@@ -505,7 +508,7 @@ def sweep(cfg, setup, outdir):
 def _oracle(setup, shared):
     """The direct minimizer's result, its own wall time and the stage files' digests.
 
-    The stage files are those of the `(path, eps, result)` jobs that
+    The stage files are those of the `(path, result)` jobs that
     `shared()` gives once the minimizer is done, as `_writing_stages` shares
     them, and that this process takes.  Every stage shares the first
     stage's grid, Lagrangian and obstacle, so the minimizer, which needs
@@ -519,8 +522,7 @@ def _oracle(setup, shared):
     for k in taken:
         if nodes is None:
             nodes = _node_strings(setup.grid)
-        path, eps, result = jobs[k]
-        written.update(_write_stages(nodes, [(path, replace(setup, eps=eps), result)]))
+        written.update(_write_stages(nodes, [jobs[k]]))
     return oracle, elapsed, written
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import d1, d2, integrate
+from .grid import integrate
 from .solver import ProblemSetup, SolveResult, eval_J, eval_J_eps, penalty_l2
 
 STABILITY_FACTOR = 10.0
@@ -55,26 +55,24 @@ class RateFit:
 
 
 def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
-    """All sweep diagnostics for one converged stage."""
+    """All sweep diagnostics for one converged stage, from Newton's u' and u''."""
     g = setup.grid
-    u = result.u
-    up = d1(u, g)
-    upp = d2(u, g)
+    u, up, upp, w = result.u, result.up, result.upp, result.w
     win = g.window_slice()
-    J_val = eval_J(u, g, setup.lagrangian)
+    J_val = eval_J(u, g, setup.lagrangian, up)
     pen = penalty_l2(u, setup)
     return EstimateReport(
         eps=setup.eps,
         sup_u=float(np.abs(u).max()),
         sup_grad_ab=float(np.abs(up[win]).max()),
         min_upp_ab=float(upp[win].min()),
-        max_w_ab=float(result.w[win].max()),
+        max_w_ab=float(w[win].max()),
         penalty_l2=pen,
         eps_uprime_left=float(setup.eps * up[0]),
         eps_uprime_right=float(setup.eps * up[-1]),
         J_val=J_val,
-        J_eps_val=eval_J_eps(u, setup, J_val, pen),
-        int_inv_upp=float(integrate(1.0 / upp, g, 0, g.n)),
+        J_eps_val=eval_J_eps(u, setup, J_val, pen, upp),
+        int_inv_upp=float(integrate(w, g, 0, g.n)),
     )
 
 
@@ -86,14 +84,16 @@ def fit_rate(reports: Sequence[EstimateReport], field_name: str) -> RateFit:
     if np.any(values <= RATE_FLOOR):
         return RateFit(slope=float("nan"), r2=float("nan"), stages=len(reports),
                        identically_small=True)
-    logs_e = np.log(np.array([r.eps for r in reports]))
-    logs_v = np.log(values)
-    slope, intercept = np.polyfit(logs_e, logs_v, 1)
-    pred = slope * logs_e + intercept
-    ss_res = float(np.sum((logs_v - pred) ** 2))
-    ss_tot = float(np.sum((logs_v - np.mean(logs_v)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(slope=float(slope), r2=float(r2), stages=len(reports))
+    # the closed-form least-squares line through the centred logs
+    de = np.log(np.array([r.eps for r in reports]))
+    de -= de.mean()
+    dv = np.log(values)
+    dv -= dv.mean()
+    slope = float(de @ dv) / float(de @ de)
+    ss_tot = float(dv @ dv)
+    resid = dv - slope * de
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
+    return RateFit(slope=slope, r2=r2, stages=len(reports))
 
 
 _DECAY_NOTE = (f"requires decay by factor {DECAY_FACTOR} first-to-last, "

@@ -37,17 +37,21 @@ class LagrangianSpec:
 
 
 def polyval(coeffs, x):
-    """Polynomial with ascending `coeffs` at a float or array `x`.
+    """Polynomial with ascending float `coeffs` at a float or array `x`.
 
     Horner's rule in the order of operations of
-    `numpy.polynomial.polynomial.polyval`, so the values are bit-identical,
-    without its argument handling.  It is the package's one polynomial
+    `numpy.polynomial.polynomial.polyval`, so for finite x the values are
+    bit-identical, without its argument handling.  numpy starts from
+    c[-1] + 0 * x, which is c[-1] itself unless c[-1] is -0.0, so that sum
+    is formed only for a constant, whose value must take the shape of x,
+    or a zero leading coefficient.  It is the package's one polynomial
     evaluator, so the package never imports `numpy.polynomial`.
     """
-    c = np.asarray(coeffs, dtype=float)
-    y = c[-1] + x * 0
-    for k in range(len(c) - 2, -1, -1):
-        y = c[k] + y * x
+    y = coeffs[-1]
+    if len(coeffs) == 1 or y == 0.0:
+        y = y + x * 0
+    for k in range(len(coeffs) - 2, -1, -1):
+        y = coeffs[k] + y * x
     return y
 
 
@@ -74,7 +78,8 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
     c = np.asarray(eta0_coeffs, dtype=float)
     if len(c) == 0:
         raise ValueError("eta0 must have at least one coefficient")
-    cder = polyder(c)
+    # as Python floats, which numpy combines with an array faster than its own scalars
+    c, cder = tuple(c.tolist()), tuple(polyder(c).tolist())
     if sample_nodes is None:
         check_x = np.linspace(-1.0, 1.0, 2001)
     else:

@@ -42,7 +42,8 @@ class NonconvexIterate(RuntimeError):
 class Tolerances:
     """The package's tolerances; the only settable numerical options.
 
-    Newton stops at max|R| <= newton_tol_scale * (1 + 1/eps) and backtracks
+    Newton stops at max|R| <= newton_tol_scale * (1 + 1/eps), or at a
+    roundoff-sized correction (`STEP_TOL`, not settable), and backtracks
     steps whose min u'' would fall to convexity_floor_scale * eps * c0.  The
     oracle must reach KKT <= kkt_tol, and the weak-form check passes at
     max residual <= el_residual_tol.
@@ -62,6 +63,10 @@ class Tolerances:
 
 MAX_ITERS = 200
 MAX_HALVINGS = 40
+# Newton also stops, converged, once its correction is roundoff-sized:
+# max|du| <= STEP_TOL * (1 + max|u|).  The max|R| test alone cannot be met
+# where the residual's roundoff floor, which grows like h^-4, lies above it.
+STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,12 @@ def layer_beta_h(setup: ProblemSetup) -> tuple[float, float]:
 class SolveResult:
     """A Newton solve and its record, one entry per iteration in each list.
 
+    `upp`, `up` and `f` are u'' = d2(u), u' = d1(u) and the right-hand side
+    f of the interior rows at the final u, as its last residual evaluated
+    them: f is f0_z(x, u) - f1_px(x, u') - f1_pp(x, u') u'' on the window's
+    interior rows, `Grid.interior_slice`, and the penalty (u - phi)/eps
+    elsewhere.  `w` is 1/u'', divided where it is read.
+
     `residual_norms` holds max|R| at the start and after each accepted step,
     so it has `newton_iters + 1` entries unless the last iteration stalled,
     and `min_upps` holds min u'' at the same iterates.  `step_norms` is
@@ -138,7 +149,9 @@ class SolveResult:
     """
 
     u: np.ndarray
-    w: np.ndarray
+    upp: np.ndarray
+    up: np.ndarray
+    f: np.ndarray
     newton_iters: int
     residual_norms: list[float]
     min_upps: list[float]
@@ -146,6 +159,10 @@ class SolveResult:
     step_lengths: list[float]
     halvings: list[int]
     converged: bool
+
+    @property
+    def w(self) -> np.ndarray:
+        return 1.0 / self.upp
 
 
 @functools.cache
@@ -217,40 +234,25 @@ def _curvatures(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = No
 
 
 class _Derivatives(NamedTuple):
-    """What `residual` and `jacobian` both take of an iterate u, from `_derivatives`."""
+    """What Newton takes of an iterate u, from `_derivatives`."""
 
     s: np.ndarray  # u'' = d2(u) at every node, all > 0
     p: np.ndarray  # u' = d1(u) at every node
-    f1pp: np.ndarray  # f1_pp(x, u') on the window rows, `Grid.interior_slice`
+    f1pp: np.ndarray  # f1_pp(x, u') on the window rows, `Grid.interior_slice`, for `jacobian`
+    f: np.ndarray  # right-hand side of the interior rows, for `residual`; see `SolveResult`
 
 
 def _derivatives(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> _Derivatives:
-    """u'' (`s` if given, else d2(u)), checked by `_curvatures`, u' and f1_pp."""
-    g = setup.grid
+    """u'' (`s` if given, else d2(u)), checked by `_curvatures`, u', f1_pp and f."""
+    g, lag = setup.grid, setup.lagrangian
     s = _curvatures(u, setup, s)
     p = d1(u, g)
     win = g.interior_slice()
-    return _Derivatives(s, p, setup.lagrangian.f1_pp(g.nodes[win], p[win]))
-
-
-def _rhs(u: np.ndarray, dv: _Derivatives, setup: ProblemSetup) -> np.ndarray:
-    """`f_eps` of u from its `_derivatives` `dv`."""
-    g, lag = setup.grid, setup.lagrangian
+    x, uw, pw = g.nodes[win], u[win], p[win]
+    f1pp = lag.f1_pp(x, pw)
     f = (u - setup.phi) / setup.eps
-    win = g.interior_slice()
-    x, uw, pw, sw = g.nodes[win], u[win], dv.p[win], dv.s[win]
-    f[win] = lag.f0_z(x, uw) - lag.f1_px(x, pw) - dv.f1pp * sw
-    return f
-
-
-def f_eps(u: np.ndarray, s: np.ndarray, setup: ProblemSetup) -> np.ndarray:
-    """Right-hand side f of the interior rows eps * w'' = f, at every node.
-
-    `s` holds the nodal u'', all > 0.  f is f0_z(x, u) - f1_px(x, u') -
-    f1_pp(x, u') u'' on the window's interior rows, `Grid.interior_slice`,
-    and the penalty (u - phi)/eps elsewhere.
-    """
-    return _rhs(u, _derivatives(u, setup, s), setup)
+    f[win] = lag.f0_z(x, uw) - lag.f1_px(x, pw) - f1pp * s[win]
+    return _Derivatives(s, p, f1pp, f)
 
 
 def residual(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = None) -> np.ndarray:
@@ -263,13 +265,12 @@ def residual(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
     if dv is None:
         dv = _derivatives(u, setup)
     w = 1.0 / dv.s
-    f = _rhs(u, dv, setup)
     R = np.empty(n + 1)
     R[0] = u[0]
     R[n] = u[n]
     R[1] = w[0] - setup.rho_minus
     R[n - 1] = w[n] - setup.rho_plus
-    R[2 : n - 1] = setup.eps * d2(w, g)[2 : n - 1] - f[2 : n - 1]
+    R[2 : n - 1] = setup.eps * d2(w, g)[2 : n - 1] - dv.f[2 : n - 1]
     return R
 
 
@@ -369,10 +370,14 @@ def newton_solve(
     """Damped Newton with backtracking on the residual max-norm.
 
     Steps that would make min u'' drop to the convexity floor are halved.
-    The band's stage constants are built once, and each trial point's
-    derivatives once, and passed to `residual` and, for an accepted point,
-    to `jacobian`.  Each iteration is recorded in the `SolveResult` and
-    logged at debug level.
+    Newton stops, converged, at max|R| <= newton_tol_scale * (1 + 1/eps), or
+    once a correction Δu is roundoff-sized, max|Δu| <= STEP_TOL * (1 +
+    max|u|): that correction is taken with its residual evaluated once, and
+    kept whether or not it lowers max|R|, so it is recorded as an accepted
+    step.  The band's stage constants are built once, and each trial
+    point's derivatives once, and passed to `residual` and, for an accepted
+    point, to `jacobian`; the final point's go to the `SolveResult`.  Each
+    iteration is recorded in the `SolveResult` and logged at debug level.
     """
     tols = tols or Tolerances()
     g = setup.grid
@@ -395,6 +400,8 @@ def newton_solve(
     converged = norm <= tol
     while not converged and iters < MAX_ITERS:
         step = solve_banded((2, 2), jacobian(u, setup, dv, band), -R)
+        step_norm = float(np.abs(step).max())
+        roundoff = step_norm <= STEP_TOL * (1.0 + float(np.abs(u).max()))
         t = 1.0
         accepted = False
         for halved in range(MAX_HALVINGS):
@@ -410,13 +417,13 @@ def newton_solve(
             dv_try = _derivatives(u_try, setup, s_try)
             R_try = residual(u_try, setup, dv_try)
             norm_try = float(np.abs(R_try).max())
-            if norm_try < norm:
+            if norm_try < norm or roundoff:
                 u, dv, R, norm, upp_min = u_try, dv_try, R_try, norm_try, s_min
                 accepted = True
                 break
             t *= 0.5
         iters += 1
-        step_norms.append(float(np.abs(step).max()))
+        step_norms.append(step_norm)
         step_lengths.append(t if accepted else 0.0)
         halvings.append(halved if accepted else MAX_HALVINGS)
         log.debug("newton eps=%.6g iter %d: max|R| %.3e max|du| %.3e t %.6g halvings %d "
@@ -426,11 +433,13 @@ def newton_solve(
             break
         norms.append(norm)
         min_upps.append(upp_min)
-        converged = norm <= tol
+        converged = roundoff or norm <= tol
 
     return SolveResult(
         u=u,
-        w=1.0 / dv.s,
+        upp=dv.s,
+        up=dv.p,
+        f=dv.f,
         newton_iters=iters,
         residual_norms=norms,
         min_upps=min_upps,
@@ -496,9 +505,15 @@ def default_eps_schedule(start: float = 1e-1, ratio: float = 0.5, stages: int = 
     return [start * ratio**k for k in range(stages)]
 
 
-def eval_J(u: np.ndarray, grid: Grid, lagrangian: LagrangianSpec) -> float:
-    """Window functional: trapezoid quadrature of F(x, u, u') over [a, b]."""
-    F = lagrangian.f0(grid.nodes, u) + lagrangian.f1(grid.nodes, d1(u, grid))
+def eval_J(u: np.ndarray, grid: Grid, lagrangian: LagrangianSpec,
+           up: Optional[np.ndarray] = None) -> float:
+    """Window functional: trapezoid quadrature of F(x, u, u') over [a, b].
+
+    `up`, if given, is d1(u), already computed by the caller.
+    """
+    if up is None:
+        up = d1(u, grid)
+    F = lagrangian.f0(grid.nodes, u) + lagrangian.f1(grid.nodes, up)
     return integrate(F, grid, grid.ia, grid.ib)
 
 
@@ -510,16 +525,16 @@ def penalty_l2(u: np.ndarray, setup: ProblemSetup) -> float:
 
 
 def eval_J_eps(u: np.ndarray, setup: ProblemSetup, J: Optional[float] = None,
-               pen: Optional[float] = None) -> float:
+               pen: Optional[float] = None, upp: Optional[np.ndarray] = None) -> float:
     """Penalized functional: `eval_J` - eps * log-curvature + `penalty_l2` / (2 eps).
 
-    `J` and `pen`, if given, are `eval_J` and `penalty_l2` of u, already
-    computed by the caller.
+    `J`, `pen` and `upp`, if given, are `eval_J`, `penalty_l2` and d2 of u,
+    already computed by the caller.
     """
     g, eps = setup.grid, setup.eps
     if J is None:
         J = eval_J(u, g, setup.lagrangian)
     if pen is None:
         pen = penalty_l2(u, setup)
-    term_log = -eps * integrate(np.log(_curvatures(u, setup)), g, 0, g.n)
+    term_log = -eps * integrate(np.log(_curvatures(u, setup, upp)), g, 0, g.n)
     return J + term_log + pen / (2.0 * eps)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from abreu1d import cli
-from abreu1d.grid import build_grid
+from abreu1d.grid import build_grid, d1, d2
 from abreu1d.lagrangian import LagrangianSpec, make_rochet_chone
 from abreu1d.minimizer import _cell_objective, check_admissibility, second_differences
 from abreu1d.solver import make_setup
@@ -19,11 +19,15 @@ STEEP_PHI = [-3.0, 0.0, 3.0]        # 3(x^2 - 1)
 SHALLOW_PHI = [-1.0 / 3.0, 0.0, 1.0 / 3.0]  # (x^2 - 1)/3
 
 
-def monopolist_setup(n=64, eps=1e-2, rho=0.5, phi=CAL_PHI, weight=(1.0,), window=(-0.5, 0.5)):
-    """Monopolist problem, by default with constant weight on the window [-1/2, 1/2]."""
+def monopolist_setup(n=64, eps=1e-2, rho=0.5, phi=CAL_PHI, weight=(1.0,), window=(-0.5, 0.5),
+                     rho_plus=None):
+    """Monopolist problem, by default with constant weight on the window [-1/2, 1/2].
+
+    The boundary data are rho- = rho and rho+ = `rho_plus`, or rho if that is None.
+    """
     grid = build_grid(n, *window)
     lag = make_rochet_chone(list(weight), sample_nodes=grid.nodes)
-    return make_setup(grid, lag, phi, rho, rho, eps)
+    return make_setup(grid, lag, phi, rho, rho if rho_plus is None else rho_plus, eps)
 
 
 def zero_setup(n=64, eps=1e-2, rho=0.5):
@@ -93,6 +97,22 @@ def min_improvement_over_random_feasible_directions(
         assert ok, "direction scaling failed to stay feasible"
         worst = min(worst, value(v_try) - J0)
     return worst
+
+
+def f_eps(u, setup):
+    """Right-hand side f of the scheme's interior rows at u, from fresh d1 and d2.
+
+    f0_z(x, u) - f1_px(x, u') - f1_pp(x, u') u'' on the window's interior
+    rows, and the penalty (u - phi)/eps elsewhere, each in the order of
+    operations of Newton's own evaluation, so the values are bit-identical.
+    """
+    g, lag = setup.grid, setup.lagrangian
+    p, s = d1(u, g), d2(u, g)
+    win = g.interior_slice()
+    x = g.nodes[win]
+    f = (u - setup.phi) / setup.eps
+    f[win] = lag.f0_z(x, u[win]) - lag.f1_px(x, p[win]) - lag.f1_pp(x, p[win]) * s[win]
+    return f
 
 
 def band_to_dense(ab):

@@ -14,13 +14,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import (SHALLOW_PHI, STEEP_PHI, invoke_cli, monopolist_setup, quartic_spec, run_cli,
-                     write_config)
+from helpers import (SHALLOW_PHI, STEEP_PHI, f_eps, invoke_cli, monopolist_setup, quartic_spec,
+                     run_cli, write_config)
 
 from abreu1d import cli
 from abreu1d.grid import d1, d2
 from abreu1d.lagrangian import CUSTOM_REGISTRY
-from abreu1d.solver import SolveResult, continuation_sweep, f_eps
+from abreu1d.solver import SolveResult, continuation_sweep
 
 
 def _rows(path):
@@ -108,7 +108,7 @@ def test_stage_files_with_rendered_nodes_match_per_value_format(tmp_path, n):
         g, u = setup.grid, result.u
         upp = d2(u, g)
         _per_value_csv(tmp_path / "ref.csv", cli.STAGE_HEADER,
-                       zip(g.nodes, u, d1(u, g), upp, result.w, f_eps(u, upp, setup)))
+                       zip(g.nodes, u, d1(u, g), upp, 1.0 / upp, f_eps(u, setup)))
         written = path.read_bytes()
         assert written == (tmp_path / "ref.csv").read_bytes(), path.name
         assert digests[path.name] == hashlib.sha256(written).hexdigest(), path.name
@@ -215,12 +215,16 @@ def test_missing_config_field_is_config_error(tmp_path):
     assert run_cli("sweep", "--config", path).returncode == 1
 
 
+# Newton stalls in the first stage: the steep obstacle's solution at
+# eps = 0.1 has min u'' = 2.09, below a convexity floor of 5 * eps * c0 = 3.
+# A residual tolerance alone cannot fail a solve, since Newton also stops on
+# a roundoff-sized correction.
+UNATTAINABLE = {"phi": STEEP_PHI, "rho_minus": 1.0 / 6.0, "rho_plus": 1.0 / 6.0,
+                "tolerances": {"convexity_floor_scale": 5.0}}
+
+
 def test_unattainable_tolerance_is_solver_failure(tmp_path):
-    # non-dyadic obstacle so the residual bottoms out at roundoff, above
-    # the absurdly small tolerance requested here
-    cfg = write_config(tmp_path / "cfg.json", eps_schedule=[0.01],
-                       phi=SHALLOW_PHI, rho_minus=1.5, rho_plus=1.5,
-                       tolerances={"newton_tol_scale": 1e-30})
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule=[0.1], **UNATTAINABLE)
     assert run_cli("solve", "--config", cfg).returncode == 2
 
 
@@ -304,8 +308,7 @@ SHORT_SWEEP = {"start": 0.1, "ratio": 0.5, "stages": 4}
         ("verify", {}, 0, False),
         ("compare", {"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5, "grid": {"n": 32},
                      "tolerances": {"kkt_tol": 1e-16}}, 3, False),
-        ("verify", {"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5,
-                    "tolerances": {"newton_tol_scale": 1e-30}}, 2, False),
+        ("verify", UNATTAINABLE, 2, False),
         ("sweep", {}, 0, True),
         ("compare", {"grid": {"n": 32}}, 0, True),
         ("verify", {}, 0, True),
@@ -660,24 +663,37 @@ def test_failed_oracle_child_write_is_output_error(tmp_path, monkeypatch, caplog
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("stages", [2, 3, 5, 11])
+@pytest.mark.parametrize("stages", [2, 3, 5, 11, 29])
 def test_shared_stages_fit_the_pipe_buffer(tmp_path, stages):
     # at the largest grid below the split threshold, with a 200-character
-    # output directory and 20 Newton iterations a stage, the pickle that
-    # `compare` shares takes less than a 64 KiB pipe buffer, so `share`
-    # returns without waiting for the oracle
-    nodes = (cli._SPLIT_MIN_VALUES - 1) // (len(cli.STAGE_HEADER) * stages)
+    # output directory and 20 Newton iterations a stage, the stages that
+    # `compare` shares pickle to less than a 64 KiB pipe buffer, so `share`
+    # returns without waiting for the oracle; this process writes the others.
+    # At 2 stages, one stage's arrays alone would overfill the buffer
+    n = (cli._SPLIT_MIN_VALUES - 1) // (len(cli.STAGE_HEADER) * stages) - 1
+    setup = monopolist_setup(n=n - n % 2)
+    nodes = setup.grid.n + 1
     rng = np.random.default_rng(stages)
 
     def record(k):
         return rng.random(k).tolist()
 
-    jobs = [(tmp_path / ("d" * 200) / f"solution_stage{k:02d}.csv", 0.1 * 0.5 ** k,
-             SolveResult(u=rng.random(nodes), w=rng.random(nodes), newton_iters=20,
-                         residual_norms=record(21), min_upps=record(21), step_norms=record(20),
-                         step_lengths=record(20), halvings=[0] * 20, converged=True))
-            for k in range(0, stages, 2)]
-    assert len(pickle.dumps(jobs)) < 65536
+    results = [(setup, SolveResult(u=rng.random(nodes), upp=rng.random(nodes),
+                                   up=rng.random(nodes), f=rng.random(nodes), newton_iters=20,
+                                   residual_norms=record(21), min_upps=record(21),
+                                   step_norms=record(20), step_lengths=record(20),
+                                   halvings=[0] * 20, converged=True))
+               for _ in range(stages)]
+    shared = []
+    outdir = tmp_path / ("d" * 200)
+    outdir.mkdir()
+    with cli._writing_stages(outdir, results, cli._Child(shared.append, lambda: None, None)) as files:
+        pass
+    [theirs] = shared
+    assert len(theirs) == {2: 0, 3: 1, 5: 2, 11: 4, 29: 9}[stages]
+    assert len(pickle.dumps(theirs)) < 65536
+    names = sorted([*files, *(path.name for path, _ in theirs)])
+    assert names == [f"solution_stage{k:02d}.csv" for k in range(stages)]
 
 
 @pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
@@ -751,8 +767,7 @@ def test_failed_sweep_kills_and_reaps_the_oracle(tmp_path, monkeypatch, forked):
 
     _oracle_cpus(monkeypatch, forked)
     monkeypatch.setattr(cli, "minimize_direct", endless)
-    cfg = write_config(tmp_path / "cfg.json", phi=SHALLOW_PHI, rho_minus=1.5, rho_plus=1.5,
-                       eps_schedule=SHORT_SWEEP, tolerances={"newton_tol_scale": 1e-30})
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, **UNATTAINABLE)
     t0 = time.perf_counter()
     assert invoke_cli("compare", "--config", cfg) == 2
     assert time.perf_counter() - t0 < 60

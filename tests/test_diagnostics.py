@@ -93,6 +93,36 @@ def test_fit_rate_exact_power_laws():
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_fit_rate_agrees_with_polyfit(seed):
+    # the closed-form slope and r2 against numpy's least-squares line
+    rng = np.random.default_rng(seed)
+    stages = int(rng.integers(4, 12))
+    eps = np.sort(rng.uniform(1e-5, 0.9, stages))[::-1]
+    values = np.exp(rng.uniform(-1.0, 1.0) * np.log(eps) + rng.normal(0.0, 0.3, stages))
+    fit = fit_rate([_synthetic_report(e, v) for e, v in zip(eps, values)], "penalty_l2")
+    slope, intercept = np.polyfit(np.log(eps), np.log(values), 1)
+    logs_v = np.log(values)
+    ss_res = np.sum((logs_v - slope * np.log(eps) - intercept) ** 2)
+    r2 = 1.0 - ss_res / np.sum((logs_v - logs_v.mean()) ** 2)
+    assert (fit.slope, fit.r2, fit.stages) == pytest.approx((slope, r2, stages), abs=1e-12)
+
+
+def test_compute_report_takes_newtons_derivatives(monkeypatch):
+    # the report reads the result's u' and u''; no derivative is taken again
+    setup = monopolist_setup(n=64, eps=0.01, weight=(1.0, 0.5), phi=[-3.0, 0.0, 3.0], rho=1 / 6)
+    res = newton_solve(setup, setup.phi)
+    assert res.converged and res.newton_iters > 0
+    expected = compute_report(res, setup)
+
+    def refused(*args):
+        raise AssertionError("compute_report took a derivative")
+
+    for name in ("d1", "d2"):
+        monkeypatch.setattr(solver, name, refused)
+    assert compute_report(res, setup) == expected
+
+
 def test_fit_rate_identically_small_path():
     stages = _sweep()
     reports = [compute_report(r, s) for s, r in stages]

@@ -123,15 +123,29 @@ def test_derivative_consistency_small_step():
 FINITE = st.floats(-1e3, 1e3, allow_subnormal=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(FINITE, min_size=1, max_size=5), st.lists(FINITE, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=6), st.lists(FINITE, min_size=1, max_size=40))
 def test_polyval_equals_numpy_polyval_bitwise(coeffs, xs):
-    c = np.array(coeffs)
+    # degrees 0-5, with coefficients as an array and as the tuple of floats
+    # that `make_rochet_chone` passes, on arrays and on scalars
     x = np.array(xs)
     P = np.polynomial.polynomial
-    for point in (x, x.reshape(1, -1), xs[0], x[0]):
-        ours, numpy_value = polyval(c, point), P.polyval(point, c)
-        assert np.shape(ours) == np.shape(numpy_value)
+    for c in (np.array(coeffs), tuple(coeffs)):
+        for point in (x, x.reshape(1, -1), xs[0], x[0]):
+            ours, numpy_value = polyval(c, point), P.polyval(point, c)
+            assert np.shape(ours) == np.shape(numpy_value)
+            assert np.array_equal(ours, numpy_value)
+            assert np.array_equal(np.signbit(ours), np.signbit(numpy_value))
+
+
+@pytest.mark.parametrize("coeffs", [[-0.0], [0.0], [1.0, -0.0], [-0.0, -0.0], [2.0, 0.0, -0.0],
+                                    [-0.0, 0.0, 0.0, -0.0]])
+def test_polyval_keeps_numpys_signed_zeros(coeffs):
+    # numpy starts Horner from c[-1] + 0 * x, which is not c[-1] when that is -0.0
+    x = np.array([-2.0, -0.0, 0.0, 3.0, 5e-324, -5e-324])
+    P = np.polynomial.polynomial
+    for point in (x, *x.tolist()):
+        ours, numpy_value = polyval(coeffs, point), P.polyval(point, coeffs)
         assert np.array_equal(ours, numpy_value)
         assert np.array_equal(np.signbit(ours), np.signbit(numpy_value))
 

@@ -12,6 +12,7 @@ from helpers import (
     SHALLOW_PHI,
     STEEP_PHI,
     band_to_dense,
+    f_eps,
     fd_jacobian,
     monopolist_setup,
     quartic_spec,
@@ -264,15 +265,79 @@ def test_continuation_sweep_all_stages_converge():
         assert np.max(np.abs(res.u - stage_setup.phi)) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: the Newton stop test ignores the conditioning, so stage 0 stops at "
-    "max|R| 1.1e-9 to 1.5e-8 against a tolerance of 1.1e-9 when n is not a power of two"))
 @pytest.mark.parametrize("n", [192, 200, 320, 384])
 def test_calibration_sweep_converges_off_powers_of_two(n):
-    # phi = x^2 - 1 solves the scheme at every eps, so every stage should converge
+    # phi = x^2 - 1 solves the scheme at every eps, so every stage converges;
+    # off powers of two stage 0 stops on its roundoff-sized correction, its
+    # max|R| (1.1e-9 to 1.5e-8) being above the tolerance 1.1e-9
     stages = continuation_sweep(monopolist_setup(n=n, eps=0.1), default_eps_schedule())
     assert len(stages) == 11
     assert all(res.converged for _, res in stages)
+
+
+# Problems of the larger sweeps: (obstacle, rho-, rho+, eta0, window)
+STEEP = (STEEP_PHI, 1.0 / 6.0, 1.0 / 6.0, (1.0,), (-0.5, 0.5))
+SHALLOW = (SHALLOW_PHI, 1.5, 1.5, (1.0,), (-0.5, 0.5))
+VAR = (CAL_PHI, 0.5, 0.5, (1.0, 0.5), (-0.5, 0.5))
+
+# The second Newton defect: backtracking on max|R| crawls at large n (200
+# iterations with t << 1 in stage 0), which the stop test does not mend
+DAMPING = pytest.mark.xfail(strict=True, reason=(
+    "known defect: backtracking on max|R| stalls in stage 0 at n = 1024"))
+
+
+@pytest.mark.parametrize("name, n, problem", [
+    *((name, n, problem) for n in (192, 256, 512)
+      for name, problem in (("steep", STEEP), ("shallow", SHALLOW), ("var", VAR))),
+    ("steep", 1024, STEEP),
+    ("var", 1024, VAR),
+    ("cal-rho-0.25", 256, (CAL_PHI, 0.25, 0.25, (1.0,), (-0.5, 0.5))),
+    ("cal-rho-4", 128, (CAL_PHI, 4.0, 4.0, (1.0,), (-0.5, 0.5))),
+    ("shallow-skewed-window", 128, (SHALLOW_PHI, 1.5, 1.5, (1.0,), (-0.75, 0.25))),
+    ("steep-rho-sixth-0.3", 256, (STEEP_PHI, 1.0 / 6.0, 0.3, (1.0,), (-0.5, 0.5))),
+    ("shallow-rho-1.5-1", 256, (SHALLOW_PHI, 1.5, 1.0, (1.0,), (-0.5, 0.5))),
+    pytest.param("shallow", 1024, SHALLOW, marks=DAMPING),
+    pytest.param("cal-rho-0.25", 1024, (CAL_PHI, 0.25, 0.25, (1.0,), (-0.5, 0.5)), marks=DAMPING),
+    pytest.param("cal-rho-1", 1024, (CAL_PHI, 1.0, 1.0, (1.0,), (-0.5, 0.5)), marks=DAMPING),
+])
+def test_nontrivial_sweep_converges_at_every_stage(name, n, problem):
+    phi, rho_minus, rho_plus, weight, window = problem
+    setup = monopolist_setup(n=n, eps=0.1, rho=rho_minus, rho_plus=rho_plus, phi=phi,
+                             weight=weight, window=window)
+    stages = continuation_sweep(setup, default_eps_schedule())
+    assert [res.converged for _, res in stages] == [True] * 11
+
+
+def test_newton_stops_on_a_roundoff_sized_correction():
+    # max|R| cannot reach 1e-30 * (1 + 1/eps); the last correction is
+    # roundoff-sized, so it is taken whole, its residual evaluated once
+    setup = monopolist_setup(n=64, eps=0.1, rho=1 / 6, phi=STEEP_PHI)
+    res = newton_solve(setup, setup.phi, Tolerances(newton_tol_scale=1e-30))
+    assert res.converged and res.newton_iters < solver.MAX_ITERS
+    assert res.residual_norms[-1] > 1e-30 * (1.0 + 1.0 / setup.eps)
+    assert res.step_norms[-1] <= solver.STEP_TOL * (1.0 + np.abs(res.u).max())
+    assert (res.step_lengths[-1], res.halvings[-1]) == (1.0, 0)
+    assert len(res.residual_norms) == len(res.min_upps) == res.newton_iters + 1
+    assert res.residual_norms[-1] == np.abs(residual(res.u, setup)).max()
+
+
+@pytest.mark.parametrize("name, iters, problem", [
+    ("cal", 0, (CAL_PHI, 0.5, (1.0,))),
+    ("steep", 1, (STEEP_PHI, 1.0 / 6.0, (1.0,))),
+    ("var", 1, (CAL_PHI, 0.5, (1.0, 0.5))),
+])
+def test_result_arrays_equal_fresh_derivatives_bitwise(name, iters, problem):
+    # the converged iterate's u'', u' and f, as Newton's last residual took
+    # them, are d2, d1 and f_eps of the returned u, bit for bit
+    phi, rho, weight = problem
+    setup = monopolist_setup(n=128, eps=0.05, rho=rho, phi=phi, weight=weight)
+    res = newton_solve(setup, setup.phi)
+    assert res.converged and res.newton_iters >= iters
+    g = setup.grid
+    assert np.array_equal(res.upp, d2(res.u, g))
+    assert np.array_equal(res.up, d1(res.u, g))
+    assert np.array_equal(res.f, f_eps(res.u, setup))
+    assert np.array_equal(res.w, 1.0 / d2(res.u, g))
 
 
 def test_continuation_single_stage_equals_newton_solve():
@@ -467,9 +532,11 @@ def test_newton_records_every_iteration():
 
 
 def test_newton_records_a_stalled_iteration():
+    # a convexity floor above the solution's least u'' (as in
+    # test_newton_convexity_floor_comes_from_tolerances) stalls Newton
     setup = monopolist_setup(n=64, eps=0.1, rho=1 / 6, phi=STEEP_PHI)
-    res = newton_solve(setup, setup.phi, Tolerances(newton_tol_scale=1e-30))
-    assert not res.converged and res.newton_iters < solver.MAX_ITERS
+    res = newton_solve(setup, setup.phi, Tolerances(convexity_floor_scale=5.0))
+    assert not res.converged and 1 < res.newton_iters < solver.MAX_ITERS
     assert len(res.residual_norms) == len(res.min_upps) == res.newton_iters
     assert (res.step_lengths[-1], res.halvings[-1]) == (0.0, solver.MAX_HALVINGS)
     assert res.min_upps[-1] == d2(res.u, setup.grid).min()

@@ -10,7 +10,9 @@ rule: comma separator, floats as `%.17g` (`_FLOAT_FORMAT`), other values as
 `str()`, LF line endings, UTF-8.  Manifests and summaries are JSON.
 `write_csv` and `write_json` return the sha256 of the bytes they wrote, and
 the manifest lists those digests for every other file the command wrote;
-no artifact is read back.
+no artifact is read back.  Both write through `_write_in_place`, which
+overwrites a file that a previous run left and then cuts it to its new
+length; `write_json` writes no temporary file.
 
 Work that can run beside the command goes to a forked child through
 `_in_child`.  `compare` runs the convex-cone oracle in a child while the
@@ -40,6 +42,13 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+# A command's only BLAS or LAPACK work is one small banded solve per Newton
+# step, so one OpenBLAS thread does it.  numpy's OpenBLAS and the copy that
+# scipy's LAPACK brings in each read this variable when they load, and each
+# worker thread of their pools spins for about 60 ms of CPU after it starts.
+# A value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import click
 import numpy as np
 
@@ -47,7 +56,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .minimizer import minimize_direct
-from .solver import continuation_sweep, eval_J, layer_beta_h, load_dgbsv, newton_solve
+from .solver import continuation_sweep, layer_beta_h, load_dgbsv, newton_solve
 from .weakform import check_support, default_family, distributional_residual, rescaled_w
 
 log = logging.getLogger("abreu1d")
@@ -100,23 +109,32 @@ def write_csv(path: Path, header, columns) -> str:
                 values[j::width] = c[lo:hi].tolist()
             yield (row * (hi - lo)) % tuple(values)
 
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for text in blocks():
-            data = text.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-    return digest.hexdigest()
+    return _write_in_place(path, (text.encode("utf-8") for text in blocks()))
 
 
 def write_json(path: Path, doc) -> str:
-    """Write `doc` as indented JSON through a temporary file; returns the sha256 of its bytes."""
+    """Write `doc` as indented JSON; returns the sha256 of its bytes."""
     data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-    return hashlib.sha256(data).hexdigest()
+    return _write_in_place(path, [data])
+
+
+def _write_in_place(path: Path, chunks) -> str:
+    """Write the byte strings `chunks` to `path`; returns their sha256 hex digest.
+
+    The package's one file writer.  A file that is already there is
+    overwritten in place and then cut to the written length, so the file has
+    its final length when this returns.  Truncating on open instead, or
+    replacing the file by a rename, makes ext4 free the old blocks and start
+    writeback at close: 0.1-0.3 ms a stage file of 129 rows on a 2-vCPU Xeon
+    VM, against 0.6 ms to format it.
+    """
+    digest = hashlib.sha256()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        for data in chunks:
+            digest.update(data)
+            fh.write(data)
+        fh.truncate()
+    return digest.hexdigest()
 
 
 def _finish(outdir: Path, cfg: RunConfig, run: dict) -> None:
@@ -297,9 +315,10 @@ def _in_child(fn, *args, shares=False):
     pid = os.fork()
     # The child sends the pickled (ok, value) through one pipe and never
     # returns; it reads what `share` pickles from another and takes indices
-    # from the third.  numpy's OpenBLAS, and the second copy that scipy's
-    # LAPACK brings in on the first banded solve, each stop their thread
-    # pool before a fork and start it again in either process when needed.
+    # from the third.  With one OpenBLAS thread, the default this module
+    # sets, neither numpy's OpenBLAS nor the copy that scipy's LAPACK brings
+    # in has a worker pool for the fork to stop and restart; with more, each
+    # stops its pool before the fork and starts it again where it is needed.
     if pid == 0:
         status = 1
         try:
@@ -368,7 +387,8 @@ def _in_child(fn, *args, shares=False):
 def _run_sweep(cfg: RunConfig, setup, outdir: Path, other=None):
     """Shared sweep pipeline from the first stage's setup.
 
-    Returns (exit_code, stages, run), with `run` as `_finish` takes it.
+    Returns (exit_code, stages, reports, run): the converged stages'
+    `EstimateReport`s, and `run` as `_finish` takes it.
     `other`, the `_Child` of compare's oracle, is `_writing_stages`'s other
     writer when every stage converged; a failed sweep's command does not
     wait for it, so this process then writes every stage file.
@@ -407,7 +427,7 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path, other=None):
     if not all_converged:
         log.error("sweep stopped at stage %d of %d", len(stages), len(schedule))
     run = {"stages": stage_meta, "wall_clock_seconds": {"sweep": elapsed}, "files": files}
-    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, run
+    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, reports, run
 
 
 def _single_eps(cfg: RunConfig, setup) -> None:
@@ -501,7 +521,7 @@ def solve(cfg, setup, outdir):
 @_command()
 def sweep(cfg, setup, outdir):
     """Continuation sweep over the eps schedule with diagnostics."""
-    code, _, run = _run_sweep(cfg, setup, outdir)
+    code, _, _, run = _run_sweep(cfg, setup, outdir)
     return code, run
 
 
@@ -532,7 +552,7 @@ def compare(cfg, setup, outdir):
     # Both processes solve banded systems: load LAPACK once, before the fork.
     load_dgbsv()
     with _in_child(_oracle, setup, shares=True) as oracle_child:
-        code, stages, run = _run_sweep(cfg, setup, outdir, oracle_child)
+        code, stages, reports, run = _run_sweep(cfg, setup, outdir, oracle_child)
         if code != EXIT_OK:
             return code, run
         oracle, run["wall_clock_seconds"]["oracle"], written = oracle_child.wait()
@@ -553,7 +573,7 @@ def compare(cfg, setup, outdir):
 
         width = g.b - g.a
         inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
-        J_abreu = eval_J(result.u, g, setup.lagrangian)
+        J_abreu = reports[-1].J_val
         summary = {
             "eps_smallest": setup.eps,
             "sup_diff_inner_window": float(np.max(diff[inner])),
@@ -569,13 +589,13 @@ def compare(cfg, setup, outdir):
 @_command(check=_bumps_fit)
 def verify(cfg, setup, outdir):
     """Weak-form residual of the limiting Euler-Lagrange identity."""
-    code, stages, run = _run_sweep(cfg, setup, outdir)
+    code, stages, _, run = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
         return code, run
     setup, result = stages[-1]
     family = default_family(setup.grid)
     w_resc = rescaled_w(result, setup)
-    max_res, per_bump = distributional_residual(w_resc, result.u, setup, family)
+    max_res, per_bump = distributional_residual(w_resc, result.u, setup, family, result.up)
     files = run["files"]
     files["el_residuals.csv"] = write_csv(outdir / "el_residuals.csv",
                                           ("center", "radius", "residual"),

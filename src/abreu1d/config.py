@@ -167,9 +167,3 @@ def load_config(path: Union[str, Path]) -> RunConfig:
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(doc)
-
-
-def save_config(cfg: RunConfig, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-        fh.write("\n")

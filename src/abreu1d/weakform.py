@@ -10,6 +10,7 @@ no derivative of f1_p across gradient kinks is ever formed.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -76,8 +77,12 @@ def distributional_residual(
     u: np.ndarray,
     setup: ProblemSetup,
     family: TestFunctionFamily,
+    up: Optional[np.ndarray] = None,
 ) -> tuple[float, list[float]]:
-    """Max (and per-bump) weak-form residual over the family."""
+    """Max (and per-bump) weak-form residual over the family.
+
+    `up`, if given, is d1(u), already computed by the caller.
+    """
     g, lag = setup.grid, setup.lagrangian
     check_support(family, g)
     win = g.window_slice()
@@ -85,7 +90,9 @@ def distributional_residual(
     if w_window.shape != xw.shape:
         raise ValueError("w must be given on the window nodes")
     fz = lag.f0_z(g.nodes, u)[win]
-    fp = lag.f1_p(g.nodes, d1(u, g))[win]
+    if up is None:
+        up = d1(u, g)
+    fp = lag.f1_p(g.nodes, up)[win]
 
     full = np.zeros(g.n + 1)
 

@@ -18,7 +18,8 @@ from helpers import (
     zero_setup,
 )
 
-from abreu1d.config import RunConfig, load_config, save_config
+from abreu1d.cli import write_json
+from abreu1d.config import RunConfig, load_config
 from abreu1d.diagnostics import check_theorem_bounds, compute_report, fit_rate
 from abreu1d.grid import build_grid, d2
 from abreu1d.lagrangian import make_rochet_chone
@@ -286,7 +287,7 @@ def test_criterion_11_determinism_and_io(tmp_path):
         "eps_schedule": [0.1, 0.037, 1.25e-3],
     })
     path = tmp_path / "roundtrip.json"
-    save_config(cfg, path)
+    write_json(path, cfg.to_dict())
     lossless = load_config(path).to_dict() == cfg.to_dict()
     ok = deterministic and lossless
     _gate(11, ok, f"byte-identical CSVs: {deterministic}, "

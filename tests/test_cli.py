@@ -95,6 +95,25 @@ def test_write_json_returns_the_digest_of_its_bytes(tmp_path):
     assert not (tmp_path / "doc.json.tmp").exists()
 
 
+@pytest.mark.parametrize("writer", ["csv", "json"])
+def test_writers_overwrite_a_longer_file_in_place(tmp_path, writer):
+    # the file keeps its inode, and is cut to the bytes written when the writer returns
+    path = tmp_path / f"out.{writer}"
+    path.write_bytes(b"x" * 100_000)
+    inode = path.stat().st_ino
+    if writer == "csv":
+        digest = cli.write_csv(path, ("a", "b"), ([0.1, 2.5], ["p", "q"]))
+        expected = b"a,b\n0.10000000000000001,p\n2.5,q\n"
+    else:
+        digest = cli.write_json(path, {"a": 1})
+        expected = b'{\n  "a": 1\n}\n'
+    assert path.read_bytes() == expected
+    assert path.stat().st_size == len(expected)
+    assert path.stat().st_ino == inode
+    assert digest == hashlib.sha256(expected).hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 @pytest.mark.parametrize("n", [16, 24, 8192])
 def test_stage_files_with_rendered_nodes_match_per_value_format(tmp_path, n):
     # both stages write the nodes rendered once for the sweep;
@@ -272,6 +291,8 @@ def test_compare_agreement(tmp_path):
     assert summary["sup_diff_inner_window"] <= 5e-3
     assert summary["J_abs_diff"] <= 1e-3
     assert (tmp_path / "out" / "compare.csv").exists()
+    # J_abreu is the last stage's J_val, not evaluated again
+    assert summary["J_abreu"] == float(_rows(tmp_path / "out" / "sweep.csv")[-1]["J_val"])
 
 
 def test_compare_oracle_failure_exit_code(tmp_path):
@@ -439,6 +460,23 @@ def test_split_and_serial_stage_writes_are_byte_identical(tmp_path, monkeypatch,
     assert len(outputs[True][0]["files"]) == len(outputs[True][1])
 
 
+@pytest.mark.parametrize("first, second", [(("verify", 256), ("sweep", 64)),
+                                           (("sweep", 64), ("verify", 256))],
+                         ids=["longer-files-left", "shorter-files-left"])
+def test_rerun_over_previous_outputs_matches_a_fresh_run(tmp_path, first, second):
+    # the first run leaves each stage file, sweep.csv, rates.csv, bounds.json
+    # and the manifest longer, or shorter, than the second run writes them
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    for command, n, out in ((*first, reused), (*second, fresh), (*second, reused)):
+        cfg = write_config(tmp_path / "cfg.json", grid={"n": n}, outputs=str(out))
+        assert invoke_cli(command, "--config", cfg) == 0
+    manifest, files = _artifacts(fresh)
+    rerun, left = _artifacts(reused)
+    assert rerun == manifest
+    assert {name: left[name] for name in files} == files
+    assert not list(reused.glob("*.tmp"))
+
+
 @pytest.mark.parametrize(
     "blocked, error",
     [("solution_stage01.csv", r"Is a directory: '.*solution_stage01\.csv'"),
@@ -500,7 +538,7 @@ def test_split_writer_raises_the_childs_error(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command, blocked", [("sweep", "solution_stage02.csv"),
                                               ("sweep", "rates.csv"),
                                               ("compare", "compare.csv"),
-                                              ("verify", "verify_summary.json.tmp")])
+                                              ("verify", "verify_summary.json")])
 def test_failed_serial_write_is_output_error(tmp_path, monkeypatch, caplog, command, blocked):
     _split_writes(monkeypatch, False)
     out = tmp_path / "out"
@@ -828,10 +866,13 @@ def test_one_stage_runs_never_fork(tmp_path, monkeypatch, command):
 # Runs the command line given in argv[1:] in a fresh interpreter, with two
 # CPUs and os.fork wrapped; at exit it writes a JSON line to stderr: how many
 # times `solver.load_dgbsv` loaded LAPACK, which of the modules that scipy's
-# package set-up brings in were imported, and for each fork how many times
-# LAPACK had been loaded when it happened.
+# package set-up brings in were imported, for each fork how many times
+# LAPACK had been loaded when it happened, the process's thread count where
+# /proc/self/task lists it (else None), and its OPENBLAS_NUM_THREADS.
 COLD_CLI = """\
 import atexit, json, os, sys
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 SETUP_MODULES = ("scipy", "scipy.linalg", "scipy._lib", "numpy.polynomial")
 def dgbsv_loads():
     solver = sys.modules.get("abreu1d.solver")
@@ -845,18 +886,34 @@ os.sched_getaffinity = lambda pid: {0, 1}
 atexit.register(lambda: print("cold:", json.dumps({
     "dgbsv_loads": dgbsv_loads(),
     "loaded": [name for name in SETUP_MODULES if name in sys.modules],
-    "forks": forks}), file=sys.stderr))
+    "forks": forks,
+    "threads": threads(),
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}), file=sys.stderr))
 from abreu1d import cli
 cli.main()
 """
 
+# A cold command's process ends with its main thread alone: the CLI gives
+# OpenBLAS one thread, so it starts no worker.
+ONE_THREAD = {"threads": 1 if os.path.isdir("/proc/self/task") else None, "openblas": "1"}
 
-def _cold(*args):
-    """(exit code, the COLD_CLI record) of a fresh-interpreter command line."""
+
+def _cold(*args, openblas=None):
+    """(exit code, the COLD_CLI record) of a fresh-interpreter command line.
+
+    The interpreter starts with OPENBLAS_NUM_THREADS set to `openblas`, or unset.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     proc = subprocess.run([sys.executable, "-c", COLD_CLI, *map(str, args)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     [record] = re.findall(r"^cold: (.*)$", proc.stderr, re.M)
     return proc.returncode, json.loads(record)
+
+
+def test_cold_cli_keeps_the_users_openblas_thread_count():
+    assert _cold("--help", openblas="3")[1]["openblas"] == "3"
 
 
 def test_cold_import_and_config_load_leave_scipy_unloaded(tmp_path):
@@ -881,7 +938,7 @@ def test_cold_command_without_newton_steps_leaves_scipy_unloaded(tmp_path, comma
     args = [command]
     if overrides is not None:
         args += ["--config", write_config(tmp_path / "cfg.json", **overrides)]
-    assert _cold(*args) == (code, {"dgbsv_loads": 0, "loaded": [], "forks": []})
+    assert _cold(*args) == (code, {"dgbsv_loads": 0, "loaded": [], "forks": [], **ONE_THREAD})
     if command == "verify" and code == 0:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert [s["newton_iters"] for s in manifest["stages"]] == [0] * 5
@@ -890,7 +947,8 @@ def test_cold_command_without_newton_steps_leaves_scipy_unloaded(tmp_path, comma
 def test_cold_newton_sweep_loads_dgbsv_without_scipys_package_set_up(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", phi=STEEP_PHI, rho_minus=1 / 6, rho_plus=1 / 6,
                        eps_schedule=SHORT_SWEEP)
-    assert _cold("sweep", "--config", cfg) == (0, {"dgbsv_loads": 1, "loaded": [], "forks": []})
+    assert _cold("sweep", "--config", cfg) == (0, {"dgbsv_loads": 1, "loaded": [], "forks": [],
+                                                   **ONE_THREAD})
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["stages"][0]["newton_iters"] > 0
 
@@ -900,7 +958,7 @@ def test_cold_compare_loads_lapack_once_before_the_fork(tmp_path, monkeypatch):
              "eps_schedule": SHORT_SWEEP}
     cold = write_config(tmp_path / "cold.json", outputs=str(tmp_path / "cold"), **steep)
     assert _cold("compare", "--config", cold) == (0, {"dgbsv_loads": 1, "loaded": [],
-                                                      "forks": [1]})
+                                                      "forks": [1], **ONE_THREAD})
     _oracle_cpus(monkeypatch, False)
     inline = write_config(tmp_path / "inline.json", outputs=str(tmp_path / "inline"), **steep)
     assert invoke_cli("compare", "--config", inline) == 0

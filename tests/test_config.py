@@ -6,7 +6,8 @@ import tracemalloc
 import pytest
 from helpers import invoke_cli, write_config
 
-from abreu1d.config import ConfigError, RunConfig, load_config, save_config
+from abreu1d.cli import write_json
+from abreu1d.config import ConfigError, RunConfig, load_config
 
 
 def _base_doc(**overrides):
@@ -31,7 +32,7 @@ def _base_doc(**overrides):
 def test_round_trip_is_lossless(tmp_path):
     cfg = RunConfig.from_dict(_base_doc(eps_schedule=[0.1, 0.037, 1.25e-3]))
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    write_json(path, cfg.to_dict())
     cfg2 = load_config(path)
     assert cfg.to_dict() == cfg2.to_dict()
     assert cfg2.eps_schedule == [0.1, 0.037, 1.25e-3]
@@ -40,7 +41,7 @@ def test_round_trip_is_lossless(tmp_path):
 def test_zero_preset_round_trips_without_eta0(tmp_path):
     cfg = RunConfig.from_dict(_base_doc(lagrangian={"preset": "zero", "eta0": None}))
     assert "eta0" not in cfg.to_dict()["lagrangian"]
-    save_config(cfg, tmp_path / "cfg.json")
+    write_json(tmp_path / "cfg.json", cfg.to_dict())
     assert load_config(tmp_path / "cfg.json").to_dict() == cfg.to_dict()
 
 

@@ -308,40 +308,53 @@ def test_no_import_time_scipy_imports(path):
     assert import_time_scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
+def owned_calls(sources: dict[str, str], matcher) -> list[str]:
+    """`file:owner (line N)` of each call in `sources` (file name -> text) that
+    `matcher(tree)(call)` accepts, where `tree` is the call's parsed file.
+
+    The owner is the innermost function around the call, or `<module>`.
+    """
+    found = []
+
+    def visit(node, file, owner, matches):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, file, child.name, matches)
+                continue
+            if isinstance(child, ast.Call) and matches(child):
+                found.append(f"{file}:{owner} (line {child.lineno})")
+            visit(child, file, owner, matches)
+
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        visit(tree, name, "<module>", matcher(tree))
+    return found
+
+
 def call_sites(sources: dict[str, str], module: str, function: str) -> list[str]:
     """Functions in `sources` (file name -> text) that call `module.function`.
 
     A call counts for the innermost function around it, or for `<module>`;
     a bare `function()` counts when `function` is imported from `module`.
     """
-    found = []
-
-    def calls(node, imported):
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            return (func.attr == function and isinstance(func.value, ast.Name)
-                    and func.value.id == module)
-        return isinstance(func, ast.Name) and func.id in imported
-
-    def visit(node, file, owner, imported):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, file, child.name, imported)
-                continue
-            if isinstance(child, ast.Call) and calls(child, imported):
-                found.append(f"{file}:{owner} (line {child.lineno})")
-            visit(child, file, owner, imported)
-
-    for name, text in sources.items():
-        tree = ast.parse(text)
+    def matcher(tree):
         imported = {
             alias.asname or alias.name
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == module
             for alias in node.names if alias.name == function
         }
-        visit(tree, name, "<module>", imported)
-    return found
+
+        def calls(node):
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                return (func.attr == function and isinstance(func.value, ast.Name)
+                        and func.value.id == module)
+            return isinstance(func, ast.Name) and func.id in imported
+
+        return calls
+
+    return owned_calls(sources, matcher)
 
 
 def test_detector_flags_every_fork_site():
@@ -569,3 +582,52 @@ def test_every_result_field_has_a_reader():
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     readers = [*sources.values(), *(p.read_text(encoding="utf-8") for p in sorted(perfbench.glob("*.py")))]
     assert unread_fields(sources, ("SolveResult", "MinimizeResult"), readers) == []
+
+
+def file_write_sites(sources: dict[str, str]) -> list[str]:
+    """Functions in `sources` (file name -> text) that open a file to write it.
+
+    A call of `os.open` counts, and so does one of the builtin `open` whose
+    mode writes, appends, creates or updates (it holds `w`, `a`, `x` or
+    `+`) or is not a string constant.  `os.fdopen`, which opens pipe ends,
+    does not.  A call counts for the innermost function around it, or for
+    `<module>`.
+    """
+    def writes(call):
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            return func.attr == "open" and isinstance(func.value, ast.Name) and func.value.id == "os"
+        if not (isinstance(func, ast.Name) and func.id == "open"):
+            return False
+        modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                   or set(m.value) & set("wax+") for m in modes)
+
+    return owned_calls(sources, lambda tree: writes)
+
+
+def test_detector_flags_every_file_write_site():
+    sources = {
+        "a.py": "import os\n"
+                "def writer(path):\n"
+                "    with open(os.open(path, os.O_WRONLY), 'wb') as fh:\n"
+                "        pass\n"
+                "def reader(path):\n"
+                "    open(path), open(path, 'rb'), open(path, mode='r', encoding='utf-8')\n"
+                "def appender(path, mode):\n"
+                "    open(path, mode='a'), open(path, mode)\n"
+                "def pipe(fd):\n"
+                "    return os.fdopen(fd, 'wb')\n",
+        "b.py": "open('x', 'r+')\nopen('y', 'xb')\n",
+    }
+    assert file_write_sites(sources) == [
+        "a.py:writer (line 3)", "a.py:writer (line 3)",
+        "a.py:appender (line 8)", "a.py:appender (line 8)",
+        "b.py:<module> (line 1)", "b.py:<module> (line 2)",
+    ]
+
+
+def test_one_file_writer():
+    # cli._write_in_place writes every output file, in place
+    sites = file_write_sites(_package_sources())
+    assert [site.split(" ")[0] for site in sites] == ["cli.py:_write_in_place"] * 2

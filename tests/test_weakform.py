@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from helpers import monopolist_setup
+from helpers import STEEP_PHI, monopolist_setup
 
-from abreu1d.grid import build_grid, integrate
+from abreu1d.grid import build_grid, d1, integrate
 from abreu1d.solver import continuation_sweep, default_eps_schedule, newton_solve
 from abreu1d.weakform import default_family, distributional_residual, rescaled_w
 from abreu1d.weakform import TestFunctionFamily as BumpFamily
@@ -46,6 +46,19 @@ def test_support_violation_detected():
                         radii=np.array([0.1]))
     with pytest.raises(ValueError, match=r"bump 0 support \[.*\] comes within h"):
         distributional_residual(rescaled_w(res, setup), res.u, setup, family)
+
+
+def test_newtons_u_prime_gives_the_same_residual_bits():
+    # a steep stage takes Newton steps; its u' is d1 of the u it returns
+    setup = monopolist_setup(n=128, phi=STEEP_PHI, rho=1 / 6)
+    stages = continuation_sweep(setup, [0.1, 0.05])
+    stage_setup, res = stages[-1]
+    assert res.converged and res.newton_iters > 0
+    family = default_family(stage_setup.grid)
+    w = rescaled_w(res, stage_setup)
+    mr, per_bump = distributional_residual(w, res.u, stage_setup, family, res.up)
+    assert np.array_equal(res.up, d1(res.u, stage_setup.grid))
+    assert (mr, per_bump) == distributional_residual(w, res.u, stage_setup, family)
 
 
 def test_residual_nonincreasing_along_sweep():

@@ -174,7 +174,6 @@ def _stage_entry(setup, result) -> dict:
         "min_upps": result.min_upps,
         "step_norms": result.step_norms,
         "step_lengths": result.step_lengths,
-        "halvings": result.halvings,
         "beta_h": layer_beta_h(setup),
     }
 

@@ -43,8 +43,8 @@ class Tolerances:
     """The package's tolerances; the only settable numerical options.
 
     Newton stops at max|R| <= newton_tol_scale * (1 + 1/eps), or at a
-    roundoff-sized correction (`STEP_TOL`, not settable), and backtracks
-    steps whose min u'' would fall to convexity_floor_scale * eps * c0.  The
+    roundoff-sized correction (`STEP_TOL`, not settable), and fails a stage
+    whose next min u'' would reach convexity_floor_scale * eps * c0.  The
     oracle must reach KKT <= kkt_tol, and the weak-form check passes at
     max residual <= el_residual_tol.
     """
@@ -62,7 +62,9 @@ class Tolerances:
 
 
 MAX_ITERS = 200
-MAX_HALVINGS = 40
+# Newton's step length keeps every u'' above (1 - STEP_FRACTION) times its
+# value, to first order, so no w = 1/u'' more than doubles in one step.
+STEP_FRACTION = 0.5
 # Newton also stops, converged, once its correction is roundoff-sized:
 # max|du| <= STEP_TOL * (1 + max|u|).  The max|R| test alone cannot be met
 # where the residual's roundoff floor, which grows like h^-4, lies above it.
@@ -140,12 +142,12 @@ class SolveResult:
     interior rows, `Grid.interior_slice`, and the penalty (u - phi)/eps
     elsewhere.  `w` is 1/u'', divided where it is read.
 
-    `residual_norms` holds max|R| at the start and after each accepted step,
-    so it has `newton_iters + 1` entries unless the last iteration stalled,
-    and `min_upps` holds min u'' at the same iterates.  `step_norms` is
-    max|Δu| of each iteration's full Newton correction, `step_lengths` the
-    step length t taken (0.0 for a stall) and `halvings` how often t was
-    halved.
+    `residual_norms` holds max|R| at the start and after each step taken,
+    so it has `newton_iters + 1` entries unless the last iteration stopped
+    at the convexity floor, and `min_upps` holds min u'' at the same
+    iterates.  `step_norms` is max|Δu| of each iteration's full Newton
+    correction, and `step_lengths` the step length t taken (0.0 for the
+    floor stop).
     """
 
     u: np.ndarray
@@ -157,7 +159,6 @@ class SolveResult:
     min_upps: list[float]
     step_norms: list[float]
     step_lengths: list[float]
-    halvings: list[int]
     converged: bool
 
     @property
@@ -367,17 +368,19 @@ def newton_solve(
     u0: np.ndarray,
     tols: Optional[Tolerances] = None,
 ) -> SolveResult:
-    """Damped Newton with backtracking on the residual max-norm.
+    """Damped Newton whose step length keeps the iterate convex.
 
-    Steps that would make min u'' drop to the convexity floor are halved.
-    Newton stops, converged, at max|R| <= newton_tol_scale * (1 + 1/eps), or
-    once a correction Δu is roundoff-sized, max|Δu| <= STEP_TOL * (1 +
-    max|u|): that correction is taken with its residual evaluated once, and
-    kept whether or not it lowers max|R|, so it is recorded as an accepted
-    step.  The band's stage constants are built once, and each trial
-    point's derivatives once, and passed to `residual` and, for an accepted
-    point, to `jacobian`; the final point's go to the `SolveResult`.  Each
-    iteration is recorded in the `SolveResult` and logged at debug level.
+    The correction Δu has zero Dirichlet entries, and the step length is
+    t = min(1, STEP_FRACTION / f), with f = max_i(-d2(Δu)_i / u''_i) the
+    largest relative fall of any u'' along Δu: the interior-point fraction
+    to the boundary (Nocedal & Wright, Numerical Optimization, 19.2).  The
+    stage fails, with step length 0.0 recorded, when the next iterate's min
+    u'' would reach the convexity floor.  Newton stops, converged, at max|R|
+    <= newton_tol_scale * (1 + 1/eps), or once a correction is
+    roundoff-sized, max|Δu| <= STEP_TOL * (1 + max|u|).  The band's stage
+    constants are built once, and each iterate's derivatives once, for its
+    `residual` and `jacobian`; the final iterate's go to the `SolveResult`.
+    Each iteration is recorded there and logged at debug level.
     """
     tols = tols or Tolerances()
     g = setup.grid
@@ -394,42 +397,33 @@ def newton_solve(
     upp_min = float(dv.s.min())
     norms = [norm]
     min_upps = [upp_min]
-    step_norms, step_lengths, halvings = [], [], []
+    step_norms, step_lengths = [], []
 
     iters = 0
     converged = norm <= tol
     while not converged and iters < MAX_ITERS:
         step = solve_banded((2, 2), jacobian(u, setup, dv, band), -R)
+        # keep the Dirichlet rows exact against linear-solver roundoff
+        step[0] = 0.0
+        step[-1] = 0.0
         step_norm = float(np.abs(step).max())
         roundoff = step_norm <= STEP_TOL * (1.0 + float(np.abs(u).max()))
-        t = 1.0
-        accepted = False
-        for halved in range(MAX_HALVINGS):
-            u_try = u + t * step
-            # keep the Dirichlet rows exact against linear-solver roundoff
-            u_try[0] = 0.0
-            u_try[-1] = 0.0
-            s_try = d2(u_try, g)
-            s_min = float(s_try.min())
-            if s_min <= floor:
-                t *= 0.5
-                continue
-            dv_try = _derivatives(u_try, setup, s_try)
-            R_try = residual(u_try, setup, dv_try)
-            norm_try = float(np.abs(R_try).max())
-            if norm_try < norm or roundoff:
-                u, dv, R, norm, upp_min = u_try, dv_try, R_try, norm_try, s_min
-                accepted = True
-                break
-            t *= 0.5
+        fall = float((-d2(step, g) / dv.s).max())
+        t = 1.0 if fall <= STEP_FRACTION else STEP_FRACTION / fall
+        u_next = u + t * step
+        s_next = d2(u_next, g)
+        s_min = float(s_next.min())
+        taken = s_min > floor
+        if taken:
+            u, dv = u_next, _derivatives(u_next, setup, s_next)
+            R = residual(u, setup, dv)
+            norm, upp_min = float(np.abs(R).max()), s_min
         iters += 1
         step_norms.append(step_norm)
-        step_lengths.append(t if accepted else 0.0)
-        halvings.append(halved if accepted else MAX_HALVINGS)
-        log.debug("newton eps=%.6g iter %d: max|R| %.3e max|du| %.3e t %.6g halvings %d "
-                  "min u'' %.3e", setup.eps, iters, norm, step_norms[-1], step_lengths[-1],
-                  halvings[-1], upp_min)
-        if not accepted:
+        step_lengths.append(t if taken else 0.0)
+        log.debug("newton eps=%.6g iter %d: max|R| %.3e max|du| %.3e t %.6g min u'' %.3e",
+                  setup.eps, iters, norm, step_norm, step_lengths[-1], upp_min)
+        if not taken:
             break
         norms.append(norm)
         min_upps.append(upp_min)
@@ -445,7 +439,6 @@ def newton_solve(
         min_upps=min_upps,
         step_norms=step_norms,
         step_lengths=step_lengths,
-        halvings=halvings,
         converged=bool(converged),
     )
 

@@ -389,8 +389,8 @@ def test_manifest_and_debug_log_record_every_newton_iteration(tmp_path):
         iters, norms = stage["newton_iters"], stage["residual_norms"]
         assert len(norms) == iters + 1 and norms[-1] == stage["final_residual"]
         assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
-        assert [len(stage[key]) for key in ("step_norms", "step_lengths", "halvings")] == [iters] * 3
-        assert stage["step_lengths"] == [0.5 ** k for k in stage["halvings"]]
+        assert [len(stage[key]) for key in ("step_norms", "step_lengths")] == [iters] * 2
+        assert all(0.0 < t <= 1.0 for t in stage["step_lengths"])
         assert all(norm > 0.0 for norm in stage["step_norms"])
         assert len(stage["min_upps"]) == iters + 1 and min(stage["min_upps"]) > 0.0
     # each stage starts from the last one's u, and ends at its stage file's u_pp
@@ -720,7 +720,7 @@ def test_shared_stages_fit_the_pipe_buffer(tmp_path, stages):
                                    up=rng.random(nodes), f=rng.random(nodes), newton_iters=20,
                                    residual_norms=record(21), min_upps=record(21),
                                    step_norms=record(20), step_lengths=record(20),
-                                   halvings=[0] * 20, converged=True))
+                                   converged=True))
                for _ in range(stages)]
     shared = []
     outdir = tmp_path / ("d" * 200)

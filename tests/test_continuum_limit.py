@@ -44,6 +44,11 @@ from abreu1d.minimizer import minimize_direct
 from abreu1d.solver import continuation_sweep, default_eps_schedule, eval_J
 
 GRID_SIZES = (32, 64, 128)
+# Finer grids, where every stage converges but the gaps are not first order
+# in h: sup|u - v*| on [-1/2, 1/2] is 1.8e-3, 1.1e-3 and 1.3e-3 at n = 128,
+# 256 and 512.  The last stage's eps, 1.5e-9, lies above the crossover
+# eps*(h) below which the eps-error is the smaller one (ROADMAP item 4)
+CONVERGED_GRID_SIZES = GRID_SIZES + (256, 512)
 STAGES = 27  # eps = 0.1 * 2^-k down to 1.5e-9
 SYMMETRIC, SKEWED = (-0.5, 0.5), (-0.5, 0.625)
 # J* for each window, and the range of the oracle's (J_h - J*)/h
@@ -174,7 +179,7 @@ def test_closed_form_on_the_window(window):
     assert J == pytest.approx(J_STAR[window], rel=0.0, abs=1e-13)
 
 
-@on_each_window("n", GRID_SIZES)
+@on_each_window("n", CONVERGED_GRID_SIZES)
 def test_every_stage_converges(n, window):
     stages = shallow_sweep(n, window)
     assert len(stages) == STAGES

@@ -280,25 +280,40 @@ STEEP = (STEEP_PHI, 1.0 / 6.0, 1.0 / 6.0, (1.0,), (-0.5, 0.5))
 SHALLOW = (SHALLOW_PHI, 1.5, 1.5, (1.0,), (-0.5, 0.5))
 VAR = (CAL_PHI, 0.5, 0.5, (1.0, 0.5), (-0.5, 0.5))
 
-# The second Newton defect: backtracking on max|R| crawls at large n (200
-# iterations with t << 1 in stage 0), which the stop test does not mend
-DAMPING = pytest.mark.xfail(strict=True, reason=(
-    "known defect: backtracking on max|R| stalls in stage 0 at n = 1024"))
+# The eleven problem starts of the convergence table
+PROBLEMS = {
+    "cal": (CAL_PHI, 0.5, 0.5, (1.0,), (-0.5, 0.5)),
+    "steep": STEEP,
+    "shallow": SHALLOW,
+    "var": VAR,
+    **{f"cal-rho-{rho:g}": (CAL_PHI, rho, rho, (1.0,), (-0.5, 0.5)) for rho in (0.25, 1.0, 4.0)},
+    "shallow-skewed-window": (SHALLOW_PHI, 1.5, 1.5, (1.0,), (-0.75, 0.25)),
+    "steep-rho-sixth-0.3": (STEEP_PHI, 1.0 / 6.0, 0.3, (1.0,), (-0.5, 0.5)),
+    "shallow-rho-1.5-1": (SHALLOW_PHI, 1.5, 1.0, (1.0,), (-0.5, 0.5)),
+    "steep-rho-1": (STEEP_PHI, 1.0, 1.0, (1.0,), (-0.5, 0.5)),
+}
+# The table's first cases, listed first so that their ids keep their indices
+FIRST_CASES = [
+    *((name, n) for n in (192, 256, 512) for name in ("steep", "shallow", "var")),
+    ("steep", 1024), ("var", 1024), ("cal-rho-0.25", 256), ("cal-rho-4", 128),
+    ("shallow-skewed-window", 128), ("steep-rho-sixth-0.3", 256), ("shallow-rho-1.5-1", 256),
+    ("shallow", 1024), ("cal-rho-0.25", 1024), ("cal-rho-1", 1024),
+]
+# At n = 2048 cond(J) is about 3e12, and on these problems Newton does not
+# converge in stage 0 (on shallow max|R| cycles between 1e3 and 1e5 for all
+# MAX_ITERS iterations): the sweep ends unconverged and raises nothing
+ILL_CONDITIONED = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect, ROADMAP item 12: cond(J) ~ 3e12 at n = 2048 stalls stage 0"))
+STALLS_AT_2048 = ("shallow", "cal-rho-0.25", "cal-rho-4", "shallow-skewed-window",
+                  "shallow-rho-1.5-1")
+SWEEP_CASES = FIRST_CASES + [(name, n) for n in (192, 256, 512, 1024, 2048) for name in PROBLEMS
+                             if (name, n) not in FIRST_CASES]
 
 
 @pytest.mark.parametrize("name, n, problem", [
-    *((name, n, problem) for n in (192, 256, 512)
-      for name, problem in (("steep", STEEP), ("shallow", SHALLOW), ("var", VAR))),
-    ("steep", 1024, STEEP),
-    ("var", 1024, VAR),
-    ("cal-rho-0.25", 256, (CAL_PHI, 0.25, 0.25, (1.0,), (-0.5, 0.5))),
-    ("cal-rho-4", 128, (CAL_PHI, 4.0, 4.0, (1.0,), (-0.5, 0.5))),
-    ("shallow-skewed-window", 128, (SHALLOW_PHI, 1.5, 1.5, (1.0,), (-0.75, 0.25))),
-    ("steep-rho-sixth-0.3", 256, (STEEP_PHI, 1.0 / 6.0, 0.3, (1.0,), (-0.5, 0.5))),
-    ("shallow-rho-1.5-1", 256, (SHALLOW_PHI, 1.5, 1.0, (1.0,), (-0.5, 0.5))),
-    pytest.param("shallow", 1024, SHALLOW, marks=DAMPING),
-    pytest.param("cal-rho-0.25", 1024, (CAL_PHI, 0.25, 0.25, (1.0,), (-0.5, 0.5)), marks=DAMPING),
-    pytest.param("cal-rho-1", 1024, (CAL_PHI, 1.0, 1.0, (1.0,), (-0.5, 0.5)), marks=DAMPING),
+    pytest.param(name, n, PROBLEMS[name],
+                 marks=ILL_CONDITIONED if n == 2048 and name in STALLS_AT_2048 else ())
+    for name, n in SWEEP_CASES
 ])
 def test_nontrivial_sweep_converges_at_every_stage(name, n, problem):
     phi, rho_minus, rho_plus, weight, window = problem
@@ -316,7 +331,7 @@ def test_newton_stops_on_a_roundoff_sized_correction():
     assert res.converged and res.newton_iters < solver.MAX_ITERS
     assert res.residual_norms[-1] > 1e-30 * (1.0 + 1.0 / setup.eps)
     assert res.step_norms[-1] <= solver.STEP_TOL * (1.0 + np.abs(res.u).max())
-    assert (res.step_lengths[-1], res.halvings[-1]) == (1.0, 0)
+    assert res.step_lengths[-1] == 1.0
     assert len(res.residual_norms) == len(res.min_upps) == res.newton_iters + 1
     assert res.residual_norms[-1] == np.abs(residual(res.u, setup)).max()
 
@@ -520,12 +535,13 @@ def test_load_dgbsv_names_a_missing_extension(tmp_path, monkeypatch, installed):
 
 
 def test_newton_records_every_iteration():
-    setup = monopolist_setup(n=64, eps=0.1, rho=1.0)  # rho != 1/phi'' forces halvings
+    # rho != 1/phi'' moves w at the boundary, so the first step is shortened
+    setup = monopolist_setup(n=64, eps=0.1, rho=1.0)
     res = newton_solve(setup, setup.phi)
-    assert res.converged and max(res.halvings) > 0
+    assert res.converged and min(res.step_lengths) < 1.0
     assert len(res.residual_norms) == res.newton_iters + 1
-    assert [len(res.step_norms), len(res.step_lengths), len(res.halvings)] == [res.newton_iters] * 3
-    assert res.step_lengths == [0.5**k for k in res.halvings]
+    assert [len(res.step_norms), len(res.step_lengths)] == [res.newton_iters] * 2
+    assert all(0.0 < t <= 1.0 for t in res.step_lengths)
     assert len(res.min_upps) == len(res.residual_norms)
     assert (res.min_upps[0], res.min_upps[-1]) == (d2(setup.phi, setup.grid).min(),
                                                    d2(res.u, setup.grid).min())
@@ -533,10 +549,22 @@ def test_newton_records_every_iteration():
 
 def test_newton_records_a_stalled_iteration():
     # a convexity floor above the solution's least u'' (as in
-    # test_newton_convexity_floor_comes_from_tolerances) stalls Newton
+    # test_newton_convexity_floor_comes_from_tolerances) fails the stage at
+    # the first step whose next iterate's min u'' would reach it
     setup = monopolist_setup(n=64, eps=0.1, rho=1 / 6, phi=STEEP_PHI)
     res = newton_solve(setup, setup.phi, Tolerances(convexity_floor_scale=5.0))
-    assert not res.converged and 1 < res.newton_iters < solver.MAX_ITERS
+    assert not res.converged and 1 <= res.newton_iters < solver.MAX_ITERS
     assert len(res.residual_norms) == len(res.min_upps) == res.newton_iters
-    assert (res.step_lengths[-1], res.halvings[-1]) == (0.0, solver.MAX_HALVINGS)
-    assert res.min_upps[-1] == d2(res.u, setup.grid).min()
+    assert len(res.step_lengths) == res.newton_iters and res.step_lengths[-1] == 0.0
+    assert res.min_upps[-1] == d2(res.u, setup.grid).min() > 5.0 * setup.eps * setup.c0
+
+
+def test_newton_step_keeps_half_of_every_curvature():
+    # the step length t = min(1, STEP_FRACTION / f) keeps min u'' above half
+    # its last value, up to roundoff: shortened steps reach the ratio 0.5
+    for _, res in continuation_sweep(monopolist_setup(n=1024, eps=0.1, rho=1 / 6, phi=STEEP_PHI),
+                                     default_eps_schedule()):
+        assert res.converged
+        assert all(0.0 < t <= 1.0 for t in res.step_lengths)
+        for before, after in zip(res.min_upps, res.min_upps[1:]):
+            assert after >= 0.5 * before * (1.0 - 1e-9)

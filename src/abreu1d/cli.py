@@ -14,18 +14,14 @@ no artifact is read back.  Both write through `_write_in_place`, which
 overwrites a file that a previous run left and then cuts it to its new
 length; `write_json` writes no temporary file.
 
-Work that can run beside the command goes to a forked child through
-`_in_child`.  `compare` runs the convex-cone oracle in a child while the
-sweep runs in this process.  With two or more stages and at least
-`_SPLIT_MIN_VALUES` stage-file values, each command forks a writer child
+`compare` runs its convex-cone oracle in its own process once every stage
+has converged.  With two or more stages and at least `_SPLIT_MIN_VALUES`
+stage-file values, each command forks a writer child through `_in_child`
 for stages 00, 02, ... (the larger half when the count is odd) while it
-writes the others and its summary files.  Below the threshold only
-`compare` shares those stages, with its oracle child: the child writes
-each one it takes once its oracle is done, and the command takes what is
-left after its own stages and summary files, so that it writes them all
-when the oracle is the slower side.  Each child is reaped before the
-command writes anything that depends on it.  Machines with one CPU, or
-without os.fork, run that work in the command's process.
+writes the others and its summary files, and `compare` runs its oracle.
+The child is reaped before the command writes anything that depends on it.
+Below the threshold, and on machines with one CPU or without os.fork, the
+command writes every stage file itself and forks nothing.
 """
 
 import functools
@@ -37,10 +33,9 @@ import pickle
 import signal
 import sys
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 # A command's only BLAS or LAPACK work is one small banded solve per Newton
 # step, so one OpenBLAS thread does it.  numpy's OpenBLAS and the copy that
@@ -56,7 +51,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .minimizer import minimize_direct
-from .solver import continuation_sweep, layer_beta_h, load_dgbsv, newton_solve
+from .solver import continuation_sweep, layer_beta_h, newton_solve
 from .weakform import check_support, default_family, distributional_residual, rescaled_w
 
 log = logging.getLogger("abreu1d")
@@ -141,7 +136,7 @@ def _finish(outdir: Path, cfg: RunConfig, run: dict) -> None:
     """Write manifest.json after the command's last artifact.
 
     `run` holds "stages", "wall_clock_seconds" and "files", each artifact's
-    name -> sha256 as its writer returned it.
+    name -> sha256 as its writer returned it, and for `compare` "oracle".
     """
     write_json(outdir / "manifest.json", {"tool_version": __version__, "config": cfg.to_dict(), **run})
 
@@ -156,11 +151,6 @@ STAGE_HEADER = ("x", "u", "u_prime", "u_pp", "w", "f_eps")
 # 8.5 k (n = 128).  The child writes the larger half, stages 00, 02, ...,
 # because this process goes on to write the summary files.
 _SPLIT_MIN_VALUES = 25_000
-
-# `compare` shares at most this many bytes of stages with its oracle child,
-# counting 32 bytes a node for a stage's four arrays and 2 kB for its Newton
-# record and path; see `_writing_stages`.
-_SHARE_MAX_BYTES = 60 * 1024
 
 
 def _stage_entry(setup, result) -> dict:
@@ -195,7 +185,7 @@ def _node_strings(grid) -> np.ndarray:
 
 
 @contextmanager
-def _writing_stages(outdir: Path, stages, other=None):
+def _writing_stages(outdir: Path, stages):
     """Write every stage's `solution_stageNN.csv`; yield the file name -> sha256 record.
 
     The block adds its own files to the record, which holds every stage
@@ -203,136 +193,48 @@ def _writing_stages(outdir: Path, stages, other=None):
     once, before any write.  With two or more stages and at least
     `_SPLIT_MIN_VALUES` values, `_in_child` writes stages 00, 02, ... while
     this process writes the others and then runs the block, so the child's
-    exit overlaps the block's writes.  One stage has nothing to split, so
-    this process writes it without a fork.
-
-    `other`, if given, is the `_Child` of `compare`'s oracle, and is always
-    shared a list of `(path, result)` jobs, empty with one stage or at
-    or above the threshold.  Below it, the list is stages 00, 02, ..., as
-    many as `_SHARE_MAX_BYTES` holds: this process writes the others, runs
-    the block and then takes what is left of the list, one stage at a time,
-    while `other` takes them once its oracle is done.  The record lacks the
-    stages `other` took; it returns their digests with its value.
+    writes and exit overlap the block's work.  One stage has nothing to
+    split, so this process writes it without a fork.
     """
     nodes = _node_strings(stages[0][0].grid)
     jobs = [(outdir / f"solution_stage{k:02d}.csv", result) for k, (_, result) in enumerate(stages)]
     if len(stages) > 1 and len(STAGE_HEADER) * len(nodes) * len(stages) >= _SPLIT_MIN_VALUES:
-        if other is not None:
-            other.share([])
-        with _in_child(_write_stages, nodes, jobs[::2]) as child:
+        with _in_child(_write_stages, nodes, jobs[::2]) as wait:
             files = _write_stages(nodes, jobs[1::2])
             yield files
-            files.update(child.wait())
+            files.update(wait())
         return
-    if other is None:
-        yield _write_stages(nodes, jobs)
-        return
-    # One stage is not shared.  Below the threshold, stages 00, 02, ... take
-    # up to 89 kB of arrays (3 stages of 1387 nodes), and a Newton record of
-    # 20 iterations with a 200-character path pickles to about 1.5 kB, so the
-    # list holds as many of them as `_SHARE_MAX_BYTES` counts.  Its pickle
-    # then fits the 64 KiB pipe buffer, and `share` does not wait for the
-    # oracle.
-    k = min((len(jobs) + 1) // 2,
-            _SHARE_MAX_BYTES // (32 * len(nodes) + 2048)) if len(jobs) > 1 else 0
-    theirs = jobs[: 2 * k : 2]
-    other.share(theirs)
-    files = _write_stages(nodes, jobs[1 : 2 * k : 2] + jobs[2 * k :])
-    yield files
-    while (k := other.take()) is not None:
-        files.update(_write_stages(nodes, [theirs[k]]))
-
-
-class _Child(NamedTuple):
-    """The handle `_in_child` yields."""
-
-    share: Callable  # share(items) passes the child the list to share out
-    take: Callable  # take() returns the index of an item this process takes, or None
-    wait: Callable  # wait() returns the child's value
-
-
-def _claims(fd):
-    """Indices read from the non-blocking pipe `fd`, 4 bytes each, until it is empty.
-
-    A pipe read is atomic, so two processes that read one pipe never get
-    the same index.
-    """
-    while True:
-        try:
-            token = os.read(fd, 4)
-        except BlockingIOError:
-            return
-        yield int.from_bytes(token, "little")
-
-
-_NOTHING_SHARED = "the child's value was awaited before its list was shared"
+    yield _write_stages(nodes, jobs)
 
 
 @contextmanager
-def _in_child(fn, *args, shares=False):
-    """Start fn(*args) in a forked child; yield its `_Child` handle.
+def _in_child(fn, *args):
+    """Start fn(*args) in a forked child; yield a `wait()` that returns its value.
 
-    `wait()` returns what fn returned, or raises the exception that fn raised,
-    with the same type and message; a child that ends without sending a
-    result (one that was killed, say) makes it raise RuntimeError.
-
-    With `shares`, fn is called as fn(*args, shared).  The command passes a
-    list after the fork with `share(items)`, once.  `shared()` waits for it
-    and returns it with an iterator over the indices of the items the child
-    takes; the command takes the others with `take()`.  Each index goes to
-    whichever process asks for it first.  `share` writes every index, in 4
-    bytes, before the list; a pipe buffer (64 KiB on Linux) holds 16 384 of
-    them.  It returns once the pipe has taken the list's pickle: at once
-    below that buffer, else when the child reads it.
-    `wait` closes the list's pipe first, so a `shared()` with no list raises
-    EOFError.  Share before starting another child, which would hold the
-    pipe open.
-
+    `wait()` returns what fn returned, or raises the exception that fn
+    raised, with the same type and message; a child that ends without
+    sending a result (one that was killed, say) makes it raise RuntimeError.
     The child is killed, if it still runs, and reaped when the `with` block
-    is left.  Without os.fork or a second CPU to run on, `wait()` calls fn in
-    this process, so `take()` gets every index that is asked for before it.
+    is left.  Without os.fork or a second CPU to run on, `wait()` calls fn
+    in this process.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2):
-        inline = []
-
-        def share_inline(items):
-            inline.extend((items, iter(range(len(items)))))
-
-        def shared_inline():
-            if not inline:
-                raise EOFError(_NOTHING_SHARED)
-            return inline
-
-        yield _Child(share_inline, lambda: next(inline[1], None),
-                     lambda: fn(*args, shared_inline) if shares else fn(*args))
+        yield lambda: fn(*args)
         return
     read_fd, write_fd = os.pipe()
-    receive_fd, send_fd = os.pipe()
-    claim_fd, offer_fd = os.pipe()
-    os.set_blocking(claim_fd, False)
     pid = os.fork()
-    # The child sends the pickled (ok, value) through one pipe and never
-    # returns; it reads what `share` pickles from another and takes indices
-    # from the third.  With one OpenBLAS thread, the default this module
-    # sets, neither numpy's OpenBLAS nor the copy that scipy's LAPACK brings
-    # in has a worker pool for the fork to stop and restart; with more, each
-    # stops its pool before the fork and starts it again where it is needed.
+    # The child sends the pickled (ok, value) through the pipe and never
+    # returns.  With one OpenBLAS thread, the default this module sets,
+    # neither numpy's OpenBLAS nor the copy that scipy's LAPACK brings in has
+    # a worker pool for the fork to stop and restart; with more, each stops
+    # its pool before the fork and starts it again where it is needed.
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            os.close(send_fd)
-
-            def shared():
-                with os.fdopen(receive_fd, "rb") as fh:
-                    data = fh.read()
-                if not data:
-                    raise EOFError(_NOTHING_SHARED)
-                return pickle.loads(data), _claims(claim_fd)
-
             try:
-                result = (True, fn(*args, shared) if shares else fn(*args))
+                result = (True, fn(*args))
             except BaseException as exc:
                 result = (False, exc)
             with os.fdopen(write_fd, "wb") as fh:
@@ -342,25 +244,14 @@ def _in_child(fn, *args, shares=False):
             os._exit(status)
 
     os.close(write_fd)
-    os.close(receive_fd)
     reader = os.fdopen(read_fd, "rb")
-    sender = os.fdopen(send_fd, "wb")
-    claims = _claims(claim_fd)
     reaped = False
 
-    # A child that has ended, by an exception or a kill, has closed its end;
-    # `wait` then says how it ended.
-    def share(items):
-        os.write(offer_fd, b"".join(k.to_bytes(4, "little") for k in range(len(items))))
-        with suppress(BrokenPipeError), sender:
-            sender.write(pickle.dumps(items))
-
-    # A child that has sent its result still takes about 2 ms to exit (a
-    # 2-vCPU Xeon VM, n = 128 compare), so `wait` reaps only a child that
-    # sent none, and the block's end reaps the others.
+    # A child that has sent its result still takes a few ms to exit, so
+    # `wait` reaps only a child that sent none, and the block's end reaps
+    # the others.
     def wait():
         nonlocal reaped
-        sender.close()
         data = reader.read()
         if not data:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -372,25 +263,22 @@ def _in_child(fn, *args, shares=False):
         return value
 
     try:
-        yield _Child(share, lambda: next(claims, None), wait)
+        yield wait
     finally:
         reader.close()
-        sender.close()
-        os.close(claim_fd)
-        os.close(offer_fd)
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _run_sweep(cfg: RunConfig, setup, outdir: Path, other=None):
+def _run_sweep(cfg: RunConfig, setup, outdir: Path, beside=None):
     """Shared sweep pipeline from the first stage's setup.
 
-    Returns (exit_code, stages, reports, run): the converged stages'
-    `EstimateReport`s, and `run` as `_finish` takes it.
-    `other`, the `_Child` of compare's oracle, is `_writing_stages`'s other
-    writer when every stage converged; a failed sweep's command does not
-    wait for it, so this process then writes every stage file.
+    Returns (exit_code, stages, reports, run, value): the converged stages'
+    `EstimateReport`s, `run` as `_finish` takes it, and the value of
+    `beside()`.  `beside`, if given, is called once every stage has
+    converged, while a writer child writes half the stage files where one
+    runs; value is None otherwise.
     """
     schedule = cfg.schedule()
     t0 = time.perf_counter()
@@ -398,7 +286,8 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path, other=None):
     elapsed = time.perf_counter() - t0
     all_converged = len(stages) == len(schedule) and all(r.converged for _, r in stages)
 
-    with _writing_stages(outdir, stages, other if all_converged else None) as files:
+    with _writing_stages(outdir, stages) as files:
+        value = beside() if beside is not None and all_converged else None
         reports = [compute_report(r, s) for s, r in stages if r.converged]
         header = [f.name for f in fields(EstimateReport)]
         files["sweep.csv"] = write_csv(outdir / "sweep.csv", header,
@@ -426,7 +315,7 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path, other=None):
     if not all_converged:
         log.error("sweep stopped at stage %d of %d", len(stages), len(schedule))
     run = {"stages": stage_meta, "wall_clock_seconds": {"sweep": elapsed}, "files": files}
-    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, reports, run
+    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, reports, run, value
 
 
 def _single_eps(cfg: RunConfig, setup) -> None:
@@ -520,75 +409,75 @@ def solve(cfg, setup, outdir):
 @_command()
 def sweep(cfg, setup, outdir):
     """Continuation sweep over the eps schedule with diagnostics."""
-    code, _, _, run = _run_sweep(cfg, setup, outdir)
+    code, _, _, run, _ = _run_sweep(cfg, setup, outdir)
     return code, run
 
 
-def _oracle(setup, shared):
-    """The direct minimizer's result, its own wall time and the stage files' digests.
-
-    The stage files are those of the `(path, result)` jobs that
-    `shared()` gives once the minimizer is done, as `_writing_stages` shares
-    them, and that this process takes.  Every stage shares the first
-    stage's grid, Lagrangian and obstacle, so the minimizer, which needs
-    nothing else, runs beside the sweep.
-    """
-    t0 = time.perf_counter()
-    oracle = minimize_direct(setup)
-    elapsed = time.perf_counter() - t0
-    jobs, taken = shared()
-    nodes, written = None, {}
-    for k in taken:
-        if nodes is None:
-            nodes = _node_strings(setup.grid)
-        written.update(_write_stages(nodes, [jobs[k]]))
-    return oracle, elapsed, written
+def _oracle_entry(oracle) -> dict:
+    """The oracle's manifest entry: where its barrier loop started, its Newton
+    steps, and ironing's pooled blocks and KKT residual where ironing applies."""
+    entry = {"start": oracle.start, "barrier_steps": oracle.iters, "ironing": None}
+    log.debug("oracle: %d barrier steps from the %s", oracle.iters, oracle.start)
+    if oracle.ironing is not None:
+        ironing = oracle.ironing
+        entry["ironing"] = {
+            "pooled_blocks": len(ironing.blocks),
+            "stationarity": ironing.stationarity,
+            "complementarity": ironing.complementarity,
+            "dual_feasibility": ironing.dual_feasibility,
+        }
+        log.debug("ironing: %d pooled blocks, KKT stationarity %.3e, complementarity %.3e, "
+                  "dual feasibility %.3e", len(ironing.blocks), ironing.stationarity,
+                  ironing.complementarity, ironing.dual_feasibility)
+    return entry
 
 
 @_command()
 def compare(cfg, setup, outdir):
     """Run the sweep and the direct minimizer, report their agreement."""
-    # Both processes solve banded systems: load LAPACK once, before the fork.
-    load_dgbsv()
-    with _in_child(_oracle, setup, shares=True) as oracle_child:
-        code, stages, reports, run = _run_sweep(cfg, setup, outdir, oracle_child)
-        if code != EXIT_OK:
-            return code, run
-        oracle, run["wall_clock_seconds"]["oracle"], written = oracle_child.wait()
-        # the child has sent its result; it is reaped when the block is left
-        files = run["files"]
-        files.update(written)
-        setup, result = stages[-1]
-        g = setup.grid
-        if oracle.kkt_residual > cfg.tolerances.kkt_tol:
-            log.error("oracle failed: KKT residual %.3e > %.3e",
-                      oracle.kkt_residual, cfg.tolerances.kkt_tol)
-            return EXIT_ORACLE, run
+    # Every stage shares the first stage's grid, Lagrangian and obstacle,
+    # which is all the minimizer reads.
+    def oracle():
+        t0 = time.perf_counter()
+        return minimize_direct(setup), time.perf_counter() - t0
 
-        diff = np.abs(result.u - oracle.v)
-        files["compare.csv"] = write_csv(outdir / "compare.csv",
-                                         ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
-                                         (g.nodes, result.u, oracle.v, diff))
+    code, stages, reports, run, timed = _run_sweep(cfg, setup, outdir, oracle)
+    if code != EXIT_OK:
+        return code, run
+    oracle, run["wall_clock_seconds"]["oracle"] = timed
+    run["oracle"] = _oracle_entry(oracle)
+    files = run["files"]
+    setup, result = stages[-1]
+    g = setup.grid
+    if oracle.kkt_residual > cfg.tolerances.kkt_tol:
+        log.error("oracle failed: KKT residual %.3e > %.3e",
+                  oracle.kkt_residual, cfg.tolerances.kkt_tol)
+        return EXIT_ORACLE, run
 
-        width = g.b - g.a
-        inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
-        J_abreu = reports[-1].J_val
-        summary = {
-            "eps_smallest": setup.eps,
-            "sup_diff_inner_window": float(np.max(diff[inner])),
-            "J_abreu": J_abreu,
-            "J_direct": oracle.J_value,
-            "J_abs_diff": abs(J_abreu - oracle.J_value),
-            "oracle_kkt_residual": oracle.kkt_residual,
-        }
-        files["compare_summary.json"] = write_json(outdir / "compare_summary.json", summary)
+    diff = np.abs(result.u - oracle.v)
+    files["compare.csv"] = write_csv(outdir / "compare.csv",
+                                     ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
+                                     (g.nodes, result.u, oracle.v, diff))
+
+    width = g.b - g.a
+    inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
+    J_abreu = reports[-1].J_val
+    summary = {
+        "eps_smallest": setup.eps,
+        "sup_diff_inner_window": float(np.max(diff[inner])),
+        "J_abreu": J_abreu,
+        "J_direct": oracle.J_value,
+        "J_abs_diff": abs(J_abreu - oracle.J_value),
+        "oracle_kkt_residual": oracle.kkt_residual,
+    }
+    files["compare_summary.json"] = write_json(outdir / "compare_summary.json", summary)
     return EXIT_OK, run
 
 
 @_command(check=_bumps_fit)
 def verify(cfg, setup, outdir):
     """Weak-form residual of the limiting Euler-Lagrange identity."""
-    code, stages, _, run = _run_sweep(cfg, setup, outdir)
+    code, stages, _, run, _ = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
         return code, run
     setup, result = stages[-1]

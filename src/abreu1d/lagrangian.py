@@ -65,7 +65,16 @@ def polyder(coeffs) -> np.ndarray:
     return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
 
 
-def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) -> LagrangianSpec:
+@dataclass(frozen=True)
+class RochetChoneSpec(LagrangianSpec):
+    """F = (p^2/2 - p x + z) * eta0(x), as `make_rochet_chone` builds it.
+
+    Its type tells the oracle that f1_pp(x, p) is the weight eta0(x), so
+    that it can solve the cone problem exactly (`minimizer.iron`).
+    """
+
+
+def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) -> RochetChoneSpec:
     """Monopolist-model Lagrangian F = (p^2/2 - p x + z) * eta0(x).
 
     eta0 is a polynomial (ascending coefficients) that must be nonnegative
@@ -95,7 +104,7 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
     def eta0_prime(x):
         return polyval(cder, x)
 
-    return LagrangianSpec(
+    return RochetChoneSpec(
         f0=lambda x, z: z * eta0(x),
         f0_z=lambda x, z: eta0(x),
         f0_zz=lambda x, z: np.zeros_like(x),

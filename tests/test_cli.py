@@ -1,16 +1,12 @@
-import contextlib
 import csv
 import dataclasses
 import hashlib
 import json
 import logging
 import os
-import pickle
 import re
-import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ from helpers import (SHALLOW_PHI, STEEP_PHI, f_eps, invoke_cli, monopolist_setup
 from abreu1d import cli
 from abreu1d.grid import d1, d2
 from abreu1d.lagrangian import CUSTOM_REGISTRY
-from abreu1d.solver import SolveResult, continuation_sweep
+from abreu1d.solver import continuation_sweep
 
 
 def _rows(path):
@@ -537,6 +533,7 @@ def test_split_writer_raises_the_childs_error(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, blocked", [("sweep", "solution_stage02.csv"),
                                               ("sweep", "rates.csv"),
+                                              ("compare", "solution_stage00.csv"),
                                               ("compare", "compare.csv"),
                                               ("verify", "verify_summary.json")])
 def test_failed_serial_write_is_output_error(tmp_path, monkeypatch, caplog, command, blocked):
@@ -549,15 +546,48 @@ def test_failed_serial_write_is_output_error(tmp_path, monkeypatch, caplog, comm
     [record] = caplog.records
     assert record.getMessage().startswith("output write failed: ")
     assert blocked in record.getMessage()
-    with pytest.raises(ChildProcessError):  # compare's oracle child
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not (out / "manifest.json").exists()
 
 
-def _oracle_cpus(monkeypatch, forked):
-    """Give `compare` two CPUs (the oracle is forked) or one (it runs inline)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0},
-                        raising=False)
+@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+def test_oracle_exception_is_raised_by_compare(tmp_path, monkeypatch, forked):
+    # the oracle runs in the command's process, inline or beside a forked
+    # writer child where the stage files split
+    def singular(problem):
+        raise RuntimeError("inner Newton failure: singular barrier Hessian")
+
+    _split_writes(monkeypatch, forked)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "minimize_direct", singular)
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 32}, eps_schedule=SHORT_SWEEP)
+    with pytest.raises(RuntimeError) as exc:
+        cli.main.main(args=["compare", "--config", str(cfg)], standalone_mode=False)
+    assert type(exc.value) is RuntimeError
+    assert str(exc.value) == "inner Newton failure: singular barrier Hessian"
+    assert len(forks) == forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+def test_failed_sweep_kills_and_reaps_the_oracle(tmp_path, monkeypatch, forked):
+    # a failed sweep exits 2 without running the oracle, and reaps the
+    # writer child where the stage files split
+    def never(problem):
+        raise AssertionError("the oracle ran after a failed sweep")
+
+    _split_writes(monkeypatch, forked)
+    monkeypatch.setattr(cli, "minimize_direct", never)
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, **UNATTAINABLE)
+    assert invoke_cli("compare", "--config", cfg) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "oracle" not in manifest["wall_clock_seconds"]
+    assert "oracle" not in manifest
 
 
 # the oracle-compare benchmark problem: steep at n = 128, 11 stages
@@ -575,13 +605,12 @@ STEEP_128 = {"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6, "grid": {"
     ids=["steep", "shallow-oracle-failure", "steep-128", "steep-128-oracle-failure"],
 )
 def test_forked_and_inline_oracle_are_byte_identical(tmp_path, monkeypatch, overrides, code):
-    # forked, the oracle's child writes stages 00, 02, ...
+    # forked, the oracle runs while the writer child writes stages 00, 02, ...;
+    # inline, the command writes every stage file before the oracle runs
     outputs = {}
     forks = _count_forks(monkeypatch)
-    for forked in (False, True):  # inline first: no fork, then one for the oracle
-        _oracle_cpus(monkeypatch, forked)
-        if forked:
-            _child_takes_every_shared_stage(monkeypatch)
+    for forked in (False, True):  # inline first: no fork, then one for the writer
+        _split_writes(monkeypatch, forked)
         out = tmp_path / f"forked{forked}"
         cfg = write_config(tmp_path / "cfg.json", outputs=str(out),
                            **{"eps_schedule": SHORT_SWEEP, **overrides})
@@ -591,249 +620,40 @@ def test_forked_and_inline_oracle_are_byte_identical(tmp_path, monkeypatch, over
     assert outputs[True] == outputs[False]
     assert outputs[True][0]["wall_clock_seconds"] == ["oracle", "sweep"]
     assert ("compare.csv" in outputs[True][1]) == (code == 0)
+    assert len(outputs[True][0]["files"]) == len(outputs[True][1])
 
 
-def _record_writers(monkeypatch, log):
-    """Make `write_csv` append "<file name> <pid>" to `log` before each write."""
-    write_csv = cli.write_csv
-
-    def recording(path, header, columns):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{path.name} {os.getpid()}\n")
-        return write_csv(path, header, columns)
-
-    monkeypatch.setattr(cli, "write_csv", recording)
-
-
-def _writers(log):
-    """{True: files this process wrote, False: files another process wrote}."""
-    by_pid = {True: set(), False: set()}
-    for line in log.read_text(encoding="utf-8").splitlines():
-        name, pid = line.split()
-        by_pid[int(pid) == os.getpid()].add(name)
-    return by_pid
-
-
-def _wait_until(ready, what):
-    deadline = time.monotonic() + 30.0
-    while not ready():
-        assert time.monotonic() < deadline, f"timed out waiting for {what}"
-        time.sleep(0.001)
-
-
-def _child_takes_every_shared_stage(monkeypatch):
-    """Make `compare` take no shared stage, so its oracle's child writes them all."""
-    in_child = cli._in_child
-
-    @contextlib.contextmanager
-    def taking_none(fn, *args, **kwargs):
-        with in_child(fn, *args, **kwargs) as child:
-            yield child._replace(take=lambda: None)
-
-    monkeypatch.setattr(cli, "_in_child", taking_none)
-
-
-def test_oracle_child_writes_the_shared_stages_it_takes(tmp_path, monkeypatch):
-    # below the split threshold compare forks once and shares stages 00, 02,
-    # 04 with its oracle's child; when this process takes none, the child
-    # writes them all
-    _oracle_cpus(monkeypatch, True)
-    forks = _count_forks(monkeypatch)
-    _child_takes_every_shared_stage(monkeypatch)
-    _record_writers(monkeypatch, tmp_path / "writers.txt")
-    cfg = write_config(tmp_path / "cfg.json")  # 5 stages at n = 64
-    assert invoke_cli("compare", "--config", cfg) == 0
-    assert len(forks) == 1
-    assert _writers(tmp_path / "writers.txt") == {
-        False: {f"solution_stage{k:02d}.csv" for k in (0, 2, 4)},
-        True: {"solution_stage01.csv", "solution_stage03.csv", "sweep.csv", "rates.csv",
-               "compare.csv"}}
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert {f"solution_stage{k:02d}.csv" for k in range(5)} <= set(manifest["files"])
-
-
-def test_busy_oracle_child_writes_no_stage_file(tmp_path, monkeypatch):
-    # the oracle does not finish until this process has taken and written
-    # the last shared stage, so its child takes none
-    log, go = tmp_path / "writers.txt", tmp_path / "go"
-    minimize_direct = cli.minimize_direct
-
-    def late(problem):
-        _wait_until(go.exists, "the command's last stage file")
-        return minimize_direct(problem)
-
-    _oracle_cpus(monkeypatch, True)
-    forks = _count_forks(monkeypatch)
-    _record_writers(monkeypatch, log)
-    write_csv = cli.write_csv
-
-    def last_opens_the_gate(path, header, columns):
-        digest = write_csv(path, header, columns)
-        if path.name == "solution_stage04.csv":
-            go.touch()
-        return digest
-
-    monkeypatch.setattr(cli, "write_csv", last_opens_the_gate)
-    monkeypatch.setattr(cli, "minimize_direct", late)
-    cfg = write_config(tmp_path / "cfg.json")  # 5 stages at n = 64
-    assert invoke_cli("compare", "--config", cfg) == 0
-    assert len(forks) == 1
-    assert _writers(log) == {False: set(), True: {
-        *(f"solution_stage{k:02d}.csv" for k in range(5)), "sweep.csv", "rates.csv",
-        "compare.csv"}}
-
-
-def test_failed_oracle_child_write_is_output_error(tmp_path, monkeypatch, caplog):
-    _oracle_cpus(monkeypatch, True)
-    forks = _count_forks(monkeypatch)
-    _child_takes_every_shared_stage(monkeypatch)
-    out = tmp_path / "out"
-    (out / "solution_stage00.csv").mkdir(parents=True)  # the oracle child's first file
-    cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP)
-    with caplog.at_level(logging.ERROR, logger="abreu1d"):
-        assert invoke_cli("compare", "--config", cfg) == cli.EXIT_OUTPUT
-    assert len(forks) == 1
-    [record] = caplog.records
-    assert re.search(r"^output write failed: .*Is a directory: '.*solution_stage00\.csv'",
-                     record.getMessage())
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not (out / "manifest.json").exists()
-
-
-@pytest.mark.parametrize("stages", [2, 3, 5, 11, 29])
-def test_shared_stages_fit_the_pipe_buffer(tmp_path, stages):
-    # at the largest grid below the split threshold, with a 200-character
-    # output directory and 20 Newton iterations a stage, the stages that
-    # `compare` shares pickle to less than a 64 KiB pipe buffer, so `share`
-    # returns without waiting for the oracle; this process writes the others.
-    # At 2 stages, one stage's arrays alone would overfill the buffer
-    n = (cli._SPLIT_MIN_VALUES - 1) // (len(cli.STAGE_HEADER) * stages) - 1
-    setup = monopolist_setup(n=n - n % 2)
-    nodes = setup.grid.n + 1
-    rng = np.random.default_rng(stages)
-
-    def record(k):
-        return rng.random(k).tolist()
-
-    results = [(setup, SolveResult(u=rng.random(nodes), upp=rng.random(nodes),
-                                   up=rng.random(nodes), f=rng.random(nodes), newton_iters=20,
-                                   residual_norms=record(21), min_upps=record(21),
-                                   step_norms=record(20), step_lengths=record(20),
-                                   converged=True))
-               for _ in range(stages)]
-    shared = []
-    outdir = tmp_path / ("d" * 200)
-    outdir.mkdir()
-    with cli._writing_stages(outdir, results, cli._Child(shared.append, lambda: None, None)) as files:
-        pass
-    [theirs] = shared
-    assert len(theirs) == {2: 0, 3: 1, 5: 2, 11: 4, 29: 9}[stages]
-    assert len(pickle.dumps(theirs)) < 65536
-    names = sorted([*files, *(path.name for path, _ in theirs)])
-    assert names == [f"solution_stage{k:02d}.csv" for k in range(stages)]
-
-
-@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
-def test_each_shared_item_is_taken_once(monkeypatch, forked):
-    # both processes take indices as fast as they can; inline, the child
-    # runs at `wait`, after this process has taken them all
-    _oracle_cpus(monkeypatch, forked)
-
-    def taking(shared):
-        items, taken = shared()
-        return [items[k] for k in taken]
-
-    items = [f"item{k}" for k in range(2000)]
-    with cli._in_child(taking, shares=True) as child:
-        child.share(items)
-        mine = []
-        while (k := child.take()) is not None:
-            mine.append(items[k])
-        theirs = child.wait()
-    assert sorted(mine + theirs) == sorted(items)
-    if not forked:
-        assert theirs == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
-def test_wait_before_share_raises_eoferror(monkeypatch, forked):
-    # `wait` closes the list's pipe, so a child that waits for the list ends;
-    # the alarm turns a `wait` that hangs instead into a failure
-    def hung(signum, frame):
-        raise TimeoutError("wait() hung on a child that waits for its list")
-
-    _oracle_cpus(monkeypatch, forked)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        with cli._in_child(lambda shared: shared(), shares=True) as child:
-            with pytest.raises(EOFError, match="awaited before its list was shared"):
-                child.wait()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
-def test_oracle_exception_is_raised_by_compare(tmp_path, monkeypatch, forked):
-    def singular(problem):
-        raise RuntimeError("inner Newton failure: singular barrier Hessian")
-
-    _oracle_cpus(monkeypatch, forked)
-    forks = _count_forks(monkeypatch)
-    monkeypatch.setattr(cli, "minimize_direct", singular)
-    cfg = write_config(tmp_path / "cfg.json", grid={"n": 32}, eps_schedule=SHORT_SWEEP)
-    with pytest.raises(RuntimeError) as exc:
-        cli.main.main(args=["compare", "--config", str(cfg)], standalone_mode=False)
-    assert type(exc.value) is RuntimeError
-    assert str(exc.value) == "inner Newton failure: singular barrier Hessian"
-    assert len(forks) == forked
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
-def test_failed_sweep_kills_and_reaps_the_oracle(tmp_path, monkeypatch, forked):
-    # an oracle that would outlast the test unless it is killed
-    def endless(problem):
-        time.sleep(120)
-
-    _oracle_cpus(monkeypatch, forked)
-    monkeypatch.setattr(cli, "minimize_direct", endless)
-    cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, **UNATTAINABLE)
-    t0 = time.perf_counter()
-    assert invoke_cli("compare", "--config", cfg) == 2
-    assert time.perf_counter() - t0 < 60
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert "oracle" not in manifest["wall_clock_seconds"]
-
-
-def test_oracle_child_that_dies_is_not_an_output_error(tmp_path, monkeypatch):
-    command = os.getpid()
-
-    def killed(problem):
-        assert os.getpid() != command, "the oracle ran in the command's process"
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    _oracle_cpus(monkeypatch, True)
-    monkeypatch.setattr(cli, "minimize_direct", killed)
-    cfg = write_config(tmp_path / "cfg.json", grid={"n": 32}, eps_schedule=SHORT_SWEEP)
-    with pytest.raises(RuntimeError, match=r"ended without a result \(exit status -9\)"):
-        cli.main.main(args=["compare", "--config", str(cfg)], standalone_mode=False)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not (tmp_path / "out" / "manifest.json").exists()
+@pytest.mark.parametrize(
+    "overrides, code, start, blocks",
+    [({"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6}, 0, "ironing", 0),
+     ({"phi": SHALLOW_PHI, "rho_minus": 1.5, "rho_plus": 1.5, "tolerances": {"kkt_tol": 1e-16}},
+      3, "obstacle", 2)],
+    ids=["steep", "shallow-oracle-failure"],
+)
+def test_manifest_and_debug_log_record_the_oracle(tmp_path, overrides, code, start, blocks):
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, **overrides)
+    proc = subprocess.run([sys.executable, "-m", "abreu1d.cli", "compare", "--config", str(cfg)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, ABREU1D_LOG="debug"))
+    assert proc.returncode == code, proc.stderr
+    oracle = json.loads((tmp_path / "out" / "manifest.json").read_text())["oracle"]
+    assert oracle["start"] == start
+    assert 0 < oracle["barrier_steps"] <= (3 if start == "ironing" else 1000)
+    ironing = oracle["ironing"]
+    assert ironing["pooled_blocks"] == blocks
+    assert max(ironing[k] for k in ("stationarity", "complementarity", "dual_feasibility")) <= 1e-10
+    assert re.findall(r"^DEBUG abreu1d: oracle: (\d+) barrier steps from the (\w+)$",
+                      proc.stderr, re.M) == [(str(oracle["barrier_steps"]), start)]
+    [line] = re.findall(r"^DEBUG abreu1d: ironing: .*$", proc.stderr, re.M)
+    assert line == (f"DEBUG abreu1d: ironing: {blocks} pooled blocks, KKT stationarity "
+                    f"{ironing['stationarity']:.3e}, complementarity "
+                    f"{ironing['complementarity']:.3e}, dual feasibility "
+                    f"{ironing['dual_feasibility']:.3e}")
 
 
 def test_small_sweeps_never_fork(tmp_path, monkeypatch):
-    # 11 stages at n = 128 are 8514 values and stay serial; at n = 8192 they split
+    # 11 stages at n = 128 are 8514 values and stay serial; at n = 8192 they
+    # split.  compare runs its oracle in its own process
     values = len(cli.STAGE_HEADER) * 11
     assert values * 129 < cli._SPLIT_MIN_VALUES <= values * 8193
 
@@ -842,10 +662,14 @@ def test_small_sweeps_never_fork(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
-    cfg = write_config(tmp_path / "cfg.json", grid={"n": 128},
-                       eps_schedule={"start": 0.1, "ratio": 0.5, "stages": 11})
-    assert invoke_cli("verify", "--config", cfg) == 0
-    assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]) == 11
+    for command, problem in (("verify", {}), ("compare", {"phi": STEEP_PHI, "rho_minus": 1 / 6,
+                                                          "rho_plus": 1 / 6})):
+        out = tmp_path / command
+        cfg = write_config(tmp_path / "cfg.json", grid={"n": 128}, outputs=str(out),
+                           eps_schedule={"start": 0.1, "ratio": 0.5, "stages": 11}, **problem)
+        assert invoke_cli(command, "--config", cfg) == 0
+        assert len(json.loads((out / "manifest.json").read_text())["stages"]) == 11
+    assert (tmp_path / "compare" / "compare.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])
@@ -953,18 +777,45 @@ def test_cold_newton_sweep_loads_dgbsv_without_scipys_package_set_up(tmp_path):
     assert manifest["stages"][0]["newton_iters"] > 0
 
 
-def test_cold_compare_loads_lapack_once_before_the_fork(tmp_path, monkeypatch):
-    steep = {"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6,
-             "eps_schedule": SHORT_SWEEP}
-    cold = write_config(tmp_path / "cold.json", outputs=str(tmp_path / "cold"), **steep)
-    assert _cold("compare", "--config", cold) == (0, {"dgbsv_loads": 1, "loaded": [],
-                                                      "forks": [1], **ONE_THREAD})
-    _oracle_cpus(monkeypatch, False)
-    inline = write_config(tmp_path / "inline.json", outputs=str(tmp_path / "inline"), **steep)
-    assert invoke_cli("compare", "--config", inline) == 0
-    manifest, files = _artifacts(tmp_path / "cold")
-    assert {"compare.csv", "compare_summary.json"} <= set(files)
-    assert (manifest, files) == _artifacts(tmp_path / "inline")
+# Inserted into COLD_CLI after the import of `cli`, which sets OpenBLAS's
+# thread count, and before the command line runs: at exit it also writes
+# how many times LAPACK had been loaded when `solver.solve_banded`, the
+# Newton step's solve, was first called.
+FIRST_SOLVE = """\
+from abreu1d import solver
+first_solve, solve_banded = [], solver.solve_banded
+def recording_solve(*args):
+    if not first_solve:
+        first_solve.append(dgbsv_loads())
+    return solve_banded(*args)
+solver.solve_banded = recording_solve
+atexit.register(lambda: print("first solve:", json.dumps(first_solve), file=sys.stderr))
+"""
+
+
+def test_cold_compare_loads_lapack_once_before_the_fork(tmp_path):
+    # a cold compare loads LAPACK on the sweep's first banded solve; below
+    # the split threshold it forks nothing, and with the stage writes split
+    # it forks its writer child after that load
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    artifacts = []
+    for split, forks in ((False, []), (True, [1])):
+        out = tmp_path / f"split{split}"
+        cfg = write_config(tmp_path / "cfg.json", phi=STEEP_PHI, rho_minus=1 / 6,
+                           rho_plus=1 / 6, eps_schedule=SHORT_SWEEP, outputs=str(out))
+        script = COLD_CLI.replace("cli.main()\n", FIRST_SOLVE
+                                  + f"cli._SPLIT_MIN_VALUES = {0 if split else 10**12}\n"
+                                  + "cli.main()\n")
+        proc = subprocess.run([sys.executable, "-c", script, "compare", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        [record] = re.findall(r"^cold: (.*)$", proc.stderr, re.M)
+        assert json.loads(record) == {"dgbsv_loads": 1, "loaded": [], "forks": forks,
+                                      **ONE_THREAD}
+        assert re.findall(r"^first solve: (.*)$", proc.stderr, re.M) == ["[0]"]
+        artifacts.append(_artifacts(out))
+    assert {"compare.csv", "compare_summary.json"} <= set(artifacts[0][1])
+    assert artifacts[0] == artifacts[1]
 
 
 def _fresh_cli(prelude, *args):

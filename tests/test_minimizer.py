@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 from helpers import (
+    CAL_PHI,
     SHALLOW_PHI,
     STEEP_PHI,
     band_to_dense,
     min_improvement_over_random_feasible_directions,
     monopolist_setup,
+    quartic_spec,
     unconstrained_window_solution,
     zero_setup,
 )
+from test_continuum_limit import SKEWED, SYMMETRIC, v_star_h
 
 from abreu1d.grid import build_grid, d2
 from abreu1d.lagrangian import make_rochet_chone
@@ -22,10 +25,11 @@ from abreu1d.minimizer import (
     _barrier_terms,
     _cell_objective,
     check_admissibility,
+    iron,
     minimize_direct,
     second_differences,
 )
-from abreu1d.solver import eval_J
+from abreu1d.solver import eval_J, make_setup
 
 
 def test_eval_J_closed_form():
@@ -80,7 +84,7 @@ def test_minimizer_random_direction_optimality():
 
 def test_minimizer_descent_across_barrier_stages():
     prob = monopolist_setup(phi=SHALLOW_PHI, rho=1.5)
-    v, _, stage_J, _ = _minimize_direct_loop(prob)
+    v, _, stage_J, _ = _cold_loop(prob)
     assert np.array_equal(v, minimize_direct(prob).v)
     for j1, j2 in zip(stage_J, stage_J[1:]):
         assert j2 <= j1 + 1e-12 * (1.0 + abs(j1))
@@ -130,12 +134,14 @@ def test_steep_obstacle_constraints_inactive():
     assert np.max(np.abs(res.v - v_unc)) <= 1e-6
 
 
-def test_oracle_matches_active_set_enumeration_at_n16():
-    # Exact solution of the n = 16 cone QP on the shallow obstacle: the cell
-    # objective is quadratic in the 7 free values and the 9 constraints
-    # s_ia .. s_ib are affine in them, so try every active set (KKT solve,
-    # then primal and dual feasibility).  The start is not the minimizer here,
-    # so this checks what criterion 09's projected gradient does not search.
+def _active_set_enumeration_at_n16():
+    """Exact solution of the n = 16 cone QP on the shallow obstacle.
+
+    The cell objective is quadratic in the 7 free values and the 9
+    constraints s_ia .. s_ib are affine in them, so every active set is
+    tried (KKT solve, then primal and dual feasibility).  Returns the
+    problem, the KKT point's v and its smallest active set.
+    """
     prob = monopolist_setup(n=16, phi=SHALLOW_PHI)
     g = prob.grid
     free = g.interior_slice()
@@ -169,11 +175,16 @@ def test_oracle_matches_active_set_enumeration_at_n16():
     assert kkt_points
     for _, y in kkt_points:
         np.testing.assert_allclose(y, kkt_points[0][1], rtol=0.0, atol=1e-12)
-    smallest = min(kkt_points, key=lambda point: len(point[0]))[0]
-    assert smallest.tolist() == [0, 1, 7, 8]  # two constraints at each window edge
-
     v_exact = prob.phi.copy()
     v_exact[free] = kkt_points[0][1]
+    return prob, v_exact, min(kkt_points, key=lambda point: len(point[0]))[0]
+
+
+def test_oracle_matches_active_set_enumeration_at_n16():
+    # The start is not the minimizer here, so this checks what criterion
+    # 09's projected gradient does not search.
+    prob, v_exact, smallest = _active_set_enumeration_at_n16()
+    assert smallest.tolist() == [0, 1, 7, 8]  # two constraints at each window edge
     assert np.max(np.abs(v_exact - prob.phi)) > 0.05
     res = minimize_direct(prob)
     assert np.max(np.abs(res.v - v_exact)) <= 1e-5
@@ -307,20 +318,20 @@ def test_oracle_banded_step_matches_dense_solve():
             assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-def _minimize_direct_loop(problem):
-    """Reference for `minimize_direct`: the same barrier loop with scipy's
-    `solve_banded`, recomputing the barrier objective at v at every inner step
-    and the constraints of each trial twice.  Returns (v, iters, stage_J,
-    kkt_residual)."""
+def _minimize_direct_loop(problem, start, path):
+    """Reference for `minimize_direct`: the same barrier loop from `start`
+    along the mu values of `path`, with scipy's `solve_banded`, recomputing
+    the barrier objective at v at every inner step and the constraints of
+    each trial twice.  Returns (v, iters, stage_J, kkt_residual)."""
     g, free = problem.grid, problem.grid.interior_slice()
     value, grad_hess = _cell_objective(problem)
 
     def objective(v, mu):
         return value(v) - mu * float(np.sum(np.log(d2(v, g)[g.window_slice()])))
 
-    v = np.array(problem.phi, dtype=float)
+    v = np.array(start, dtype=float)
     iters, stage_J, grad = 0, [], None
-    for mu in BARRIER_PATH:
+    for mu in path:
         for _ in range(INNER_MAX_ITERS):
             gJ, HJ = grad_hess(v)
             gB, HB = _barrier_terms(v, problem, mu)
@@ -345,13 +356,93 @@ def _minimize_direct_loop(problem):
     return v, iters, stage_J, float(np.max(np.abs(grad)))
 
 
+def _cold_loop(problem):
+    """The reference loop from the obstacle along the whole barrier path."""
+    return _minimize_direct_loop(problem, problem.phi, BARRIER_PATH)
+
+
 @pytest.mark.parametrize("weight", [(1.0,), (1.0, 0.5)], ids=["const", "linear"])
-@pytest.mark.parametrize("phi, rho", [(STEEP_PHI, 1.0 / 6.0), (SHALLOW_PHI, 1.5)],
+@pytest.mark.parametrize("phi, rho, start", [(STEEP_PHI, 1.0 / 6.0, "ironing"),
+                                             (SHALLOW_PHI, 1.5, "obstacle")],
                          ids=["steep", "shallow"])
-def test_minimize_direct_iterates_equal_reference_loop_bitwise(phi, rho, weight):
+def test_minimize_direct_iterates_equal_reference_loop_bitwise(phi, rho, start, weight):
+    # steep leaves every constraint inactive, so the loop runs at the last mu
+    # from ironing's minimizer; shallow's bind, so it runs the whole path
+    # from the obstacle
     prob = monopolist_setup(n=64, phi=phi, rho=rho, weight=weight)
-    v, iters, _, kkt = _minimize_direct_loop(prob)
+    if start == "ironing":
+        v, iters, _, kkt = _minimize_direct_loop(prob, iron(prob).v, BARRIER_PATH[-1:])
+    else:
+        v, iters, _, kkt = _cold_loop(prob)
     res = minimize_direct(prob)
+    assert res.start == start
     assert np.array_equal(res.v, v)
     assert res.iters == iters
     assert res.kkt_residual == kkt
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 1024])
+@pytest.mark.parametrize("phi, rho", [(STEEP_PHI, 1.0 / 6.0), (CAL_PHI, 0.5)], ids=["steep", "cal"])
+def test_warm_oracle_equals_cold_oracle(phi, rho, n):
+    prob = monopolist_setup(n=n, phi=phi, rho=rho)
+    res = minimize_direct(prob)
+    assert res.start == "ironing"
+    assert np.max(np.abs(res.v - _cold_loop(prob)[0])) <= 1e-12
+
+
+def test_custom_zero_and_shallow_oracles_start_from_the_obstacle():
+    grid = monopolist_setup().grid
+    custom = make_setup(grid, quartic_spec(), CAL_PHI, 0.5, 0.5, 1e-2)
+    for prob in (custom, zero_setup()):
+        assert iron(prob) is None
+        res = minimize_direct(prob)
+        assert (res.start, res.ironing) == ("obstacle", None)
+    shallow = monopolist_setup(phi=SHALLOW_PHI, rho=1.5)
+    res = minimize_direct(shallow)
+    assert res.start == "obstacle"
+    assert len(res.ironing.blocks) == 2
+
+
+def test_iron_matches_active_set_enumeration_at_n16():
+    prob, v_exact, smallest = _active_set_enumeration_at_n16()
+    ironing = iron(prob)
+    assert np.max(np.abs(ironing.v - v_exact)) <= 1e-12
+    # one block at each window edge; each also holds a constraint with s = 0
+    # and a zero multiplier, which the smallest active set leaves out
+    ia = prob.grid.ia
+    assert ironing.blocks == [(ia, ia + 2), (ia + 6, ia + 8)]
+    assert set(smallest) <= {0, 1, 2, 6, 7, 8}
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_iron_agrees_with_the_barrier_on_steep(n):
+    # the barrier stops at mu = 0.1 * 4^-14, so its minimizer lies above
+    # the cone's by a little
+    prob = monopolist_setup(n=n, phi=STEEP_PHI, rho=1.0 / 6.0)
+    v = iron(prob).v
+    barrier = _cold_loop(prob)[0]
+    value, _ = _cell_objective(prob)
+    assert value(v) <= value(barrier)
+    assert np.max(np.abs(v - barrier)) <= 1e-7
+
+
+@pytest.mark.parametrize("window", [SYMMETRIC, SKEWED], ids=["symmetric", "skewed"])
+def test_iron_approaches_the_widened_slope_limit(window):
+    # the continuum-limit tests' v_h* on the shallow obstacle: ironing's
+    # minimizer lies within h^2 / 2 of it, and far closer than to v*
+    for n in (32, 64, 128):
+        prob = monopolist_setup(n=n, eps=0.1, phi=SHALLOW_PHI, rho=1.5, window=window)
+        g = prob.grid
+        gap = np.abs(iron(prob).v - v_star_h(g.nodes, g.h, g.a, g.b))[g.window_slice()]
+        assert np.max(gap) <= 0.5 * g.h * g.h, (n, np.max(gap))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+@pytest.mark.parametrize("phi, rho, weight", [(STEEP_PHI, 1.0 / 6.0, (1.0,)),
+                                              (SHALLOW_PHI, 1.5, (1.0,)),
+                                              (CAL_PHI, 0.5, (1.0, 0.5))],
+                         ids=["steep", "shallow", "var"])
+def test_iron_kkt_residual(phi, rho, weight, n):
+    ironing = iron(monopolist_setup(n=n, phi=phi, rho=rho, weight=weight))
+    parts = (ironing.stationarity, ironing.complementarity, ironing.dual_feasibility)
+    assert max(parts) <= 1e-10, parts

@@ -1,8 +1,9 @@
 """Command-line front end: solve / sweep / compare / verify.
 
-Exit codes: 0 success, 1 configuration error, 2 solver nonconvergence,
-3 oracle failure, 4 output error (an artifact could not be written; one
-error line names the file, and no manifest is written).  `_command` is the
+Exit codes: 0 success, 1 configuration error (a command-line usage error
+too), 2 solver nonconvergence, 3 oracle failure, 4 output error (an artifact
+could not be written; one error line names the file, and no manifest is
+written).  `_command` is the
 one place that picks the exit code: each command returns its code and its
 manifest record, and `_command` writes the manifest last, then exits.
 Tabular outputs are CSV, all written by `write_csv` with one formatting
@@ -158,6 +159,7 @@ def _stage_entry(setup, result) -> dict:
     return {
         "eps": setup.eps,
         "converged": result.converged,
+        "stop": result.stop,
         "newton_iters": result.newton_iters,
         "final_residual": result.residual_norms[-1],
         "residual_norms": result.residual_norms,
@@ -353,7 +355,30 @@ def _prepare(config_path: str, out_override, check):
     return cfg, setup, outdir
 
 
-@click.group()
+@contextmanager
+def _usage_errors_are_config_errors():
+    """Give a click usage error (a missing or unknown option, an unknown
+    command) EXIT_CONFIG, not click's 2, which is EXIT_SOLVER here."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
+
+
+class _Group(click.Group):
+    """The command group; click still prints each usage error on stderr."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_are_config_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_are_config_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Penalized fourth-order scheme for convexity-constrained minimization."""
     _setup_logging()

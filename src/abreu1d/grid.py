@@ -5,6 +5,7 @@ one-sided formulas so that nodal values alone determine every operator
 (no ghost nodes).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ class Grid:
     """Uniform partition of [-1, 1] into n cells with window [a, b].
 
     a and b are snapped to grid nodes; ia and ib are their node indices.
+    `build_grid` makes `nodes` read-only, so that the node arrays can key a
+    cache of values that depend on x alone (`lagrangian.make_rochet_chone`).
     """
 
     n: int
@@ -32,6 +35,11 @@ class Grid:
     def interior_slice(self) -> slice:
         """Nodes x_i with a < x_i < b: the scheme's window rows and the oracle's free values."""
         return slice(self.ia + 1, self.ib)
+
+    @functools.cached_property
+    def interior_nodes(self) -> np.ndarray:
+        """`nodes[interior_slice()]`, one read-only view for every caller."""
+        return self.nodes[self.interior_slice()]
 
 
 def build_grid(n: int, a: float, b: float) -> Grid:
@@ -55,6 +63,7 @@ def build_grid(n: int, a: float, b: float) -> Grid:
                          f"{8 * (n + 1)} bytes") from exc
     nodes[0] = -1.0
     nodes[n] = 1.0
+    nodes.flags.writeable = False
     ia = int(round((a + 1.0) / h))
     ib = int(round((b + 1.0) / h))
     if ia <= 0 or ib >= n:
@@ -79,8 +88,13 @@ def d1(values: np.ndarray, grid: Grid) -> np.ndarray:
     h = grid.h
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    # the endpoint rows in Python floats, which is faster than numpy's
+    # scalars and gives the same bits, up to which nan an operation on two
+    # nans keeps
+    v0, v1, v2 = v[:3].tolist()
+    out[0] = (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * h)
+    w2, w1, w0 = v[-3:].tolist()
+    out[-1] = (3.0 * w0 - 4.0 * w1 + w2) / (2.0 * h)
     return out
 
 
@@ -90,8 +104,10 @@ def d2(values: np.ndarray, grid: Grid) -> np.ndarray:
     h2 = grid.h * grid.h
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    v0, v1, v2, v3 = v[:4].tolist()  # as in `d1`
+    out[0] = (2.0 * v0 - 5.0 * v1 + 4.0 * v2 - v3) / h2
+    w3, w2, w1, w0 = v[-4:].tolist()
+    out[-1] = (2.0 * w0 - 5.0 * w1 + 4.0 * w2 - w3) / h2
     return out
 
 

@@ -82,7 +82,9 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
     every node, where the scheme evaluates it, and at every midpoint of two
     neighbouring nodes, where the oracle's cell quadrature does; otherwise it
     is checked on a fine lattice over [-1, 1].  eta0 = 0 gives the zero
-    Lagrangian.
+    Lagrangian.  The factors that depend on x alone, eta0, eta0' and the
+    zero partials f0_zz and f1_ppp, are evaluated once per read-only node
+    array (`_once_per_node_array`), and the callbacks return them read-only.
     """
     c = np.asarray(eta0_coeffs, dtype=float)
     if len(c) == 0:
@@ -98,23 +100,71 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
         i = int(np.argmin(vals))
         raise ValueError(f"negative weight: eta0({check_x[i]}) = {vals[i]}")
 
-    def eta0(x):
-        return polyval(c, x)
-
-    def eta0_prime(x):
-        return polyval(cder, x)
+    eta0 = _once_per_node_array(lambda x: polyval(c, x))
+    eta0_prime = _once_per_node_array(lambda x: polyval(cder, x))
+    zeros = _once_per_node_array(np.zeros_like)
 
     return RochetChoneSpec(
         f0=lambda x, z: z * eta0(x),
         f0_z=lambda x, z: eta0(x),
-        f0_zz=lambda x, z: np.zeros_like(x),
+        f0_zz=lambda x, z: zeros(x),
         f1=lambda x, p: (0.5 * p * p - p * x) * eta0(x),
         f1_p=lambda x, p: (p - x) * eta0(x),
         f1_pp=lambda x, p: eta0(x),
         f1_px=lambda x, p: (p - x) * eta0_prime(x) - eta0(x),
         f1_pxp=lambda x, p: eta0_prime(x),
-        f1_ppp=lambda x, p: np.zeros_like(x),
+        f1_ppp=lambda x, p: zeros(x),
     )
+
+
+# How many node arrays each x-only factor of `make_rochet_chone` keeps: the
+# window's interior nodes, which Newton passes, and all the nodes, which the
+# diagnostics pass.
+CACHED_NODE_ARRAYS = 2
+
+
+def _unwritable(x) -> bool:
+    """Whether x is an array of one or more dimensions whose memory nothing
+    can write through x or its base: both are read-only ndarrays."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0 or x.flags.writeable:
+        return False
+    base = x.base
+    return base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
+
+
+def _once_per_node_array(factor):
+    """`factor`, which depends on x alone, evaluated once per unwritable x.
+
+    A read-only x with a read-only base, such as `Grid.nodes` or
+    `Grid.interior_nodes`, is looked up by identity, and its value is
+    computed on the first call and handed out read-only from then on.  Each
+    entry keeps its x alive, so no other array can take its id, and the
+    oldest entry goes once `CACHED_NODE_ARRAYS` are held.  Any other x gets
+    a fresh value and leaves the cache alone, so a caller that can change x
+    never sees a stale value.  numpy lets the owner of x's memory, x or its
+    base, be made writeable again, and a view of it then too; an entry whose
+    owner is found writeable is dropped.  (An owner made writeable, written
+    and made read-only again between two calls is not seen; the package
+    never does that to its node arrays.)
+    """
+    cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def at(x):
+        entry = cache.get(id(x))
+        if entry is not None:
+            if not entry[1].flags.writeable:
+                return entry[2]
+            del cache[id(x)]
+        if not _unwritable(x):
+            return factor(x)
+        value = factor(x)
+        value.flags.writeable = False
+        if len(cache) >= CACHED_NODE_ARRAYS:
+            del cache[next(iter(cache))]
+        cache[id(x)] = (x, x if x.base is None else x.base, value)
+        return value
+
+    return at
 
 
 # Custom Lagrangians are registered here by id and selected from run configs.

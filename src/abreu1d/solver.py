@@ -148,6 +148,10 @@ class SolveResult:
     iterates.  `step_norms` is max|Δu| of each iteration's full Newton
     correction, and `step_lengths` the step length t taken (0.0 for the
     floor stop).
+
+    `stop` is why Newton stopped: "residual" (max|R| met the tolerance),
+    "step" (a roundoff-sized correction), "max_iters" or "convexity_floor";
+    the first two are converged.
     """
 
     u: np.ndarray
@@ -159,7 +163,11 @@ class SolveResult:
     min_upps: list[float]
     step_norms: list[float]
     step_lengths: list[float]
-    converged: bool
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("residual", "step")
 
     @property
     def w(self) -> np.ndarray:
@@ -249,7 +257,7 @@ def _derivatives(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = N
     s = _curvatures(u, setup, s)
     p = d1(u, g)
     win = g.interior_slice()
-    x, uw, pw = g.nodes[win], u[win], p[win]
+    x, uw, pw = g.interior_nodes, u[win], p[win]
     f1pp = lag.f1_pp(x, pw)
     f = (u - setup.phi) / setup.eps
     f[win] = lag.f0_z(x, uw) - lag.f1_px(x, pw) - f1pp * s[win]
@@ -285,7 +293,6 @@ class _Band(NamedTuple):
     win: slice  # window rows i, and their columns i-1 and i+1
     lo: slice
     up: slice
-    x: np.ndarray  # window-row nodes
 
 
 def _band(setup: ProblemSetup) -> _Band:
@@ -304,7 +311,7 @@ def _band(setup: ProblemSetup) -> _Band:
         edges=(((3 - k, k), d2_boundary_coeffs(g, left=True)),
                ((4 - k, n - 3 + k), d2_boundary_coeffs(g, left=False))),
         c=(c[0], c[1]), eps_c=(setup.eps * c[0], setup.eps * c[1]),
-        win=win, lo=slice(g.ia, g.ib - 1), up=slice(g.ia + 2, g.ib + 1), x=g.nodes[win],
+        win=win, lo=slice(g.ia, g.ib - 1), up=slice(g.ia + 2, g.ib + 1),
     )
 
 
@@ -348,7 +355,7 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
     ab[0, 4:] = oo[3:n]
 
     # window rows i = ia+1 .. ib-1; columns i-1 and i+1 sit on bands 3 and 1
-    win, lo, up, x = band.win, band.lo, band.up, band.x
+    win, lo, up, x = band.win, band.lo, band.up, setup.grid.interior_nodes
     uw, pw, sw = u[win], dv.p[win], s[win]
     ab[2, win] -= lag.f0_zz(x, uw)
     # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i; R_i holds them with
@@ -380,7 +387,8 @@ def newton_solve(
     roundoff-sized, max|Δu| <= STEP_TOL * (1 + max|u|).  The band's stage
     constants are built once, and each iterate's derivatives once, for its
     `residual` and `jacobian`; the final iterate's go to the `SolveResult`.
-    Each iteration is recorded there and logged at debug level.
+    Each iteration, and why Newton stopped, is recorded there and logged at
+    debug level.
     """
     tols = tols or Tolerances()
     g = setup.grid
@@ -400,8 +408,8 @@ def newton_solve(
     step_norms, step_lengths = [], []
 
     iters = 0
-    converged = norm <= tol
-    while not converged and iters < MAX_ITERS:
+    stop = "residual" if norm <= tol else None
+    while stop is None and iters < MAX_ITERS:
         step = solve_banded((2, 2), jacobian(u, setup, dv, band), -R)
         # keep the Dirichlet rows exact against linear-solver roundoff
         step[0] = 0.0
@@ -424,10 +432,16 @@ def newton_solve(
         log.debug("newton eps=%.6g iter %d: max|R| %.3e max|du| %.3e t %.6g min u'' %.3e",
                   setup.eps, iters, norm, step_norm, step_lengths[-1], upp_min)
         if not taken:
+            stop = "convexity_floor"
             break
         norms.append(norm)
         min_upps.append(upp_min)
-        converged = roundoff or norm <= tol
+        if norm <= tol:
+            stop = "residual"
+        elif roundoff:
+            stop = "step"
+    stop = stop or "max_iters"
+    log.debug("newton eps=%.6g stopped on %s after %d iterations", setup.eps, stop, iters)
 
     return SolveResult(
         u=u,
@@ -439,7 +453,7 @@ def newton_solve(
         min_upps=min_upps,
         step_norms=step_norms,
         step_lengths=step_lengths,
-        converged=bool(converged),
+        stop=stop,
     )
 
 

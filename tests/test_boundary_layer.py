@@ -10,7 +10,7 @@ apart wherever the grid resolves the layer.
 
 import numpy as np
 import pytest
-from helpers import CAL_PHI
+from helpers import CAL_PHI, STEEP_PHI
 
 from abreu1d.grid import build_grid
 from abreu1d.lagrangian import make_rochet_chone
@@ -45,3 +45,29 @@ def test_layer_zeros_lie_pi_over_beta_apart(rho_minus, rho_plus):
         assert beta * g.h < 0.2
         for spacing in (zeros[1] - zeros[0], zeros[-1] - zeros[-2]):
             assert spacing * beta / np.pi == pytest.approx(1.0, abs=0.01), stage.eps
+
+
+# The steep obstacle phi = 3(x^2 - 1) has phi'' = 6, so 1/phi'' = 1/6 and
+# beta = sqrt(3 / eps): beta * h is 0.121 and 0.171 at eps = 3.125e-3 and
+# 1.5625e-3, stages 5 and 6 of 11, and above 0.2 from stage 7 on.
+STEEP_STAGES = 11
+STEEP_RESOLVED = slice(5, 7)
+
+
+@pytest.mark.parametrize("rho_minus, rho_plus", [(1.0 / 6.0, 0.3), (0.3, 1.0 / 6.0)])
+def test_steep_layer_zeros_lie_pi_over_beta_apart(rho_minus, rho_plus):
+    # only the end whose rho is not 1/6 has a layer; its two zeros of
+    # w - 1/6 nearest the boundary, outside the window, lie pi/beta apart
+    g = build_grid(N, -0.5, 0.5)
+    setup = make_setup(g, make_rochet_chone([1.0], g.nodes), STEEP_PHI, rho_minus, rho_plus, 0.1)
+    stages = continuation_sweep(setup, default_eps_schedule(stages=STEEP_STAGES),
+                                Tolerances(newton_tol_scale=1e-6))
+    assert len(stages) == STEEP_STAGES and all(result.converged for _, result in stages)
+    left = rho_minus != 1.0 / 6.0
+    outside = g.nodes < g.a if left else g.nodes > g.b
+    for stage, result in stages[STEEP_RESOLVED]:
+        beta = np.sqrt(6.0 / (2.0 * stage.eps))
+        assert beta * g.h < 0.2
+        zeros = zero_crossings(g.nodes[outside], result.w[outside] - 1.0 / 6.0)
+        spacing = zeros[1] - zeros[0] if left else zeros[-1] - zeros[-2]
+        assert spacing * beta / np.pi == pytest.approx(1.0, abs=0.01), stage.eps

@@ -241,6 +241,28 @@ UNATTAINABLE = {"phi": STEEP_PHI, "rho_minus": 1.0 / 6.0, "rho_plus": 1.0 / 6.0,
 def test_unattainable_tolerance_is_solver_failure(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", eps_schedule=[0.1], **UNATTAINABLE)
     assert run_cli("solve", "--config", cfg).returncode == 2
+    [stage] = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert (stage["converged"], stage["stop"]) == (False, "convexity_floor")
+
+
+# click's usage errors exit with the configuration-error code, 1, since 2
+# means solver nonconvergence; its message still goes to stderr
+@pytest.mark.parametrize("args, message", [
+    (("sweep",), "Missing option '--config'"),
+    (("sweep", "--config", "cfg.json", "--no-such-flag"), "No such option '--no-such-flag'"),
+    (("no-such-command",), "No such command 'no-such-command'"),
+])
+def test_usage_errors_are_config_errors(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert message in proc.stderr and "Usage:" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_help_exits_zero():
+    proc = run_cli("--help")
+    assert proc.returncode == 0
+    assert "Usage:" in proc.stdout and proc.stderr == ""
 
 
 def test_sweep_artifacts(tmp_path):
@@ -382,6 +404,7 @@ def test_manifest_and_debug_log_record_every_newton_iteration(tmp_path):
     stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     assert len(stages) == 11
     for stage in stages:
+        assert stage["converged"] and stage["stop"] in ("residual", "step")
         iters, norms = stage["newton_iters"], stage["residual_norms"]
         assert len(norms) == iters + 1 and norms[-1] == stage["final_residual"]
         assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
@@ -399,6 +422,9 @@ def test_manifest_and_debug_log_record_every_newton_iteration(tmp_path):
     assert len(lines) == sum(stage["newton_iters"] for stage in stages) > 0
     logged = [float(v) for v in re.findall(r"min u'' (\S+)$", "\n".join(lines), re.M)]
     assert logged == [float(f"{v:.3e}") for stage in stages for v in stage["min_upps"][1:]]
+    stops = re.findall(r"^DEBUG abreu1d\.solver: newton eps=\S+ stopped on (\w+) after (\d+) "
+                       r"iterations$", proc.stderr, re.M)
+    assert stops == [(stage["stop"], str(stage["newton_iters"])) for stage in stages]
 
 
 def test_manifest_records_beta_h_at_each_end(tmp_path):

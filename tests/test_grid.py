@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abreu1d.grid import build_grid, d1, d2, integrate
 
@@ -33,6 +35,23 @@ def test_build_grid_bad_domain(a, b):
 def test_build_grid_rejects_small_or_odd_n(n):
     with pytest.raises(ValueError, match="need even n >= 16"):
         build_grid(n, -0.5, 0.5)
+
+
+def test_nodes_refuse_writes():
+    g = build_grid(16, -0.5, 0.5)
+    for nodes in (g.nodes, g.interior_nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            nodes += 1.0
+    assert g.nodes[0] == -1.0
+
+
+def test_interior_nodes_is_one_view_of_the_nodes():
+    g = build_grid(16, -0.5, 0.5)
+    assert g.interior_nodes is g.interior_nodes
+    assert g.interior_nodes.base is g.nodes
+    assert np.array_equal(g.interior_nodes, g.nodes[g.interior_slice()])
 
 
 def test_window_masks():
@@ -119,3 +138,38 @@ def test_length_mismatch_and_bad_range():
         integrate(np.zeros(g.n + 1), g, 5, 5)
     with pytest.raises(ValueError):
         integrate(np.zeros(g.n + 1), g, 0, g.n + 1)
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _same_bits(a, b):
+    # IEEE 754 leaves open which operand's sign and payload an operation on
+    # two nans keeps, and numpy's scalars keep the other one from Python's
+    # floats, so a nan matches any nan
+    if np.isnan(a) and np.isnan(b):
+        return True
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VALUES, min_size=17, max_size=17), st.sampled_from([16, 8192]))
+def test_endpoint_rows_equal_numpy_scalar_formulas_bitwise(values, n):
+    # the endpoint rows are formed in Python floats; numpy's float64 scalars
+    # give the same bits, signed zeros and infinities included
+    g = build_grid(n, -0.5, 0.5)
+    v = np.zeros(n + 1)
+    v[:8], v[-9:] = values[:8], values[8:]
+    h, h2 = g.h, g.h * g.h
+    with np.errstate(all="ignore"):
+        first, second = d1(v, g), d2(v, g)
+        rows = [
+            (first[0], (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)),
+            (first[-1], (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)),
+            (second[0], (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2),
+            (second[-1], (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2),
+        ]
+    for row, expected in rows:
+        assert isinstance(expected, np.float64)
+        assert _same_bits(row, expected), (row, expected)

@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import quartic_spec
+from helpers import monopolist_setup, quartic_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abreu1d import lagrangian
 from abreu1d.grid import build_grid
 from abreu1d.lagrangian import LagrangianSpec, check_partials, make_rochet_chone, polyder, polyval
+from abreu1d.solver import newton_solve
 
 DERIVED_PARTIALS = ("f0_z", "f0_zz", "f1_p", "f1_pp", "f1_px", "f1_pxp", "f1_ppp")
 
@@ -173,3 +175,114 @@ def test_sampled_polynomials_equal_numpy_bitwise(n):
         assert np.array_equal(polyval(polyder(c), x), P.polyval(x, P.polyder(c)))
         if len(c) > 2:
             assert np.array_equal(polyval(polyder(polyder(c)), x), P.polyval(x, P.polyder(c, 2)))
+
+
+# eta0 of degree 0-3, nonnegative on [-1, 1]; -0.0 as the constant and as
+# the leading coefficient of a line and a cubic
+CACHED_WEIGHTS = ([2.0], [-0.0], [1.0, 0.5], [1.0, 0.5, -0.0], [1.0, 0.0, 0.5],
+                  [1.0, 0.1, 0.2, 0.3], [1.0, 0.25, 0.5, -0.0])
+# the callbacks whose value depends on x alone
+X_ONLY = ("f0_z", "f0_zz", "f1_pp", "f1_pxp", "f1_ppp")
+
+
+def _reference(coeffs, x, y):
+    """Every callback of `make_rochet_chone(coeffs)` at (x, y), by `polyval`
+    on every call, as the callbacks evaluated them before they cached."""
+    eta, eta_prime = polyval(coeffs, x), polyval(polyder(coeffs), x)
+    zeros = np.zeros_like(x)
+    return {
+        "f0": y * eta, "f0_z": eta, "f0_zz": zeros,
+        "f1": (0.5 * y * y - y * x) * eta, "f1_p": (y - x) * eta, "f1_pp": eta,
+        "f1_px": (y - x) * eta_prime - eta, "f1_pxp": eta_prime, "f1_ppp": zeros,
+    }
+
+
+def _assert_bitwise(spec, coeffs, x, y):
+    for name, expected in _reference(coeffs, x, y).items():
+        value = getattr(spec, name)(x, y)
+        assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("coeffs", CACHED_WEIGHTS)
+def test_callbacks_equal_an_uncached_reference_bitwise(coeffs):
+    g = build_grid(128, -0.5, 0.5)
+    spec = make_rochet_chone(coeffs, g.nodes)
+    window = g.interior_nodes
+    y = np.linspace(-2.0, 2.0, len(window))
+    for _ in range(2):
+        _assert_bitwise(spec, coeffs, window, y)
+    _assert_bitwise(spec, coeffs, g.nodes, np.cos(g.nodes))
+    fresh = g.nodes.copy()
+    _assert_bitwise(spec, coeffs, fresh, np.cos(fresh))
+    # x-only values of a read-only node array are evaluated once; those of
+    # a writeable one are fresh, writeable arrays on every call
+    for name in X_ONLY:
+        assert getattr(spec, name)(window, y) is getattr(spec, name)(window, -y)
+        value = getattr(spec, name)(fresh, y[0])
+        assert value.flags.writeable and value is not getattr(spec, name)(fresh, y[0])
+
+
+def test_a_writeable_x_changed_in_place_is_never_stale():
+    spec = make_rochet_chone([1.0, 0.5])
+    x = build_grid(64, -0.5, 0.5).nodes.copy()
+    _assert_bitwise(spec, [1.0, 0.5], x, x)
+    x *= 0.5
+    _assert_bitwise(spec, [1.0, 0.5], x, x)
+
+
+def test_a_read_only_view_of_a_writeable_array_is_never_stale():
+    spec = make_rochet_chone([1.0, 0.5])
+    base = build_grid(64, -0.5, 0.5).nodes.copy()
+    view = base[1:-1]
+    view.flags.writeable = False
+    _assert_bitwise(spec, [1.0, 0.5], view, view)
+    base[1:-1] *= 0.5
+    _assert_bitwise(spec, [1.0, 0.5], view, view)
+
+
+def test_an_owner_made_writeable_again_is_never_stale():
+    # numpy lets the owner of an array's memory be made writeable again
+    spec = make_rochet_chone([1.0, 0.5])
+    x = build_grid(64, -0.5, 0.5).nodes.copy()
+    x.flags.writeable = False
+    view = x[1:-1]
+    _assert_bitwise(spec, [1.0, 0.5], x, x)
+    _assert_bitwise(spec, [1.0, 0.5], view, view)
+    x.flags.writeable = True
+    x *= 0.5
+    _assert_bitwise(spec, [1.0, 0.5], x, x)
+    _assert_bitwise(spec, [1.0, 0.5], view, view)
+    # the entries found writeable were dropped, so read-only again x is cached anew
+    x.flags.writeable = False
+    _assert_bitwise(spec, [1.0, 0.5], x, x)
+    _assert_bitwise(spec, [1.0, 0.5], view, view)
+
+
+@pytest.mark.parametrize("name", X_ONLY)
+def test_cached_values_are_read_only(name):
+    g = build_grid(64, -0.5, 0.5)
+    spec = make_rochet_chone([1.0, 0.5], g.nodes)
+    for x in (g.nodes, g.interior_nodes):
+        value = getattr(spec, name)(x, x)
+        with pytest.raises(ValueError, match="read-only"):
+            value += 1.0
+        assert np.array_equal(getattr(spec, name)(x, x), _reference([1.0, 0.5], x, x)[name])
+
+
+def test_newton_evaluates_the_weight_once_per_stage(monkeypatch):
+    # the newton-sweep benchmark's problem: eta0 = 1 + x/2 at n = 128.  Its
+    # polyval count at eps = 0.1 must not follow the number of iterations.
+    def polyval_calls(u0):
+        setup = monopolist_setup(n=128, eps=0.1, weight=(1.0, 0.5))
+        calls = []
+        monkeypatch.setattr(lagrangian, "polyval",
+                            lambda c, x: calls.append(x) or polyval(c, x))
+        result = newton_solve(setup, setup.phi if u0 is None else u0)
+        monkeypatch.undo()
+        assert result.converged
+        return len(calls), result
+
+    cold_calls, cold = polyval_calls(None)
+    warm_calls, warm = polyval_calls(cold.u)
+    assert cold.newton_iters >= 3 and warm.newton_iters <= 1
+    assert cold_calls == warm_calls == 2  # eta0 and eta0' on the window nodes

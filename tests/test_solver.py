@@ -328,7 +328,7 @@ def test_newton_stops_on_a_roundoff_sized_correction():
     # roundoff-sized, so it is taken whole, its residual evaluated once
     setup = monopolist_setup(n=64, eps=0.1, rho=1 / 6, phi=STEEP_PHI)
     res = newton_solve(setup, setup.phi, Tolerances(newton_tol_scale=1e-30))
-    assert res.converged and res.newton_iters < solver.MAX_ITERS
+    assert res.converged and res.newton_iters < solver.MAX_ITERS and res.stop == "step"
     assert res.residual_norms[-1] > 1e-30 * (1.0 + 1.0 / setup.eps)
     assert res.step_norms[-1] <= solver.STEP_TOL * (1.0 + np.abs(res.u).max())
     assert res.step_lengths[-1] == 1.0
@@ -538,7 +538,7 @@ def test_newton_records_every_iteration():
     # rho != 1/phi'' moves w at the boundary, so the first step is shortened
     setup = monopolist_setup(n=64, eps=0.1, rho=1.0)
     res = newton_solve(setup, setup.phi)
-    assert res.converged and min(res.step_lengths) < 1.0
+    assert res.converged and res.stop == "residual" and min(res.step_lengths) < 1.0
     assert len(res.residual_norms) == res.newton_iters + 1
     assert [len(res.step_norms), len(res.step_lengths)] == [res.newton_iters] * 2
     assert all(0.0 < t <= 1.0 for t in res.step_lengths)
@@ -554,9 +554,20 @@ def test_newton_records_a_stalled_iteration():
     setup = monopolist_setup(n=64, eps=0.1, rho=1 / 6, phi=STEEP_PHI)
     res = newton_solve(setup, setup.phi, Tolerances(convexity_floor_scale=5.0))
     assert not res.converged and 1 <= res.newton_iters < solver.MAX_ITERS
+    assert res.stop == "convexity_floor"
     assert len(res.residual_norms) == len(res.min_upps) == res.newton_iters
     assert len(res.step_lengths) == res.newton_iters and res.step_lengths[-1] == 0.0
     assert res.min_upps[-1] == d2(res.u, setup.grid).min() > 5.0 * setup.eps * setup.c0
+
+
+def test_newton_stops_after_max_iters(monkeypatch):
+    setup = monopolist_setup(n=64, eps=0.1, rho=1.0)
+    assert newton_solve(setup, setup.phi).newton_iters > 2
+    monkeypatch.setattr(solver, "MAX_ITERS", 2)
+    res = newton_solve(setup, setup.phi)
+    assert (res.stop, res.converged, res.newton_iters) == ("max_iters", False, 2)
+    assert len(res.residual_norms) == len(res.min_upps) == 3
+    assert res.residual_norms[-1] > 1e-10 * (1.0 + 1.0 / setup.eps)
 
 
 def test_newton_step_keeps_half_of_every_curvature():

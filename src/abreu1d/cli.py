@@ -155,7 +155,7 @@ _SPLIT_MIN_VALUES = 25_000
 
 
 def _stage_entry(setup, result) -> dict:
-    """A stage's manifest entry: the Newton record and the boundary layer's beta * h."""
+    """A stage's manifest entry: the Newton record, beta * h and the curvature roundoff."""
     return {
         "eps": setup.eps,
         "converged": result.converged,
@@ -167,6 +167,7 @@ def _stage_entry(setup, result) -> dict:
         "step_norms": result.step_norms,
         "step_lengths": result.step_lengths,
         "beta_h": layer_beta_h(setup),
+        "curvature_roundoff": result.curvature_roundoff,
     }
 
 

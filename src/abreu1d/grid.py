@@ -16,8 +16,8 @@ class Grid:
     """Uniform partition of [-1, 1] into n cells with window [a, b].
 
     a and b are snapped to grid nodes; ia and ib are their node indices.
-    `build_grid` makes `nodes` read-only, so that the node arrays can key a
-    cache of values that depend on x alone (`lagrangian.make_rochet_chone`).
+    `build_grid` makes `nodes` read-only, since every stage and solver shares
+    them; Newton binds its Lagrangian to `interior_nodes` once per stage.
     """
 
     n: int
@@ -38,7 +38,7 @@ class Grid:
 
     @functools.cached_property
     def interior_nodes(self) -> np.ndarray:
-        """`nodes[interior_slice()]`, one read-only view for every caller."""
+        """`nodes[interior_slice()]`, the window rows' nodes."""
         return self.nodes[self.interior_slice()]
 
 

@@ -7,12 +7,18 @@ and numerically differentiated callbacks would spoil quadratic convergence.
 callbacks they derive from, and checks that F is convex in z and in p.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# A Lagrangian at the nodes x, from `LagrangianSpec.bind(x)`: x and the nine
+# callbacks as functions of z (or p) alone, an array of x's shape.
+BoundLagrangian = namedtuple("BoundLagrangian", "x f0 f0_z f0_zz f1 f1_p f1_pp f1_px f1_pxp f1_ppp")
 
 
 @dataclass(frozen=True)
@@ -22,7 +28,11 @@ class LagrangianSpec:
     Every field is required.  f1_pxp and f1_ppp are the p-derivatives of
     f1_px and f1_pp; they and f0_zz enter only the Newton Jacobian.  Each
     callback is called with float arrays x and z (or p) of one shape and
-    returns an array of that shape.
+    returns an array of that shape.  Where the partials are evaluated again
+    and again at the same nodes, the solvers call them through `bind`:
+    Newton once per stage on `Grid.interior_nodes` and the oracle once per
+    run on its cell midpoints.  A single evaluation (`solver.eval_J`, the
+    weak form) and `check_partials`, which moves x, call them unbound.
     """
 
     f0: ScalarField
@@ -34,6 +44,10 @@ class LagrangianSpec:
     f1_px: ScalarField
     f1_pxp: ScalarField
     f1_ppp: ScalarField
+
+    def bind(self, x: np.ndarray) -> BoundLagrangian:
+        """The callbacks at the nodes x, each closing over x."""
+        return BoundLagrangian(x, *(partial(getattr(self, f), x) for f in BoundLagrangian._fields[1:]))
 
 
 def polyval(coeffs, x):
@@ -70,8 +84,29 @@ class RochetChoneSpec(LagrangianSpec):
     """F = (p^2/2 - p x + z) * eta0(x), as `make_rochet_chone` builds it.
 
     Its type tells the oracle that f1_pp(x, p) is the weight eta0(x), so
-    that it can solve the cone problem exactly (`minimizer.iron`).
+    that it can solve the cone problem exactly (`minimizer.iron`), and
+    `bind` that f1_pp and f1_pxp are eta0 and eta0', which depend on x alone.
     """
+
+    def bind(self, x: np.ndarray) -> BoundLagrangian:
+        """The callbacks at the nodes x, with eta0 and eta0' evaluated once, by this
+        spec's own f1_pp and f1_pxp (so a wrapped callback counts one call per
+        bind), and handed out read-only with the zero partials, one array each."""
+        eta0, eta0_prime, zeros = self.f1_pp(x, x), self.f1_pxp(x, x), np.zeros_like(x)
+        for value in (eta0, eta0_prime, zeros):
+            value.flags.writeable = False
+        return BoundLagrangian(
+            x,
+            f0=lambda z: z * eta0,
+            f0_z=lambda z: eta0,
+            f0_zz=lambda z: zeros,
+            f1=lambda p: (0.5 * p * p - p * x) * eta0,
+            f1_p=lambda p: (p - x) * eta0,
+            f1_pp=lambda p: eta0,
+            f1_px=lambda p: (p - x) * eta0_prime - eta0,
+            f1_pxp=lambda p: eta0_prime,
+            f1_ppp=lambda p: zeros,
+        )
 
 
 def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) -> RochetChoneSpec:
@@ -82,9 +117,9 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
     every node, where the scheme evaluates it, and at every midpoint of two
     neighbouring nodes, where the oracle's cell quadrature does; otherwise it
     is checked on a fine lattice over [-1, 1].  eta0 = 0 gives the zero
-    Lagrangian.  The factors that depend on x alone, eta0, eta0' and the
-    zero partials f0_zz and f1_ppp, are evaluated once per read-only node
-    array (`_once_per_node_array`), and the callbacks return them read-only.
+    Lagrangian.  The callbacks evaluate eta0 and eta0' on every call, as
+    `check_partials` and `solver.eval_J` use them; Newton, once per stage, and
+    the oracle, once per run, bind the spec, which evaluates them once per bind.
     """
     c = np.asarray(eta0_coeffs, dtype=float)
     if len(c) == 0:
@@ -100,71 +135,17 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
         i = int(np.argmin(vals))
         raise ValueError(f"negative weight: eta0({check_x[i]}) = {vals[i]}")
 
-    eta0 = _once_per_node_array(lambda x: polyval(c, x))
-    eta0_prime = _once_per_node_array(lambda x: polyval(cder, x))
-    zeros = _once_per_node_array(np.zeros_like)
-
     return RochetChoneSpec(
-        f0=lambda x, z: z * eta0(x),
-        f0_z=lambda x, z: eta0(x),
-        f0_zz=lambda x, z: zeros(x),
-        f1=lambda x, p: (0.5 * p * p - p * x) * eta0(x),
-        f1_p=lambda x, p: (p - x) * eta0(x),
-        f1_pp=lambda x, p: eta0(x),
-        f1_px=lambda x, p: (p - x) * eta0_prime(x) - eta0(x),
-        f1_pxp=lambda x, p: eta0_prime(x),
-        f1_ppp=lambda x, p: zeros(x),
+        f0=lambda x, z: z * polyval(c, x),
+        f0_z=lambda x, z: polyval(c, x),
+        f0_zz=lambda x, z: np.zeros_like(x),
+        f1=lambda x, p: (0.5 * p * p - p * x) * polyval(c, x),
+        f1_p=lambda x, p: (p - x) * polyval(c, x),
+        f1_pp=lambda x, p: polyval(c, x),
+        f1_px=lambda x, p: (p - x) * polyval(cder, x) - polyval(c, x),
+        f1_pxp=lambda x, p: polyval(cder, x),
+        f1_ppp=lambda x, p: np.zeros_like(x),
     )
-
-
-# How many node arrays each x-only factor of `make_rochet_chone` keeps: the
-# window's interior nodes, which Newton passes, and all the nodes, which the
-# diagnostics pass.
-CACHED_NODE_ARRAYS = 2
-
-
-def _unwritable(x) -> bool:
-    """Whether x is an array of one or more dimensions whose memory nothing
-    can write through x or its base: both are read-only ndarrays."""
-    if not isinstance(x, np.ndarray) or x.ndim == 0 or x.flags.writeable:
-        return False
-    base = x.base
-    return base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
-
-
-def _once_per_node_array(factor):
-    """`factor`, which depends on x alone, evaluated once per unwritable x.
-
-    A read-only x with a read-only base, such as `Grid.nodes` or
-    `Grid.interior_nodes`, is looked up by identity, and its value is
-    computed on the first call and handed out read-only from then on.  Each
-    entry keeps its x alive, so no other array can take its id, and the
-    oldest entry goes once `CACHED_NODE_ARRAYS` are held.  Any other x gets
-    a fresh value and leaves the cache alone, so a caller that can change x
-    never sees a stale value.  numpy lets the owner of x's memory, x or its
-    base, be made writeable again, and a view of it then too; an entry whose
-    owner is found writeable is dropped.  (An owner made writeable, written
-    and made read-only again between two calls is not seen; the package
-    never does that to its node arrays.)
-    """
-    cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def at(x):
-        entry = cache.get(id(x))
-        if entry is not None:
-            if not entry[1].flags.writeable:
-                return entry[2]
-            del cache[id(x)]
-        if not _unwritable(x):
-            return factor(x)
-        value = factor(x)
-        value.flags.writeable = False
-        if len(cache) >= CACHED_NODE_ARRAYS:
-            del cache[next(iter(cache))]
-        cache[id(x)] = (x, x if x.base is None else x.base, value)
-        return value
-
-    return at
 
 
 # Custom Lagrangians are registered here by id and selected from run configs.

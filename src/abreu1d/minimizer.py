@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid, d2, d2_central_coeffs
-from .lagrangian import RochetChoneSpec
+from .lagrangian import BoundLagrangian, RochetChoneSpec
 from .solver import ProblemSetup, eval_J, solve_banded
 
 
@@ -87,32 +87,38 @@ def check_admissibility(v: np.ndarray, setup: ProblemSetup, tol: float = 1e-10):
     return worst <= tol, worst
 
 
-def _cell_objective(setup: ProblemSetup):
+def _midpoint_lagrangian(setup: ProblemSetup) -> BoundLagrangian:
+    """The Lagrangian bound to the window's cell midpoints x_i + h/2, i = ia .. ib-1."""
+    g = setup.grid
+    return setup.lagrangian.bind(g.nodes[g.ia : g.ib] + 0.5 * g.h)
+
+
+def _cell_objective(setup: ProblemSetup, lag: Optional[BoundLagrangian] = None):
     """Smooth part of the barrier objective on the free nodes.
 
     Returns (value, grad_hess).  value(v) is the per-cell midpoint quadrature
     of F(x, v, v') over the window.  grad_hess gives the gradient and the Hessian
     in `solve_banded` (2, 2) form, ab[2 + k - l, l] = H[k, l]; the Hessian is
-    tridiagonal, so bands 0 and 4 stay zero.
+    tridiagonal, so bands 0 and 4 stay zero.  `lag`, if given, is
+    `_midpoint_lagrangian(setup)`, already bound by the caller.
     """
-    g, lag = setup.grid, setup.lagrangian
+    g, lag = setup.grid, lag or _midpoint_lagrangian(setup)
     h = g.h
     cells = np.arange(g.ia, g.ib)  # cell i spans [x_i, x_{i+1}]
-    xm = g.nodes[cells] + 0.5 * h
     m = g.ib - g.ia - 1
 
     def value(v):
         vm = 0.5 * (v[cells] + v[cells + 1])
         pm = (v[cells + 1] - v[cells]) / h
-        return h * float(np.sum(lag.f0(xm, vm) + lag.f1(xm, pm)))
+        return h * float(np.sum(lag.f0(vm) + lag.f1(pm)))
 
     def grad_hess(v):
         vm = 0.5 * (v[cells] + v[cells + 1])
         pm = (v[cells + 1] - v[cells]) / h
-        fz = lag.f0_z(xm, vm)
-        fzz = lag.f0_zz(xm, vm)
-        fp = lag.f1_p(xm, pm)
-        fpp = lag.f1_pp(xm, pm)
+        fz = lag.f0_z(vm)
+        fzz = lag.f0_zz(vm)
+        fp = lag.f1_p(pm)
+        fpp = lag.f1_pp(pm)
         # cell c couples free nodes c-1 and c: free node k sums cell k, then cell k+1
         gl = h * (0.5 * fz - fp / h)
         gr = h * (0.5 * fz + fp / h)
@@ -173,7 +179,7 @@ def _pool(y, w):
     return firsts, weights, sums
 
 
-def iron(setup: ProblemSetup) -> Optional[Ironing]:
+def iron(setup: ProblemSetup, lag: Optional[BoundLagrangian] = None) -> Optional[Ironing]:
     """Exact minimizer of the cell objective over the discrete convex cone.
 
     For F = (p^2/2 - p x + z) eta0(x) the cell objective is, in the window's
@@ -189,14 +195,14 @@ def iron(setup: ProblemSetup) -> Optional[Ironing]:
     in the bracket, so the search ends on the piece that holds the root.
 
     Returns None unless the Lagrangian is a `RochetChoneSpec` with eta0 > 0
-    at every cell midpoint of the window.
+    at every cell midpoint of the window.  `lag` is as in `_cell_objective`.
     """
-    g, lag = setup.grid, setup.lagrangian
-    if not isinstance(lag, RochetChoneSpec):
+    g = setup.grid
+    if not isinstance(setup.lagrangian, RochetChoneSpec):
         return None
-    h, ia, ib, phi = g.h, g.ia, g.ib, setup.phi
-    xm = g.nodes[ia:ib] + 0.5 * h
-    eta = lag.f1_pp(xm, xm)  # eta0 at the cell midpoints
+    lag = lag or _midpoint_lagrangian(setup)
+    h, ia, ib, phi, xm = g.h, g.ia, g.ib, setup.phi, lag.x
+    eta = lag.f1_pp(xm)  # eta0 at the cell midpoints
     if not np.all(eta > 0.0):
         return None
     w = h * eta
@@ -241,10 +247,10 @@ def iron(setup: ProblemSetup) -> Optional[Ironing]:
     v[ia + 1 : ib] = phi[ia] + h * np.cumsum(q[:-1])
     # each cell's stationarity residual at v's own slopes, lambda included
     r = w * (np.diff(v[ia : ib + 1]) / h - t) + lam * h
-    return _ironing(setup, v, q, r, lo_q, hi_q)
+    return _ironing(setup, lag, v, q, r, lo_q, hi_q)
 
 
-def _ironing(setup: ProblemSetup, v, q, r, lo_q, hi_q) -> Ironing:
+def _ironing(setup: ProblemSetup, lag: BoundLagrangian, v, q, r, lo_q, hi_q) -> Ironing:
     """`iron`'s result: its active constraints, multipliers and KKT residual at v.
 
     The constraint at window node j = 0 .. cells, q_j - q_{j-1} >= 0 with
@@ -269,7 +275,7 @@ def _ironing(setup: ProblemSetup, v, q, r, lo_q, hi_q) -> Ironing:
 
     w0, w1, w2 = d2_central_coeffs(g)
     m = cells - 1
-    grad, _ = _cell_objective(setup)[1](v)
+    grad, _ = _cell_objective(setup, lag)[1](v)
     s = d2(v, g)[g.window_slice()]
     # runs of active constraints: their first and last nodes
     flips = np.flatnonzero(np.diff(np.concatenate(([False], active, [False])).astype(int)))
@@ -282,15 +288,17 @@ def _ironing(setup: ProblemSetup, v, q, r, lo_q, hi_q) -> Ironing:
     )
 
 
-def _barrier(setup: ProblemSetup, v: np.ndarray, path) -> tuple[np.ndarray, int, float]:
-    """The log-barrier loop from the strictly feasible v along the mu values of `path`.
+def _barrier(setup: ProblemSetup, v: np.ndarray, path,
+             lag: BoundLagrangian) -> tuple[np.ndarray, int, float]:
+    """The log-barrier loop from the strictly feasible v along the mu values of `path`,
+    with `lag` = `_midpoint_lagrangian(setup)`.
 
     Returns the last iterate, the number of Newton steps and max|gradient|
     of the barrier objective there, its KKT residual.
     """
     g = setup.grid
     s = d2(v, g)[g.window_slice()]  # s_ia .. s_ib at v, kept equal as v moves
-    smooth_value, smooth_grad_hess = _cell_objective(setup)
+    smooth_value, smooth_grad_hess = _cell_objective(setup, lag)
 
     def barrier_objective(v, s, mu):  # s = s_ia .. s_ib at v
         return smooth_value(v) - mu * float(np.sum(np.log(s)))
@@ -347,13 +355,14 @@ def minimize_direct(setup: ProblemSetup) -> MinimizeResult:
     g = setup.grid
     if np.min(d2(setup.phi, g)[g.window_slice()]) <= 0.0:
         raise ValueError("infeasible start: obstacle is not uniformly convex on the grid")
-    ironing = iron(setup)
+    lag = _midpoint_lagrangian(setup)
+    ironing = iron(setup, lag)
     warm = (ironing is not None and not ironing.blocks
             and np.min(d2(ironing.v, g)[g.window_slice()]) > 0.0)
     if warm:
-        v, iters, kkt = _barrier(setup, ironing.v, BARRIER_PATH[-1:])
+        v, iters, kkt = _barrier(setup, ironing.v, BARRIER_PATH[-1:], lag)
     else:
-        v, iters, kkt = _barrier(setup, np.array(setup.phi, dtype=float), BARRIER_PATH)
+        v, iters, kkt = _barrier(setup, np.array(setup.phi, dtype=float), BARRIER_PATH, lag)
     return MinimizeResult(
         v=v,
         J_value=eval_J(v, g, setup.lagrangian),

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .grid import Grid, d1, d2, d2_boundary_coeffs, d2_central_coeffs, integrate
-from .lagrangian import LagrangianSpec, polyder, polyval
+from .lagrangian import BoundLagrangian, LagrangianSpec, polyder, polyval
 
 log = logging.getLogger(__name__)
 
@@ -151,7 +151,10 @@ class SolveResult:
 
     `stop` is why Newton stopped: "residual" (max|R| met the tolerance),
     "step" (a roundoff-sized correction), "max_iters" or "convexity_floor";
-    the first two are converged.
+    the first two are converged.  `curvature_roundoff` is
+    r = 4 ulp(max|u|) / (h^2 min u''), with ulp(v) = 2^-52 v, at the final u:
+    the relative roundoff of its least u''.  Near r = 1 that u'' and its
+    w = 1/u'' are roundoff, converged or not.
     """
 
     u: np.ndarray
@@ -164,6 +167,7 @@ class SolveResult:
     step_norms: list[float]
     step_lengths: list[float]
     stop: str
+    curvature_roundoff: float
 
     @property
     def converged(self) -> bool:
@@ -251,28 +255,28 @@ class _Derivatives(NamedTuple):
     f: np.ndarray  # right-hand side of the interior rows, for `residual`; see `SolveResult`
 
 
-def _derivatives(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> _Derivatives:
-    """u'' (`s` if given, else d2(u)), checked by `_curvatures`, u', f1_pp and f."""
-    g, lag = setup.grid, setup.lagrangian
+def _derivatives(u: np.ndarray, setup: ProblemSetup, band: "_Band",
+                 s: Optional[np.ndarray] = None) -> _Derivatives:
+    """u'' (`s` if given, else d2(u)), checked by `_curvatures`, u', and f1_pp and f by `band`."""
+    lag, win = band.lag, band.win
     s = _curvatures(u, setup, s)
-    p = d1(u, g)
-    win = g.interior_slice()
-    x, uw, pw = g.interior_nodes, u[win], p[win]
-    f1pp = lag.f1_pp(x, pw)
+    p = d1(u, setup.grid)
+    pw = p[win]
+    f1pp = lag.f1_pp(pw)
     f = (u - setup.phi) / setup.eps
-    f[win] = lag.f0_z(x, uw) - lag.f1_px(x, pw) - f1pp * s[win]
+    f[win] = lag.f0_z(u[win]) - lag.f1_px(pw) - f1pp * s[win]
     return _Derivatives(s, p, f1pp, f)
 
 
 def residual(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = None) -> np.ndarray:
     """Nodal residual; rows 0, n are Dirichlet, rows 1, n-1 the w boundary data.
 
-    `dv`, if given, is `_derivatives(u, setup)`, already built by the caller.
+    `dv`, if given, is `_derivatives(u, setup, band)`, already built by the caller.
     """
     g = setup.grid
     n = g.n
     if dv is None:
-        dv = _derivatives(u, setup)
+        dv = _derivatives(u, setup, _band(setup))
     w = 1.0 / dv.s
     R = np.empty(n + 1)
     R[0] = u[0]
@@ -284,8 +288,9 @@ def residual(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
 
 
 class _Band(NamedTuple):
-    """What the Jacobian band takes of a stage, from `_band`; no iterate changes it."""
+    """What Newton takes of a stage, from `_band`; no iterate changes it."""
 
+    lag: BoundLagrangian  # the Lagrangian bound to `Grid.interior_nodes`, the window rows' nodes
     base: np.ndarray  # Dirichlet rows 0, n and the penalty rows' -1/eps; zero elsewhere
     edges: tuple  # (band indices, four-point stencil weights) of rows 1 and n-1
     c: tuple  # `d2_central_coeffs` (c_out, c_mid, c_out) as (c_out, c_mid)
@@ -307,6 +312,7 @@ def _band(setup: ProblemSetup) -> _Band:
     c = d2_central_coeffs(g)
     win = g.interior_slice()
     return _Band(
+        lag=setup.lagrangian.bind(g.interior_nodes),
         base=base,
         edges=(((3 - k, k), d2_boundary_coeffs(g, left=True)),
                ((4 - k, n - 3 + k), d2_boundary_coeffs(g, left=False))),
@@ -326,11 +332,9 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
     inside the window, or -1/eps outside it (added first, which gives the
     same sum).
     """
-    lag, n, h = setup.lagrangian, setup.grid.n, setup.grid.h
-    if dv is None:
-        dv = _derivatives(u, setup)
-    if band is None:
-        band = _band(setup)
+    n, h = setup.grid.n, setup.grid.h
+    band = band or _band(setup)
+    dv = dv or _derivatives(u, setup, band)
     s = dv.s
     dw = -1.0 / (s * s)  # dw_j/ds_j for w = 1/s
 
@@ -355,12 +359,12 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
     ab[0, 4:] = oo[3:n]
 
     # window rows i = ia+1 .. ib-1; columns i-1 and i+1 sit on bands 3 and 1
-    win, lo, up, x = band.win, band.lo, band.up, setup.grid.interior_nodes
-    uw, pw, sw = u[win], dv.p[win], s[win]
-    ab[2, win] -= lag.f0_zz(x, uw)
+    lag, win, lo, up = band.lag, band.win, band.lo, band.up
+    pw = dv.p[win]
+    ab[2, win] -= lag.f0_zz(u[win])
     # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i; R_i holds them with
     # a minus sign and p_i = (u_{i+1} - u_{i-1}) / 2h, so column i-1 gets -chain
-    chain = (lag.f1_pxp(x, pw) + lag.f1_ppp(x, pw) * sw) / (2.0 * h)
+    chain = (lag.f1_pxp(pw) + lag.f1_ppp(pw) * s[win]) / (2.0 * h)
     ab[3, lo] -= chain
     ab[1, up] += chain
     f1pp = dv.f1pp
@@ -384,9 +388,9 @@ def newton_solve(
     stage fails, with step length 0.0 recorded, when the next iterate's min
     u'' would reach the convexity floor.  Newton stops, converged, at max|R|
     <= newton_tol_scale * (1 + 1/eps), or once a correction is
-    roundoff-sized, max|Δu| <= STEP_TOL * (1 + max|u|).  The band's stage
-    constants are built once, and each iterate's derivatives once, for its
-    `residual` and `jacobian`; the final iterate's go to the `SolveResult`.
+    roundoff-sized, max|Δu| <= STEP_TOL * (1 + max|u|).  The stage's band
+    and bound Lagrangian are built once, and each iterate's derivatives once,
+    for its `residual` and `jacobian`; the final iterate's go to the `SolveResult`.
     Each iteration, and why Newton stopped, is recorded there and logged at
     debug level.
     """
@@ -399,7 +403,7 @@ def newton_solve(
     u = np.array(u0, dtype=float)
     u[0] = 0.0
     u[-1] = 0.0
-    dv = _derivatives(u, setup)
+    dv = _derivatives(u, setup, band)
     R = residual(u, setup, dv)
     norm = float(np.abs(R).max())
     upp_min = float(dv.s.min())
@@ -423,7 +427,7 @@ def newton_solve(
         s_min = float(s_next.min())
         taken = s_min > floor
         if taken:
-            u, dv = u_next, _derivatives(u_next, setup, s_next)
+            u, dv = u_next, _derivatives(u_next, setup, band, s_next)
             R = residual(u, setup, dv)
             norm, upp_min = float(np.abs(R).max()), s_min
         iters += 1
@@ -441,7 +445,9 @@ def newton_solve(
         elif roundoff:
             stop = "step"
     stop = stop or "max_iters"
-    log.debug("newton eps=%.6g stopped on %s after %d iterations", setup.eps, stop, iters)
+    r = 4.0 * 2.0**-52 * float(np.abs(u).max()) / (g.h * g.h * upp_min)
+    log.debug("newton eps=%.6g stopped on %s after %d iterations, curvature roundoff %.3e",
+              setup.eps, stop, iters, r)
 
     return SolveResult(
         u=u,
@@ -454,6 +460,7 @@ def newton_solve(
         step_norms=step_norms,
         step_lengths=step_lengths,
         stop=stop,
+        curvature_roundoff=r,
     )
 
 

@@ -423,8 +423,9 @@ def test_manifest_and_debug_log_record_every_newton_iteration(tmp_path):
     logged = [float(v) for v in re.findall(r"min u'' (\S+)$", "\n".join(lines), re.M)]
     assert logged == [float(f"{v:.3e}") for stage in stages for v in stage["min_upps"][1:]]
     stops = re.findall(r"^DEBUG abreu1d\.solver: newton eps=\S+ stopped on (\w+) after (\d+) "
-                       r"iterations$", proc.stderr, re.M)
-    assert stops == [(stage["stop"], str(stage["newton_iters"])) for stage in stages]
+                       r"iterations, curvature roundoff (\S+)$", proc.stderr, re.M)
+    assert stops == [(stage["stop"], str(stage["newton_iters"]), f"{stage['curvature_roundoff']:.3e}")
+                     for stage in stages]
 
 
 def test_manifest_records_beta_h_at_each_end(tmp_path):
@@ -438,6 +439,25 @@ def test_manifest_records_beta_h_at_each_end(tmp_path):
     assert [stage["beta_h"] for stage in stages] == [
         [pytest.approx(h * np.sqrt(0.8 / (2 * e)), rel=1e-14),
          pytest.approx(h * np.sqrt(3.2 / (2 * e)), rel=1e-14)] for e in eps]
+
+
+def test_manifest_records_the_curvature_roundoff_of_each_stage(tmp_path):
+    # shallow at n = 256 on a ratio-1/4 schedule: r climbs through the
+    # roundoff floor, to about 7e-3 at eps = 9.3e-11 and 2 at eps = 3.6e-13
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 256}, phi=SHALLOW_PHI, rho_minus=1.5,
+                       rho_plus=1.5, eps_schedule={"start": 0.1, "ratio": 0.25, "stages": 20})
+    assert invoke_cli("sweep", "--config", cfg) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert len(stages) == 20
+    r = []
+    for k, stage in enumerate(stages):
+        rows = _rows(tmp_path / "out" / f"solution_stage{k:02d}.csv")
+        u, upp = (np.array([float(row[col]) for row in rows]) for col in ("u", "u_pp"))
+        assert stage["curvature_roundoff"] == 4.0 * 2.0**-52 * np.abs(u).max() / ((2.0 / 256) ** 2 * upp.min())
+        r.append(stage["curvature_roundoff"])
+    assert all(later > earlier for earlier, later in zip(r, r[1:]))
+    assert max(v for v, stage in zip(r, stages) if stage["eps"] >= 1e-10) < 1e-2
+    assert r[-2] < 1.0 < r[-1]
 
 
 def _split_writes(monkeypatch, split):

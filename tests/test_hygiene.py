@@ -399,6 +399,34 @@ def test_one_exit_site():
     assert register.lineno < int(line) <= register.end_lineno
 
 
+def identity_calls(sources: dict[str, str]) -> list[str]:
+    """Functions in `sources` (file name -> text) that call the builtin `id`,
+    bare or as `builtins.id`; a method named `id` does not count."""
+    def calls(node):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            return func.attr == "id" and isinstance(func.value, ast.Name) and func.value.id == "builtins"
+        return isinstance(func, ast.Name) and func.id == "id"
+
+    return owned_calls(sources, lambda tree: calls)
+
+
+def test_detector_flags_every_identity_call():
+    sources = {
+        "a.py": "import builtins\ncache = {}\ndef key(x):\n    return id(x)\n"
+                "def lookup(x):\n    return cache.get(builtins.id(x))\n"
+                "def field(row):\n    return row.id()\n",
+        "b.py": "seen = {id(object())}\n",
+    }
+    assert identity_calls(sources) == ["a.py:key (line 4)", "a.py:lookup (line 6)",
+                                       "b.py:<module> (line 1)"]
+
+
+def test_no_identity_keyed_state():
+    # values that depend on the nodes alone are bound to them
+    # (`LagrangianSpec.bind`), not looked up by the identity of an array
+    assert identity_calls(_package_sources()) == []
+
 def float_format_literals(sources: dict[str, str]) -> list[str]:
     """String constants in `sources` (file name -> text) that hold a `.17g` float format.
 

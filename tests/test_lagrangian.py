@@ -2,13 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import monopolist_setup, quartic_spec
+from helpers import SHALLOW_PHI, monopolist_setup, quartic_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abreu1d import lagrangian
 from abreu1d.grid import build_grid
 from abreu1d.lagrangian import LagrangianSpec, check_partials, make_rochet_chone, polyder, polyval
+from abreu1d.minimizer import minimize_direct
 from abreu1d.solver import newton_solve
 
 DERIVED_PARTIALS = ("f0_z", "f0_zz", "f1_p", "f1_pp", "f1_px", "f1_pxp", "f1_ppp")
@@ -179,15 +180,15 @@ def test_sampled_polynomials_equal_numpy_bitwise(n):
 
 # eta0 of degree 0-3, nonnegative on [-1, 1]; -0.0 as the constant and as
 # the leading coefficient of a line and a cubic
-CACHED_WEIGHTS = ([2.0], [-0.0], [1.0, 0.5], [1.0, 0.5, -0.0], [1.0, 0.0, 0.5],
-                  [1.0, 0.1, 0.2, 0.3], [1.0, 0.25, 0.5, -0.0])
+WEIGHTS = ([2.0], [-0.0], [1.0, 0.5], [1.0, 0.5, -0.0], [1.0, 0.0, 0.5],
+           [1.0, 0.1, 0.2, 0.3], [1.0, 0.25, 0.5, -0.0])
 # the callbacks whose value depends on x alone
 X_ONLY = ("f0_z", "f0_zz", "f1_pp", "f1_pxp", "f1_ppp")
 
 
 def _reference(coeffs, x, y):
     """Every callback of `make_rochet_chone(coeffs)` at (x, y), by `polyval`
-    on every call, as the callbacks evaluated them before they cached."""
+    on every call."""
     eta, eta_prime = polyval(coeffs, x), polyval(polyder(coeffs), x)
     zeros = np.zeros_like(x)
     return {
@@ -197,76 +198,51 @@ def _reference(coeffs, x, y):
     }
 
 
-def _assert_bitwise(spec, coeffs, x, y):
-    for name, expected in _reference(coeffs, x, y).items():
-        value = getattr(spec, name)(x, y)
-        assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
+def _assert_bitwise(value, expected, name):
+    assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
 
 
-@pytest.mark.parametrize("coeffs", CACHED_WEIGHTS)
+@pytest.mark.parametrize("coeffs", WEIGHTS)
 def test_callbacks_equal_an_uncached_reference_bitwise(coeffs):
     g = build_grid(128, -0.5, 0.5)
     spec = make_rochet_chone(coeffs, g.nodes)
-    window = g.interior_nodes
-    y = np.linspace(-2.0, 2.0, len(window))
-    for _ in range(2):
-        _assert_bitwise(spec, coeffs, window, y)
-    _assert_bitwise(spec, coeffs, g.nodes, np.cos(g.nodes))
-    fresh = g.nodes.copy()
-    _assert_bitwise(spec, coeffs, fresh, np.cos(fresh))
-    # x-only values of a read-only node array are evaluated once; those of
-    # a writeable one are fresh, writeable arrays on every call
-    for name in X_ONLY:
-        assert getattr(spec, name)(window, y) is getattr(spec, name)(window, -y)
-        value = getattr(spec, name)(fresh, y[0])
-        assert value.flags.writeable and value is not getattr(spec, name)(fresh, y[0])
+    for x in (g.interior_nodes, g.nodes, g.nodes.copy()):
+        y = np.cos(x)
+        for name, expected in _reference(coeffs, x, y).items():
+            _assert_bitwise(getattr(spec, name)(x, y), expected, name)
 
 
-def test_a_writeable_x_changed_in_place_is_never_stale():
-    spec = make_rochet_chone([1.0, 0.5])
-    x = build_grid(64, -0.5, 0.5).nodes.copy()
-    _assert_bitwise(spec, [1.0, 0.5], x, x)
-    x *= 0.5
-    _assert_bitwise(spec, [1.0, 0.5], x, x)
+def _node_arrays(g):
+    """The window's interior nodes, which Newton binds, all the nodes, which
+    a report binds, and a writeable copy of them."""
+    return g.interior_nodes, g.nodes, g.nodes.copy()
 
 
-def test_a_read_only_view_of_a_writeable_array_is_never_stale():
-    spec = make_rochet_chone([1.0, 0.5])
-    base = build_grid(64, -0.5, 0.5).nodes.copy()
-    view = base[1:-1]
-    view.flags.writeable = False
-    _assert_bitwise(spec, [1.0, 0.5], view, view)
-    base[1:-1] *= 0.5
-    _assert_bitwise(spec, [1.0, 0.5], view, view)
-
-
-def test_an_owner_made_writeable_again_is_never_stale():
-    # numpy lets the owner of an array's memory be made writeable again
-    spec = make_rochet_chone([1.0, 0.5])
-    x = build_grid(64, -0.5, 0.5).nodes.copy()
-    x.flags.writeable = False
-    view = x[1:-1]
-    _assert_bitwise(spec, [1.0, 0.5], x, x)
-    _assert_bitwise(spec, [1.0, 0.5], view, view)
-    x.flags.writeable = True
-    x *= 0.5
-    _assert_bitwise(spec, [1.0, 0.5], x, x)
-    _assert_bitwise(spec, [1.0, 0.5], view, view)
-    # the entries found writeable were dropped, so read-only again x is cached anew
-    x.flags.writeable = False
-    _assert_bitwise(spec, [1.0, 0.5], x, x)
-    _assert_bitwise(spec, [1.0, 0.5], view, view)
+@pytest.mark.parametrize("spec", [*(make_rochet_chone(c) for c in WEIGHTS), quartic_spec()],
+                         ids=[*(f"eta0={c}" for c in WEIGHTS), "quartic"])
+def test_bound_partials_equal_unbound_bitwise(spec):
+    g = build_grid(128, -0.5, 0.5)
+    for x in _node_arrays(g):
+        bound = spec.bind(x)
+        assert bound.x is x
+        for y in (np.linspace(-2.0, 2.0, len(x)), np.cos(x)):
+            for name in DERIVED_PARTIALS + ("f0", "f1"):
+                _assert_bitwise(getattr(bound, name)(y), getattr(spec, name)(x, y), name)
 
 
 @pytest.mark.parametrize("name", X_ONLY)
 def test_cached_values_are_read_only(name):
+    # `RochetChoneSpec.bind` evaluates the x-only values once and hands
+    # out those arrays, read-only, on every call
     g = build_grid(64, -0.5, 0.5)
     spec = make_rochet_chone([1.0, 0.5], g.nodes)
-    for x in (g.nodes, g.interior_nodes):
-        value = getattr(spec, name)(x, x)
+    for x in _node_arrays(g):
+        bound = spec.bind(x)
+        value = getattr(bound, name)(x)
+        assert value is getattr(bound, name)(-x)
         with pytest.raises(ValueError, match="read-only"):
             value += 1.0
-        assert np.array_equal(getattr(spec, name)(x, x), _reference([1.0, 0.5], x, x)[name])
+        assert np.array_equal(value, _reference([1.0, 0.5], x, x)[name])
 
 
 def test_newton_evaluates_the_weight_once_per_stage(monkeypatch):
@@ -286,3 +262,15 @@ def test_newton_evaluates_the_weight_once_per_stage(monkeypatch):
     warm_calls, warm = polyval_calls(cold.u)
     assert cold.newton_iters >= 3 and warm.newton_iters <= 1
     assert cold_calls == warm_calls == 2  # eta0 and eta0' on the window nodes
+
+
+def test_the_oracle_evaluates_the_weight_once_per_node_array(monkeypatch):
+    # shallow at n = 128 takes the barrier's whole path from the obstacle,
+    # some 675 steps; its polyval count must not follow them
+    setup = monopolist_setup(n=128, phi=SHALLOW_PHI, rho=1.5)
+    calls = []
+    monkeypatch.setattr(lagrangian, "polyval", lambda c, x: calls.append(x) or polyval(c, x))
+    result = minimize_direct(setup)
+    assert result.start == "obstacle" and result.iters > 600
+    # eta0 and eta0' at the cell midpoints, then eta0 in f0 and in f1 for J
+    assert len(calls) == 4

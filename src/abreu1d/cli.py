@@ -15,12 +15,12 @@ no artifact is read back.  Both write through `_write_in_place`, which
 overwrites a file that a previous run left and then cuts it to its new
 length; `write_json` writes no temporary file.
 
-`compare` runs its convex-cone oracle in its own process once every stage
-has converged.  With two or more stages and at least `_SPLIT_MIN_VALUES`
-stage-file values, each command forks a writer child through `_in_child`
-for stages 00, 02, ... (the larger half when the count is odd) while it
-writes the others and its summary files, and `compare` runs its oracle.
-The child is reaped before the command writes anything that depends on it.
+`compare` runs its convex-cone oracle in the command's own process, once
+every stage has converged and the sweep's files are written.  With two or
+more stages and at least `_SPLIT_MIN_VALUES` stage-file values, each command
+forks a writer child through `_in_child` for stages 00, 02, ... (the larger
+half when the count is odd) while it writes the others and its summary
+files.  The child is reaped before the command writes anything else.
 Below the threshold, and on machines with one CPU or without os.fork, the
 command writes every stage file itself and forks nothing.
 """
@@ -274,14 +274,11 @@ def _in_child(fn, *args):
             os.waitpid(pid, 0)
 
 
-def _run_sweep(cfg: RunConfig, setup, outdir: Path, beside=None):
+def _run_sweep(cfg: RunConfig, setup, outdir: Path):
     """Shared sweep pipeline from the first stage's setup.
 
-    Returns (exit_code, stages, reports, run, value): the converged stages'
-    `EstimateReport`s, `run` as `_finish` takes it, and the value of
-    `beside()`.  `beside`, if given, is called once every stage has
-    converged, while a writer child writes half the stage files where one
-    runs; value is None otherwise.
+    Returns (exit_code, stages, reports, run): the converged stages'
+    `EstimateReport`s and `run` as `_finish` takes it.
     """
     schedule = cfg.schedule()
     t0 = time.perf_counter()
@@ -290,7 +287,6 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path, beside=None):
     all_converged = len(stages) == len(schedule) and all(r.converged for _, r in stages)
 
     with _writing_stages(outdir, stages) as files:
-        value = beside() if beside is not None and all_converged else None
         reports = [compute_report(r, s) for s, r in stages if r.converged]
         header = [f.name for f in fields(EstimateReport)]
         files["sweep.csv"] = write_csv(outdir / "sweep.csv", header,
@@ -318,7 +314,7 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path, beside=None):
     if not all_converged:
         log.error("sweep stopped at stage %d of %d", len(stages), len(schedule))
     run = {"stages": stage_meta, "wall_clock_seconds": {"sweep": elapsed}, "files": files}
-    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, reports, run, value
+    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, reports, run
 
 
 def _single_eps(cfg: RunConfig, setup) -> None:
@@ -435,7 +431,7 @@ def solve(cfg, setup, outdir):
 @_command()
 def sweep(cfg, setup, outdir):
     """Continuation sweep over the eps schedule with diagnostics."""
-    code, _, _, run, _ = _run_sweep(cfg, setup, outdir)
+    code, _, _, run = _run_sweep(cfg, setup, outdir)
     return code, run
 
 
@@ -461,16 +457,14 @@ def _oracle_entry(oracle) -> dict:
 @_command()
 def compare(cfg, setup, outdir):
     """Run the sweep and the direct minimizer, report their agreement."""
-    # Every stage shares the first stage's grid, Lagrangian and obstacle,
-    # which is all the minimizer reads.
-    def oracle():
-        t0 = time.perf_counter()
-        return minimize_direct(setup), time.perf_counter() - t0
-
-    code, stages, reports, run, timed = _run_sweep(cfg, setup, outdir, oracle)
+    code, stages, reports, run = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
         return code, run
-    oracle, run["wall_clock_seconds"]["oracle"] = timed
+    # Every stage shares the first stage's grid, Lagrangian and obstacle,
+    # which is all the minimizer reads.
+    t0 = time.perf_counter()
+    oracle = minimize_direct(setup)
+    run["wall_clock_seconds"]["oracle"] = time.perf_counter() - t0
     run["oracle"] = _oracle_entry(oracle)
     files = run["files"]
     setup, result = stages[-1]
@@ -503,7 +497,7 @@ def compare(cfg, setup, outdir):
 @_command(check=_bumps_fit)
 def verify(cfg, setup, outdir):
     """Weak-form residual of the limiting Euler-Lagrange identity."""
-    code, stages, _, run, _ = _run_sweep(cfg, setup, outdir)
+    code, stages, _, run = _run_sweep(cfg, setup, outdir)
     if code != EXIT_OK:
         return code, run
     setup, result = stages[-1]

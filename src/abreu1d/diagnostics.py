@@ -59,7 +59,7 @@ def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
     g = setup.grid
     u, up, upp, w = result.u, result.up, result.upp, result.w
     win = g.window_slice()
-    J_val = eval_J(u, g, setup.lagrangian, up)
+    J_val = eval_J(u, setup, up)
     pen = penalty_l2(u, setup)
     return EstimateReport(
         eps=setup.eps,

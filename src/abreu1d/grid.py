@@ -5,7 +5,6 @@ one-sided formulas so that nodal values alone determine every operator
 (no ghost nodes).
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,8 @@ class Grid:
     """Uniform partition of [-1, 1] into n cells with window [a, b].
 
     a and b are snapped to grid nodes; ia and ib are their node indices.
-    `build_grid` makes `nodes` read-only, since every stage and solver shares
-    them; Newton binds its Lagrangian to `interior_nodes` once per stage.
+    `build_grid` makes `nodes` read-only, since every stage and solver
+    shares them; the setup binds the Lagrangian to them once per problem.
     """
 
     n: int
@@ -35,11 +34,6 @@ class Grid:
     def interior_slice(self) -> slice:
         """Nodes x_i with a < x_i < b: the scheme's window rows and the oracle's free values."""
         return slice(self.ia + 1, self.ib)
-
-    @functools.cached_property
-    def interior_nodes(self) -> np.ndarray:
-        """`nodes[interior_slice()]`, the window rows' nodes."""
-        return self.nodes[self.interior_slice()]
 
 
 def build_grid(n: int, a: float, b: float) -> Grid:

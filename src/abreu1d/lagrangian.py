@@ -3,8 +3,15 @@
 A Lagrangian is nine callbacks, all required and none defaulted: the Newton
 Jacobian of the penalized solver needs exact second and mixed third partials,
 and numerically differentiated callbacks would spoil quadratic convergence.
-`check_partials` cross-checks the partials against finite differences of the
-callbacks they derive from, and checks that F is convex in z and in p.
+`check_partials` checks that each callback returns an array of its
+arguments' shape, cross-checks the partials against finite differences of
+the callbacks they derive from, and checks that F is convex in z and in p.
+
+The nodes never move within a problem, so the setup binds the spec once
+per problem (`solver.make_setup`): to the grid's nodes for the scheme, and
+to the window's cell midpoints for the oracle.  Every stage, report, weak
+form and oracle run reads those two bindings; only `bind` itself and
+`check_partials` call the unbound (x, .) callbacks.
 """
 
 from collections import namedtuple
@@ -28,11 +35,8 @@ class LagrangianSpec:
     Every field is required.  f1_pxp and f1_ppp are the p-derivatives of
     f1_px and f1_pp; they and f0_zz enter only the Newton Jacobian.  Each
     callback is called with float arrays x and z (or p) of one shape and
-    returns an array of that shape.  Where the partials are evaluated again
-    and again at the same nodes, the solvers call them through `bind`:
-    Newton once per stage on `Grid.interior_nodes` and the oracle once per
-    run on its cell midpoints.  A single evaluation (`solver.eval_J`, the
-    weak form) and `check_partials`, which moves x, call them unbound.
+    returns an array of that shape; `check_partials` refuses one that does
+    not.  The solvers call them through `bind`, once per problem.
     """
 
     f0: ScalarField
@@ -117,9 +121,8 @@ def make_rochet_chone(eta0_coeffs, sample_nodes: Optional[np.ndarray] = None) ->
     every node, where the scheme evaluates it, and at every midpoint of two
     neighbouring nodes, where the oracle's cell quadrature does; otherwise it
     is checked on a fine lattice over [-1, 1].  eta0 = 0 gives the zero
-    Lagrangian.  The callbacks evaluate eta0 and eta0' on every call, as
-    `check_partials` and `solver.eval_J` use them; Newton, once per stage, and
-    the oracle, once per run, bind the spec, which evaluates them once per bind.
+    Lagrangian.  The callbacks evaluate eta0 and eta0' on every call;
+    `RochetChoneSpec.bind` evaluates them once per bind.
     """
     c = np.asarray(eta0_coeffs, dtype=float)
     if len(c) == 0:
@@ -160,15 +163,23 @@ FD_REL_TOL = 1e-5
 
 
 def check_partials(spec: LagrangianSpec) -> None:
-    """Raise ValueError unless the seven partials of `spec` are consistent.
+    """Raise ValueError unless the nine callbacks of `spec` are consistent.
 
-    Each partial is compared with a central difference of the callback it
-    derives from, in z or p (or, for f1_px, in x); f0_zz and f1_pp must be
-    nonnegative.  The message names the partial and its worst lattice point.
+    Each callback must return an array of its arguments' shape, not a
+    scalar, since the solvers slice what it returns.  Each partial is
+    compared with a central difference of the callback it derives from, in
+    z or p (or, for f1_px, in x); f0_zz and f1_pp must be nonnegative.  The
+    message names the callback, and for a partial its worst lattice point.
     """
     X, Y = np.meshgrid(np.linspace(-1.0, 1.0, CHECK_POINTS),
                        np.linspace(-2.0, 2.0, CHECK_POINTS), indexing="ij")
     d = FD_STEP
+    values = {}
+    for name in BoundLagrangian._fields[1:]:
+        values[name] = value = getattr(spec, name)(X, Y)
+        if not (isinstance(value, np.ndarray) and value.shape == X.shape):
+            raise ValueError(f"{name} returns {type(value).__name__} of shape {np.shape(value)}, "
+                             f"not an array of its arguments' shape {X.shape}")
 
     def in_y(f):
         return (f(X, Y + d) - f(X, Y - d)) / (2.0 * d)
@@ -176,9 +187,7 @@ def check_partials(spec: LagrangianSpec) -> None:
     def in_x(f):
         return (f(X + d, Y) - f(X - d, Y)) / (2.0 * d)
 
-    def worst(name, values, pick):
-        # values broadcast to the lattice, so a callback may return a scalar
-        v = np.broadcast_to(values, X.shape)
+    def worst(name, v, pick):
         i = np.unravel_index(pick(v), v.shape)
         return v[i], f"x = {X[i]:.6g}, {'z' if name.startswith('f0') else 'p'} = {Y[i]:.6g}"
 
@@ -192,12 +201,12 @@ def check_partials(spec: LagrangianSpec) -> None:
         ("f1_ppp", in_y(spec.f1_pp)),
     )
     for name, fd in derived:
-        exact = getattr(spec, name)(X, Y)
+        exact = values[name]
         err, where = worst(name, np.abs(fd - exact) / np.maximum(np.abs(exact), 1.0), np.argmax)
         if not err <= FD_REL_TOL:
             raise ValueError(f"{name} disagrees with finite differences: relative error "
                              f"{err:.3g} > {FD_REL_TOL:g} at {where}")
     for name in ("f0_zz", "f1_pp"):
-        value, where = worst(name, getattr(spec, name)(X, Y), np.argmin)
+        value, where = worst(name, values[name], np.argmin)
         if not value >= 0.0:
             raise ValueError(f"{name} = {value:.6g} < 0 at {where}")

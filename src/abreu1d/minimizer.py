@@ -1,11 +1,13 @@
 """Direct minimization of the window functional over convex nodal functions.
 
 The oracle reads only the grid, Lagrangian and obstacle of the scheme's
-`ProblemSetup`.  The admissible set pins v to the obstacle outside the
-window and requires nonnegative second differences at every interior node
-of [-1, 1] -- including s_ia .. s_ib at the nodes straddling the window
-endpoints, which couple the free values (`grid.interior_slice()`) to the
-pinned obstacle slopes.
+`ProblemSetup`, and evaluates the Lagrangian through `setup.at_midpoints`,
+which the setup binds once per problem; no oracle run binds again.  The
+admissible set pins v to the obstacle outside the window and requires
+nonnegative second differences at every interior node of [-1, 1] --
+including s_ia .. s_ib at the nodes straddling the window endpoints, which
+couple the free values (`grid.interior_slice()`) to the pinned obstacle
+slopes.
 
 A log-barrier interior-point method is used.  The barrier objective is
 minimized with an inner Newton iteration whose Hessian is pentadiagonal in
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid, d2, d2_central_coeffs
-from .lagrangian import BoundLagrangian, RochetChoneSpec
+from .lagrangian import RochetChoneSpec
 from .solver import ProblemSetup, eval_J, solve_banded
 
 
@@ -87,22 +89,16 @@ def check_admissibility(v: np.ndarray, setup: ProblemSetup, tol: float = 1e-10):
     return worst <= tol, worst
 
 
-def _midpoint_lagrangian(setup: ProblemSetup) -> BoundLagrangian:
-    """The Lagrangian bound to the window's cell midpoints x_i + h/2, i = ia .. ib-1."""
-    g = setup.grid
-    return setup.lagrangian.bind(g.nodes[g.ia : g.ib] + 0.5 * g.h)
-
-
-def _cell_objective(setup: ProblemSetup, lag: Optional[BoundLagrangian] = None):
+def _cell_objective(setup: ProblemSetup):
     """Smooth part of the barrier objective on the free nodes.
 
     Returns (value, grad_hess).  value(v) is the per-cell midpoint quadrature
-    of F(x, v, v') over the window.  grad_hess gives the gradient and the Hessian
-    in `solve_banded` (2, 2) form, ab[2 + k - l, l] = H[k, l]; the Hessian is
-    tridiagonal, so bands 0 and 4 stay zero.  `lag`, if given, is
-    `_midpoint_lagrangian(setup)`, already bound by the caller.
+    of F(x, v, v') over the window, from `setup.at_midpoints`.  grad_hess
+    gives the gradient and the Hessian in `solve_banded` (2, 2) form,
+    ab[2 + k - l, l] = H[k, l]; the Hessian is tridiagonal, so bands 0 and
+    4 stay zero.
     """
-    g, lag = setup.grid, lag or _midpoint_lagrangian(setup)
+    g, lag = setup.grid, setup.at_midpoints
     h = g.h
     cells = np.arange(g.ia, g.ib)  # cell i spans [x_i, x_{i+1}]
     m = g.ib - g.ia - 1
@@ -179,7 +175,7 @@ def _pool(y, w):
     return firsts, weights, sums
 
 
-def iron(setup: ProblemSetup, lag: Optional[BoundLagrangian] = None) -> Optional[Ironing]:
+def iron(setup: ProblemSetup) -> Optional[Ironing]:
     """Exact minimizer of the cell objective over the discrete convex cone.
 
     For F = (p^2/2 - p x + z) eta0(x) the cell objective is, in the window's
@@ -195,12 +191,11 @@ def iron(setup: ProblemSetup, lag: Optional[BoundLagrangian] = None) -> Optional
     in the bracket, so the search ends on the piece that holds the root.
 
     Returns None unless the Lagrangian is a `RochetChoneSpec` with eta0 > 0
-    at every cell midpoint of the window.  `lag` is as in `_cell_objective`.
+    at every cell midpoint of the window, as `setup.at_midpoints` gives it.
     """
-    g = setup.grid
+    g, lag = setup.grid, setup.at_midpoints
     if not isinstance(setup.lagrangian, RochetChoneSpec):
         return None
-    lag = lag or _midpoint_lagrangian(setup)
     h, ia, ib, phi, xm = g.h, g.ia, g.ib, setup.phi, lag.x
     eta = lag.f1_pp(xm)  # eta0 at the cell midpoints
     if not np.all(eta > 0.0):
@@ -247,10 +242,10 @@ def iron(setup: ProblemSetup, lag: Optional[BoundLagrangian] = None) -> Optional
     v[ia + 1 : ib] = phi[ia] + h * np.cumsum(q[:-1])
     # each cell's stationarity residual at v's own slopes, lambda included
     r = w * (np.diff(v[ia : ib + 1]) / h - t) + lam * h
-    return _ironing(setup, lag, v, q, r, lo_q, hi_q)
+    return _ironing(setup, v, q, r, lo_q, hi_q)
 
 
-def _ironing(setup: ProblemSetup, lag: BoundLagrangian, v, q, r, lo_q, hi_q) -> Ironing:
+def _ironing(setup: ProblemSetup, v, q, r, lo_q, hi_q) -> Ironing:
     """`iron`'s result: its active constraints, multipliers and KKT residual at v.
 
     The constraint at window node j = 0 .. cells, q_j - q_{j-1} >= 0 with
@@ -275,7 +270,7 @@ def _ironing(setup: ProblemSetup, lag: BoundLagrangian, v, q, r, lo_q, hi_q) -> 
 
     w0, w1, w2 = d2_central_coeffs(g)
     m = cells - 1
-    grad, _ = _cell_objective(setup, lag)[1](v)
+    grad, _ = _cell_objective(setup)[1](v)
     s = d2(v, g)[g.window_slice()]
     # runs of active constraints: their first and last nodes
     flips = np.flatnonzero(np.diff(np.concatenate(([False], active, [False])).astype(int)))
@@ -288,17 +283,15 @@ def _ironing(setup: ProblemSetup, lag: BoundLagrangian, v, q, r, lo_q, hi_q) -> 
     )
 
 
-def _barrier(setup: ProblemSetup, v: np.ndarray, path,
-             lag: BoundLagrangian) -> tuple[np.ndarray, int, float]:
-    """The log-barrier loop from the strictly feasible v along the mu values of `path`,
-    with `lag` = `_midpoint_lagrangian(setup)`.
+def _barrier(setup: ProblemSetup, v: np.ndarray, path) -> tuple[np.ndarray, int, float]:
+    """The log-barrier loop from the strictly feasible v along the mu values of `path`.
 
     Returns the last iterate, the number of Newton steps and max|gradient|
     of the barrier objective there, its KKT residual.
     """
     g = setup.grid
     s = d2(v, g)[g.window_slice()]  # s_ia .. s_ib at v, kept equal as v moves
-    smooth_value, smooth_grad_hess = _cell_objective(setup, lag)
+    smooth_value, smooth_grad_hess = _cell_objective(setup)
 
     def barrier_objective(v, s, mu):  # s = s_ia .. s_ib at v
         return smooth_value(v) - mu * float(np.sum(np.log(s)))
@@ -355,17 +348,16 @@ def minimize_direct(setup: ProblemSetup) -> MinimizeResult:
     g = setup.grid
     if np.min(d2(setup.phi, g)[g.window_slice()]) <= 0.0:
         raise ValueError("infeasible start: obstacle is not uniformly convex on the grid")
-    lag = _midpoint_lagrangian(setup)
-    ironing = iron(setup, lag)
+    ironing = iron(setup)
     warm = (ironing is not None and not ironing.blocks
             and np.min(d2(ironing.v, g)[g.window_slice()]) > 0.0)
     if warm:
-        v, iters, kkt = _barrier(setup, ironing.v, BARRIER_PATH[-1:], lag)
+        v, iters, kkt = _barrier(setup, ironing.v, BARRIER_PATH[-1:])
     else:
-        v, iters, kkt = _barrier(setup, np.array(setup.phi, dtype=float), BARRIER_PATH, lag)
+        v, iters, kkt = _barrier(setup, np.array(setup.phi, dtype=float), BARRIER_PATH)
     return MinimizeResult(
         v=v,
-        J_value=eval_J(v, g, setup.lagrangian),
+        J_value=eval_J(v, setup),
         kkt_residual=kkt,
         iters=iters,
         start="ironing" if warm else "obstacle",

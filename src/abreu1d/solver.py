@@ -73,8 +73,16 @@ STEP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProblemSetup:
+    """One problem at one eps, from `make_setup`; `replace(setup, eps=...)` gives the next stage.
+
+    Its Lagrangian is bound once per problem: every stage, report and weak
+    form reads `at_nodes`, on whole nodal arrays, and the oracle `at_midpoints`.
+    """
+
     grid: Grid
     lagrangian: LagrangianSpec
+    at_nodes: BoundLagrangian  # bound to `grid.nodes`
+    at_midpoints: BoundLagrangian  # bound to the window's cell midpoints x_i + h/2, i = ia .. ib-1
     phi: np.ndarray
     rho_minus: float
     rho_plus: float
@@ -101,7 +109,8 @@ def make_setup(
     eps: float,
 ) -> ProblemSetup:
     """Sample a polynomial obstacle on the grid and certify its convexity: c0, the
-    least phi'' at the nodes, and d2(phi) at every node, where Newton starts, must be > 0."""
+    least phi'' at the nodes, and d2(phi) at every node, where Newton starts, must be > 0.
+    Bind the Lagrangian to the nodes and to the window's cell midpoints, once."""
     c = np.asarray(phi_coeffs, dtype=float)
     if len(c) == 0:
         raise ValueError("phi must have at least one coefficient")
@@ -117,6 +126,8 @@ def make_setup(
         raise ValueError(f"obstacle is not convex on the grid: d2(phi) = {s[i]} <= 0 at node {i}")
     return ProblemSetup(
         grid=grid, lagrangian=lagrangian, phi=phi,
+        at_nodes=lagrangian.bind(x),
+        at_midpoints=lagrangian.bind(x[grid.ia : grid.ib] + 0.5 * grid.h),
         rho_minus=rho_minus, rho_plus=rho_plus, eps=eps, c0=c0,
         phi_pp_ends=(float(phi_pp[0]), float(phi_pp[-1])),
     )
@@ -255,28 +266,27 @@ class _Derivatives(NamedTuple):
     f: np.ndarray  # right-hand side of the interior rows, for `residual`; see `SolveResult`
 
 
-def _derivatives(u: np.ndarray, setup: ProblemSetup, band: "_Band",
-                 s: Optional[np.ndarray] = None) -> _Derivatives:
-    """u'' (`s` if given, else d2(u)), checked by `_curvatures`, u', and f1_pp and f by `band`."""
-    lag, win = band.lag, band.win
+def _derivatives(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> _Derivatives:
+    """u'' (`s` if given, else d2(u)), checked by `_curvatures`, u', and f1_pp and f
+    from `setup.at_nodes`, evaluated at every node and sliced to the window rows."""
+    lag, win = setup.at_nodes, setup.grid.interior_slice()
     s = _curvatures(u, setup, s)
     p = d1(u, setup.grid)
-    pw = p[win]
-    f1pp = lag.f1_pp(pw)
+    f1pp = lag.f1_pp(p)[win]
     f = (u - setup.phi) / setup.eps
-    f[win] = lag.f0_z(u[win]) - lag.f1_px(pw) - f1pp * s[win]
+    f[win] = lag.f0_z(u)[win] - lag.f1_px(p)[win] - f1pp * s[win]
     return _Derivatives(s, p, f1pp, f)
 
 
 def residual(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = None) -> np.ndarray:
     """Nodal residual; rows 0, n are Dirichlet, rows 1, n-1 the w boundary data.
 
-    `dv`, if given, is `_derivatives(u, setup, band)`, already built by the caller.
+    `dv`, if given, is `_derivatives(u, setup)`, already built by the caller.
     """
     g = setup.grid
     n = g.n
     if dv is None:
-        dv = _derivatives(u, setup, _band(setup))
+        dv = _derivatives(u, setup)
     w = 1.0 / dv.s
     R = np.empty(n + 1)
     R[0] = u[0]
@@ -290,7 +300,6 @@ def residual(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
 class _Band(NamedTuple):
     """What Newton takes of a stage, from `_band`; no iterate changes it."""
 
-    lag: BoundLagrangian  # the Lagrangian bound to `Grid.interior_nodes`, the window rows' nodes
     base: np.ndarray  # Dirichlet rows 0, n and the penalty rows' -1/eps; zero elsewhere
     edges: tuple  # (band indices, four-point stencil weights) of rows 1 and n-1
     c: tuple  # `d2_central_coeffs` (c_out, c_mid, c_out) as (c_out, c_mid)
@@ -312,7 +321,6 @@ def _band(setup: ProblemSetup) -> _Band:
     c = d2_central_coeffs(g)
     win = g.interior_slice()
     return _Band(
-        lag=setup.lagrangian.bind(g.interior_nodes),
         base=base,
         edges=(((3 - k, k), d2_boundary_coeffs(g, left=True)),
                ((4 - k, n - 3 + k), d2_boundary_coeffs(g, left=False))),
@@ -334,7 +342,7 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
     """
     n, h = setup.grid.n, setup.grid.h
     band = band or _band(setup)
-    dv = dv or _derivatives(u, setup, band)
+    dv = dv or _derivatives(u, setup)
     s = dv.s
     dw = -1.0 / (s * s)  # dw_j/ds_j for w = 1/s
 
@@ -359,12 +367,11 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
     ab[0, 4:] = oo[3:n]
 
     # window rows i = ia+1 .. ib-1; columns i-1 and i+1 sit on bands 3 and 1
-    lag, win, lo, up = band.lag, band.win, band.lo, band.up
-    pw = dv.p[win]
-    ab[2, win] -= lag.f0_zz(u[win])
+    lag, win, lo, up = setup.at_nodes, band.win, band.lo, band.up
+    ab[2, win] -= lag.f0_zz(u)[win]
     # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i; R_i holds them with
     # a minus sign and p_i = (u_{i+1} - u_{i-1}) / 2h, so column i-1 gets -chain
-    chain = (lag.f1_pxp(pw) + lag.f1_ppp(pw) * s[win]) / (2.0 * h)
+    chain = (lag.f1_pxp(dv.p)[win] + lag.f1_ppp(dv.p)[win] * s[win]) / (2.0 * h)
     ab[3, lo] -= chain
     ab[1, up] += chain
     f1pp = dv.f1pp
@@ -388,9 +395,9 @@ def newton_solve(
     stage fails, with step length 0.0 recorded, when the next iterate's min
     u'' would reach the convexity floor.  Newton stops, converged, at max|R|
     <= newton_tol_scale * (1 + 1/eps), or once a correction is
-    roundoff-sized, max|Δu| <= STEP_TOL * (1 + max|u|).  The stage's band
-    and bound Lagrangian are built once, and each iterate's derivatives once,
-    for its `residual` and `jacobian`; the final iterate's go to the `SolveResult`.
+    roundoff-sized, max|Δu| <= STEP_TOL * (1 + max|u|).  The stage's band is
+    built once, and each iterate's derivatives once, for its `residual` and
+    `jacobian`; the final iterate's go to the `SolveResult`.
     Each iteration, and why Newton stopped, is recorded there and logged at
     debug level.
     """
@@ -403,7 +410,7 @@ def newton_solve(
     u = np.array(u0, dtype=float)
     u[0] = 0.0
     u[-1] = 0.0
-    dv = _derivatives(u, setup, band)
+    dv = _derivatives(u, setup)
     R = residual(u, setup, dv)
     norm = float(np.abs(R).max())
     upp_min = float(dv.s.min())
@@ -427,7 +434,7 @@ def newton_solve(
         s_min = float(s_next.min())
         taken = s_min > floor
         if taken:
-            u, dv = u_next, _derivatives(u_next, setup, band, s_next)
+            u, dv = u_next, _derivatives(u_next, setup, s_next)
             R = residual(u, setup, dv)
             norm, upp_min = float(np.abs(R).max()), s_min
         iters += 1
@@ -519,16 +526,15 @@ def default_eps_schedule(start: float = 1e-1, ratio: float = 0.5, stages: int = 
     return [start * ratio**k for k in range(stages)]
 
 
-def eval_J(u: np.ndarray, grid: Grid, lagrangian: LagrangianSpec,
-           up: Optional[np.ndarray] = None) -> float:
-    """Window functional: trapezoid quadrature of F(x, u, u') over [a, b].
+def eval_J(u: np.ndarray, setup: ProblemSetup, up: Optional[np.ndarray] = None) -> float:
+    """Window functional: trapezoid quadrature of F(x, u, u') over [a, b], from `setup.at_nodes`.
 
     `up`, if given, is d1(u), already computed by the caller.
     """
+    g, lag = setup.grid, setup.at_nodes
     if up is None:
-        up = d1(u, grid)
-    F = lagrangian.f0(grid.nodes, u) + lagrangian.f1(grid.nodes, up)
-    return integrate(F, grid, grid.ia, grid.ib)
+        up = d1(u, g)
+    return integrate(lag.f0(u) + lag.f1(up), g, g.ia, g.ib)
 
 
 def penalty_l2(u: np.ndarray, setup: ProblemSetup) -> float:
@@ -547,7 +553,7 @@ def eval_J_eps(u: np.ndarray, setup: ProblemSetup, J: Optional[float] = None,
     """
     g, eps = setup.grid, setup.eps
     if J is None:
-        J = eval_J(u, g, setup.lagrangian)
+        J = eval_J(u, setup)
     if pen is None:
         pen = penalty_l2(u, setup)
     term_log = -eps * integrate(np.log(_curvatures(u, setup, upp)), g, 0, g.n)

@@ -81,18 +81,19 @@ def distributional_residual(
 ) -> tuple[float, list[float]]:
     """Max (and per-bump) weak-form residual over the family.
 
-    `up`, if given, is d1(u), already computed by the caller.
+    `up`, if given, is d1(u), already computed by the caller.  f0_z and f1_p
+    come from `setup.at_nodes`.
     """
-    g, lag = setup.grid, setup.lagrangian
+    g, lag = setup.grid, setup.at_nodes
     check_support(family, g)
     win = g.window_slice()
     xw = g.nodes[win]
     if w_window.shape != xw.shape:
         raise ValueError("w must be given on the window nodes")
-    fz = lag.f0_z(g.nodes, u)[win]
+    fz = lag.f0_z(u)[win]
     if up is None:
         up = d1(u, g)
-    fp = lag.f1_p(g.nodes, up)[win]
+    fp = lag.f1_p(up)[win]
 
     full = np.zeros(g.n + 1)
 

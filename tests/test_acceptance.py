@@ -129,7 +129,7 @@ def test_criterion_03_scheme_vs_oracle(calib_sweep_512, zero_sweep_512):
         width = g.b - g.a
         inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
         diff = float(np.max(np.abs(res.u - oracle.v)[inner]))
-        j_diff = abs(eval_J(res.u, g, setup.lagrangian) - oracle.J_value)
+        j_diff = abs(eval_J(res.u, setup) - oracle.J_value)
         ok = ok and diff <= 5e-3 and j_diff <= 1e-3
         details.append(f"{name}: sup diff {diff:.2e}, J diff {j_diff:.2e}")
     _gate(3, ok, "; ".join(details))

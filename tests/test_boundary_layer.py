@@ -10,7 +10,7 @@ apart wherever the grid resolves the layer.
 
 import numpy as np
 import pytest
-from helpers import CAL_PHI, STEEP_PHI
+from helpers import CAL_PHI, SHALLOW_PHI, STEEP_PHI, monopolist_setup
 
 from abreu1d.grid import build_grid
 from abreu1d.lagrangian import make_rochet_chone
@@ -71,3 +71,35 @@ def test_steep_layer_zeros_lie_pi_over_beta_apart(rho_minus, rho_plus):
         zeros = zero_crossings(g.nodes[outside], result.w[outside] - 1.0 / 6.0)
         spacing = zeros[1] - zeros[0] if left else zeros[-1] - zeros[-2]
         assert spacing * beta / np.pi == pytest.approx(1.0, abs=0.01), stage.eps
+
+
+# rho+- does not appear in the limit problem's J, so the limit cannot depend
+# on the second boundary data: rho moves the solution outside the window
+# only, by an O(h^2) term that does not fall with eps.
+LIMIT_SCHEDULE = default_eps_schedule(0.1, 0.25, 12)  # eps = 0.1 down to 2.4e-8
+
+
+def _sweep(n, phi, rho_minus, rho_plus):
+    setup = monopolist_setup(n=n, eps=LIMIT_SCHEDULE[0], phi=phi, rho=rho_minus, rho_plus=rho_plus)
+    stages = continuation_sweep(setup, LIMIT_SCHEDULE)
+    assert len(stages) == len(LIMIT_SCHEDULE) and all(result.converged for _, result in stages)
+    return stages
+
+
+@pytest.mark.parametrize("phi, rho", [(STEEP_PHI, 1.0 / 6.0), (SHALLOW_PHI, 1.5)],
+                         ids=["steep", "shallow"])
+@pytest.mark.parametrize("other", [(1.0, 1.0), (0.5, 3.0)], ids=["rho=(1,1)", "rho=(0.5,3)"])
+def test_the_limit_does_not_depend_on_the_second_boundary_data(phi, rho, other):
+    outside = []
+    for n in (64, 128):
+        base, moved = _sweep(n, phi, rho, rho), _sweep(n, phi, *other)
+        g = base[0][0].grid
+        win = g.window_slice()
+        for (stage, a), (_, b) in zip(base, moved):
+            if stage.eps <= 1e-4:
+                assert np.max(np.abs(a.u - b.u)[win]) <= 1e-12, (n, stage.eps)
+        diff = np.abs(base[-1][1].u - moved[-1][1].u)
+        diff[win] = 0.0
+        outside.append(float(diff.max()))
+    # the change outside the window is an O(h^2) term: it falls by 4 as h halves
+    assert outside[0] / outside[1] == pytest.approx(4.0, abs=0.1)

@@ -13,9 +13,9 @@ import pytest
 from helpers import (SHALLOW_PHI, STEEP_PHI, f_eps, invoke_cli, monopolist_setup, quartic_spec,
                      run_cli, write_config)
 
-from abreu1d import cli
+from abreu1d import cli, lagrangian
 from abreu1d.grid import d1, d2
-from abreu1d.lagrangian import CUSTOM_REGISTRY
+from abreu1d.lagrangian import CUSTOM_REGISTRY, polyval
 from abreu1d.solver import continuation_sweep
 
 
@@ -202,6 +202,40 @@ def test_custom_lagrangian_with_wrong_partial_is_config_error(tmp_path, monkeypa
         assert invoke_cli("sweep", "--config", cfg) == 1
     assert "custom lagrangian 'quartic': f1_ppp disagrees" in caplog.text
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_verify_refuses_a_scalar_returning_callback(tmp_path, monkeypatch, caplog):
+    # the solvers slice what a callback returns, so one that returns a scalar
+    # is refused when the config loads, not met as a TypeError in the weak form
+    monkeypatch.setitem(CUSTOM_REGISTRY, "quartic", lambda: dataclasses.replace(
+        quartic_spec(), f0_z=lambda x, z: 1.0, f0_zz=lambda x, z: 0.0,
+        f1_px=lambda x, p: -1.0, f1_pxp=lambda x, p: 0.0))
+    cfg = write_config(tmp_path / "cfg.json", lagrangian=QUARTIC)
+    with caplog.at_level(logging.ERROR, logger="abreu1d"):
+        assert invoke_cli("verify", "--config", cfg) == 1
+    assert ("custom lagrangian 'quartic': f0_z returns float of shape (), "
+            "not an array of its arguments' shape (41, 41)") in caplog.text
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify", "compare"])
+def test_a_command_binds_the_lagrangian_once(tmp_path, monkeypatch, command):
+    # the newton-sweep benchmark's problem, eta0 = 1 + x/2 at n = 128: the
+    # setup evaluates the weight once per problem, so the count of polyval
+    # calls does not follow the number of stages
+    def polyval_calls(stages):
+        calls = []
+        monkeypatch.setattr(lagrangian, "polyval",
+                            lambda c, x: calls.append(x) or polyval(c, x))
+        cfg = write_config(tmp_path / "cfg.json", outputs=str(tmp_path / f"out{stages}"),
+                           grid={"n": 128}, lagrangian={"eta0": [1.0, 0.5]},
+                           eps_schedule={"start": 0.1, "ratio": 0.5, "stages": stages})
+        assert invoke_cli(command, "--config", cfg) == 0
+        monkeypatch.undo()
+        return len(calls)
+
+    short, long = polyval_calls(4), polyval_calls(11)
+    assert short == long <= 5
 
 
 def test_unregistered_custom_lagrangian_is_config_error(tmp_path, caplog):

@@ -124,7 +124,7 @@ def _width(s):
 GAPS = {
     "sup_u_minus_v_star": lambda s, r: _window_sup(r.u - _limit(v_star, s), s),
     "sup_eps_w_minus_mu": lambda s, r: _window_sup(s.eps * r.w - _limit(mu, s), s),
-    "J_minus_J_star": lambda s, r: (eval_J(r.u, s.grid, s.lagrangian)
+    "J_minus_J_star": lambda s, r: (eval_J(r.u, s)
                                     - J_STAR[s.grid.a, s.grid.b]),
     "eps_max_w": lambda s, r: s.eps * compute_report(r, s).max_w_ab - (_width(s) / 3.0) ** 2,
     "min_upp_over_eps": lambda s, r: (compute_report(r, s).min_upp_ab / s.eps

@@ -51,7 +51,7 @@ def test_report_functionals_are_the_solvers(weight):
     assert res.converged
     g, u = setup.grid, res.u
     rep = compute_report(res, setup)
-    assert rep.J_val == eval_J(u, g, setup.lagrangian)
+    assert rep.J_val == eval_J(u, setup)
     assert rep.J_eps_val == eval_J_eps(u, setup)
     assert rep.penalty_l2 == penalty_l2(u, setup)
     # J_eps sums the window functional, the log-curvature term and the penalty, in that order

@@ -39,19 +39,11 @@ def test_build_grid_rejects_small_or_odd_n(n):
 
 def test_nodes_refuse_writes():
     g = build_grid(16, -0.5, 0.5)
-    for nodes in (g.nodes, g.interior_nodes):
-        with pytest.raises(ValueError, match="read-only"):
-            nodes[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            nodes += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes += 1.0
     assert g.nodes[0] == -1.0
-
-
-def test_interior_nodes_is_one_view_of_the_nodes():
-    g = build_grid(16, -0.5, 0.5)
-    assert g.interior_nodes is g.interior_nodes
-    assert g.interior_nodes.base is g.nodes
-    assert np.array_equal(g.interior_nodes, g.nodes[g.interior_slice()])
 
 
 def test_window_masks():

@@ -427,6 +427,45 @@ def test_no_identity_keyed_state():
     # (`LagrangianSpec.bind`), not looked up by the identity of an array
     assert identity_calls(_package_sources()) == []
 
+
+LAGRANGIAN_CALLBACKS = ("f0", "f0_z", "f0_zz", "f1", "f1_p", "f1_pp", "f1_px", "f1_pxp", "f1_ppp")
+
+
+def unbound_lagrangian_calls(sources: dict[str, str]) -> list[str]:
+    """Functions in `sources` (file name -> text) that call a Lagrangian
+    callback unbound: one of its nine names, bare or as an attribute, with
+    two positional arguments, the (x, .) form.  A bound partial takes one."""
+    def calls(node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in LAGRANGIAN_CALLBACKS and len(node.args) == 2
+
+    return owned_calls(sources, lambda tree: calls)
+
+
+def test_detector_flags_every_unbound_lagrangian_call():
+    sources = {
+        "a.py": "def J(u, g, spec, lag):\n"
+                "    return spec.f0(g.nodes, u) + lag.f1(u) + spec.f1_ppp(x=g.nodes, p=u)\n"
+                "def weak(spec, x, u):\n"
+                "    def inner():\n"
+                "        return spec.lagrangian.f1_p(x, u)[1:]\n"
+                "    return f0_zz(x, u), inner\n",
+        "b.py": "from a import f1_pxp\nf1_pxp(1.0, 2.0)\nf1_pxp(1.0)\nf2(1.0, 2.0)\n",
+    }
+    assert unbound_lagrangian_calls(sources) == [
+        "a.py:J (line 2)", "a.py:inner (line 5)", "a.py:weak (line 6)", "b.py:<module> (line 2)",
+    ]
+
+
+def test_no_unbound_lagrangian_calls():
+    # the setup binds the Lagrangian once per problem (`solver.make_setup`);
+    # only lagrangian.py, where `bind` and `check_partials` live, calls the
+    # unbound callbacks
+    sources = {name: text for name, text in _package_sources().items() if name != "lagrangian.py"}
+    assert unbound_lagrangian_calls(sources) == []
+
+
 def float_format_literals(sources: dict[str, str]) -> list[str]:
     """String constants in `sources` (file name -> text) that hold a `.17g` float format.
 

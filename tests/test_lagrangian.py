@@ -87,6 +87,17 @@ def test_check_partials_names_a_corrupted_partial(name):
         check_partials(bad)
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LagrangianSpec)])
+def test_check_partials_refuses_a_scalar_returning_callback(name):
+    # the solvers slice what each callback returns, so each must return an
+    # array of its arguments' shape; a Python float or a numpy scalar is refused
+    for scalar in (lambda x, y: 1.0, lambda x, y: np.float64(1.0)):
+        bad = dataclasses.replace(quartic_spec(), **{name: scalar})
+        with pytest.raises(ValueError, match=rf"^{name} returns (float|float64) of shape \(\), "
+                                             r"not an array of its arguments' shape \(41, 41\)$"):
+            check_partials(bad)
+
+
 def test_check_partials_rejects_nan():
     spec = dataclasses.replace(quartic_spec(), f1_ppp=lambda x, p: np.full_like(p, np.nan))
     with pytest.raises(ValueError, match="^f1_ppp disagrees"):
@@ -202,20 +213,20 @@ def _assert_bitwise(value, expected, name):
     assert value.shape == expected.shape and value.tobytes() == expected.tobytes(), name
 
 
+def _node_arrays(g):
+    """The nodes, which the setup binds for the scheme, the window's cell
+    midpoints, which it binds for the oracle, and a writeable copy of the nodes."""
+    return g.nodes, g.nodes[g.ia : g.ib] + 0.5 * g.h, g.nodes.copy()
+
+
 @pytest.mark.parametrize("coeffs", WEIGHTS)
 def test_callbacks_equal_an_uncached_reference_bitwise(coeffs):
     g = build_grid(128, -0.5, 0.5)
     spec = make_rochet_chone(coeffs, g.nodes)
-    for x in (g.interior_nodes, g.nodes, g.nodes.copy()):
+    for x in _node_arrays(g):
         y = np.cos(x)
         for name, expected in _reference(coeffs, x, y).items():
             _assert_bitwise(getattr(spec, name)(x, y), expected, name)
-
-
-def _node_arrays(g):
-    """The window's interior nodes, which Newton binds, all the nodes, which
-    a report binds, and a writeable copy of them."""
-    return g.interior_nodes, g.nodes, g.nodes.copy()
 
 
 @pytest.mark.parametrize("spec", [*(make_rochet_chone(c) for c in WEIGHTS), quartic_spec()],
@@ -246,8 +257,9 @@ def test_cached_values_are_read_only(name):
 
 
 def test_newton_evaluates_the_weight_once_per_stage(monkeypatch):
-    # the newton-sweep benchmark's problem: eta0 = 1 + x/2 at n = 128.  Its
-    # polyval count at eps = 0.1 must not follow the number of iterations.
+    # the newton-sweep benchmark's problem: eta0 = 1 + x/2 at n = 128.  The
+    # setup has bound the weight, so a stage evaluates it no more, however
+    # many iterations it takes.
     def polyval_calls(u0):
         setup = monopolist_setup(n=128, eps=0.1, weight=(1.0, 0.5))
         calls = []
@@ -261,16 +273,31 @@ def test_newton_evaluates_the_weight_once_per_stage(monkeypatch):
     cold_calls, cold = polyval_calls(None)
     warm_calls, warm = polyval_calls(cold.u)
     assert cold.newton_iters >= 3 and warm.newton_iters <= 1
-    assert cold_calls == warm_calls == 2  # eta0 and eta0' on the window nodes
+    assert cold_calls == warm_calls == 0
 
 
 def test_the_oracle_evaluates_the_weight_once_per_node_array(monkeypatch):
     # shallow at n = 128 takes the barrier's whole path from the obstacle,
-    # some 675 steps; its polyval count must not follow them
+    # some 675 steps; the setup has bound the weight at the cell midpoints
+    # and at the nodes, so neither the barrier nor J evaluates it
     setup = monopolist_setup(n=128, phi=SHALLOW_PHI, rho=1.5)
     calls = []
     monkeypatch.setattr(lagrangian, "polyval", lambda c, x: calls.append(x) or polyval(c, x))
     result = minimize_direct(setup)
     assert result.start == "obstacle" and result.iters > 600
-    # eta0 and eta0' at the cell midpoints, then eta0 in f0 and in f1 for J
-    assert len(calls) == 4
+    assert calls == []
+
+
+def test_the_setup_binds_the_weight_once_per_problem(monkeypatch):
+    # eta0 and eta0' at the nodes and at the window's cell midpoints, and no
+    # more when a stage's setup is made from it
+    calls = []
+    monkeypatch.setattr(lagrangian, "polyval", lambda c, x: calls.append(x) or polyval(c, x))
+    setup = monopolist_setup(n=64, weight=(1.0, 0.5))
+    g = setup.grid
+    assert len(calls) == 1 + 4  # the sign check of eta0, then the two bindings
+    assert setup.at_nodes.x is g.nodes
+    assert np.array_equal(setup.at_midpoints.x, g.nodes[g.ia : g.ib] + 0.5 * g.h)
+    stage = dataclasses.replace(setup, eps=1e-3)
+    assert stage.at_nodes is setup.at_nodes and stage.at_midpoints is setup.at_midpoints
+    assert len(calls) == 5

@@ -17,8 +17,7 @@ from helpers import (
 )
 from test_continuum_limit import SKEWED, SYMMETRIC, v_star_h
 
-from abreu1d.grid import build_grid, d2
-from abreu1d.lagrangian import make_rochet_chone
+from abreu1d.grid import d2
 from abreu1d.minimizer import (
     BARRIER_PATH,
     INNER_MAX_ITERS,
@@ -35,25 +34,25 @@ from abreu1d.solver import eval_J, make_setup
 def test_eval_J_closed_form():
     # integral of (v'^2/2 - x v' + v) over [-1/2, 1/2] at v = x^2 - 1 is -11/12
     setup = monopolist_setup()
-    assert eval_J(setup.phi, setup.grid, setup.lagrangian) == pytest.approx(-11.0 / 12.0, abs=1e-3)
+    assert eval_J(setup.phi, setup) == pytest.approx(-11.0 / 12.0, abs=1e-3)
 
 
 def test_eval_J_zero_lagrangian():
-    g = build_grid(64, -0.5, 0.5)
+    setup = zero_setup()
     rng = np.random.default_rng(3)
-    assert eval_J(rng.uniform(-1, 1, g.n + 1), g, make_rochet_chone([0.0])) == 0.0
+    assert eval_J(rng.uniform(-1, 1, setup.grid.n + 1), setup) == 0.0
 
 
 def test_eval_J_ignores_values_away_from_window():
     # the integrand is supported in the window; changing nodes outside the
     # window (beyond the one-node gradient-stencil halo) cannot change J
     setup = monopolist_setup()
-    g, lag = setup.grid, setup.lagrangian
+    g = setup.grid
     v = setup.phi.copy()
-    before = eval_J(v, g, lag)
+    before = eval_J(v, setup)
     v[: g.ia - 1] += 5.0
     v[g.ib + 2 :] -= 3.0
-    assert eval_J(v, g, lag) == before
+    assert eval_J(v, setup) == before
 
 
 def test_minimizer_recovers_interior_optimum():

@@ -380,7 +380,7 @@ def test_eval_J_eps_closed_form_pieces():
     phi = setup1.phi
     J1 = eval_J_eps(phi, setup1)
     J2 = eval_J_eps(phi, setup2)
-    window = eval_J(phi, setup1.grid, setup1.lagrangian)
+    window = eval_J(phi, setup1)
     assert J1 + 2 * 0.02 * np.log(2.0) == pytest.approx(window, abs=1e-13)
     assert J2 + 2 * 0.01 * np.log(2.0) == pytest.approx(window, abs=1e-13)
     # halving eps at u = phi changes only the log term

@@ -13,13 +13,13 @@ A log-barrier interior-point method is used.  The barrier objective is
 minimized with an inner Newton iteration whose Hessian is pentadiagonal in
 the free values, so it is assembled in banded form and solved with
 `solver.solve_banded` (LAPACK dgbsv; a singular Hessian is a RuntimeError).
-The backtracking line search evaluates the barrier objective once per trial
-and carries the accepted trial's value and second differences to the next
-step.  The smooth part is assembled from a per-cell midpoint quadrature,
-which (unlike the nodal trapezoid rule) is exactly stationary at the
-discrete minimizer and free of the odd/even decoupling of nodal central
-differences.  Reported functional values use `solver.eval_J` (trapezoid),
-the scheme's own quadrature.
+Its step length is Newton's, `solver.step_length`, the fraction to the
+boundary of s_ia .. s_ib, so no step evaluates the barrier objective.  The
+smooth part is assembled from a per-cell midpoint quadrature, which (unlike
+the nodal trapezoid rule) is exactly stationary at the discrete minimizer
+and free of the odd/even decoupling of nodal central differences.
+Reported functional values use `solver.eval_J` (trapezoid), the scheme's
+own quadrature.
 
 For a `rochet_chone` Lagrangian with a positive weight, the cell objective
 is a weighted least-squares fit of the cell slopes, and `iron` solves the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .grid import Grid, d2, d2_central_coeffs
 from .lagrangian import RochetChoneSpec
-from .solver import ProblemSetup, eval_J, solve_banded
+from .solver import ProblemSetup, eval_J, solve_banded, step_length
 
 
 @dataclass
@@ -129,10 +129,8 @@ def _cell_objective(setup: ProblemSetup):
     return value, grad_hess
 
 
-def _barrier_terms(v, setup: ProblemSetup, mu: float, s=None):
-    """Gradient and Hessian of -mu * sum log s_i over free nodes.
-
-    `s`, if given, is s_ia .. s_ib at v, already computed by the caller.
+def _barrier_terms(setup: ProblemSetup, mu: float, s: np.ndarray):
+    """Gradient and Hessian of -mu * sum log s_i over free nodes, at s = s_ia .. s_ib.
 
     Only constraints i = ia .. ib involve free values; the rest are constant.
     Constraint i touches free nodes i-2, i-1, i (counted from ia + 1), so the
@@ -141,8 +139,6 @@ def _barrier_terms(v, setup: ProblemSetup, mu: float, s=None):
     """
     g = setup.grid
     m = g.ib - g.ia - 1
-    if s is None:
-        s = d2(v, g)[g.window_slice()]
     w0, w1, w2 = d2_central_coeffs(g)
     q = -mu / s
     r = mu / (s * s)
@@ -287,52 +283,38 @@ def _barrier(setup: ProblemSetup, v: np.ndarray, path) -> tuple[np.ndarray, int,
     """The log-barrier loop from the strictly feasible v along the mu values of `path`.
 
     Returns the last iterate, the number of Newton steps and max|gradient|
-    of the barrier objective there, its KKT residual.
+    of the barrier objective there, its KKT residual.  A step whose
+    recomputed s is not all > 0 (roundoff at a binding constraint) is not
+    taken, and ends its mu.
     """
     g = setup.grid
-    s = d2(v, g)[g.window_slice()]  # s_ia .. s_ib at v, kept equal as v moves
-    smooth_value, smooth_grad_hess = _cell_objective(setup)
-
-    def barrier_objective(v, s, mu):  # s = s_ia .. s_ib at v
-        return smooth_value(v) - mu * float(np.sum(np.log(s)))
-
-    free = g.interior_slice()
+    win, free = g.window_slice(), g.interior_slice()
+    s = d2(v, g)[win]  # s_ia .. s_ib at v, kept equal as v moves
+    _, smooth_grad_hess = _cell_objective(setup)
+    correction = np.zeros_like(v)  # the Newton step on the free values, 0 where v is pinned
     total_iters = 0
 
     grad_total = None
     for mu in path:
         inner_tol = max(1e-11, 1e-4 * mu)
-        obj0 = None  # barrier objective at v, kept from the accepted trial
         for _ in range(INNER_MAX_ITERS):
             gJ, HJ = smooth_grad_hess(v)
-            gB, HB = _barrier_terms(v, setup, mu, s)
+            gB, HB = _barrier_terms(setup, mu, s)
             grad_total = gJ + gB
             if float(np.max(np.abs(grad_total))) <= inner_tol:
                 break
-            H = HJ + HB
             try:
-                step = solve_banded((2, 2), H, -grad_total)
+                step = solve_banded((2, 2), HJ + HB, -grad_total)
             except np.linalg.LinAlgError:
                 raise RuntimeError("inner Newton failure: singular barrier Hessian")
-            # backtrack: stay strictly feasible and decrease the barrier objective
-            if obj0 is None:
-                obj0 = barrier_objective(v, s, mu)
-            t = 1.0
-            accepted = False
-            for _ in range(60):
-                v_try = v.copy()
-                v_try[free] = v[free] + t * step
-                s_try = d2(v_try, g)[g.window_slice()]
-                if np.min(s_try) > 0.0:
-                    obj_try = barrier_objective(v_try, s_try, mu)
-                    if obj_try < obj0 + 1e-14 * abs(obj0):
-                        v, s, obj0 = v_try, s_try, obj_try
-                        accepted = True
-                        break
-                t *= 0.5
+            correction[free] = step
+            v_next = v.copy()
+            v_next[free] = v[free] + step_length(d2(correction, g)[win], s) * step
+            s_next = d2(v_next, g)[win]
             total_iters += 1
-            if not accepted:
+            if not np.min(s_next) > 0.0:
                 break
+            v, s = v_next, s_next
     return v, total_iters, float(np.max(np.abs(grad_total)))
 
 

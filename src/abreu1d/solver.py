@@ -62,8 +62,9 @@ class Tolerances:
 
 
 MAX_ITERS = 200
-# Newton's step length keeps every u'' above (1 - STEP_FRACTION) times its
-# value, to first order, so no w = 1/u'' more than doubles in one step.
+# `step_length` keeps every u'' of Newton, and every s_i of the oracle's
+# barrier, above (1 - STEP_FRACTION) times its value, so no w = 1/u'' more
+# than doubles in one step.
 STEP_FRACTION = 0.5
 # Newton also stops, converged, once its correction is roundoff-sized:
 # max|du| <= STEP_TOL * (1 + max|u|).  The max|R| test alone cannot be met
@@ -158,7 +159,7 @@ class SolveResult:
     at the convexity floor, and `min_upps` holds min u'' at the same
     iterates.  `step_norms` is max|Δu| of each iteration's full Newton
     correction, and `step_lengths` the step length t taken (0.0 for the
-    floor stop).
+    floor stop); `newton_iters` is their length.
 
     `stop` is why Newton stopped: "residual" (max|R| met the tolerance),
     "step" (a roundoff-sized correction), "max_iters" or "convexity_floor";
@@ -172,7 +173,6 @@ class SolveResult:
     upp: np.ndarray
     up: np.ndarray
     f: np.ndarray
-    newton_iters: int
     residual_norms: list[float]
     min_upps: list[float]
     step_norms: list[float]
@@ -183,6 +183,10 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.stop in ("residual", "step")
+
+    @property
+    def newton_iters(self) -> int:
+        return len(self.step_norms)
 
     @property
     def w(self) -> np.ndarray:
@@ -245,6 +249,19 @@ def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dgbsv")
     return x
+
+
+def step_length(ds: np.ndarray, s: np.ndarray) -> float:
+    """The fraction to the boundary along ds from s > 0: t = min(1, STEP_FRACTION / f).
+
+    f = max_i(-ds_i / s_i) is the largest relative fall of any s_i along ds
+    (Nocedal & Wright, Numerical Optimization, 19.2).  Where s and ds are
+    linear in the unknowns, as second differences are, every s_i + t ds_i
+    stays above (1 - STEP_FRACTION) s_i.  Newton and the oracle's barrier
+    both take it.
+    """
+    fall = float((-ds / s).max())
+    return 1.0 if fall <= STEP_FRACTION else STEP_FRACTION / fall
 
 
 def _curvatures(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> np.ndarray:
@@ -389,12 +406,10 @@ def newton_solve(
     """Damped Newton whose step length keeps the iterate convex.
 
     The correction Δu has zero Dirichlet entries, and the step length is
-    t = min(1, STEP_FRACTION / f), with f = max_i(-d2(Δu)_i / u''_i) the
-    largest relative fall of any u'' along Δu: the interior-point fraction
-    to the boundary (Nocedal & Wright, Numerical Optimization, 19.2).  The
-    stage fails, with step length 0.0 recorded, when the next iterate's min
-    u'' would reach the convexity floor.  Newton stops, converged, at max|R|
-    <= newton_tol_scale * (1 + 1/eps), or once a correction is
+    `step_length(d2(Δu), u'')`, the interior-point fraction to the boundary.
+    The stage fails, with step length 0.0 recorded, when the next iterate's
+    min u'' would reach the convexity floor.  Newton stops, converged, at
+    max|R| <= newton_tol_scale * (1 + 1/eps), or once a correction is
     roundoff-sized, max|Δu| <= STEP_TOL * (1 + max|u|).  The stage's band is
     built once, and each iterate's derivatives once, for its `residual` and
     `jacobian`; the final iterate's go to the `SolveResult`.
@@ -418,17 +433,15 @@ def newton_solve(
     min_upps = [upp_min]
     step_norms, step_lengths = [], []
 
-    iters = 0
     stop = "residual" if norm <= tol else None
-    while stop is None and iters < MAX_ITERS:
+    while stop is None and len(step_norms) < MAX_ITERS:
         step = solve_banded((2, 2), jacobian(u, setup, dv, band), -R)
         # keep the Dirichlet rows exact against linear-solver roundoff
         step[0] = 0.0
         step[-1] = 0.0
         step_norm = float(np.abs(step).max())
         roundoff = step_norm <= STEP_TOL * (1.0 + float(np.abs(u).max()))
-        fall = float((-d2(step, g) / dv.s).max())
-        t = 1.0 if fall <= STEP_FRACTION else STEP_FRACTION / fall
+        t = step_length(d2(step, g), dv.s)
         u_next = u + t * step
         s_next = d2(u_next, g)
         s_min = float(s_next.min())
@@ -437,11 +450,10 @@ def newton_solve(
             u, dv = u_next, _derivatives(u_next, setup, s_next)
             R = residual(u, setup, dv)
             norm, upp_min = float(np.abs(R).max()), s_min
-        iters += 1
         step_norms.append(step_norm)
         step_lengths.append(t if taken else 0.0)
         log.debug("newton eps=%.6g iter %d: max|R| %.3e max|du| %.3e t %.6g min u'' %.3e",
-                  setup.eps, iters, norm, step_norm, step_lengths[-1], upp_min)
+                  setup.eps, len(step_norms), norm, step_norm, step_lengths[-1], upp_min)
         if not taken:
             stop = "convexity_floor"
             break
@@ -454,14 +466,13 @@ def newton_solve(
     stop = stop or "max_iters"
     r = 4.0 * 2.0**-52 * float(np.abs(u).max()) / (g.h * g.h * upp_min)
     log.debug("newton eps=%.6g stopped on %s after %d iterations, curvature roundoff %.3e",
-              setup.eps, stop, iters, r)
+              setup.eps, stop, len(step_norms), r)
 
     return SolveResult(
         u=u,
         upp=dv.s,
         up=dv.p,
         f=dv.f,
-        newton_iters=iters,
         residual_norms=norms,
         min_upps=min_upps,
         step_norms=step_norms,

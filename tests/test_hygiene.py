@@ -698,3 +698,68 @@ def test_one_file_writer():
     # cli._write_in_place writes every output file, in place
     sites = file_write_sites(_package_sources())
     assert [site.split(" ")[0] for site in sites] == ["cli.py:_write_in_place"] * 2
+
+
+def step_length_rule_breaks(sources: dict[str, str]) -> list[str]:
+    """Sites in `sources` (file name -> text) that decide a step length
+    outside `solver.step_length`: a read of `STEP_FRACTION`, bare or as an
+    attribute, in any other function, and an augmented `*=` or `/=` by a
+    numeric constant, the shape of a halving line search.
+
+    A site counts for the innermost function around it, or for `<module>`.
+    """
+    found = []
+
+    def numeric(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    def breaks(node, owner):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            return name == "STEP_FRACTION" and owner != "solver.py:step_length"
+        return (isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Mult, ast.Div))
+                and numeric(node.value))
+
+    def visit(node, file, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, file, child.name)
+                continue
+            if breaks(child, f"{file}:{owner}"):
+                found.append(f"{file}:{owner} (line {child.lineno})")
+            visit(child, file, owner)
+
+    for name, text in sources.items():
+        visit(ast.parse(text), name, "<module>")
+    return found
+
+
+def test_detector_flags_every_second_step_length_rule():
+    sources = {
+        "solver.py": "STEP_FRACTION = 0.5\n"
+                     "def step_length(ds, s):\n"
+                     "    fall = max(-ds / s)\n"
+                     "    return 1.0 if fall <= STEP_FRACTION else STEP_FRACTION / fall\n"
+                     "def newton(t, scale):\n"
+                     "    t *= 0.5\n    t /= 2\n    t *= -1\n"
+                     "    t *= scale\n    t += 0.5\n    t *= True\n"
+                     "    return min(1.0, STEP_FRACTION)\n",
+        "minimizer.py": "from . import solver\nfrom .solver import STEP_FRACTION\n"
+                        "def barrier(t):\n"
+                        "    def inner():\n        return solver.STEP_FRACTION\n"
+                        "    t *= 0.5\n    return inner\n"
+                        "solver.STEP_FRACTION = 0.25\nx = STEP_FRACTION\n",
+    }
+    assert step_length_rule_breaks(sources) == [
+        "solver.py:newton (line 6)", "solver.py:newton (line 7)", "solver.py:newton (line 8)",
+        "solver.py:newton (line 12)", "minimizer.py:inner (line 5)",
+        "minimizer.py:barrier (line 6)", "minimizer.py:<module> (line 9)",
+    ]
+
+
+def test_one_step_length_rule():
+    # solver.step_length, the fraction to the boundary, is how far both
+    # Newton and the oracle's barrier step: no halving line search beside it
+    assert step_length_rule_breaks(_package_sources()) == []

@@ -28,7 +28,7 @@ from abreu1d.minimizer import (
     minimize_direct,
     second_differences,
 )
-from abreu1d.solver import eval_J, make_setup
+from abreu1d.solver import STEP_FRACTION, eval_J, make_setup
 
 
 def test_eval_J_closed_form():
@@ -234,6 +234,11 @@ def _fd_hessian(grad, v, free, step):
     return np.column_stack(cols)
 
 
+def _window_s(v, prob):
+    """s_ia .. s_ib at v, what `_barrier_terms` takes."""
+    return d2(v, prob.grid)[prob.grid.window_slice()]
+
+
 def _oracle_problems():
     for phi, rho in ((STEEP_PHI, 1.0 / 6.0), (SHALLOW_PHI, 1.5)):
         yield monopolist_setup(n=64, phi=phi, rho=rho, weight=(1.0, 0.5))
@@ -283,7 +288,7 @@ def test_oracle_bands_equal_loop_assembly_bitwise():
         for v in _strictly_feasible_points(prob, 2, seed=3):
             gJ, HJ, gB, HB = _oracle_loop_assembly(v, prob, mu)
             band_gJ, band_HJ = grad_hess(v)
-            band_gB, band_HB = _barrier_terms(v, prob, mu)
+            band_gB, band_HB = _barrier_terms(prob, mu, _window_s(v, prob))
             np.testing.assert_array_equal(band_gJ, gJ)
             np.testing.assert_array_equal(band_to_dense(band_HJ), HJ)
             np.testing.assert_array_equal(band_gB, gB)
@@ -298,8 +303,8 @@ def test_oracle_band_hessians_match_central_differences():
             H = band_to_dense(grad_hess(v)[1])
             F = _fd_hessian(lambda w: grad_hess(w)[0], v, prob.grid.interior_slice(), 1e-6)
             assert np.max(np.abs(H - F)) <= 1e-6 * np.max(np.abs(H))
-            H = band_to_dense(_barrier_terms(v, prob, mu)[1])
-            F = _fd_hessian(lambda w: _barrier_terms(w, prob, mu)[0], v,
+            H = band_to_dense(_barrier_terms(prob, mu, _window_s(v, prob))[1])
+            F = _fd_hessian(lambda w: _barrier_terms(prob, mu, _window_s(w, prob))[0], v,
                             prob.grid.interior_slice(), 1e-8)
             assert np.max(np.abs(H - F)) <= 1e-6 * np.max(np.abs(H))
 
@@ -310,7 +315,7 @@ def test_oracle_banded_step_matches_dense_solve():
         _, grad_hess = _cell_objective(prob)
         for v in _strictly_feasible_points(prob, 3, seed=9):
             gJ, HJ = grad_hess(v)
-            gB, HB = _barrier_terms(v, prob, mu)
+            gB, HB = _barrier_terms(prob, mu, _window_s(v, prob))
             H, grad = HJ + HB, gJ + gB
             step = solve_banded((2, 2), H, -grad)
             dense = np.linalg.solve(band_to_dense(H), -grad)
@@ -319,38 +324,31 @@ def test_oracle_banded_step_matches_dense_solve():
 
 def _minimize_direct_loop(problem, start, path):
     """Reference for `minimize_direct`: the same barrier loop from `start`
-    along the mu values of `path`, with scipy's `solve_banded`, recomputing
-    the barrier objective at v at every inner step and the constraints of
-    each trial twice.  Returns (v, iters, stage_J, kkt_residual)."""
+    along the mu values of `path`, with scipy's `solve_banded`, the fraction
+    to the boundary written out, and the constraints recomputed from v at
+    every step.  Every iterate's s_ia .. s_ib must stay > 0.  Returns
+    (v, iters, stage_J, kkt_residual)."""
     g, free = problem.grid, problem.grid.interior_slice()
     value, grad_hess = _cell_objective(problem)
-
-    def objective(v, mu):
-        return value(v) - mu * float(np.sum(np.log(d2(v, g)[g.window_slice()])))
-
     v = np.array(start, dtype=float)
     iters, stage_J, grad = 0, [], None
     for mu in path:
         for _ in range(INNER_MAX_ITERS):
+            s = _window_s(v, problem)
+            assert np.min(s) > 0.0, (mu, iters)
             gJ, HJ = grad_hess(v)
-            gB, HB = _barrier_terms(v, problem, mu)
+            gB, HB = _barrier_terms(problem, mu, s)
             grad = gJ + gB
             if float(np.max(np.abs(grad))) <= max(1e-11, 1e-4 * mu):
                 break
             step = solve_banded((2, 2), HJ + HB, -grad)
-            obj0 = objective(v, mu)
-            t, accepted = 1.0, False
-            for _ in range(60):
-                v_try = v.copy()
-                v_try[free] = v[free] + t * step
-                if np.min(d2(v_try, g)[g.window_slice()]) > 0.0 and (
-                        objective(v_try, mu) < obj0 + 1e-14 * abs(obj0)):
-                    v, accepted = v_try, True
-                    break
-                t *= 0.5
+            correction = np.zeros_like(v)
+            correction[free] = step
+            fall = float(np.max(-_window_s(correction, problem) / s))
+            t = 1.0 if fall <= STEP_FRACTION else STEP_FRACTION / fall
+            v = v.copy()
+            v[free] = v[free] + t * step
             iters += 1
-            if not accepted:
-                break
         stage_J.append(value(v))
     return v, iters, stage_J, float(np.max(np.abs(grad)))
 
@@ -360,15 +358,26 @@ def _cold_loop(problem):
     return _minimize_direct_loop(problem, problem.phi, BARRIER_PATH)
 
 
-@pytest.mark.parametrize("weight", [(1.0,), (1.0, 0.5)], ids=["const", "linear"])
-@pytest.mark.parametrize("phi, rho, start", [(STEEP_PHI, 1.0 / 6.0, "ironing"),
-                                             (SHALLOW_PHI, 1.5, "obstacle")],
-                         ids=["steep", "shallow"])
-def test_minimize_direct_iterates_equal_reference_loop_bitwise(phi, rho, start, weight):
-    # steep leaves every constraint inactive, so the loop runs at the last mu
-    # from ironing's minimizer; shallow's bind, so it runs the whole path
-    # from the obstacle
-    prob = monopolist_setup(n=64, phi=phi, rho=rho, weight=weight)
+# steep leaves every constraint inactive, so the loop runs at the last mu from
+# ironing's minimizer; shallow's bind, so it runs the whole path from the
+# obstacle, as it does for the quartic F, which ironing does not take and
+# whose Hessian changes along each step
+REFERENCE_PROBLEMS = {
+    "steep-const": (lambda: monopolist_setup(n=64, phi=STEEP_PHI, rho=1.0 / 6.0), "ironing"),
+    "steep-linear": (lambda: monopolist_setup(n=64, phi=STEEP_PHI, rho=1.0 / 6.0, weight=(1.0, 0.5)),
+                     "ironing"),
+    "shallow-const": (lambda: monopolist_setup(n=64, phi=SHALLOW_PHI, rho=1.5), "obstacle"),
+    "shallow-linear": (lambda: monopolist_setup(n=64, phi=SHALLOW_PHI, rho=1.5, weight=(1.0, 0.5)),
+                       "obstacle"),
+    "quartic": (lambda: make_setup(monopolist_setup().grid, quartic_spec(), CAL_PHI, 0.5, 0.5, 1e-2),
+                "obstacle"),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_PROBLEMS)
+def test_minimize_direct_iterates_equal_reference_loop_bitwise(case):
+    build, start = REFERENCE_PROBLEMS[case]
+    prob = build()
     if start == "ironing":
         v, iters, _, kkt = _minimize_direct_loop(prob, iron(prob).v, BARRIER_PATH[-1:])
     else:

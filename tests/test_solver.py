@@ -34,6 +34,7 @@ from abreu1d.solver import (
     newton_solve,
     residual,
     solve_banded,
+    step_length,
 )
 
 
@@ -437,7 +438,7 @@ def _real_bands():
     for phi in (STEEP_PHI, SHALLOW_PHI):
         s = monopolist_setup(n=64, phi=phi, weight=(1.0, 0.5))
         gJ, HJ = _cell_objective(s)[1](s.phi)
-        gB, HB = _barrier_terms(s.phi, s, 1e-3)
+        gB, HB = _barrier_terms(s, 1e-3, d2(s.phi, s.grid)[s.grid.window_slice()])
         yield HJ + HB, -(gJ + gB)
 
 
@@ -568,6 +569,28 @@ def test_newton_stops_after_max_iters(monkeypatch):
     assert (res.stop, res.converged, res.newton_iters) == ("max_iters", False, 2)
     assert len(res.residual_norms) == len(res.min_upps) == 3
     assert res.residual_norms[-1] > 1e-10 * (1.0 + 1.0 / setup.eps)
+
+
+def test_step_length_is_the_fraction_to_the_boundary():
+    s, frac = np.array([1.0, 2.0, 4.0]), solver.STEP_FRACTION
+    # the largest relative fall f = max(-ds / s) is at most STEP_FRACTION: t = 1
+    assert step_length(-frac * s, s) == 1.0
+    assert step_length(np.array([1.0, 0.0, 2.0]), s) == 1.0
+    # f = 4 at s_1: t = STEP_FRACTION / f, which takes s_1 to (1 - STEP_FRACTION) s_1
+    ds = np.array([-0.5, -8.0, 1.0])
+    t = step_length(ds, s)
+    assert t == frac / 4.0
+    assert s[1] + t * ds[1] == pytest.approx((1.0 - frac) * s[1], rel=1e-15)
+
+
+def test_step_length_keeps_every_s_above_a_fraction_of_itself():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        s = rng.uniform(1e-6, 1.0, 50) * 10.0 ** rng.integers(-8, 8)
+        ds = rng.standard_normal(50) * 10.0 ** rng.integers(-8, 8)
+        t = step_length(ds, s)
+        assert 0.0 < t <= 1.0
+        assert np.all(s + t * ds >= (1.0 - solver.STEP_FRACTION) * s * (1.0 - 1e-15))
 
 
 def test_newton_step_keeps_half_of_every_curvature():

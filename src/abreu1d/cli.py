@@ -8,7 +8,13 @@ one place that picks the exit code: each command returns its code and its
 manifest record, and `_command` writes the manifest last, then exits.
 Tabular outputs are CSV, all written by `write_csv` with one formatting
 rule: comma separator, floats as `%.17g` (`_FLOAT_FORMAT`), other values as
-`str()`, LF line endings, UTF-8.  Manifests and summaries are JSON.
+`str()`, LF line endings, UTF-8.  Floats are rendered by the numpy kernel
+in `floattext`, a block of values at a time, into the bytes `%.17g` gives;
+the few it cannot render exactly (non-finite, subnormal, |v| outside
+[1e-200, 1e200], or within about 1e-6 of a rounding tie where 10**(16 - e)
+is not one double) fall back to `_FLOAT_FORMAT % v`.  On a 2-vCPU Xeon VM
+the 11 stage files of the n = 128 benchmark sweeps took 2.3-2.6 ms against
+4.0-4.1 ms with `%`.  Manifests and summaries are JSON.
 `write_csv` and `write_json` return the sha256 of the bytes they wrote, and
 the manifest lists those digests for every other file the command wrote;
 no artifact is read back.  Both write through `_write_in_place`, which
@@ -22,7 +28,8 @@ forks a writer child through `_in_child` for stages 00, 02, ... (the larger
 half when the count is odd) while it writes the others and its summary
 files.  The child is reaped before the command writes anything else.
 Below the threshold, and on machines with one CPU or without os.fork, the
-command writes every stage file itself and forks nothing.
+command writes every stage file itself and forks nothing.  Each process
+renders the nodes once, and small stage files several to a block.
 """
 
 import functools
@@ -48,7 +55,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, floattext
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .minimizer import minimize_direct
@@ -76,36 +83,64 @@ def _setup_logging() -> None:
     )
 
 
-# Rows per `%` call.  At n = 8192, 1024 rows was no faster than 512 and
-# raised the process's peak RSS by about 0.6 MB.
+# Rows per block of a CSV file: a block of a large stage file, five float
+# columns, is one `floattext` block.
 _CSV_BLOCK_ROWS = 512
 
-# How `write_csv` writes a float, and how `_writing_stages` renders grid nodes.
+# How `write_csv` writes a float the renderer leaves to this format.
 _FLOAT_FORMAT = "%.17g"
 
 
 def write_csv(path: Path, header, columns) -> str:
     """Write equal-length `columns` under `header`; no columns writes the header alone.
 
-    A column that numpy reads as a float array is written with
-    `_FLOAT_FORMAT`, any other column with `str()`.  Each block of rows is
-    formatted by one `%`.  Returns the sha256 hex digest of the bytes written.
+    A column that numpy reads as a float array is written as `_FLOAT_FORMAT`
+    gives each value, a bytes (`S`) column as its text, which is how
+    `_write_stages` passes columns it has rendered already, and any other
+    column with `str()`.  Each block of rows is one row-major byte matrix,
+    every value NUL padded, whose NULs are dropped.  Returns the sha256 hex
+    digest of the bytes written.  Raises ValueError, before the file is
+    opened, for columns of unequal lengths or other than one per header name.
     """
     cols = [np.asarray(c) for c in columns]
-    width = len(cols)
     n = len(cols[0]) if cols else 0
-    row = ",".join(_FLOAT_FORMAT if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+    if cols and (len(cols) != len(header) or any(len(c) != n for c in cols)):
+        raise ValueError(f"{path}: {len(header)} header names over columns of lengths "
+                         f"{[len(c) for c in cols]}")
 
     def blocks():
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode("utf-8")
         for lo in range(0, n, _CSV_BLOCK_ROWS):
-            hi = min(lo + _CSV_BLOCK_ROWS, n)
-            values = [None] * ((hi - lo) * width)
-            for j, c in enumerate(cols):
-                values[j::width] = c[lo:hi].tolist()
-            yield (row * (hi - lo)) % tuple(values)
+            yield _csv_rows([c[lo:lo + _CSV_BLOCK_ROWS] for c in cols])
 
-    return _write_in_place(path, (text.encode("utf-8") for text in blocks()))
+    return _write_in_place(path, blocks())
+
+
+def _csv_rows(cols) -> bytes:
+    """The CSV lines of equal-length columns, rendered together."""
+    texts = list(cols)
+    floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
+    if floats:
+        rendered = _float_text(np.concatenate([cols[j] for j in floats]))
+        for j, text in zip(floats, rendered.reshape(len(floats), -1)):
+            texts[j] = text
+    for j, c in enumerate(texts):
+        if c.dtype.kind != "S":
+            texts[j] = np.array([str(v).encode("utf-8") for v in c.tolist()], dtype="S")
+    rows = np.empty((len(texts[0]), sum(t.itemsize + 1 for t in texts)), np.uint8)
+    end = 0
+    for text in texts:
+        start, end = end, end + text.itemsize
+        rows[:, start:end] = text.view(np.uint8).reshape(-1, text.itemsize)
+        rows[:, end] = ord(",")
+        end += 1
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _float_text(values) -> np.ndarray:
+    """`values` as `_FLOAT_FORMAT` text: an `S` array with NULs (see `floattext`)."""
+    return floattext.render(values, _FLOAT_FORMAT)[0]
 
 
 def write_json(path: Path, doc) -> str:
@@ -122,7 +157,7 @@ def _write_in_place(path: Path, chunks) -> str:
     its final length when this returns.  Truncating on open instead, or
     replacing the file by a rename, makes ext4 free the old blocks and start
     writeback at close: 0.1-0.3 ms a stage file of 129 rows on a 2-vCPU Xeon
-    VM, against 0.6 ms to format it.
+    VM, against about 0.1 ms to render it.
     """
     digest = hashlib.sha256()
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
@@ -145,13 +180,15 @@ def _finish(outdir: Path, cfg: RunConfig, run: dict) -> None:
 STAGE_HEADER = ("x", "u", "u_prime", "u_pp", "w", "f_eps")
 
 # Stage files are written from two processes when they hold at least this
-# many values in all.  The fork costs a few ms and each float value about
-# 0.6 us to format.  On a 2-vCPU Xeon VM (11 stages of the exact-solution
-# problem) the split broke even between 17 k and 25 k values, saved 20 % of
-# the write time at 34 k and 44 % at 540 k (n = 8192), and cost 1-2 ms at
-# 8.5 k (n = 128).  The child writes the larger half, stages 00, 02, ...,
-# because this process goes on to write the summary files.
-_SPLIT_MIN_VALUES = 25_000
+# many values in all.  After a sweep, a fork took 0.8-1.0 ms, a child's exit
+# and reaping 1.3-1.5 ms, and a value takes about 0.3 us to render and write.
+# On a 2-vCPU Xeon VM (`sweep`, 11 stages of the exact-solution problem,
+# medians of 40 in-process runs a side) the split cost 0.2 ms at 34 k values
+# (n = 512), saved 0.9-1.1 ms at 51 k (n = 768), 4.4-4.9 ms at 85 k
+# (n = 1280) and 28 ms of 107 at 541 k (n = 8192).  The child writes the
+# larger half, stages 00, 02, ..., because this process goes on to write the
+# summary files.
+_SPLIT_MIN_VALUES = 50_000
 
 
 def _stage_entry(setup, result) -> dict:
@@ -174,17 +211,24 @@ def _stage_entry(setup, result) -> dict:
 def _write_stages(nodes, jobs) -> dict:
     """Write each `(path, result)` job's solution CSV; returns file name -> sha256.
 
-    `nodes` is the `x` column of every job, as `write_csv` takes a column.
-    The other columns are the result's u and the u', u'', w and f_eps that
-    Newton evaluated at it.
+    The `x` column is `nodes`, the others the result's u and the u', u'',
+    w and f_eps that Newton evaluated at it.  The nodes are rendered once.
+    Files small enough for several to a `floattext` block are rendered that
+    many at a time, because each block costs about 70 us beyond its values;
+    a larger file is rendered by `write_csv`, a block of rows at a time.
     """
-    return {path.name: write_csv(path, STAGE_HEADER, (nodes, r.u, r.up, r.upp, r.w, r.f))
-            for path, r in jobs}
-
-
-def _node_strings(grid) -> np.ndarray:
-    """The grid's nodes as `write_csv` writes them, rendered once for many stage files."""
-    return np.array([_FLOAT_FORMAT % x for x in grid.nodes.tolist()], dtype=object)
+    x = _float_text(nodes)
+    per_file = (len(STAGE_HEADER) - 1) * len(nodes)
+    group = max(1, floattext.BLOCK_VALUES // per_file)
+    files = {}
+    for lo in range(0, len(jobs), group):
+        part = jobs[lo:lo + group]
+        columns = [(r.u, r.up, r.upp, r.w, r.f) for _, r in part]
+        if group > 1:
+            columns = _float_text(np.ravel(columns)).reshape(len(part), -1, len(nodes))
+        for (path, _), cols in zip(part, columns):
+            files[path.name] = write_csv(path, STAGE_HEADER, (x, *cols))
+    return files
 
 
 @contextmanager
@@ -192,14 +236,13 @@ def _writing_stages(outdir: Path, stages):
     """Write every stage's `solution_stageNN.csv`; yield the file name -> sha256 record.
 
     The block adds its own files to the record, which holds every stage
-    file once the `with` statement is left.  The stages' nodes are rendered
-    once, before any write.  With two or more stages and at least
-    `_SPLIT_MIN_VALUES` values, `_in_child` writes stages 00, 02, ... while
-    this process writes the others and then runs the block, so the child's
-    writes and exit overlap the block's work.  One stage has nothing to
-    split, so this process writes it without a fork.
+    file once the `with` statement is left.  With two or more stages and at
+    least `_SPLIT_MIN_VALUES` values, `_in_child` writes stages 00, 02, ...
+    while this process writes the others and then runs the block, so the
+    child's writes and exit overlap the block's work.  One stage has nothing
+    to split, so this process writes it without a fork.
     """
-    nodes = _node_strings(stages[0][0].grid)
+    nodes = stages[0][0].grid.nodes
     jobs = [(outdir / f"solution_stage{k:02d}.csv", result) for k, (_, result) in enumerate(stages)]
     if len(stages) > 1 and len(STAGE_HEADER) * len(nodes) * len(stages) >= _SPLIT_MIN_VALUES:
         with _in_child(_write_stages, nodes, jobs[::2]) as wait:
@@ -283,7 +326,7 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
     schedule = cfg.schedule()
     t0 = time.perf_counter()
     stages = continuation_sweep(setup, schedule, cfg.tolerances)
-    elapsed = time.perf_counter() - t0
+    t1 = time.perf_counter()
     all_converged = len(stages) == len(schedule) and all(r.converged for _, r in stages)
 
     with _writing_stages(outdir, stages) as files:
@@ -309,11 +352,12 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
                                               check_theorem_bounds(reports))
         except ValueError as exc:
             log.warning("bound checks skipped: %s", exc)
+    seconds = {"sweep": t1 - t0, "write": time.perf_counter() - t1}
     stage_meta = [_stage_entry(setup, result) for setup, result in stages]
 
     if not all_converged:
         log.error("sweep stopped at stage %d of %d", len(stages), len(schedule))
-    run = {"stages": stage_meta, "wall_clock_seconds": {"sweep": elapsed}, "files": files}
+    run = {"stages": stage_meta, "wall_clock_seconds": seconds, "files": files}
     return (EXIT_OK if all_converged else EXIT_SOLVER), stages, reports, run
 
 

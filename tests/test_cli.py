@@ -81,6 +81,26 @@ def test_write_csv_rates_shape_and_header_only_match_per_value_format(tmp_path):
         assert digest == hashlib.sha256(written).hexdigest(), name
 
 
+@pytest.mark.parametrize(
+    "header, columns, written",
+    [(("a", "b"), (np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])), None),
+     (("a", "b", "c"), (np.array([1.0, 2.0]), ["p", "q"]), None),
+     (("a", "b", "c"), [], b"a,b,c\n")],
+    ids=["unequal-lengths", "more-names-than-columns", "no-columns"],
+)
+def test_write_csv_refuses_a_ragged_table(tmp_path, header, columns, written):
+    # a longer column is not cut to the first one's length, nor a header
+    # written over fewer fields; no columns writes the header alone
+    path = tmp_path / "t.csv"
+    if written is None:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            cli.write_csv(path, header, columns)
+        assert not path.exists()
+    else:
+        cli.write_csv(path, header, columns)
+        assert path.read_bytes() == written
+
+
 def test_write_json_returns_the_digest_of_its_bytes(tmp_path):
     doc = {"b": [0.1, -0.0, 5e-324], "a": {"status": "PASS", "n": 3}, "nan": float("nan")}
     path = tmp_path / "doc.json"
@@ -402,8 +422,9 @@ def test_manifest_hashes_every_artifact(tmp_path, monkeypatch, command, override
     assert set(manifest["files"]) == artifacts
     for name, digest in manifest["files"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
-    if command == "compare":
-        assert manifest["wall_clock_seconds"]["oracle"] > 0.0
+    seconds = manifest["wall_clock_seconds"]
+    assert sorted(seconds) == (["oracle"] if command == "compare" else []) + ["sweep", "write"]
+    assert min(seconds.values()) > 0.0
 
 
 def test_verify_rejects_window_narrower_than_bumps(tmp_path):
@@ -698,7 +719,7 @@ def test_forked_and_inline_oracle_are_byte_identical(tmp_path, monkeypatch, over
         assert len(forks) == forked
         outputs[forked] = _artifacts(out)
     assert outputs[True] == outputs[False]
-    assert outputs[True][0]["wall_clock_seconds"] == ["oracle", "sweep"]
+    assert outputs[True][0]["wall_clock_seconds"] == ["oracle", "sweep", "write"]
     assert ("compare.csv" in outputs[True][1]) == (code == 0)
     assert len(outputs[True][0]["files"]) == len(outputs[True][1])
 

@@ -3,16 +3,16 @@
 Exit codes: 0 success, 1 configuration error (a command-line usage error
 too), 2 solver nonconvergence, 3 oracle failure, 4 output error (an artifact
 could not be written; one error line names the file, and no manifest is
-written).  `_command` is the
-one place that picks the exit code: each command returns its code and its
-manifest record, and `_command` writes the manifest last, then exits.
+written).  `_command` is the one place that picks the exit code: each
+command returns its code and its manifest record, and `_command` writes the
+manifest last, then exits.
 Tabular outputs are CSV, all written by `write_csv` with one formatting
-rule: comma separator, floats as `%.17g` (`_FLOAT_FORMAT`), other values as
-`str()`, LF line endings, UTF-8.  Floats are rendered by the numpy kernel
-in `floattext`, a block of values at a time, into the bytes `%.17g` gives;
-the few it cannot render exactly (non-finite, subnormal, |v| outside
-[1e-200, 1e200], or within about 1e-6 of a rounding tie where 10**(16 - e)
-is not one double) fall back to `_FLOAT_FORMAT % v`.  On a 2-vCPU Xeon VM
+rule: comma separator, floats as `%.17g`, other values as `str()`, LF line
+endings, UTF-8.  `floattext.render` is the one float renderer: a numpy
+kernel renders a block of values at a time into the bytes `%.17g` gives,
+and leaves the few it cannot render exactly (non-finite, subnormal, |v|
+outside [1e-200, 1e200], or within about 1e-6 of a rounding tie where
+10**(16 - e) is not one double) to the format itself.  On a 2-vCPU Xeon VM
 the 11 stage files of the n = 128 benchmark sweeps took 2.3-2.6 ms against
 4.0-4.1 ms with `%`.  Manifests and summaries are JSON.
 `write_csv` and `write_json` return the sha256 of the bytes they wrote, and
@@ -23,13 +23,12 @@ length; `write_json` writes no temporary file.
 
 `compare` runs its convex-cone oracle in the command's own process, once
 every stage has converged and the sweep's files are written.  With two or
-more stages and at least `_SPLIT_MIN_VALUES` stage-file values, each command
-forks a writer child through `_in_child` for stages 00, 02, ... (the larger
-half when the count is odd) while it writes the others and its summary
-files.  The child is reaped before the command writes anything else.
-Below the threshold, and on machines with one CPU or without os.fork, the
-command writes every stage file itself and forks nothing.  Each process
-renders the nodes once, and small stage files several to a block.
+more stages, at least `_SPLIT_MIN_VALUES` stage-file values, os.fork and a
+second CPU, `_writing_stages` forks a writer child for stages 00, 02, ...
+(the larger half when the count is odd) while the command writes the others
+and its summary files, and reaps it before the command writes anything
+else.  Otherwise the command writes every stage file first and forks
+nothing.
 """
 
 import functools
@@ -87,20 +86,18 @@ def _setup_logging() -> None:
 # columns, is one `floattext` block.
 _CSV_BLOCK_ROWS = 512
 
-# How `write_csv` writes a float the renderer leaves to this format.
-_FLOAT_FORMAT = "%.17g"
-
 
 def write_csv(path: Path, header, columns) -> str:
     """Write equal-length `columns` under `header`; no columns writes the header alone.
 
-    A column that numpy reads as a float array is written as `_FLOAT_FORMAT`
-    gives each value, a bytes (`S`) column as its text, which is how
-    `_write_stages` passes columns it has rendered already, and any other
-    column with `str()`.  Each block of rows is one row-major byte matrix,
-    every value NUL padded, whose NULs are dropped.  Returns the sha256 hex
-    digest of the bytes written.  Raises ValueError, before the file is
-    opened, for columns of unequal lengths or other than one per header name.
+    A column that numpy reads as a float array is written as `%.17g` gives
+    each value (`floattext.render`), a bytes (`S`) column as its text, which
+    is how `_write_stages` passes columns it has rendered already, and any
+    other column with `str()`.  Each block of rows is one row-major byte
+    matrix, every value NUL padded, whose NULs are dropped.  Returns the
+    sha256 hex digest of the bytes written.  Raises ValueError, before the
+    file is opened, for columns of unequal lengths or other than one per
+    header name.
     """
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0]) if cols else 0
@@ -121,7 +118,7 @@ def _csv_rows(cols) -> bytes:
     texts = list(cols)
     floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
     if floats:
-        rendered = _float_text(np.concatenate([cols[j] for j in floats]))
+        rendered = floattext.render(np.concatenate([cols[j] for j in floats]))[0]
         for j, text in zip(floats, rendered.reshape(len(floats), -1)):
             texts[j] = text
     for j, c in enumerate(texts):
@@ -136,11 +133,6 @@ def _csv_rows(cols) -> bytes:
         end += 1
     rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0")
-
-
-def _float_text(values) -> np.ndarray:
-    """`values` as `_FLOAT_FORMAT` text: an `S` array with NULs (see `floattext`)."""
-    return floattext.render(values, _FLOAT_FORMAT)[0]
 
 
 def write_json(path: Path, doc) -> str:
@@ -181,13 +173,11 @@ STAGE_HEADER = ("x", "u", "u_prime", "u_pp", "w", "f_eps")
 
 # Stage files are written from two processes when they hold at least this
 # many values in all.  After a sweep, a fork took 0.8-1.0 ms, a child's exit
-# and reaping 1.3-1.5 ms, and a value takes about 0.3 us to render and write.
-# On a 2-vCPU Xeon VM (`sweep`, 11 stages of the exact-solution problem,
-# medians of 40 in-process runs a side) the split cost 0.2 ms at 34 k values
-# (n = 512), saved 0.9-1.1 ms at 51 k (n = 768), 4.4-4.9 ms at 85 k
-# (n = 1280) and 28 ms of 107 at 541 k (n = 8192).  The child writes the
-# larger half, stages 00, 02, ..., because this process goes on to write the
-# summary files.
+# and reaping 1.3-1.5 ms, and a value about 0.3 us to render and write.  On
+# a 2-vCPU Xeon VM (`sweep`, 11 stages of the exact-solution problem, medians
+# of 40 in-process runs a side) the split cost 0.2 ms at 34 k values
+# (n = 512) and saved 0.9-1.1 ms at 51 k (n = 768), 4.4-4.9 ms at 85 k
+# (n = 1280) and 28 ms of 107 at 541 k (n = 8192).
 _SPLIT_MIN_VALUES = 50_000
 
 
@@ -217,7 +207,7 @@ def _write_stages(nodes, jobs) -> dict:
     many at a time, because each block costs about 70 us beyond its values;
     a larger file is rendered by `write_csv`, a block of rows at a time.
     """
-    x = _float_text(nodes)
+    x = floattext.render(nodes)[0]
     per_file = (len(STAGE_HEADER) - 1) * len(nodes)
     group = max(1, floattext.BLOCK_VALUES // per_file)
     files = {}
@@ -225,7 +215,7 @@ def _write_stages(nodes, jobs) -> dict:
         part = jobs[lo:lo + group]
         columns = [(r.u, r.up, r.upp, r.w, r.f) for _, r in part]
         if group > 1:
-            columns = _float_text(np.ravel(columns)).reshape(len(part), -1, len(nodes))
+            columns = floattext.render(np.ravel(columns))[0].reshape(len(part), -1, len(nodes))
         for (path, _), cols in zip(part, columns):
             files[path.name] = write_csv(path, STAGE_HEADER, (x, *cols))
     return files
@@ -236,51 +226,33 @@ def _writing_stages(outdir: Path, stages):
     """Write every stage's `solution_stageNN.csv`; yield the file name -> sha256 record.
 
     The block adds its own files to the record, which holds every stage
-    file once the `with` statement is left.  With two or more stages and at
-    least `_SPLIT_MIN_VALUES` values, `_in_child` writes stages 00, 02, ...
-    while this process writes the others and then runs the block, so the
-    child's writes and exit overlap the block's work.  One stage has nothing
-    to split, so this process writes it without a fork.
+    file once the `with` statement is left.  The package's one fork: with
+    two or more stages, at least `_SPLIT_MIN_VALUES` values, os.fork and a
+    second CPU, a child writes stages 00, 02, ..., the larger half, while
+    this process writes the others and then runs the block; otherwise this
+    process writes every stage file before the block.  The child's error is
+    raised here with its type and message, and a child that sends no result
+    makes this raise RuntimeError.  Leaving the block kills the child, if it
+    still runs, and reaps it.
     """
     nodes = stages[0][0].grid.nodes
     jobs = [(outdir / f"solution_stage{k:02d}.csv", result) for k, (_, result) in enumerate(stages)]
-    if len(stages) > 1 and len(STAGE_HEADER) * len(nodes) * len(stages) >= _SPLIT_MIN_VALUES:
-        with _in_child(_write_stages, nodes, jobs[::2]) as wait:
-            files = _write_stages(nodes, jobs[1::2])
-            yield files
-            files.update(wait())
-        return
-    yield _write_stages(nodes, jobs)
-
-
-@contextmanager
-def _in_child(fn, *args):
-    """Start fn(*args) in a forked child; yield a `wait()` that returns its value.
-
-    `wait()` returns what fn returned, or raises the exception that fn
-    raised, with the same type and message; a child that ends without
-    sending a result (one that was killed, say) makes it raise RuntimeError.
-    The child is killed, if it still runs, and reaped when the `with` block
-    is left.  Without os.fork or a second CPU to run on, `wait()` calls fn
-    in this process.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not (len(stages) > 1 and len(STAGE_HEADER) * len(nodes) * len(stages) >= _SPLIT_MIN_VALUES
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2):
-        yield lambda: fn(*args)
+        yield _write_stages(nodes, jobs)
         return
     read_fd, write_fd = os.pipe()
     pid = os.fork()
-    # The child sends the pickled (ok, value) through the pipe and never
-    # returns.  With one OpenBLAS thread, the default this module sets,
-    # neither numpy's OpenBLAS nor the copy that scipy's LAPACK brings in has
-    # a worker pool for the fork to stop and restart; with more, each stops
-    # its pool before the fork and starts it again where it is needed.
+    # With one OpenBLAS thread, this module's default, neither numpy's OpenBLAS
+    # nor scipy's LAPACK copy has a worker pool for the fork to stop; with
+    # more, each stops its pool before the fork and restarts it where needed.
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
             try:
-                result = (True, fn(*args))
+                result = (True, _write_stages(nodes, jobs[::2]))
             except BaseException as exc:
                 result = (False, exc)
             with os.fdopen(write_fd, "wb") as fh:
@@ -292,12 +264,11 @@ def _in_child(fn, *args):
     os.close(write_fd)
     reader = os.fdopen(read_fd, "rb")
     reaped = False
-
-    # A child that has sent its result still takes a few ms to exit, so
-    # `wait` reaps only a child that sent none, and the block's end reaps
-    # the others.
-    def wait():
-        nonlocal reaped
+    # A child that has sent its result still takes a few ms to exit, so only
+    # a child that sent none is reaped before the `finally`.
+    try:
+        files = _write_stages(nodes, jobs[1::2])
+        yield files
         data = reader.read()
         if not data:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -306,10 +277,7 @@ def _in_child(fn, *args):
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        return value
-
-    try:
-        yield wait
+        files.update(value)
     finally:
         reader.close()
         if not reaped:

@@ -1,13 +1,13 @@
 """Doubles as the text of C's "%.17g", rendered a block of values at a time.
 
 `render` returns, for each value v of a float64 array, the bytes of
-`"%.17g" % v` with NUL bytes inserted.  It leaves some values to that
-format, which the caller passes (`cli._FLOAT_FORMAT`): the non-finite and
-the subnormal ones, those with |v| outside [1e-200, 1e200], and, where
-|v| < 1e-6 or |v| >= 1e17, those whose 17th significant digit lies within
-about 1e-6 of a rounding tie.  Its one caller is `cli._float_text`, through
-which `cli.write_csv` renders its float columns and `cli._write_stages` the
-columns of several stage files at once; `write_csv` drops the NULs.
+`FORMAT % v` with NUL bytes inserted.  It leaves some values to `FORMAT`
+itself: the non-finite and the subnormal ones, those with |v| outside
+[1e-200, 1e200], and, where |v| < 1e-6 or |v| >= 1e17, those whose 17th
+significant digit lies within about 1e-6 of a rounding tie.  It is the
+package's one float renderer: `cli.write_csv` renders its float columns
+with it and `cli._write_stages` the columns of several stage files at
+once; `write_csv` drops the NULs.
 
 A value's 17 digits are N = round(|v| * 10**(16 - e)), where e is its
 decimal exponent.  The product is exact to about 1e-14 in N: 10**(16 - e)
@@ -29,6 +29,9 @@ first call, from Python ints.
 """
 
 import numpy as np
+
+# The one format `render` renders, and the package's one "%.17g" literal.
+FORMAT = "%.17g"
 
 # Values per block, 512 rows of five columns.  The scratch arrays of a block
 # take about 0.16 KB a value.  On a 2-vCPU Xeon VM a value took 105 ns in
@@ -185,13 +188,12 @@ def _render_block(v, out):
     return fallback
 
 
-def render(values, fallback_format):
+def render(values):
     """Text of the float64 array `values`: an `S` array, and the fallback mask.
 
-    Element k holds the bytes of `"%.17g" % values[k]` with NULs between
-    and after them; where the mask is set, the kernel left the value to
-    `fallback_format`, and the element holds `fallback_format % values[k]`.
-    Byte positions that no value uses are left out.
+    Element k holds the bytes of `FORMAT % values[k]` with NULs between and
+    after them; where the mask is set, the kernel left the value to
+    `FORMAT` itself.  Byte positions that no value uses are left out.
     """
     global _tables
     if _tables is None:
@@ -205,7 +207,7 @@ def render(values, fallback_format):
         fallback[lo:hi] = _render_block(values[lo:hi], out[:, lo:hi])
     left = np.flatnonzero(fallback)
     if len(left):
-        text = np.array([(fallback_format % v).encode("ascii") for v in values[left].tolist()])
+        text = np.array([(FORMAT % v).encode("ascii") for v in values[left].tolist()])
         out[:, left] = 0
         out[:text.itemsize, left] = text.view(np.uint8).reshape(len(left), -1).T
     used = out.any(axis=1)

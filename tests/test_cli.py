@@ -557,6 +557,49 @@ def test_split_and_serial_stage_writes_are_byte_identical(tmp_path, monkeypatch,
     assert len(outputs[True][0]["files"]) == len(outputs[True][1])
 
 
+@pytest.mark.parametrize("without", ["second-cpu", "fork"])
+def test_stage_writes_stay_serial_without_a_second_cpu_or_fork(tmp_path, monkeypatch, without):
+    # above the threshold, one CPU or no os.fork writes every stage file in
+    # this process, with the bytes of the two-CPU split
+    def sweep(out):
+        cfg = write_config(tmp_path / "cfg.json", outputs=str(out))
+        assert invoke_cli("sweep", "--config", cfg) == 0
+        return _artifacts(out)
+
+    forks = _count_forks(monkeypatch)
+    _split_writes(monkeypatch, True)
+    split = sweep(tmp_path / "split")
+    assert len(forks) == 1
+    if without == "second-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert sweep(tmp_path / "serial") == split
+    assert len(forks) == 1
+
+
+def test_writer_child_without_a_result_is_runtime_error(tmp_path, monkeypatch):
+    # the forked child exits before it sends its file record
+    _split_writes(monkeypatch, True)
+    command_pid = os.getpid()
+    write_stages = cli._write_stages
+
+    def exiting_in_child(nodes, jobs):
+        if os.getpid() != command_pid:
+            os._exit(7)
+        return write_stages(nodes, jobs)
+
+    monkeypatch.setattr(cli, "_write_stages", exiting_in_child)
+    cfg = write_config(tmp_path / "cfg.json")
+    with pytest.raises(RuntimeError) as exc:
+        cli.main.main(args=["sweep", "--config", str(cfg)], standalone_mode=False)
+    assert type(exc.value) is RuntimeError
+    assert str(exc.value) == "child process ended without a result (exit status 7)"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("first, second", [(("verify", 256), ("sweep", 64)),
                                            (("sweep", 64), ("verify", 256))],
                          ids=["longer-files-left", "shorter-files-left"])
@@ -654,8 +697,8 @@ def test_failed_serial_write_is_output_error(tmp_path, monkeypatch, caplog, comm
 
 @pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
 def test_oracle_exception_is_raised_by_compare(tmp_path, monkeypatch, forked):
-    # the oracle runs in the command's process, inline or beside a forked
-    # writer child where the stage files split
+    # the oracle runs in the command's process, after the stage files are
+    # written serially or while the stage writer child runs
     def singular(problem):
         raise RuntimeError("inner Newton failure: singular barrier Hessian")
 
@@ -673,14 +716,14 @@ def test_oracle_exception_is_raised_by_compare(tmp_path, monkeypatch, forked):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
-def test_failed_sweep_kills_and_reaps_the_oracle(tmp_path, monkeypatch, forked):
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_failed_sweep_runs_no_oracle_and_reaps_the_writer(tmp_path, monkeypatch, split):
     # a failed sweep exits 2 without running the oracle, and reaps the
-    # writer child where the stage files split
+    # stage writer child where the stage files split
     def never(problem):
         raise AssertionError("the oracle ran after a failed sweep")
 
-    _split_writes(monkeypatch, forked)
+    _split_writes(monkeypatch, split)
     monkeypatch.setattr(cli, "minimize_direct", never)
     cfg = write_config(tmp_path / "cfg.json", eps_schedule=SHORT_SWEEP, **UNATTAINABLE)
     assert invoke_cli("compare", "--config", cfg) == 2
@@ -705,19 +748,19 @@ STEEP_128 = {"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6, "grid": {"
      ({**STEEP_128, "tolerances": {"kkt_tol": 1e-16}}, 3)],
     ids=["steep", "shallow-oracle-failure", "steep-128", "steep-128-oracle-failure"],
 )
-def test_forked_and_inline_oracle_are_byte_identical(tmp_path, monkeypatch, overrides, code):
-    # forked, the oracle runs while the writer child writes stages 00, 02, ...;
-    # inline, the command writes every stage file before the oracle runs
+def test_split_and_serial_compare_are_byte_identical(tmp_path, monkeypatch, overrides, code):
+    # split, the oracle runs while the stage writer child writes stages 00,
+    # 02, ...; serial, the command writes every stage file before the oracle
     outputs = {}
     forks = _count_forks(monkeypatch)
-    for forked in (False, True):  # inline first: no fork, then one for the writer
-        _split_writes(monkeypatch, forked)
-        out = tmp_path / f"forked{forked}"
+    for split in (False, True):  # serial first: no fork, then one for the writer
+        _split_writes(monkeypatch, split)
+        out = tmp_path / f"split{split}"
         cfg = write_config(tmp_path / "cfg.json", outputs=str(out),
                            **{"eps_schedule": SHORT_SWEEP, **overrides})
         assert invoke_cli("compare", "--config", cfg) == code
-        assert len(forks) == forked
-        outputs[forked] = _artifacts(out)
+        assert len(forks) == split
+        outputs[split] = _artifacts(out)
     assert outputs[True] == outputs[False]
     assert outputs[True][0]["wall_clock_seconds"] == ["oracle", "sweep", "write"]
     assert ("compare.csv" in outputs[True][1]) == (code == 0)

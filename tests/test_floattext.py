@@ -1,10 +1,10 @@
-"""The float renderer writes every float64 exactly as `cli._FLOAT_FORMAT` does.
+"""The float renderer writes every float64 exactly as `floattext.FORMAT` does.
 
-`cli._float_text` is how `write_csv` renders a float column: the
-`floattext` kernel, and `_FLOAT_FORMAT` for the values the kernel leaves to
-it.  Each test compares its text with `_FLOAT_FORMAT % v`, value by value,
-on bit patterns, every binary exponent, powers of ten and their neighbours,
-integers up to 2**63 and values next to a rounding tie in the 17th digit.
+`floattext.render` is how `write_csv` renders a float column: the numpy
+kernel, and `FORMAT` itself for the values the kernel leaves to it.  Each
+test compares its text with `FORMAT % v`, value by value, on bit patterns,
+every binary exponent, powers of ten and their neighbours, integers up to
+2**63 and values next to a rounding tie in the 17th digit.
 """
 
 import decimal
@@ -14,15 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abreu1d import cli, floattext
+from abreu1d import floattext
 
 EXAMPLES = settings(derandomize=True, max_examples=300, deadline=None)
 
 
 def assert_renders_as_format(values):
     values = np.asarray(values, dtype=np.float64)
-    got = [text.replace(b"\0", b"").decode("ascii") for text in cli._float_text(values).tolist()]
-    want = [cli._FLOAT_FORMAT % v for v in values.tolist()]
+    text = floattext.render(values)[0]
+    got = [t.replace(b"\0", b"").decode("ascii") for t in text.tolist()]
+    want = [floattext.FORMAT % v for v in values.tolist()]
     wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert not wrong, wrong[:10]
 
@@ -68,19 +69,19 @@ def test_exact_ties_in_the_17th_digit():
     k = np.random.default_rng(17).integers(10**15, 2**51, 5_000).astype(np.float64)
     x = np.linspace(-0.5, 0.5, 2**13 + 1)
     values = np.concatenate([k + 0.25, k + 0.75, x * x - 1.0])
-    _, fallback = floattext.render(values, cli._FLOAT_FORMAT)
+    _, fallback = floattext.render(values)
     assert not fallback.any()
     assert_renders_as_format(values)
     # below 1e-6 the scale is inexact: 2**-25 = 2.98023223876953125e-08 falls back
     ties = np.ldexp(np.array([1.0, 3.0, -1.0]), -25)
-    assert floattext.render(ties, cli._FLOAT_FORMAT)[1].all()
+    assert floattext.render(ties)[1].all()
     assert_renders_as_format(ties)
 
 
 def test_few_random_normal_values_fall_back():
     # (from 2**50 to 10**16, a double's quarters make exact ties, which all fall back)
     values = np.random.default_rng(4).standard_normal(500_000)
-    _, fallback = floattext.render(values, cli._FLOAT_FORMAT)
+    _, fallback = floattext.render(values)
     assert fallback.mean() < 1e-4
 
 

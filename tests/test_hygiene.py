@@ -383,9 +383,10 @@ def _package_sources():
 
 
 def test_one_fork_site():
-    # cli._in_child owns the fork, the result pipe and the reaping
+    # cli._writing_stages owns the split decision, the fork, the result
+    # pipe and the reaping
     sites = call_sites(_package_sources(), "os", "fork")
-    assert [site.split(" ")[0] for site in sites] == ["cli.py:_in_child"]
+    assert [site.split(" ")[0] for site in sites] == ["cli.py:_writing_stages"]
 
 
 def test_one_exit_site():
@@ -509,12 +510,13 @@ def test_detector_flags_every_float_format_literal():
 
 
 def test_one_float_format_literal():
-    # cli._FLOAT_FORMAT is how write_csv writes a float and how stage files render nodes
+    # floattext.FORMAT is the one format that floattext.render, the one
+    # float renderer, renders
     [site] = float_format_literals(_package_sources())
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    tree = ast.parse((SRC / "floattext.py").read_text(encoding="utf-8"))
     [definition] = [node for node in tree.body if isinstance(node, ast.Assign)
-                    and [getattr(t, "id", None) for t in node.targets] == ["_FLOAT_FORMAT"]]
-    assert site == f"cli.py (line {definition.lineno})"
+                    and [getattr(t, "id", None) for t in node.targets] == ["FORMAT"]]
+    assert site == f"floattext.py (line {definition.lineno})"
     assert ast.literal_eval(definition.value) == "%.17g"
 
 

@@ -3,10 +3,10 @@
 Each benchmark workload's command (`sweep` at n = 128, `compare` at n = 128,
 `verify` at n = 8192) runs on a copy of its config from
 `perfbench/workloads/`.  Its stage files come from Newton's converged
-iterates, through this process, `compare`'s oracle child and `verify`'s
-writer child.  The test parses each file's `u` column, takes u', u'', w =
-1/u'' and f_eps of it afresh, and checks that every value formats to the
-written text.
+iterates, through this process and, for `verify`'s 541 k stage-file
+values, the stage writer child.  The test parses each file's `u` column,
+takes u', u'', w = 1/u'' and f_eps of it afresh, and checks that every
+value formats to the written text.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from helpers import f_eps, invoke_cli
 
-from abreu1d import cli
+from abreu1d import cli, floattext
 from abreu1d.config import load_config
 from abreu1d.grid import d1, d2
 
@@ -47,4 +47,4 @@ def test_stage_columns_are_derived_from_the_u_column(tmp_path, workload, command
         columns = (g.nodes, u, d1(u, g), upp, 1.0 / upp,
                    f_eps(u, dataclasses.replace(setup, eps=stage["eps"])))
         for name, text, values in zip(cli.STAGE_HEADER, written, columns):
-            assert list(text) == [cli._FLOAT_FORMAT % v for v in values.tolist()], (k, name)
+            assert list(text) == [floattext.FORMAT % v for v in values.tolist()], (k, name)

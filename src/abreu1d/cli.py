@@ -6,29 +6,19 @@ could not be written; one error line names the file, and no manifest is
 written).  `_command` is the one place that picks the exit code: each
 command returns its code and its manifest record, and `_command` writes the
 manifest last, then exits.
-Tabular outputs are CSV, all written by `write_csv` with one formatting
-rule: comma separator, floats as `%.17g`, other values as `str()`, LF line
-endings, UTF-8.  `floattext.render` is the one float renderer: a numpy
-kernel renders a block of values at a time into the bytes `%.17g` gives,
-and leaves the few it cannot render exactly (non-finite, subnormal, |v|
-outside [1e-200, 1e200], or within about 1e-6 of a rounding tie where
-10**(16 - e) is not one double) to the format itself.  On a 2-vCPU Xeon VM
-the 11 stage files of the n = 128 benchmark sweeps took 2.3-2.6 ms against
-4.0-4.1 ms with `%`.  Manifests and summaries are JSON.
-`write_csv` and `write_json` return the sha256 of the bytes they wrote, and
-the manifest lists those digests for every other file the command wrote;
-no artifact is read back.  Both write through `_write_in_place`, which
-overwrites a file that a previous run left and then cuts it to its new
-length; `write_json` writes no temporary file.
+Tabular outputs are CSV with one formatting rule: comma separator, floats
+as `%.17g` (`floattext.render`), other values as `str()`, LF line endings,
+UTF-8.  `_csv_rows` lays out their text and `_write_in_place` writes it.
+On a 2-vCPU Xeon VM the 11 stage files of an n = 128 benchmark sweep took
+1.4-1.8 ms against 4.8-5.0 ms with `%`.  Manifests and summaries are JSON.
+Each writer returns the sha256 of the bytes it wrote, and the manifest
+lists those digests for every other file the command wrote; no artifact is
+read back.  `_write_in_place` overwrites a file that a previous run left
+and then cuts it to its new length; `write_json` writes no temporary file.
 
 `compare` runs its convex-cone oracle in the command's own process, once
-every stage has converged and the sweep's files are written.  With two or
-more stages, at least `_SPLIT_MIN_VALUES` stage-file values, os.fork and a
-second CPU, `_writing_stages` forks a writer child for stages 00, 02, ...
-(the larger half when the count is odd) while the command writes the others
-and its summary files, and reaps it before the command writes anything
-else.  Otherwise the command writes every stage file first and forks
-nothing.
+every stage has converged and the sweep's files are written.  A large
+sweep's stage files are written by two processes (`_writing_stages`).
 """
 
 import functools
@@ -90,14 +80,10 @@ _CSV_BLOCK_ROWS = 512
 def write_csv(path: Path, header, columns) -> str:
     """Write equal-length `columns` under `header`; no columns writes the header alone.
 
-    A column that numpy reads as a float array is written as `%.17g` gives
-    each value (`floattext.render`), a bytes (`S`) column as its text, which
-    is how `_write_stages` passes columns it has rendered already, and any
-    other column with `str()`.  Each block of rows is one row-major byte
-    matrix, every value NUL padded, whose NULs are dropped.  Returns the
-    sha256 hex digest of the bytes written.  Raises ValueError, before the
-    file is opened, for columns of unequal lengths or other than one per
-    header name.
+    `_csv_rows` lays out a block of `_CSV_BLOCK_ROWS` rows at a time.
+    Returns the sha256 hex digest of the bytes written.  Raises ValueError,
+    before the file is opened, for columns of unequal lengths or other than
+    one per header name.
     """
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0]) if cols else 0
@@ -108,31 +94,40 @@ def write_csv(path: Path, header, columns) -> str:
     def blocks():
         yield (",".join(header) + "\n").encode("utf-8")
         for lo in range(0, n, _CSV_BLOCK_ROWS):
-            yield _csv_rows([c[lo:lo + _CSV_BLOCK_ROWS] for c in cols])
+            block = [c[lo:lo + _CSV_BLOCK_ROWS] for c in cols]
+            yield _csv_rows(block).tobytes().translate(None, b"\0")
 
     return _write_in_place(path, blocks())
 
 
-def _csv_rows(cols) -> bytes:
-    """The CSV lines of equal-length columns, rendered together."""
+def _csv_rows(cols) -> np.ndarray:
+    """The CSV lines of `cols`, one NUL-padded uint8 row each.
+
+    Float columns are rendered by one `floattext.render` call, bytes (`S`)
+    columns written as their text and others with `str()`.  A column
+    shorter than the longest, whose length divides it, repeats to fill it.
+    """
     texts = list(cols)
     floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
     if floats:
         rendered = floattext.render(np.concatenate([cols[j] for j in floats]))[0]
-        for j, text in zip(floats, rendered.reshape(len(floats), -1)):
-            texts[j] = text
+        end = 0
+        for j in floats:
+            start, end = end, end + len(cols[j])
+            texts[j] = rendered[start:end]
     for j, c in enumerate(texts):
         if c.dtype.kind != "S":
             texts[j] = np.array([str(v).encode("utf-8") for v in c.tolist()], dtype="S")
-    rows = np.empty((len(texts[0]), sum(t.itemsize + 1 for t in texts)), np.uint8)
+    rows = np.empty((max(len(t) for t in texts), sum(t.itemsize + 1 for t in texts)), np.uint8)
     end = 0
     for text in texts:
         start, end = end, end + text.itemsize
-        rows[:, start:end] = text.view(np.uint8).reshape(-1, text.itemsize)
+        rows.reshape(-1, len(text), rows.shape[1])[:, :, start:end] = \
+            text.view(np.uint8).reshape(-1, text.itemsize)
         rows[:, end] = ord(",")
         end += 1
     rows[:, -1] = ord("\n")
-    return rows.tobytes().translate(None, b"\0")
+    return rows
 
 
 def write_json(path: Path, doc) -> str:
@@ -171,6 +166,9 @@ def _finish(outdir: Path, cfg: RunConfig, run: dict) -> None:
 
 STAGE_HEADER = ("x", "u", "u_prime", "u_pp", "w", "f_eps")
 
+# Rows per table of stage files: the 11 files of an n = 128 sweep make one.
+_TABLE_ROWS = 2048
+
 # Stage files are written from two processes when they hold at least this
 # many values in all.  After a sweep, a fork took 0.8-1.0 ms, a child's exit
 # and reaping 1.3-1.5 ms, and a value about 0.3 us to render and write.  On
@@ -202,22 +200,27 @@ def _write_stages(nodes, jobs) -> dict:
     """Write each `(path, result)` job's solution CSV; returns file name -> sha256.
 
     The `x` column is `nodes`, the others the result's u and the u', u'',
-    w and f_eps that Newton evaluated at it.  The nodes are rendered once.
-    Files small enough for several to a `floattext` block are rendered that
-    many at a time, because each block costs about 70 us beyond its values;
-    a larger file is rendered by `write_csv`, a block of rows at a time.
+    w and f_eps that Newton evaluated at it.  Files of at most a third of
+    `_TABLE_ROWS` rows are laid out whole, up to `_TABLE_ROWS` rows to one
+    `_csv_rows` table with the nodes rendered once, because a `floattext`
+    block costs about 70 us beyond its values.  A longer file is streamed,
+    nodes rendered once for all: two to a table saved less than nodes cost.
     """
-    x = floattext.render(nodes)[0]
-    per_file = (len(STAGE_HEADER) - 1) * len(nodes)
-    group = max(1, floattext.BLOCK_VALUES // per_file)
+    m = len(nodes)
+    if m > _TABLE_ROWS // 3:
+        x = floattext.render(nodes)[0]
+        return {path.name: write_csv(path, STAGE_HEADER, (x, r.u, r.up, r.upp, r.w, r.f))
+                for path, r in jobs}
     files = {}
+    head = (",".join(STAGE_HEADER) + "\n").encode("utf-8")
+    group = _TABLE_ROWS // m
     for lo in range(0, len(jobs), group):
         part = jobs[lo:lo + group]
-        columns = [(r.u, r.up, r.upp, r.w, r.f) for _, r in part]
-        if group > 1:
-            columns = floattext.render(np.ravel(columns))[0].reshape(len(part), -1, len(nodes))
-        for (path, _), cols in zip(part, columns):
-            files[path.name] = write_csv(path, STAGE_HEADER, (x, *cols))
+        columns = zip(*((r.u, r.up, r.upp, r.w, r.f) for _, r in part))
+        rows = _csv_rows([nodes, *map(np.concatenate, columns)])
+        for k, (path, _) in enumerate(part):
+            files[path.name] = _write_in_place(
+                path, (head, rows[k * m:(k + 1) * m].tobytes().translate(None, b"\0")))
     return files
 
 

@@ -4,10 +4,10 @@
 `FORMAT % v` with NUL bytes inserted.  It leaves some values to `FORMAT`
 itself: the non-finite and the subnormal ones, those with |v| outside
 [1e-200, 1e200], and, where |v| < 1e-6 or |v| >= 1e17, those whose 17th
-significant digit lies within about 1e-6 of a rounding tie.  It is the
-package's one float renderer: `cli.write_csv` renders its float columns
-with it and `cli._write_stages` the columns of several stage files at
-once; `write_csv` drops the NULs.
+significant digit lies within about 1e-6 of a rounding tie, and every
+value of an array shorter than `KERNEL_MIN_VALUES`, which `FORMAT`
+renders faster.  It is the package's one float renderer: `cli._csv_rows`
+renders all float columns of a CSV block or stage table with one call.
 
 A value's 17 digits are N = round(|v| * 10**(16 - e)), where e is its
 decimal exponent.  The product is exact to about 1e-14 in N: 10**(16 - e)
@@ -37,6 +37,10 @@ FORMAT = "%.17g"
 # take about 0.16 KB a value.  On a 2-vCPU Xeon VM a value took 105 ns in
 # blocks of 2560 and 110-120 ns in blocks of 2048; 4096 was no faster.
 BLOCK_VALUES = 2560
+
+# Arrays of fewer values are rendered by `FORMAT`.  On a 2-vCPU Xeon VM a
+# kernel block took 74-84 us at 16-128 values, `FORMAT` 73-88 us at 121-128.
+KERNEL_MIN_VALUES = 128
 
 _WIDTH = 29
 
@@ -188,18 +192,26 @@ def _render_block(v, out):
     return fallback
 
 
+def _format(values):
+    """`FORMAT % v` of each value of the float64 array `values`, as an `S` array."""
+    return np.array([(FORMAT % v).encode("ascii") for v in values.tolist()], dtype="S")
+
+
 def render(values):
     """Text of the float64 array `values`: an `S` array, and the fallback mask.
 
     Element k holds the bytes of `FORMAT % values[k]` with NULs between and
     after them; where the mask is set, the kernel left the value to
-    `FORMAT` itself.  Byte positions that no value uses are left out.
+    `FORMAT` itself, as it leaves every value of an array shorter than
+    `KERNEL_MIN_VALUES`.  Byte positions that no value uses are left out.
     """
     global _tables
-    if _tables is None:
-        _tables = _build_tables()
     values = np.ascontiguousarray(values, dtype=np.float64)
     m = len(values)
+    if m < KERNEL_MIN_VALUES:
+        return _format(values), np.ones(m, bool)
+    if _tables is None:
+        _tables = _build_tables()
     out = np.empty((_WIDTH, m), np.uint8)
     fallback = np.empty(m, bool)
     for lo in range(0, m, BLOCK_VALUES):
@@ -207,7 +219,7 @@ def render(values):
         fallback[lo:hi] = _render_block(values[lo:hi], out[:, lo:hi])
     left = np.flatnonzero(fallback)
     if len(left):
-        text = np.array([(FORMAT % v).encode("ascii") for v in values[left].tolist()])
+        text = _format(values[left])
         out[:, left] = 0
         out[:text.itemsize, left] = text.view(np.uint8).reshape(len(left), -1).T
     used = out.any(axis=1)

@@ -659,14 +659,14 @@ def test_split_writer_raises_the_childs_error(tmp_path, monkeypatch):
     # would make the manifest fail instead: the error must come from the child
     _split_writes(monkeypatch, True)
     command_pid = os.getpid()
-    write_csv = cli.write_csv
+    write_in_place = cli._write_in_place
 
-    def failing_in_child(path, header, columns):
+    def failing_in_child(path, chunks):
         if os.getpid() != command_pid:
             raise RuntimeError(f"child write refused: {path.name}")
-        return write_csv(path, header, columns)
+        return write_in_place(path, chunks)
 
-    monkeypatch.setattr(cli, "write_csv", failing_in_child)
+    monkeypatch.setattr(cli, "_write_in_place", failing_in_child)
     cfg = write_config(tmp_path / "cfg.json")
     with pytest.raises(RuntimeError, match=r"^child write refused: solution_stage00\.csv$"):
         cli.main.main(args=["sweep", "--config", str(cfg)], standalone_mode=False)

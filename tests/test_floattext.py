@@ -1,10 +1,12 @@
 """The float renderer writes every float64 exactly as `floattext.FORMAT` does.
 
-`floattext.render` is how `write_csv` renders a float column: the numpy
-kernel, and `FORMAT` itself for the values the kernel leaves to it.  Each
-test compares its text with `FORMAT % v`, value by value, on bit patterns,
-every binary exponent, powers of ten and their neighbours, integers up to
-2**63 and values next to a rounding tie in the 17th digit.
+`floattext.render` is how every CSV float column is rendered: the numpy
+kernel, and `FORMAT` itself for the values the kernel leaves to it and for
+arrays shorter than `KERNEL_MIN_VALUES`.  Each test compares its text with
+`FORMAT % v`, value by value, on bit patterns, every binary exponent, powers
+of ten and their neighbours, integers up to 2**63 and values next to a
+rounding tie in the 17th digit.  A sample shorter than `KERNEL_MIN_VALUES`
+is also checked repeated to that length, which the kernel renders.
 """
 
 import decimal
@@ -19,13 +21,22 @@ from abreu1d import floattext
 EXAMPLES = settings(derandomize=True, max_examples=300, deadline=None)
 
 
+def rendered(values):
+    """`floattext.render`'s text of each value, with its NULs dropped."""
+    return [t.replace(b"\0", b"").decode("ascii") for t in floattext.render(values)[0].tolist()]
+
+
 def assert_renders_as_format(values):
+    """Check `render` on `values` and, so that the kernel renders them too
+    where they are fewer than `KERNEL_MIN_VALUES`, on them repeated to that many."""
     values = np.asarray(values, dtype=np.float64)
-    text = floattext.render(values)[0]
-    got = [t.replace(b"\0", b"").decode("ascii") for t in text.tolist()]
-    want = [floattext.FORMAT % v for v in values.tolist()]
-    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
-    assert not wrong, wrong[:10]
+    samples = [values]
+    if 0 < len(values) < floattext.KERNEL_MIN_VALUES:
+        samples.append(np.resize(values, floattext.KERNEL_MIN_VALUES))
+    for sample in samples:
+        want = [floattext.FORMAT % v for v in sample.tolist()]
+        wrong = [(v, g, w) for v, g, w in zip(sample.tolist(), rendered(sample), want) if g != w]
+        assert not wrong, wrong[:10]
 
 
 def test_raw_bit_patterns():
@@ -72,9 +83,10 @@ def test_exact_ties_in_the_17th_digit():
     _, fallback = floattext.render(values)
     assert not fallback.any()
     assert_renders_as_format(values)
-    # below 1e-6 the scale is inexact: 2**-25 = 2.98023223876953125e-08 falls back
+    # below 1e-6 the scale is inexact: 2**-25 = 2.98023223876953125e-08 falls
+    # back (repeated to the kernel's minimum, so that the kernel decides)
     ties = np.ldexp(np.array([1.0, 3.0, -1.0]), -25)
-    assert floattext.render(ties)[1].all()
+    assert floattext.render(np.resize(ties, floattext.KERNEL_MIN_VALUES))[1].all()
     assert_renders_as_format(ties)
 
 
@@ -112,6 +124,23 @@ def test_values_whose_18th_digit_is_5():
 def test_values_written_with_an_18th_digit_of_5(digits, exponent, negative):
     # the double nearest an 18-digit decimal that ends in 5, a near tie
     assert_renders_as_format([float(f"{'-' if negative else ''}{digits}5e{exponent}")])
+
+
+def test_only_arrays_of_the_kernel_minimum_or_more_take_the_kernel(monkeypatch):
+    # both sides of the threshold write what the format writes
+    blocks = []
+    render_block = floattext._render_block
+
+    def counting_block(v, out):
+        blocks.append(len(v))
+        return render_block(v, out)
+
+    monkeypatch.setattr(floattext, "_render_block", counting_block)
+    rng = np.random.default_rng(128)
+    values = rng.standard_normal(floattext.KERNEL_MIN_VALUES) * 10.0 ** rng.integers(-30, 30, 128)
+    for m in (floattext.KERNEL_MIN_VALUES - 1, floattext.KERNEL_MIN_VALUES):
+        assert rendered(values[:m]) == [floattext.FORMAT % v for v in values[:m].tolist()]
+    assert blocks == [floattext.KERNEL_MIN_VALUES]
 
 
 @pytest.mark.parametrize("m", [0, 1, floattext.BLOCK_VALUES - 1, floattext.BLOCK_VALUES,

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import __version__, floattext
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import EstimateReport, check_theorem_bounds, compute_report, fit_rate
+from .diagnostics import MIN_FIT_STAGES, EstimateReport, check_theorem_bounds, compute_report, fit_rate
 from .minimizer import minimize_direct
 from .solver import continuation_sweep, layer_beta_h, newton_solve
 from .weakform import check_support, default_family, distributional_residual, rescaled_w
@@ -255,9 +255,9 @@ def _writing_stages(outdir: Path, stages):
         try:
             os.close(read_fd)
             try:
-                result = (True, _write_stages(nodes, jobs[::2]))
+                result = _write_stages(nodes, jobs[::2])
             except BaseException as exc:
-                result = (False, exc)
+                result = exc
             with os.fdopen(write_fd, "wb") as fh:
                 fh.write(pickle.dumps(result))
             status = 0
@@ -277,10 +277,10 @@ def _writing_stages(outdir: Path, stages):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped = True
             raise RuntimeError(f"child process ended without a result (exit status {code})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        files.update(value)
+        result = pickle.loads(data)
+        if isinstance(result, BaseException):
+            raise result
+        files.update(result)
     finally:
         reader.close()
         if not reaped:
@@ -292,7 +292,9 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
     """Shared sweep pipeline from the first stage's setup.
 
     Returns (exit_code, stages, reports, run): the converged stages'
-    `EstimateReport`s and `run` as `_finish` takes it.
+    `EstimateReport`s and `run` as `_finish` takes it.  With fewer than
+    `MIN_FIT_STAGES` converged stages, `rates.csv` holds its header alone,
+    no `bounds.json` is written, and one warning says so.
     """
     schedule = cfg.schedule()
     t0 = time.perf_counter()
@@ -306,23 +308,23 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
         files["sweep.csv"] = write_csv(outdir / "sweep.csv", header,
                                        [[getattr(r, name) for r in reports] for name in header])
 
+        fitted = len(reports) >= MIN_FIT_STAGES
         rate_rows = []
-        for name in RATE_FIELDS:
-            try:
+        if fitted:
+            for name in RATE_FIELDS:
                 fit = fit_rate(reports, name)
-            except ValueError:
-                continue
-            rate_rows.append((name, fit.slope, fit.r2, fit.stages,
-                              "yes" if fit.identically_small else "no"))
+                rate_rows.append((name, fit.slope, fit.r2, fit.stages,
+                                  "yes" if fit.identically_small else "no"))
         files["rates.csv"] = write_csv(outdir / "rates.csv",
                                        ("quantity", "slope", "r2", "stages", "identically_small"),
                                        list(zip(*rate_rows)))
 
-        try:
+        if fitted:
             files["bounds.json"] = write_json(outdir / "bounds.json",
                                               check_theorem_bounds(reports))
-        except ValueError as exc:
-            log.warning("bound checks skipped: %s", exc)
+        else:
+            log.warning("bound checks skipped: need >= %d stages for bound checks, got %d",
+                        MIN_FIT_STAGES, len(reports))
     seconds = {"sweep": t1 - t0, "write": time.perf_counter() - t1}
     stage_meta = [_stage_entry(setup, result) for setup, result in stages]
 

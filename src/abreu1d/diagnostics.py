@@ -7,10 +7,12 @@ judged on the running extremum (the fitted constant itself), not on the
 per-stage ratio, so that problems beating a bound by a growing margin
 still pass.
 
-The thresholds are module constants: `STABILITY_FACTOR` (largest ratio of
-the running extremum over the second half of the sweep), `DECAY_FACTOR`
-and `DECAY_FLOOR` (the boundary-gradient rule), and `RATE_FLOOR` (values
-at or below it make a rate fit report `identically_small`).
+The thresholds are module constants: `MIN_FIT_STAGES` (the fewest
+converged stages a rate fit or the bound checks take), `STABILITY_FACTOR`
+(largest ratio of the running extremum over the second half of the sweep),
+`DECAY_FACTOR` and `DECAY_FLOOR` (the boundary-gradient rule), and
+`RATE_FLOOR` (values at or below it make a rate fit report
+`identically_small`).
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ import numpy as np
 from .grid import integrate
 from .solver import ProblemSetup, SolveResult, eval_J, eval_J_eps, penalty_l2
 
+MIN_FIT_STAGES = 4
 STABILITY_FACTOR = 10.0
 DECAY_FACTOR = 5.0
 DECAY_FLOOR = 1e-6
@@ -78,8 +81,8 @@ def compute_report(result: SolveResult, setup: ProblemSetup) -> EstimateReport:
 
 def fit_rate(reports: Sequence[EstimateReport], field_name: str) -> RateFit:
     """Least-squares slope of log(value) vs log(eps) across a sweep."""
-    if len(reports) < 4:
-        raise ValueError(f"need >= 4 stages for a rate fit, got {len(reports)}")
+    if len(reports) < MIN_FIT_STAGES:
+        raise ValueError(f"need >= {MIN_FIT_STAGES} stages for a rate fit, got {len(reports)}")
     values = np.array([float(getattr(r, field_name)) for r in reports])
     if np.any(values <= RATE_FLOOR):
         return RateFit(slope=float("nan"), r2=float("nan"), stages=len(reports),
@@ -123,8 +126,8 @@ def check_theorem_bounds(reports: Sequence[EstimateReport]) -> dict:
     Returns the `bounds.json` mapping: rule name -> {"fitted_constant",
     "stage_values", "pass", "note"}.
     """
-    if len(reports) < 4:
-        raise ValueError(f"need >= 4 stages for bound checks, got {len(reports)}")
+    if len(reports) < MIN_FIT_STAGES:
+        raise ValueError(f"need >= {MIN_FIT_STAGES} stages for bound checks, got {len(reports)}")
     bounds = {}
     for name, stage_value, rule, note in BOUND_RULES:
         vals = np.array([stage_value(r) for r in reports])

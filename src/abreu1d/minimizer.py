@@ -12,9 +12,10 @@ slopes.
 A log-barrier interior-point method is used.  The barrier objective is
 minimized with an inner Newton iteration whose Hessian is pentadiagonal in
 the free values, so it is assembled in banded form and solved with
-`solver.solve_banded` (LAPACK dgbsv; a singular Hessian is a RuntimeError).
-Its step length is Newton's, `solver.step_length`, the fraction to the
-boundary of s_ia .. s_ib, so no step evaluates the barrier objective.  The
+`solver.solve_banded` (LAPACK dgbsv); a singular Hessian raises its
+LinAlgError, as a singular Jacobian does in Newton.  Its step length is
+Newton's, `solver.step_length`, the fraction to the boundary of
+s_ia .. s_ib, so no step evaluates the barrier objective.  The
 smooth part is assembled from a per-cell midpoint quadrature, which (unlike
 the nodal trapezoid rule) is exactly stationary at the discrete minimizer
 and free of the odd/even decoupling of nodal central differences.
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, d2, d2_central_coeffs
+from .grid import d2, d2_central_coeffs
 from .lagrangian import RochetChoneSpec
 from .solver import ProblemSetup, eval_J, solve_banded, step_length
 
@@ -72,15 +73,10 @@ BARRIER_PATH = [0.1 * 0.25**k for k in range(15)]
 INNER_MAX_ITERS = 80
 
 
-def second_differences(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Interior second differences s_1 .. s_{n-1}."""
-    return d2(v, grid)[1:-1]
-
-
 def check_admissibility(v: np.ndarray, setup: ProblemSetup, tol: float = 1e-10):
     """Return (admissible, worst_violation); violation > 0 means infeasible."""
     g = setup.grid
-    s = second_differences(v, g)
+    s = d2(v, g)[1:-1]
     conv_viol = float(np.max(-s))
     pinned = np.ones(g.n + 1, dtype=bool)
     pinned[g.interior_slice()] = False
@@ -303,10 +299,7 @@ def _barrier(setup: ProblemSetup, v: np.ndarray, path) -> tuple[np.ndarray, int,
             grad_total = gJ + gB
             if float(np.max(np.abs(grad_total))) <= inner_tol:
                 break
-            try:
-                step = solve_banded((2, 2), HJ + HB, -grad_total)
-            except np.linalg.LinAlgError:
-                raise RuntimeError("inner Newton failure: singular barrier Hessian")
+            step = solve_banded((2, 2), HJ + HB, -grad_total)
             correction[free] = step
             v_next = v.copy()
             v_next[free] = v[free] + step_length(d2(correction, g)[win], s) * step

@@ -34,10 +34,6 @@ from .lagrangian import BoundLagrangian, LagrangianSpec, polyder, polyval
 log = logging.getLogger(__name__)
 
 
-class NonconvexIterate(RuntimeError):
-    """Some discrete second difference of the iterate is nonpositive."""
-
-
 @dataclass
 class Tolerances:
     """The package's tolerances; the only settable numerical options.
@@ -265,12 +261,12 @@ def step_length(ds: np.ndarray, s: np.ndarray) -> float:
 
 
 def _curvatures(u: np.ndarray, setup: ProblemSetup, s: Optional[np.ndarray] = None) -> np.ndarray:
-    """Nodal u'', `s` if given, else d2(u); NonconvexIterate unless all are > 0."""
+    """Nodal u'', `s` if given, else d2(u); ValueError unless all are > 0."""
     if s is None:
         s = d2(u, setup.grid)
     if (s <= 0.0).any():
         i = int(np.argmin(s))
-        raise NonconvexIterate(f"u'' <= 0 at node {i}: {s[i]}")
+        raise ValueError(f"u'' <= 0 at node {i}: {s[i]}")
     return s
 
 

@@ -23,7 +23,7 @@ from abreu1d.config import RunConfig, load_config
 from abreu1d.diagnostics import check_theorem_bounds, compute_report, fit_rate
 from abreu1d.grid import build_grid, d2
 from abreu1d.lagrangian import make_rochet_chone
-from abreu1d.minimizer import _cell_objective, minimize_direct, second_differences
+from abreu1d.minimizer import _cell_objective, minimize_direct
 from abreu1d.solver import (
     continuation_sweep,
     default_eps_schedule,
@@ -257,7 +257,7 @@ def test_criterion_10_active_constraint_coupling():
     setup = monopolist_setup(n=64, eps=0.01, phi=STEEP_PHI, rho=1.0 / 6.0)
     res = minimize_direct(setup)
     g = setup.grid
-    s = second_differences(res.v, g)
+    s = d2(res.v, g)[1:-1]
     edge_slack = min(s[g.ia - 1], s[g.ib - 1])
     v_unc = unconstrained_window_solution(setup)
     shift = float(np.max(np.abs(res.v - v_unc)))

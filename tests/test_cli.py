@@ -394,6 +394,21 @@ def test_verify_pass_and_fail_statuses(tmp_path):
 SHORT_SWEEP = {"start": 0.1, "ratio": 0.5, "stages": 4}
 
 
+def test_sweep_of_too_few_stages_fits_no_rate_and_checks_no_bound(tmp_path, caplog):
+    # three converged stages are one short of a rate fit and of the bound checks
+    cfg = write_config(tmp_path / "cfg.json", eps_schedule={**SHORT_SWEEP, "stages": 3})
+    with caplog.at_level(logging.WARNING, logger="abreu1d"):
+        assert invoke_cli("sweep", "--config", cfg) == 0
+    out = tmp_path / "out"
+    assert (out / "rates.csv").read_bytes() == b"quantity,slope,r2,stages,identically_small\n"
+    assert not (out / "bounds.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == ["rates.csv", "solution_stage00.csv", "solution_stage01.csv",
+                                         "solution_stage02.csv", "sweep.csv"]
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, "bound checks skipped: need >= 4 stages for bound checks, got 3")]
+
+
 @pytest.mark.parametrize(
     "command, overrides, code, split",
     [
@@ -700,16 +715,16 @@ def test_oracle_exception_is_raised_by_compare(tmp_path, monkeypatch, forked):
     # the oracle runs in the command's process, after the stage files are
     # written serially or while the stage writer child runs
     def singular(problem):
-        raise RuntimeError("inner Newton failure: singular barrier Hessian")
+        raise np.linalg.LinAlgError("singular matrix")
 
     _split_writes(monkeypatch, forked)
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(cli, "minimize_direct", singular)
     cfg = write_config(tmp_path / "cfg.json", grid={"n": 32}, eps_schedule=SHORT_SWEEP)
-    with pytest.raises(RuntimeError) as exc:
+    with pytest.raises(np.linalg.LinAlgError) as exc:
         cli.main.main(args=["compare", "--config", str(cfg)], standalone_mode=False)
-    assert type(exc.value) is RuntimeError
-    assert str(exc.value) == "inner Newton failure: singular barrier Hessian"
+    assert type(exc.value) is np.linalg.LinAlgError
+    assert str(exc.value) == "singular matrix"
     assert len(forks) == forked
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

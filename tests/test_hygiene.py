@@ -564,12 +564,12 @@ def test_only_cli_imports_minimizer():
     assert importers == ["cli.py"]
 
 
-def value_error_subclasses(sources: dict[str, str]) -> list[str]:
-    """Classes in `sources` (file name -> text) that derive from ValueError.
+def exception_classes(sources: dict[str, str]) -> list[str]:
+    """Classes in `sources` (file name -> text) that derive from BaseException.
 
     A base counts by its last name (`ValueError`, `builtins.ValueError`) when
-    it is ValueError, one of its builtin subclasses, or a class of `sources`
-    that derives from ValueError through any number of steps.
+    it is a builtin exception class or a class of `sources` that derives from
+    one through any number of steps.
     """
     classes = [
         (f"{name}:{node.name} (line {node.lineno})", node.name,
@@ -579,7 +579,7 @@ def value_error_subclasses(sources: dict[str, str]) -> list[str]:
         if isinstance(node, ast.ClassDef)
     ]
     derived = {name for name, obj in vars(builtins).items()
-               if isinstance(obj, type) and issubclass(obj, ValueError)}
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
     while True:
         more = {cls for _, cls, bases in classes if bases & derived} - derived
         if not more:
@@ -587,22 +587,24 @@ def value_error_subclasses(sources: dict[str, str]) -> list[str]:
         derived |= more
 
 
-def test_detector_flags_every_value_error_subclass():
+def test_detector_flags_every_exception_class():
     sources = {
         "a.py": "class ConfigError(ValueError): pass\nclass Narrow(ConfigError): pass\n"
                 "class Other(RuntimeError): pass\nclass Decode(UnicodeDecodeError): pass\n",
         "b.py": "import builtins\nfrom a import Narrow\nclass Plain: pass\n"
-                "class Deep(Other, Narrow): pass\nclass Qual(builtins.ValueError): pass\n",
+                "class Deep(Plain, Other): pass\nclass Qual(builtins.ValueError): pass\n"
+                "class Stop(BaseException): pass\nclass Mixin(Plain): pass\n",
     }
-    assert value_error_subclasses(sources) == [
-        "a.py:ConfigError (line 1)", "a.py:Narrow (line 2)", "a.py:Decode (line 4)",
-        "b.py:Deep (line 4)", "b.py:Qual (line 5)",
+    assert exception_classes(sources) == [
+        "a.py:ConfigError (line 1)", "a.py:Narrow (line 2)", "a.py:Other (line 3)",
+        "a.py:Decode (line 4)", "b.py:Deep (line 4)", "b.py:Qual (line 5)", "b.py:Stop (line 6)",
     ]
 
 
-def test_config_error_is_the_only_value_error_subclass():
-    # every other bad input is a plain ValueError from the builder that owns its rule
-    sites = value_error_subclasses(_package_sources())
+def test_config_error_is_the_only_exception_class():
+    # one exception type per failure kind: bad input is a plain ValueError from
+    # the builder that owns its rule, which `RunConfig` turns into a ConfigError
+    sites = exception_classes(_package_sources())
     assert [site.split(" ")[0] for site in sites] == ["config.py:ConfigError"]
 
 

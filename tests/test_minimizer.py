@@ -26,7 +26,6 @@ from abreu1d.minimizer import (
     check_admissibility,
     iron,
     minimize_direct,
-    second_differences,
 )
 from abreu1d.solver import STEP_FRACTION, eval_J, make_setup
 
@@ -60,7 +59,7 @@ def test_minimizer_recovers_interior_optimum():
     res = minimize_direct(prob)
     assert np.max(np.abs(res.v - prob.phi)) <= 1e-6
     assert res.kkt_residual <= 1e-8
-    assert np.min(second_differences(res.v, prob.grid)) > 0.0
+    assert np.min(d2(res.v, prob.grid)[1:-1]) > 0.0
     ok, worst = check_admissibility(res.v, prob, tol=1e-8)
     assert ok, worst
 
@@ -115,7 +114,7 @@ def test_shallow_obstacle_activates_window_edge_constraints():
     prob = monopolist_setup(phi=SHALLOW_PHI, rho=1.5)
     res = minimize_direct(prob)
     g = prob.grid
-    s = second_differences(res.v, g)
+    s = d2(res.v, g)[1:-1]
     assert min(s[g.ia - 1], s[g.ib - 1]) <= 1e-4
     v_unc = unconstrained_window_solution(prob)
     assert np.max(np.abs(res.v - v_unc)) > 1e-3
@@ -127,7 +126,7 @@ def test_steep_obstacle_constraints_inactive():
     prob = monopolist_setup(phi=STEEP_PHI, rho=1.0 / 6.0)
     res = minimize_direct(prob)
     g = prob.grid
-    s = second_differences(res.v, g)
+    s = d2(res.v, g)[1:-1]
     assert min(s[g.ia - 1], s[g.ib - 1]) > 1.0
     v_unc = unconstrained_window_solution(prob)
     assert np.max(np.abs(res.v - v_unc)) <= 1e-6
@@ -207,7 +206,7 @@ def test_steep_obstacle_edge_slack_closed_form(n):
     prob = monopolist_setup(n=n, phi=STEEP_PHI, rho=1.0 / 6.0)
     res = minimize_direct(prob)
     g = prob.grid
-    s = second_differences(res.v, g)
+    s = d2(res.v, g)[1:-1]
     assert s[g.ia - 1] == pytest.approx(-4.0 * g.a / g.h + 4.0, rel=1e-6)
     assert s[g.ib - 1] == pytest.approx(4.0 * g.b / g.h + 4.0, rel=1e-6)
 
@@ -216,11 +215,11 @@ def _strictly_feasible_points(prob, count, seed):
     """phi plus random free-node perturbations that keep s >= min s(phi) / 2."""
     g, free = prob.grid, prob.grid.interior_slice()
     rng = np.random.default_rng(seed)
-    s_min = float(np.min(second_differences(prob.phi, g)))
+    s_min = float(np.min(d2(prob.phi, g)[1:-1]))
     for _ in range(count):
         delta = np.zeros(g.n + 1)
         delta[free] = rng.uniform(-1.0, 1.0, free.stop - free.start)
-        yield prob.phi + 0.5 * s_min / np.max(np.abs(second_differences(delta, g))) * delta
+        yield prob.phi + 0.5 * s_min / np.max(np.abs(d2(delta, g)[1:-1])) * delta
 
 
 def _fd_hessian(grad, v, free, step):

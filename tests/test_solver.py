@@ -23,7 +23,6 @@ from abreu1d import solver
 from abreu1d.lagrangian import make_rochet_chone
 from abreu1d.minimizer import _barrier_terms, _cell_objective
 from abreu1d.solver import (
-    NonconvexIterate,
     Tolerances,
     continuation_sweep,
     default_eps_schedule,
@@ -57,7 +56,7 @@ def test_residual_rejects_nonconvex_iterate():
     setup = monopolist_setup()
     u = setup.phi.copy()
     u[10] += 1.0  # drives the second difference at node 10 negative
-    with pytest.raises(NonconvexIterate):
+    with pytest.raises(ValueError, match=r"^u'' <= 0 at node 10: -"):
         residual(u, setup)
 
 
@@ -392,7 +391,7 @@ def test_eval_J_eps_rejects_nonconvex():
     setup = monopolist_setup()
     u = setup.phi.copy()
     u[10] += 1.0
-    with pytest.raises(NonconvexIterate):
+    with pytest.raises(ValueError, match=r"^u'' <= 0 at node 10: -"):
         eval_J_eps(u, setup)
 
 

@@ -6,8 +6,10 @@
 Each tree is a checkout of this repository; its `src/` is put on
 PYTHONPATH.  On each config in this repository's `perfbench/workloads/`,
 which it only reads, the script runs `solve` (on a copy whose eps schedule
-is the single eps 0.05), `sweep`, `compare` and `verify` from both trees, in
-fresh interpreters and in temporary output directories.  It reports a
+is the single eps 0.05), `sweep`, `compare`, `verify` and `sweep` again on a
+copy whose schedule has three stages, one too few for the rate fits and
+the bound checks, from both trees, in fresh interpreters and in temporary
+output directories.  It reports a
 differing exit code, a file that only one tree wrote, every CSV or JSON
 file whose bytes differ, and every difference between the manifests other
 than `wall_clock_seconds` (the wall times) and `config.outputs` (the output
@@ -23,8 +25,15 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
-COMMANDS = ("solve", "sweep", "compare", "verify")
-SOLVE_EPS = 0.05
+# (label, command, eps schedule of the config copy it runs on, or None for
+# the workload's own)
+RUNS = (
+    ("solve", "solve", [0.05]),
+    ("sweep", "sweep", None),
+    ("compare", "compare", None),
+    ("verify", "verify", None),
+    ("sweep-3-stages", "sweep", [0.1, 0.05, 0.025]),
+)
 
 
 def run(tree: Path, command: str, config: Path, out: Path) -> int:
@@ -73,26 +82,25 @@ def main() -> int:
         work = Path(tmp)
         for workload in sorted(WORKLOADS.glob("*.json")):
             doc = json.loads(workload.read_text(encoding="utf-8"))
-            for command in COMMANDS:
-                config = work / f"{workload.stem}-{command}.json"
-                config.write_text(json.dumps({**doc, "eps_schedule": [SOLVE_EPS]} if command == "solve"
-                                             else doc), encoding="utf-8")
+            for label, command, schedule in RUNS:
+                config = work / f"{workload.stem}-{label}.json"
+                copy = doc if schedule is None else {**doc, "eps_schedule": schedule}
+                config.write_text(json.dumps(copy), encoding="utf-8")
                 outs, codes = {}, {}
                 for side, tree in trees.items():
-                    outs[side] = work / f"{workload.stem}-{command}-{side}"
+                    outs[side] = work / f"{workload.stem}-{label}-{side}"
                     codes[side] = run(tree, command, config, outs[side])
                 found = differences(outs["before"], outs["after"])
                 if codes["before"] != codes["after"]:
                     found.insert(0, f"exit code {codes['before']} -> {codes['after']}")
-                label = f"{workload.stem} {command}"
                 if found:
                     failed = True
-                    print(f"DIFFERENT {label}:")
+                    print(f"DIFFERENT {workload.stem} {label}:")
                     for line in found:
                         print(f"    {line}")
                 else:
                     files = len(list(outs["after"].iterdir()))
-                    print(f"same      {label}: exit {codes['after']}, {files} files")
+                    print(f"same      {workload.stem} {label}: exit {codes['after']}, {files} files")
     return 1 if failed else 0
 
 

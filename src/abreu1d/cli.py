@@ -17,8 +17,10 @@ read back.  `_write_in_place` overwrites a file that a previous run left
 and then cuts it to its new length; `write_json` writes no temporary file.
 
 `compare` runs its convex-cone oracle in the command's own process, once
-every stage has converged and the sweep's files are written.  A large
-sweep's stage files are written by two processes (`_writing_stages`).
+every stage has converged and the sweep's reports are written, and
+`verify` its weak form likewise.  A large sweep's stage files are shared
+out through a claim queue between a forked child and the command, which
+takes what is left once its own work is done (`_writing_stages`).
 """
 
 import functools
@@ -172,10 +174,12 @@ _TABLE_ROWS = 2048
 # Stage files are written from two processes when they hold at least this
 # many values in all.  After a sweep, a fork took 0.8-1.0 ms, a child's exit
 # and reaping 1.3-1.5 ms, and a value about 0.3 us to render and write.  On
-# a 2-vCPU Xeon VM (`sweep`, 11 stages of the exact-solution problem, medians
-# of 40 in-process runs a side) the split cost 0.2 ms at 34 k values
-# (n = 512) and saved 0.9-1.1 ms at 51 k (n = 768), 4.4-4.9 ms at 85 k
-# (n = 1280) and 28 ms of 107 at 541 k (n = 8192).
+# a 2-vCPU Xeon VM (`sweep`, 11 stages of the exact-solution problem, 40
+# alternating in-process pairs, claim queue against one process) the
+# queue cost a median 1.3-2.0 ms a pair at 34 k values (n = 512), broke
+# even at 51 k (n = 768: -0.0 to +0.6 ms, faster in 17 and 20 of 40 pairs)
+# and saved 2.2-8.2 ms at 85 k (n = 1280, faster in 34 of 40), in two
+# series on a machine whose speed drifted by half between them.
 _SPLIT_MIN_VALUES = 50_000
 
 
@@ -196,31 +200,77 @@ def _stage_entry(setup, result) -> dict:
     }
 
 
-def _write_stages(nodes, jobs) -> dict:
-    """Write each `(path, result)` job's solution CSV; returns file name -> sha256.
+def _stage_units(nodes, jobs) -> list:
+    """Split the `(path, result)` jobs' solution CSVs into write units.
 
-    The `x` column is `nodes`, the others the result's u and the u', u'',
-    w and f_eps that Newton evaluated at it.  Files of at most a third of
-    `_TABLE_ROWS` rows are laid out whole, up to `_TABLE_ROWS` rows to one
-    `_csv_rows` table with the nodes rendered once, because a `floattext`
-    block costs about 70 us beyond its values.  A longer file is streamed,
-    nodes rendered once for all: two to a table saved less than nodes cost.
+    A unit is a function that writes its files and returns file name ->
+    sha256.  The `x` column is `nodes`, the others the result's u and the
+    u', u'', w and f_eps that Newton evaluated at it.  Files of at most a
+    third of `_TABLE_ROWS` rows are laid out whole, up to `_TABLE_ROWS` rows
+    to one `_csv_rows` table with the nodes rendered once, because a
+    `floattext` block costs about 70 us beyond its values; each table is a
+    unit.  A longer file is a unit of its own, streamed, with the nodes
+    rendered once for all here: two to a table saved less than nodes cost.
     """
     m = len(nodes)
     if m > _TABLE_ROWS // 3:
         x = floattext.render(nodes)[0]
-        return {path.name: write_csv(path, STAGE_HEADER, (x, r.u, r.up, r.upp, r.w, r.f))
-                for path, r in jobs}
-    files = {}
-    head = (",".join(STAGE_HEADER) + "\n").encode("utf-8")
+        return [functools.partial(_stream_stage, path, x, r) for path, r in jobs]
     group = _TABLE_ROWS // m
-    for lo in range(0, len(jobs), group):
-        part = jobs[lo:lo + group]
-        columns = zip(*((r.u, r.up, r.upp, r.w, r.f) for _, r in part))
-        rows = _csv_rows([nodes, *map(np.concatenate, columns)])
-        for k, (path, _) in enumerate(part):
-            files[path.name] = _write_in_place(
+    return [functools.partial(_write_table, nodes, jobs[lo:lo + group])
+            for lo in range(0, len(jobs), group)]
+
+
+def _stream_stage(path, x, r) -> dict:
+    return {path.name: write_csv(path, STAGE_HEADER, (x, r.u, r.up, r.upp, r.w, r.f))}
+
+
+def _write_table(nodes, jobs) -> dict:
+    m = len(nodes)
+    head = (",".join(STAGE_HEADER) + "\n").encode("utf-8")
+    columns = zip(*((r.u, r.up, r.upp, r.w, r.f) for _, r in jobs))
+    rows = _csv_rows([nodes, *map(np.concatenate, columns)])
+    return {path.name: _write_in_place(
                 path, (head, rows[k * m:(k + 1) * m].tobytes().translate(None, b"\0")))
+            for k, (path, _) in enumerate(jobs)}
+
+
+def _write_stages(nodes, jobs) -> dict:
+    """Write each `(path, result)` job's solution CSV; returns file name -> sha256."""
+    return {name: digest for unit in _stage_units(nodes, jobs) for name, digest in unit().items()}
+
+
+# A claim is one byte, the index of a run of units.  Every pipe holds at
+# least 512 bytes (POSIX's PIPE_BUF), so the claims are written before the
+# fork without blocking, however many units there are.
+_MAX_CLAIMS = 256
+
+
+def _claim_queue(count: int):
+    """A pipe's read end holding the claims of `count` units, and each claim's units.
+
+    Claim k is the byte k, which stands for a run of consecutive units:
+    one unit each, unless there are more than `_MAX_CLAIMS`.  The write end
+    is closed, so a read returns one claim, or nothing once every claim is
+    taken; a one-byte read takes a claim whole, whichever process reads.
+    """
+    claims = min(count, _MAX_CLAIMS)
+    runs = [range(k * count // claims, (k + 1) * count // claims) for k in range(claims)]
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, bytes(range(claims)))
+    finally:
+        os.close(write_fd)
+    return read_fd, runs
+
+
+def _take_units(queue: int, runs, units) -> dict:
+    """Write the units of each claim taken from `queue` until it is empty;
+    returns file name -> sha256."""
+    files = {}
+    while claim := os.read(queue, 1):
+        for k in runs[claim[0]]:
+            files.update(units[k]())
     return files
 
 
@@ -231,12 +281,14 @@ def _writing_stages(outdir: Path, stages):
     The block adds its own files to the record, which holds every stage
     file once the `with` statement is left.  The package's one fork: with
     two or more stages, at least `_SPLIT_MIN_VALUES` values, os.fork and a
-    second CPU, a child writes stages 00, 02, ..., the larger half, while
-    this process writes the others and then runs the block; otherwise this
-    process writes every stage file before the block.  The child's error is
-    raised here with its type and message, and a child that sends no result
-    makes this raise RuntimeError.  Leaving the block kills the child, if it
-    still runs, and reaps it.
+    second CPU, the write units (`_stage_units`) go into a claim queue
+    (`_claim_queue`) and a child takes units from it as soon as it starts,
+    while this process runs the block and then takes what is left;
+    otherwise this process writes every stage file before the block.  So
+    the faster writer writes more, whichever CPU is busier.  The child's
+    error is raised here with its type and message, and a child that sends
+    no result makes this raise RuntimeError.  Leaving the block kills the
+    child, if it still runs, and reaps it.
     """
     nodes = stages[0][0].grid.nodes
     jobs = [(outdir / f"solution_stage{k:02d}.csv", result) for k, (_, result) in enumerate(stages)]
@@ -245,6 +297,8 @@ def _writing_stages(outdir: Path, stages):
             and len(os.sched_getaffinity(0)) >= 2):
         yield _write_stages(nodes, jobs)
         return
+    units = _stage_units(nodes, jobs)
+    queue, runs = _claim_queue(len(units))
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     # With one OpenBLAS thread, this module's default, neither numpy's OpenBLAS
@@ -255,7 +309,7 @@ def _writing_stages(outdir: Path, stages):
         try:
             os.close(read_fd)
             try:
-                result = _write_stages(nodes, jobs[::2])
+                result = _take_units(queue, runs, units)
             except BaseException as exc:
                 result = exc
             with os.fdopen(write_fd, "wb") as fh:
@@ -270,8 +324,9 @@ def _writing_stages(outdir: Path, stages):
     # A child that has sent its result still takes a few ms to exit, so only
     # a child that sent none is reaped before the `finally`.
     try:
-        files = _write_stages(nodes, jobs[1::2])
+        files = {}
         yield files
+        files.update(_take_units(queue, runs, units))
         data = reader.read()
         if not data:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -282,27 +337,37 @@ def _writing_stages(outdir: Path, stages):
             raise result
         files.update(result)
     finally:
+        os.close(queue)
         reader.close()
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _run_sweep(cfg: RunConfig, setup, outdir: Path):
-    """Shared sweep pipeline from the first stage's setup.
+def _run_sweep(cfg: RunConfig, setup, outdir: Path, then=None):
+    """Shared sweep pipeline from the first stage's setup; returns (exit_code, run).
 
-    Returns (exit_code, stages, reports, run): the converged stages'
-    `EstimateReport`s and `run` as `_finish` takes it.  With fewer than
-    `MIN_FIT_STAGES` converged stages, `rates.csv` holds its header alone,
-    no `bounds.json` is written, and one warning says so.
+    `run` is as `_finish` takes it.  With fewer than `MIN_FIT_STAGES`
+    converged stages, `rates.csv` holds its header alone, no `bounds.json`
+    is written, and one warning says so.  `then(stages, reports, run)`, if
+    given, is the command's own work once every stage has converged, with
+    the converged stages' `EstimateReport`s; it returns the exit code.  It
+    runs inside `_writing_stages`, after the reports, so that a stage
+    writer child writes while it runs; its time is not counted in
+    `wall_clock_seconds.write`.
     """
     schedule = cfg.schedule()
     t0 = time.perf_counter()
     stages = continuation_sweep(setup, schedule, cfg.tolerances)
     t1 = time.perf_counter()
     all_converged = len(stages) == len(schedule) and all(r.converged for _, r in stages)
+    code = EXIT_OK if all_converged else EXIT_SOLVER
+    seconds = {"sweep": t1 - t0}
+    run = {"wall_clock_seconds": seconds}
+    own = 0.0
 
     with _writing_stages(outdir, stages) as files:
+        run["files"] = files
         reports = [compute_report(r, s) for s, r in stages if r.converged]
         header = [f.name for f in fields(EstimateReport)]
         files["sweep.csv"] = write_csv(outdir / "sweep.csv", header,
@@ -325,13 +390,16 @@ def _run_sweep(cfg: RunConfig, setup, outdir: Path):
         else:
             log.warning("bound checks skipped: need >= %d stages for bound checks, got %d",
                         MIN_FIT_STAGES, len(reports))
-    seconds = {"sweep": t1 - t0, "write": time.perf_counter() - t1}
-    stage_meta = [_stage_entry(setup, result) for setup, result in stages]
+        if then is not None and all_converged:
+            t2 = time.perf_counter()
+            code = then(stages, reports, run)
+            own = time.perf_counter() - t2
+    seconds["write"] = time.perf_counter() - t1 - own
+    run["stages"] = [_stage_entry(setup, result) for setup, result in stages]
 
     if not all_converged:
         log.error("sweep stopped at stage %d of %d", len(stages), len(schedule))
-    run = {"stages": stage_meta, "wall_clock_seconds": seconds, "files": files}
-    return (EXIT_OK if all_converged else EXIT_SOLVER), stages, reports, run
+    return code, run
 
 
 def _single_eps(cfg: RunConfig, setup) -> None:
@@ -448,8 +516,7 @@ def solve(cfg, setup, outdir):
 @_command()
 def sweep(cfg, setup, outdir):
     """Continuation sweep over the eps schedule with diagnostics."""
-    code, _, _, run = _run_sweep(cfg, setup, outdir)
-    return code, run
+    return _run_sweep(cfg, setup, outdir)
 
 
 def _oracle_entry(oracle) -> dict:
@@ -474,65 +541,65 @@ def _oracle_entry(oracle) -> dict:
 @_command()
 def compare(cfg, setup, outdir):
     """Run the sweep and the direct minimizer, report their agreement."""
-    code, stages, reports, run = _run_sweep(cfg, setup, outdir)
-    if code != EXIT_OK:
-        return code, run
-    # Every stage shares the first stage's grid, Lagrangian and obstacle,
-    # which is all the minimizer reads.
-    t0 = time.perf_counter()
-    oracle = minimize_direct(setup)
-    run["wall_clock_seconds"]["oracle"] = time.perf_counter() - t0
-    run["oracle"] = _oracle_entry(oracle)
-    files = run["files"]
-    setup, result = stages[-1]
-    g = setup.grid
-    if oracle.kkt_residual > cfg.tolerances.kkt_tol:
-        log.error("oracle failed: KKT residual %.3e > %.3e",
-                  oracle.kkt_residual, cfg.tolerances.kkt_tol)
-        return EXIT_ORACLE, run
+    def oracle_step(stages, reports, run):
+        # Every stage shares the first stage's grid, Lagrangian and obstacle,
+        # which is all the minimizer reads.
+        t0 = time.perf_counter()
+        oracle = minimize_direct(setup)
+        run["wall_clock_seconds"]["oracle"] = time.perf_counter() - t0
+        run["oracle"] = _oracle_entry(oracle)
+        last, result = stages[-1]
+        g = last.grid
+        if oracle.kkt_residual > cfg.tolerances.kkt_tol:
+            log.error("oracle failed: KKT residual %.3e > %.3e",
+                      oracle.kkt_residual, cfg.tolerances.kkt_tol)
+            return EXIT_ORACLE
 
-    diff = np.abs(result.u - oracle.v)
-    files["compare.csv"] = write_csv(outdir / "compare.csv",
-                                     ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
-                                     (g.nodes, result.u, oracle.v, diff))
+        diff = np.abs(result.u - oracle.v)
+        files = run["files"]
+        files["compare.csv"] = write_csv(outdir / "compare.csv",
+                                         ("x", "u_abreu_smallest_eps", "u_direct", "abs_diff"),
+                                         (g.nodes, result.u, oracle.v, diff))
 
-    width = g.b - g.a
-    inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
-    J_abreu = reports[-1].J_val
-    summary = {
-        "eps_smallest": setup.eps,
-        "sup_diff_inner_window": float(np.max(diff[inner])),
-        "J_abreu": J_abreu,
-        "J_direct": oracle.J_value,
-        "J_abs_diff": abs(J_abreu - oracle.J_value),
-        "oracle_kkt_residual": oracle.kkt_residual,
-    }
-    files["compare_summary.json"] = write_json(outdir / "compare_summary.json", summary)
-    return EXIT_OK, run
+        width = g.b - g.a
+        inner = (g.nodes >= g.a + 0.1 * width) & (g.nodes <= g.b - 0.1 * width)
+        J_abreu = reports[-1].J_val
+        summary = {
+            "eps_smallest": last.eps,
+            "sup_diff_inner_window": float(np.max(diff[inner])),
+            "J_abreu": J_abreu,
+            "J_direct": oracle.J_value,
+            "J_abs_diff": abs(J_abreu - oracle.J_value),
+            "oracle_kkt_residual": oracle.kkt_residual,
+        }
+        files["compare_summary.json"] = write_json(outdir / "compare_summary.json", summary)
+        return EXIT_OK
+
+    return _run_sweep(cfg, setup, outdir, oracle_step)
 
 
 @_command(check=_bumps_fit)
 def verify(cfg, setup, outdir):
     """Weak-form residual of the limiting Euler-Lagrange identity."""
-    code, stages, _, run = _run_sweep(cfg, setup, outdir)
-    if code != EXIT_OK:
-        return code, run
-    setup, result = stages[-1]
-    family = default_family(setup.grid)
-    w_resc = rescaled_w(result, setup)
-    max_res, per_bump = distributional_residual(w_resc, result.u, setup, family, result.up)
-    files = run["files"]
-    files["el_residuals.csv"] = write_csv(outdir / "el_residuals.csv",
-                                          ("center", "radius", "residual"),
-                                          (family.centers, family.radii, per_bump))
-    tol = cfg.tolerances.el_residual_tol
-    files["verify_summary.json"] = write_json(outdir / "verify_summary.json", {
-        "eps": setup.eps,
-        "max_residual": max_res,
-        "tolerance": tol,
-        "status": "PASS" if max_res <= tol else "FAIL",
-    })
-    return EXIT_OK, run
+    def weak_form(stages, reports, run):
+        last, result = stages[-1]
+        family = default_family(last.grid)
+        w_resc = rescaled_w(result, last)
+        max_res, per_bump = distributional_residual(w_resc, result.u, last, family, result.up)
+        files = run["files"]
+        files["el_residuals.csv"] = write_csv(outdir / "el_residuals.csv",
+                                              ("center", "radius", "residual"),
+                                              (family.centers, family.radii, per_bump))
+        tol = cfg.tolerances.el_residual_tol
+        files["verify_summary.json"] = write_json(outdir / "verify_summary.json", {
+            "eps": last.eps,
+            "max_residual": max_res,
+            "tolerance": tol,
+            "status": "PASS" if max_res <= tol else "FAIL",
+        })
+        return EXIT_OK
+
+    return _run_sweep(cfg, setup, outdir, weak_form)
 
 
 if __name__ == "__main__":

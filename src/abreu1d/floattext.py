@@ -24,8 +24,11 @@ position and one column per value:
     rows 24-28   "e+XX" or "e-XXX" (exponential form, e < -4 or e > 16)
 
 Every row is filled with whole-row arithmetic; a per-value branch would
-cost more than the row.  The scale and layout tables are built on the
-first call, from Python ints.
+cost more than the row.  N's digits come from a table of the 10**4
+four-digit groups, after three integer divisions.  The scale, layout and
+digit tables hold one column per exponent or group, so a block's lookup
+yields contiguous rows.  They are built on the first kernel call, not at
+import; the scale and layout tables from Python ints.
 """
 
 import numpy as np
@@ -67,14 +70,17 @@ def _split(x):
 
 
 def _build_tables():
-    """Per exponent e = _E0, ..., 201: 10**(16 - e) and the text around the digits.
+    """The kernel's three tables, each with one column per entry.
 
-    A scale row holds hi, hi split in two, lo, and the |N - product| above
+    The scale table has a column per exponent e = _E0, ..., 201 holding
+    10**(16 - e) as hi, hi split in two and lo, and the |N - product| above
     which a value falls back as too near a tie, where hi is the double
     nearest 10**(16 - e) and lo the double nearest the remainder; where lo
-    is 0, no value falls back for a tie.  A layout row holds rows 1-5 and 24-28, the number of digits
-    before the point in fixed form, and the digit the point follows (100:
-    none).
+    is 0, no value falls back for a tie.  The layout table's column for e
+    holds rows 1-5 and 24-28, the number of digits before the point in
+    fixed form, and the digit the point follows (100: none).  The digit
+    table's column k holds the four ASCII digits of k < 10**4.  A block
+    takes its values' columns, so each row it reads is contiguous.
     """
     scale, layout = [], []
     for e in range(_E0, 1 - _E0):
@@ -91,28 +97,9 @@ def _build_tables():
         else:
             prefix, suffix, lead, dot = b"", b"e%+03d" % e, 1, 0
         layout.append(list(prefix.ljust(5, b"\0") + suffix.ljust(5, b"\0")) + [lead, dot])
-    return np.array(scale), np.array(layout, dtype=np.uint8)
-
-
-def _swar8(x):
-    """Eight decimal digits of each x < 10**8, one per byte, the first in the lowest byte."""
-    hi = x // _U(10000)
-    v = x - hi * _U(10000)
-    v <<= _U(32)
-    v |= hi  # two 4-digit halves in 32-bit lanes
-    h = v * _U(10486)
-    h >>= _U(20)
-    h &= _U(0x0000007F0000007F)  # each lane // 100
-    v -= h * _U(100)
-    v <<= _U(16)
-    v |= h  # four 2-digit quarters in 16-bit lanes
-    np.multiply(v, _U(103), out=h)
-    h >>= _U(10)
-    h &= _U(0x000F000F000F000F)  # each lane // 10
-    v -= h * _U(10)
-    v <<= _U(8)
-    v |= h
-    return v
+    k = np.arange(10**4)
+    digits = np.array([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], np.uint8) + _ZERO
+    return np.array(scale).T.copy(), np.array(layout, dtype=np.uint8).T.copy(), digits
 
 
 def _significand(v):
@@ -130,7 +117,7 @@ def _significand(v):
     i = i.astype(np.intp)
     i *= nonzero  # zero is laid out as e = 0, N = 0
     i -= _E0
-    hi, hi_hi, hi_lo, lo, half = scale.take(i, axis=0).T
+    hi, hi_hi, hi_lo, lo, half = scale.take(i, axis=1)
     p = a * hi
     a_hi, a_lo = _split(a)
     p_lo = a_hi * hi_hi
@@ -155,15 +142,23 @@ def _significand(v):
 
 
 def _digits(n):
-    """The 17 decimal digits of each n < 10**17, one row per digit, the first in row 0."""
+    """The 17 ASCII digits of each n < 10**17, one row per digit, the first in row 0.
+
+    n is cut into a first digit and four groups of four, each looked up in
+    the digit table."""
     m = len(n)
-    halves = np.empty((2, m), _U)
-    np.floor_divide(n, _U(10**9), out=halves[0])
-    last9 = n - halves[0] * _U(10**9)
-    np.floor_divide(last9, _U(10), out=halves[1])
+    parts = np.empty((2, m), _U)  # digits 0-8 and 9-16
+    np.floor_divide(n, _U(10**8), out=parts[0])
+    np.subtract(n, parts[0] * _U(10**8), out=parts[1])
+    high = parts // _U(10**4)  # digits 0-4 and 9-12
+    parts -= high * _U(10**4)  # digits 5-8 and 13-16
+    first = high[0] // _U(10**4)
+    high[0] -= first * _U(10**4)  # digits 1-4
     digits = np.empty((17, m), np.uint8)
-    digits[:16].reshape(2, 8, m)[...] = _swar8(halves).view(np.uint8).reshape(2, m, 8).transpose(0, 2, 1)
-    digits[16] = last9 - halves[1] * _U(10)
+    np.add(first, _ZERO, out=digits[0], casting="unsafe")
+    table = _tables[2]
+    for row, group in ((1, high[0]), (5, parts[0]), (9, high[1]), (13, parts[1])):
+        table.take(group, axis=1, out=digits[row:row + 4], mode="clip")
     return digits
 
 
@@ -171,17 +166,16 @@ def _render_block(v, out):
     """Fill out (_WIDTH, len(v)) with the text of v; returns the fallback mask."""
     n, i, fallback = _significand(v)
     digits = _digits(n)
-    shown = (_PLACE * (digits > 0).view(np.uint8)).max(axis=0)  # significant digits; 0 for zero
-    text = _tables[1].take(i, axis=0)
-    lead = text[:, 10]
+    shown = (_PLACE * (digits > _ZERO).view(np.uint8)).max(axis=0)  # significant digits; 0 for zero
+    text = _tables[1].take(i, axis=1)
+    lead = text[10]
     np.maximum(shown, lead, out=shown)
     # the point goes after digit `dot` only where a digit follows it
-    dot = text[:, 11] + _NO_DOT * (shown <= lead)
+    dot = text[11] + _NO_DOT * (shown <= lead)
 
     np.multiply(np.signbit(v), _MINUS, out=out[0])
-    out[1:6] = text[:, :5].T
-    out[24:] = text[:, 5:10].T
-    digits += _ZERO
+    out[1:6] = text[:5]
+    out[24:] = text[5:10]
     digits *= (_ROW[:17] < shown).view(np.uint8)
     body = out[6:24]
     np.multiply(digits, (_ROW[:17] <= dot).view(np.uint8), out=body[:17])

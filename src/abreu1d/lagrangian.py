@@ -24,7 +24,8 @@ import numpy as np
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # A Lagrangian at the nodes x, from `LagrangianSpec.bind(x)`: x and the nine
-# callbacks as functions of z (or p) alone, an array of x's shape.
+# callbacks as functions of z (or p) alone, an array of x's shape.  f0_zz or
+# f1_ppp is None where it is identically zero, and its term is left out.
 BoundLagrangian = namedtuple("BoundLagrangian", "x f0 f0_z f0_zz f1 f1_p f1_pp f1_px f1_pxp f1_ppp")
 
 
@@ -95,21 +96,22 @@ class RochetChoneSpec(LagrangianSpec):
     def bind(self, x: np.ndarray) -> BoundLagrangian:
         """The callbacks at the nodes x, with eta0 and eta0' evaluated once, by this
         spec's own f1_pp and f1_pxp (so a wrapped callback counts one call per
-        bind), and handed out read-only with the zero partials, one array each."""
-        eta0, eta0_prime, zeros = self.f1_pp(x, x), self.f1_pxp(x, x), np.zeros_like(x)
-        for value in (eta0, eta0_prime, zeros):
+        bind), and handed out read-only; f0_zz and f1_ppp, which are
+        identically zero, are None."""
+        eta0, eta0_prime = self.f1_pp(x, x), self.f1_pxp(x, x)
+        for value in (eta0, eta0_prime):
             value.flags.writeable = False
         return BoundLagrangian(
             x,
             f0=lambda z: z * eta0,
             f0_z=lambda z: eta0,
-            f0_zz=lambda z: zeros,
+            f0_zz=None,
             f1=lambda p: (0.5 * p * p - p * x) * eta0,
             f1_p=lambda p: (p - x) * eta0,
             f1_pp=lambda p: eta0,
             f1_px=lambda p: (p - x) * eta0_prime - eta0,
             f1_pxp=lambda p: eta0_prime,
-            f1_ppp=lambda p: zeros,
+            f1_ppp=None,
         )
 
 

@@ -108,14 +108,16 @@ def _cell_objective(setup: ProblemSetup):
         vm = 0.5 * (v[cells] + v[cells + 1])
         pm = (v[cells + 1] - v[cells]) / h
         fz = lag.f0_z(vm)
-        fzz = lag.f0_zz(vm)
         fp = lag.f1_p(pm)
-        fpp = lag.f1_pp(pm)
+        curv = lag.f1_pp(pm) / (h * h)
         # cell c couples free nodes c-1 and c: free node k sums cell k, then cell k+1
         gl = h * (0.5 * fz - fp / h)
         gr = h * (0.5 * fz + fp / h)
-        hd = h * (0.25 * fzz + fpp / (h * h))
-        ho = h * (0.25 * fzz - fpp / (h * h))
+        if lag.f0_zz is None:  # identically zero
+            hd, ho = h * curv, h * -curv
+        else:
+            fzz = 0.25 * lag.f0_zz(vm)
+            hd, ho = h * (fzz + curv), h * (fzz - curv)
         H = np.zeros((5, m))
         H[1, 1:] = ho[1:m]
         H[2] = hd[:m] + hd[1:]

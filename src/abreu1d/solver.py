@@ -351,7 +351,7 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
     ab[2 + i - j, j] = A[i, j].  Each entry sums its terms in a fixed order:
     the eps * d2(w) chain, then -f0_zz, the chain through u', and f1_pp * d2
     inside the window, or -1/eps outside it (added first, which gives the
-    same sum).
+    same sum).  A partial that the binding leaves out (None) adds no term.
     """
     n, h = setup.grid.n, setup.grid.h
     band = band or _band(setup)
@@ -381,10 +381,14 @@ def jacobian(u: np.ndarray, setup: ProblemSetup, dv: Optional[_Derivatives] = No
 
     # window rows i = ia+1 .. ib-1; columns i-1 and i+1 sit on bands 3 and 1
     lag, win, lo, up = setup.at_nodes, band.win, band.lo, band.up
-    ab[2, win] -= lag.f0_zz(u)[win]
+    if lag.f0_zz is not None:
+        ab[2, win] -= lag.f0_zz(u)[win]
     # d/du_k of f1_px(x_i, p_i) and f1_pp(x_i, p_i) * s_i; R_i holds them with
     # a minus sign and p_i = (u_{i+1} - u_{i-1}) / 2h, so column i-1 gets -chain
-    chain = (lag.f1_pxp(dv.p)[win] + lag.f1_ppp(dv.p)[win] * s[win]) / (2.0 * h)
+    chain = lag.f1_pxp(dv.p)[win]
+    if lag.f1_ppp is not None:
+        chain = chain + lag.f1_ppp(dv.p)[win] * s[win]
+    chain = chain / (2.0 * h)
     ab[3, lo] -= chain
     ab[1, up] += chain
     f1pp = dv.f1pp

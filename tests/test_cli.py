@@ -1,12 +1,16 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import os
 import re
+import select
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -548,6 +552,33 @@ def _count_forks(monkeypatch):
     return forks
 
 
+@pytest.fixture
+def one_writer(monkeypatch):
+    """`one_writer(writer)` lets only the "parent" or the "child" process take
+    stage write units: the other takes none until the writer has taken its
+    last (or a minute has passed), and then finds the claim queue empty."""
+    done_r, done_w = os.pipe()
+    command_pid = os.getpid()
+    take_units = cli._take_units
+
+    def only(writer):
+        def taking(queue, runs, units):
+            if (os.getpid() == command_pid) != (writer == "parent"):
+                if select.select([done_r], [], [], 60)[0]:
+                    os.read(done_r, 1)
+                return take_units(queue, runs, units)
+            try:
+                return take_units(queue, runs, units)
+            finally:
+                os.write(done_w, b"x")
+
+        monkeypatch.setattr(cli, "_take_units", taking)
+
+    yield only
+    os.close(done_r)
+    os.close(done_w)
+
+
 def _artifacts(out):
     """(manifest without its wall times and output directory, every other file's bytes)."""
     manifest = json.loads((out / "manifest.json").read_text())
@@ -594,17 +625,18 @@ def test_stage_writes_stay_serial_without_a_second_cpu_or_fork(tmp_path, monkeyp
 
 
 def test_writer_child_without_a_result_is_runtime_error(tmp_path, monkeypatch):
-    # the forked child exits before it sends its file record
+    # the forked child exits before it takes a unit or sends its file record,
+    # so this process writes every stage file and then finds no result
     _split_writes(monkeypatch, True)
     command_pid = os.getpid()
-    write_stages = cli._write_stages
+    take_units = cli._take_units
 
-    def exiting_in_child(nodes, jobs):
+    def exiting_in_child(queue, runs, units):
         if os.getpid() != command_pid:
             os._exit(7)
-        return write_stages(nodes, jobs)
+        return take_units(queue, runs, units)
 
-    monkeypatch.setattr(cli, "_write_stages", exiting_in_child)
+    monkeypatch.setattr(cli, "_take_units", exiting_in_child)
     cfg = write_config(tmp_path / "cfg.json")
     with pytest.raises(RuntimeError) as exc:
         cli.main.main(args=["sweep", "--config", str(cfg)], standalone_mode=False)
@@ -613,6 +645,62 @@ def test_writer_child_without_a_result_is_runtime_error(tmp_path, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_a_slow_child_leaves_most_units_to_this_process(tmp_path, monkeypatch):
+    # 11 stage files of 769 rows are 11 units of one file each; the child
+    # sleeps half a second before each unit it takes, so this process,
+    # once its own work is done, takes the units the child has not
+    config = {"grid": {"n": 768}, "eps_schedule": {"start": 0.1, "ratio": 0.5, "stages": 11}}
+    assert len(cli.STAGE_HEADER) * 769 * 11 >= cli._SPLIT_MIN_VALUES
+    command_pid = os.getpid()
+    written_here = []
+    stream_stage = cli._stream_stage
+
+    def slow_in_child(path, *args):
+        if os.getpid() != command_pid:
+            time.sleep(0.5)
+        else:
+            written_here.append(path.name)
+        return stream_stage(path, *args)
+
+    outputs = {}
+    for split in (False, True):
+        _split_writes(monkeypatch, split)
+        monkeypatch.setattr(cli, "_stream_stage", slow_in_child if split else stream_stage)
+        out = tmp_path / f"split{split}"
+        cfg = write_config(tmp_path / "cfg.json", outputs=str(out), **config)
+        assert invoke_cli("sweep", "--config", cfg) == 0
+        outputs[split] = _artifacts(out)
+    assert outputs[True] == outputs[False]
+    assert 9 <= len(written_here) == len(set(written_here))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_claims_beyond_a_pipe_buffer_are_taken_once_each():
+    # 100 000 units are more than a 64 KiB pipe buffer holds claims of a
+    # byte each; the queue holds at most `_MAX_CLAIMS` claims, each a run of
+    # units, so writing them cannot block, and one process takes them all
+    def stuck(signum, frame):
+        raise TimeoutError("the claim queue blocked")
+
+    count = 100_000
+    handler = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        queue, runs = cli._claim_queue(count)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    try:
+        assert len(runs) == cli._MAX_CLAIMS <= 512
+        units = [functools.partial(dict, [(str(k), k)]) for k in range(count)]
+        taken = cli._take_units(queue, runs, units)
+        assert list(taken.values()) == list(range(count))
+        assert os.read(queue, 1) == b""
+    finally:
+        os.close(queue)
 
 
 @pytest.mark.parametrize("first, second", [(("verify", 256), ("sweep", 64)),
@@ -639,10 +727,12 @@ def test_rerun_over_previous_outputs_matches_a_fresh_run(tmp_path, first, second
     ids=["parent-file", "child-file"],
 )
 def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeypatch, caplog,
-                                                               blocked, error):
-    # a directory where a stage file goes makes its write fail: stage 00 is
-    # the forked child's first file, stage 01 this process's
+                                                               one_writer, blocked, error):
+    # a directory where a stage file goes makes its write fail; the five
+    # stage files are one unit, which this process writes in the
+    # parent-file case and the forked child in the child-file case
     _split_writes(monkeypatch, True)
+    one_writer("parent" if blocked == "solution_stage01.csv" else "child")
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     cfg = write_config(tmp_path / "cfg.json")
@@ -657,7 +747,7 @@ def test_failed_split_write_names_the_file_and_reaps_the_child(tmp_path, monkeyp
 
 def test_failed_child_write_is_nonzero_exit(tmp_path):
     out = tmp_path / "out"
-    (out / "solution_stage00.csv").mkdir(parents=True)  # the forked child's first file
+    (out / "solution_stage00.csv").mkdir(parents=True)  # in the one unit, whoever takes it
     cfg = write_config(tmp_path / "cfg.json")
     forced = ("import os; from abreu1d import cli; cli._SPLIT_MIN_VALUES = 0; "
               "os.sched_getaffinity = lambda pid: {0, 1}; cli.main()")
@@ -669,10 +759,12 @@ def test_failed_child_write_is_nonzero_exit(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-def test_split_writer_raises_the_childs_error(tmp_path, monkeypatch):
-    # only the forked child's write fails, and no file is left behind that
-    # would make the manifest fail instead: the error must come from the child
+def test_split_writer_raises_the_childs_error(tmp_path, monkeypatch, one_writer):
+    # the forked child takes the one unit and its first write fails; no file
+    # is left behind that would make the manifest fail instead, so the error
+    # must come from the child, with its type and message
     _split_writes(monkeypatch, True)
+    one_writer("child")
     command_pid = os.getpid()
     write_in_place = cli._write_in_place
 
@@ -683,8 +775,10 @@ def test_split_writer_raises_the_childs_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_in_place", failing_in_child)
     cfg = write_config(tmp_path / "cfg.json")
-    with pytest.raises(RuntimeError, match=r"^child write refused: solution_stage00\.csv$"):
+    with pytest.raises(RuntimeError) as exc:
         cli.main.main(args=["sweep", "--config", str(cfg)], standalone_mode=False)
+    assert type(exc.value) is RuntimeError
+    assert str(exc.value) == "child write refused: solution_stage00.csv"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not (tmp_path / "out" / "manifest.json").exists()
@@ -764,8 +858,9 @@ STEEP_128 = {"phi": STEEP_PHI, "rho_minus": 1 / 6, "rho_plus": 1 / 6, "grid": {"
     ids=["steep", "shallow-oracle-failure", "steep-128", "steep-128-oracle-failure"],
 )
 def test_split_and_serial_compare_are_byte_identical(tmp_path, monkeypatch, overrides, code):
-    # split, the oracle runs while the stage writer child writes stages 00,
-    # 02, ...; serial, the command writes every stage file before the oracle
+    # split, the oracle runs while the stage writer child takes units, and
+    # the command takes what is left after it; serial, the command writes
+    # every stage file before the oracle
     outputs = {}
     forks = _count_forks(monkeypatch)
     for split in (False, True):  # serial first: no fork, then one for the writer
@@ -907,6 +1002,12 @@ def test_cold_import_and_config_load_leave_scipy_unloaded(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+    # nor does it build the renderer's tables, which the first render does
+    snippet += "; from abreu1d import floattext; print(floattext._tables is None)"
+    proc = subprocess.run([sys.executable, "-c", snippet, str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nTrue\n"
 
 
 @pytest.mark.parametrize(

@@ -193,8 +193,10 @@ def test_sampled_polynomials_equal_numpy_bitwise(n):
 # the leading coefficient of a line and a cubic
 WEIGHTS = ([2.0], [-0.0], [1.0, 0.5], [1.0, 0.5, -0.0], [1.0, 0.0, 0.5],
            [1.0, 0.1, 0.2, 0.3], [1.0, 0.25, 0.5, -0.0])
-# the callbacks whose value depends on x alone
-X_ONLY = ("f0_z", "f0_zz", "f1_pp", "f1_pxp", "f1_ppp")
+# the callbacks whose value depends on x alone: three that a binding
+# evaluates once, and two that are identically zero
+X_ONLY = ("f0_z", "f1_pp", "f1_pxp")
+ZERO_PARTIALS = ("f0_zz", "f1_ppp")
 
 
 def _reference(coeffs, x, y):
@@ -238,7 +240,12 @@ def test_bound_partials_equal_unbound_bitwise(spec):
         assert bound.x is x
         for y in (np.linspace(-2.0, 2.0, len(x)), np.cos(x)):
             for name in DERIVED_PARTIALS + ("f0", "f1"):
-                _assert_bitwise(getattr(bound, name)(y), getattr(spec, name)(x, y), name)
+                partial = getattr(bound, name)
+                if partial is None:  # left out as identically zero
+                    assert name in ZERO_PARTIALS
+                    _assert_bitwise(np.zeros_like(x), getattr(spec, name)(x, y), name)
+                else:
+                    _assert_bitwise(partial(y), getattr(spec, name)(x, y), name)
 
 
 @pytest.mark.parametrize("name", X_ONLY)
@@ -254,6 +261,18 @@ def test_cached_values_are_read_only(name):
         with pytest.raises(ValueError, match="read-only"):
             value += 1.0
         assert np.array_equal(value, _reference([1.0, 0.5], x, x)[name])
+
+
+@pytest.mark.parametrize("name", ZERO_PARTIALS)
+def test_identically_zero_partials_are_left_out(name):
+    # `RochetChoneSpec.bind` hands out no array for them, so Newton's
+    # Jacobian and the barrier's Hessian add no zeros; unbound, they are zero
+    g = build_grid(64, -0.5, 0.5)
+    spec = make_rochet_chone([1.0, 0.5], g.nodes)
+    for x in _node_arrays(g):
+        assert getattr(spec.bind(x), name) is None
+        assert np.array_equal(getattr(spec, name)(x, np.cos(x)), np.zeros_like(x))
+    assert getattr(quartic_spec().bind(g.nodes), name) is not None
 
 
 def test_newton_evaluates_the_weight_once_per_stage(monkeypatch):

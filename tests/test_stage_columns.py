@@ -4,8 +4,9 @@ Each benchmark workload's command (`sweep` at n = 128, `compare` at n = 128,
 `verify` at n = 8192) runs on a copy of its config from
 `perfbench/workloads/`, and further configs take the stage writer's other
 paths: a sweep whose files fill several tables, `solve`'s single file, files
-too long for three to share a table, which are streamed, and an odd stage
-count split between this process and the stage writer child.  Each test
+too long for three to share a table, which are streamed, and stage files
+shared out through the claim queue between this process and the stage
+writer child, as streamed files and as tables.  Each test
 parses every file's `u` column, takes u', u'', w = 1/u'' and f_eps of it
 afresh, and checks that every value formats to the written text.
 """
@@ -99,9 +100,7 @@ def test_files_too_long_for_three_to_a_table_are_streamed(tmp_path, monkeypatch)
     assert_stage_files_follow_u(config, out, 2)
 
 
-def test_an_odd_stage_count_split_between_two_writers(tmp_path, monkeypatch):
-    # 17 files of 513 rows hold 52 326 values: the child writes 9 files, in
-    # tables of 3, and this process 8
+def _count_forks(monkeypatch):
     forks = []
     fork = os.fork
 
@@ -111,6 +110,13 @@ def test_an_odd_stage_count_split_between_two_writers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return forks
+
+
+def test_an_odd_stage_count_split_between_two_writers(tmp_path, monkeypatch):
+    # 17 files of 513 rows hold 52 326 values, six table units of up to
+    # three files, which the child and this process take from one queue
+    forks = _count_forks(monkeypatch)
     schedule = {"start": 0.1, "ratio": 0.5, "stages": 17}
     config, out, _ = run_workload(tmp_path, "large-grid-io", "sweep",
                                   grid={"n": 512, "a": -0.5, "b": 0.5}, eps_schedule=schedule)
@@ -118,6 +124,23 @@ def test_an_odd_stage_count_split_between_two_writers(tmp_path, monkeypatch):
     assert 513 * 3 <= cli._TABLE_ROWS < 513 * 4
     assert forks == [1]
     assert_stage_files_follow_u(config, out, 17)
+
+
+@pytest.mark.parametrize("stages", [3, 11])
+def test_streamed_files_shared_between_two_writers(tmp_path, monkeypatch, stages):
+    # files of 769 rows are streamed, one unit each; 11 of them are above
+    # the split threshold, and 3 are split with the threshold lowered
+    forks = _count_forks(monkeypatch)
+    above = len(cli.STAGE_HEADER) * 769 * stages >= cli._SPLIT_MIN_VALUES
+    assert above == (stages == 11)
+    if not above:
+        monkeypatch.setattr(cli, "_SPLIT_MIN_VALUES", 0)
+    schedule = {"start": 0.1, "ratio": 0.5, "stages": stages}
+    config, out, _ = run_workload(tmp_path, "large-grid-io", "sweep",
+                                  grid={"n": 768, "a": -0.5, "b": 0.5}, eps_schedule=schedule)
+    assert 769 > cli._TABLE_ROWS // 3
+    assert forks == [1]
+    assert_stage_files_follow_u(config, out, stages)
 
 
 def test_a_small_sweep_renders_three_kernel_blocks(tmp_path, monkeypatch):

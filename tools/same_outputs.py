@@ -9,7 +9,11 @@ which it only reads, the script runs `solve` (on a copy whose eps schedule
 is the single eps 0.05), `sweep`, `compare`, `verify` and `sweep` again on a
 copy whose schedule has three stages, one too few for the rate fits and
 the bound checks, from both trees, in fresh interpreters and in temporary
-output directories.  It reports a
+output directories.  It runs each command of the after tree twice: as
+the before tree's is run, and pinned to one CPU (`os.sched_setaffinity` in
+the child process), where a command writes every stage file itself, so
+that a large sweep's two-process and one-process stage writers are both
+compared with the before tree.  It reports a
 differing exit code, a file that only one tree wrote, every CSV or JSON
 file whose bytes differ, and every difference between the manifests other
 than `wall_clock_seconds` (the wall times) and `config.outputs` (the output
@@ -36,10 +40,22 @@ RUNS = (
 )
 
 
-def run(tree: Path, command: str, config: Path, out: Path) -> int:
+# (side, tree, pinned to one CPU): the after tree runs as the before tree
+# does, and again on one CPU
+SIDES = (("before", "before", False), ("after", "after", False),
+         ("after-one-cpu", "after", True))
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(tree: Path, command: str, config: Path, out: Path, one_cpu: bool = False) -> int:
+    """Run `command` of `tree`'s CLI in a fresh interpreter, on one CPU if `one_cpu`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), ABREU1D_LOG="quiet")
     argv = [sys.executable, "-m", "abreu1d.cli", command, "--config", str(config), "--out", str(out)]
-    return subprocess.run(argv, env=env, stdin=subprocess.DEVNULL).returncode
+    return subprocess.run(argv, env=env, stdin=subprocess.DEVNULL,
+                          preexec_fn=_one_cpu if one_cpu else None).returncode
 
 
 def manifest_without_timing(path: Path):
@@ -87,20 +103,22 @@ def main() -> int:
                 copy = doc if schedule is None else {**doc, "eps_schedule": schedule}
                 config.write_text(json.dumps(copy), encoding="utf-8")
                 outs, codes = {}, {}
-                for side, tree in trees.items():
+                for side, tree, one_cpu in SIDES:
                     outs[side] = work / f"{workload.stem}-{label}-{side}"
-                    codes[side] = run(tree, command, config, outs[side])
-                found = differences(outs["before"], outs["after"])
-                if codes["before"] != codes["after"]:
-                    found.insert(0, f"exit code {codes['before']} -> {codes['after']}")
-                if found:
-                    failed = True
-                    print(f"DIFFERENT {workload.stem} {label}:")
-                    for line in found:
-                        print(f"    {line}")
-                else:
-                    files = len(list(outs["after"].iterdir()))
-                    print(f"same      {workload.stem} {label}: exit {codes['after']}, {files} files")
+                    codes[side] = run(trees[tree], command, config, outs[side], one_cpu)
+                for side in ("after", "after-one-cpu"):
+                    name = f"{workload.stem} {label}{' on one CPU' if side != 'after' else ''}"
+                    found = differences(outs["before"], outs[side])
+                    if codes["before"] != codes[side]:
+                        found.insert(0, f"exit code {codes['before']} -> {codes[side]}")
+                    if found:
+                        failed = True
+                        print(f"DIFFERENT {name}:")
+                        for line in found:
+                            print(f"    {line}")
+                    else:
+                        files = len(list(outs[side].iterdir()))
+                        print(f"same      {name}: exit {codes[side]}, {files} files")
     return 1 if failed else 0
 
 
